@@ -24,7 +24,6 @@ from .errors import (
     FormulaError,
     ParseError,
 )
-from .asp_to_logic import check_case_A, check_case_B, gamma_m
 from .asp_to_logic import translate as translate_program
 from .logic_to_asp import analyze, decide_by_translation
 from .logic_to_asp import translate as translate_formula

@@ -441,19 +441,6 @@ def model_context(t: AspTranslation, m: Model) -> ModelContext:
     return ModelContext(formulas, model_atoms, complement)
 
 
-def gamma_m(p: Program, m: Model, omega: Atom | None = None) -> ModelContext:
-    if omega is None:
-        omega = _fresh_omega(p)
-    return model_context(translate(p, omega), m)
-
-
-def _fresh_omega(p: Program) -> Atom:
-    name = "omega"
-    while name in p.predicates():
-        name += "_"
-    return Atom(name)
-
-
 def _unsound(p: Program, m: Model) -> bool:
     return bool(interpretation(p, m) - m)
 
@@ -479,25 +466,3 @@ def _check_case(
             f"test says {expected} for model {sorted(str(a) for a in m)}"
         )
     return verdict
-
-
-def check_case_A(
-    p: Program,
-    m: Model,
-    omega: Atom | None = None,
-    deadline: float | None = None,
-) -> bool:
-    """Prover verdict for the unsoundness goal, cross-checked against the fixpoint."""
-    t = translate(p, omega if omega is not None else _fresh_omega(p))
-    return t.case_a(m, deadline=deadline)
-
-
-def check_case_B(
-    p: Program,
-    m: Model,
-    omega: Atom | None = None,
-    deadline: float | None = None,
-) -> bool:
-    """Prover verdict for the incompleteness goal, cross-checked against the fixpoint."""
-    t = translate(p, omega if omega is not None else _fresh_omega(p))
-    return t.case_b(m, deadline=deadline)

@@ -456,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap-base",
         type=int,
         default=engine.ENUM_CAP,
-        help="stable-model enumeration cap (atoms in the base)",
+        help="stable-model enumeration cap (atoms that occur negated)",
     )
     parser.add_argument(
         "--addr-len", type=int, default=None, help="address length for soups"
@@ -543,6 +543,12 @@ def run(argv: list[str]) -> int:
         return args.fn(args)
     except (BudgetExceeded, CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError as e:
+        # a recursive search ran out of stack: no verdict, so not exit 1
+        print(
+            f"error: input too deep for the recursive search ({e})", file=sys.stderr
+        )
         return EXIT_BUDGET
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

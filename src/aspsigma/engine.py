@@ -2,16 +2,17 @@
 entailment, the overline transform, refutation trees and return-free
 derivations.
 
-``stable_models`` is a deliberately brute-force subset enumerator so it can
-serve as an oracle; ``has_stable_model`` is an exact existence decision that
-propagates bounds over the negated atoms and branches only where forced, which
+One search core, ``_search``, enumerates the stable models: it propagates
+bounds over the atoms that occur negated and branches only where forced, which
 scales to the large ground programs produced by the formula translation.
+``stable_models``, ``sms_entails`` and ``has_stable_model`` are views of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CapExceeded, FormulaError
@@ -124,6 +125,8 @@ class _Compiled:
         # positive-body counts use distinct atoms so the watch lists fire once
         self.pos_need: list[int] = [len(set(b)) for b in self.pos]
         self.neg_sets: list[frozenset[int]] = [frozenset(ns) for ns in self.neg]
+        # the atoms that occur negated, the only branch points of the search
+        self.negated: list[int] = sorted({a for ns in self.neg_sets for a in ns})
 
     def lfp(
         self,
@@ -193,72 +196,36 @@ def is_stable(p: Program | GroundProgram, m: Model) -> bool:
     return frozenset(m) == interpretation(p, m)
 
 
-def stable_models(
-    p: Program | GroundProgram,
-    cap: int = ENUM_CAP,
-    deadline: float | None = None,
-) -> tuple[Model, ...]:
-    """All stable models, by exhaustive subset enumeration over the base."""
-    g = _as_ground(p)
-    base = sorted(g.base)
-    if len(base) > cap:
-        raise CapExceeded(
-            f"base has {len(base)} atoms, beyond the enumeration cap {cap}",
-            feasible=cap,
-        )
-    comp = g.compiled()
-    base_ids = [comp.atom_ids.get(a) for a in base]
-    found: list[Model] = []
-    for k, bits in enumerate(itertools.product((False, True), repeat=len(base))):
-        if deadline is not None and k % 1024 == 0:
-            _check_deadline(deadline)
-        m_atoms = frozenset(a for a, b in zip(base, bits) if b)
-        m_ids = {i for i, b in zip(base_ids, bits) if b and i is not None}
-        derived = comp.lfp(comp.usable_for_model(m_ids))
-        if comp.ids_to_atoms(derived) == m_atoms:
-            found.append(m_atoms)
-    found.sort(key=lambda m: (len(m), sorted(str(a) for a in m)))
-    return tuple(found)
-
-
-def sms_entails(
-    p: Program | GroundProgram,
-    a: Atom,
-    cap: int = ENUM_CAP,
-    deadline: float | None = None,
-) -> bool:
-    """True when every stable model satisfies ``a`` (vacuously if none exists)."""
-    if a.negated or not a.is_ground():
-        raise FormulaError(f"entailment queries take positive ground atoms: {a}")
-    return all(a in m for m in stable_models(p, cap=cap, deadline=deadline))
-
-
 # ---------------------------------------------------------------------------
-# Existence decision by propagation and branching
+# Stable-model search by propagation and branching
 # ---------------------------------------------------------------------------
 
 
-def has_stable_model(
-    p: Program | GroundProgram,
+def _search(
+    g: GroundProgram,
     deadline: float | None = None,
     branch_priority=None,
-) -> Model | None:
-    """An exact stable-model existence check returning a witness.
+) -> Iterator[Model]:
+    """Every stable model of ``g``, each once, in depth-first order.
 
-    The search assigns truth values only to atoms that occur negated.  A
-    partial assignment yields a lower fixpoint (clauses whose negative bodies
-    are all assigned false, seeded with the true-assigned atoms) and an upper
-    fixpoint (clauses whose negative bodies are not assigned true, with
-    false-assigned atoms underivable); conflicts prune, entailed literals
-    propagate, and complete assignments are verified with the plain
-    reduct-fixpoint check, so every answer is exact.
+    A stable model is fixed by the truth values of the atoms that occur
+    negated, so the search assigns values only to those.  A partial
+    assignment yields a lower fixpoint (clauses whose negative bodies are all
+    assigned false, seeded with the true-assigned atoms) and an upper fixpoint
+    (clauses whose negative bodies are not assigned true, with false-assigned
+    atoms underivable).  Every stable model M that extends the assignment
+    satisfies ``lower <= M <= upper``, so conflicts prune no model and
+    entailed literals are forced; a false atom whose clause has a certain
+    positive body forces that clause's one open negative literal true, which
+    removes no model either.  Complete assignments are verified with the plain
+    reduct-fixpoint check, so every yield is exact, and distinct leaves differ
+    on a negated atom, so no model is yielded twice.
 
     ``branch_priority`` optionally maps an Atom to a sort key deciding which
     unassigned atoms to branch on first.
     """
-    g = _as_ground(p)
     comp = g.compiled()
-    neg_atoms = sorted({a for ns in comp.neg_sets for a in ns})
+    neg_atoms = list(comp.negated)
     if branch_priority is not None:
         neg_atoms.sort(key=lambda a: (branch_priority(comp.atoms[a]), a))
     UNKNOWN, TRUE, FALSE = 0, 1, 2
@@ -355,23 +322,74 @@ def has_stable_model(
             return None
         return pick, (FALSE, TRUE)
 
-    def search(assign: dict[int, int]) -> Model | None:
+    # the stack holds the open branches; the first value of a choice is
+    # pushed last, so it is explored first, as a recursive search would
+    stack = [{a: UNKNOWN for a in neg_atoms}]
+    while stack:
+        assign = stack.pop()
         bounds = propagate(assign)
         if bounds is None:
-            return None
+            continue
         choice = choose(assign, *bounds)
         if choice is None:
-            return leaf_model(assign)
+            m = leaf_model(assign)
+            if m is not None:
+                yield m
+            continue
         pick, values = choice
-        for value in values:
+        for value in reversed(values):
             child = dict(assign)
             child[pick] = value
-            found = search(child)
-            if found is not None:
-                return found
-        return None
+            stack.append(child)
 
-    return search({a: UNKNOWN for a in neg_atoms})
+
+def _within_cap(p: Program | GroundProgram, cap: int) -> GroundProgram:
+    g = _as_ground(p)
+    n = len(g.compiled().negated)
+    if n > cap:
+        raise CapExceeded(
+            f"{n} atoms occur negated, beyond the enumeration cap {cap}",
+            feasible=cap,
+        )
+    return g
+
+
+def stable_models(
+    p: Program | GroundProgram,
+    cap: int = ENUM_CAP,
+    deadline: float | None = None,
+) -> tuple[Model, ...]:
+    """All stable models, smallest first; ``cap`` bounds the negated atoms."""
+    found = list(_search(_within_cap(p, cap), deadline))
+    found.sort(key=lambda m: (len(m), sorted(str(a) for a in m)))
+    return tuple(found)
+
+
+def sms_entails(
+    p: Program | GroundProgram,
+    a: Atom,
+    cap: int = ENUM_CAP,
+    deadline: float | None = None,
+) -> bool:
+    """True when every stable model satisfies ``a`` (vacuously if none exists).
+
+    The search stops at the first stable model without ``a``.
+    """
+    if a.negated or not a.is_ground():
+        raise FormulaError(f"entailment queries take positive ground atoms: {a}")
+    return all(a in m for m in _search(_within_cap(p, cap), deadline))
+
+
+def has_stable_model(
+    p: Program | GroundProgram,
+    deadline: float | None = None,
+    branch_priority=None,
+) -> Model | None:
+    """The first stable model the search finds, or None when there is none.
+
+    No cap applies; ``deadline`` bounds the work.
+    """
+    return next(_search(_as_ground(p), deadline, branch_priority), None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,14 @@ The small-instance corpus is fixed by seed; every check here compares two
 independently implemented routes and requires exact agreement.
 """
 
-import itertools
 import math
 import time
 
 import pytest
 
 from aspsigma.asp_to_logic import translate as translate_asp
-from aspsigma.cli import roundtrip_asp, roundtrip_logic
-from aspsigma.corpus import CorpusSpec, gen_programs
+from aspsigma.cli import report_digest, roundtrip_asp, roundtrip_logic
+from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
 from aspsigma.engine import (
     find_derivation_no_returns,
     find_refutation,
@@ -27,6 +26,7 @@ from aspsigma.logic_to_asp import translate as translate_formula
 from aspsigma.parsing import parse_formula, parse_program
 from aspsigma.proofs import Environment, check, is_lnf, prove_sigma1
 from aspsigma.syntax import Atom, fmt_formula, formula_length
+from oracle import naive_stable_models, subsets
 
 CORPUS = CorpusSpec(count=500, seed=0)
 FORMULA_CORPUS = CorpusSpec(count=120, seed=0, formula_max_size=8)
@@ -52,45 +52,16 @@ def _announce(capsys, criterion, name, detail):
         print(f"\nACCEPTANCE {criterion} [{name}]: PASS ({detail})")
 
 
-def _subsets(atoms):
-    atoms = sorted(atoms)
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        yield frozenset(a for a, b in zip(atoms, bits) if b)
-
-
 # ---------------------------------------------------------------------------
 # 1. stable-model oracle against a second, naive fixpoint implementation
 # ---------------------------------------------------------------------------
-
-
-def _naive_stable_models(p):
-    g = ground(p)
-    base = sorted(g.base)
-    found = []
-    for m in _subsets(base):
-        reduct = []
-        for c in g.clauses:
-            if any(b.negated and b.positive() in m for b in c.body):
-                continue
-            reduct.append((c.head, [b for b in c.body if not b.negated]))
-        interp = set()
-        changed = True
-        while changed:
-            changed = False
-            for head, body in reduct:
-                if head not in interp and all(b in interp for b in body):
-                    interp.add(head)
-                    changed = True
-        if interp == set(m):
-            found.append(m)
-    return set(found)
 
 
 def test_acceptance_1_stable_model_oracle(programs, capsys):
     start = time.monotonic()
     assert len(programs) >= 500
     for p in programs:
-        assert set(stable_models(p)) == _naive_stable_models(p), str(p)
+        assert set(stable_models(p)) == naive_stable_models(p), str(p)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     _announce(
@@ -112,7 +83,7 @@ def test_acceptance_2_overline_identity(programs, capsys):
         if len(g.base) > 6:
             continue
         over = overline(g)
-        for m in _subsets(g.base):
+        for m in subsets(g.base):
             facts = over.complement(m)
             derived = frozenset(
                 a for a in g.base if horn_derives(over.program, facts, a)
@@ -165,6 +136,12 @@ def test_acceptance_4_three_way_agreement(logic_reports, capsys):
     )
 
 
+def test_seed0_digests(asp_reports, logic_reports):
+    # the verdicts of both round trips on the canonical corpora, pinned
+    assert report_digest(asp_reports)[:16] == "cb9da601e7609bda"
+    assert report_digest(logic_reports)[:16] == "62eb84e88906af01"
+
+
 # ---------------------------------------------------------------------------
 # 5. every returned certificate checks and is in long normal form
 # ---------------------------------------------------------------------------
@@ -200,7 +177,7 @@ def test_acceptance_6_refutation_derivation_duality(programs, capsys):
         g = ground(p)
         if len(g.base) > 5:
             continue
-        for m in _subsets(g.base):
+        for m in subsets(g.base):
             interp = interpretation(g, m)
             for a in sorted(g.base):
                 refutation = find_refutation(g, m, a)
@@ -247,11 +224,8 @@ def test_acceptance_8_case_analysis(programs, capsys):
         base = program_base(p)
         if len(base) > 4:
             continue
-        omega = Atom("omega")
-        while omega.pred in p.predicates():
-            omega = Atom(omega.pred + "_")
-        t = translate_asp(p, omega)
-        for m in _subsets(base):
+        t = translate_asp(p, fresh_goal_atom(p))
+        for m in subsets(base):
             t.case_a(m)  # raises CrossCheckError on any disagreement
             t.case_b(m)
             checked += 1

@@ -2,13 +2,8 @@ import itertools
 
 import pytest
 
-from aspsigma.asp_to_logic import (
-    check_case_A,
-    check_case_B,
-    gamma_m,
-    model_context,
-    translate,
-)
+from aspsigma.asp_to_logic import translate
+from aspsigma.corpus import fresh_goal_atom
 from aspsigma.engine import is_stable, program_base, sms_entails, stable_models
 from aspsigma.errors import FormulaError
 from aspsigma.parsing import parse_formula, parse_program
@@ -167,7 +162,7 @@ def test_rejects_non_nullary_goal():
 
 def test_gamma_m_splits_base():
     p = parse_program("p :- not q. q :- not p.")
-    ctx = gamma_m(p, frozenset({Atom("p")}))
+    ctx = translate(p, fresh_goal_atom(p)).model_context(frozenset({Atom("p")}))
     assert AtomF("p") in ctx.model_atoms
     assert AtomF("bar_q") in ctx.complement_atoms
     assert len(ctx.model_atoms) + len(ctx.complement_atoms) == 2
@@ -175,7 +170,7 @@ def test_gamma_m_splits_base():
 
 def test_gamma_m_empty_model():
     p = parse_program("p.")
-    ctx = gamma_m(p, frozenset())
+    ctx = translate(p, fresh_goal_atom(p)).model_context(frozenset())
     assert ctx.model_atoms == ()
     assert ctx.complement_atoms == (AtomF("bar_p"),)
 
@@ -185,18 +180,26 @@ def test_gamma_m_empty_model():
 # ---------------------------------------------------------------------------
 
 
+def _case_a(p, m):
+    return translate(p, fresh_goal_atom(p)).case_a(m)
+
+
+def _case_b(p, m):
+    return translate(p, fresh_goal_atom(p)).case_b(m)
+
+
 def test_case_a_examples():
     p = parse_program("p.")
-    assert check_case_A(p, frozenset()) is True
-    assert check_case_A(p, frozenset({Atom("p")})) is False
-    assert check_case_A(make_program([], {"c"}), frozenset()) is False
+    assert _case_a(p, frozenset()) is True
+    assert _case_a(p, frozenset({Atom("p")})) is False
+    assert _case_a(make_program([], {"c"}), frozenset()) is False
 
 
 def test_case_b_examples():
-    assert check_case_B(parse_program("p."), frozenset({Atom("p")})) is False
-    assert check_case_B(parse_program("p :- p."), frozenset({Atom("p")})) is True
+    assert _case_b(parse_program("p."), frozenset({Atom("p")})) is False
+    assert _case_b(parse_program("p :- p."), frozenset({Atom("p")})) is True
     empty_with_p = parse_program("p :- p.")  # language contains p, no support
-    assert check_case_B(empty_with_p, frozenset({Atom("p")})) is True
+    assert _case_b(empty_with_p, frozenset({Atom("p")})) is True
 
 
 def test_case_split_matches_stability():

@@ -80,10 +80,40 @@ def test_parse_error_exit_code(files):
 
 
 def test_cap_exit_code(files):
-    big = files(
-        "big.lp", "#domain c1, c2, c3. p(u, v, w, x, y, z) :- not q(u).\n"
-    )
+    # the cap counts atoms that occur negated: five q(c_i) here
+    big = files("big.lp", "#domain c1, c2, c3, c4, c5. p(x) :- not q(x).\n")
     assert run(["--cap-base", "4", "solve", big]) == EXIT_BUDGET
+
+
+# a 50-atom base (e/2 and r/2 over five constants) with no negation
+WIDE_POSITIVE = (
+    "#domain c1, c2, c3, c4, c5.\n"
+    "e(c1, c2). e(c2, c3). e(c3, c4). e(c4, c5).\n"
+    "r(x, y) :- e(x, y).\n"
+)
+
+
+def test_solve_wide_negation_free_program(files, capsys):
+    path = files("wide.lp", WIDE_POSITIVE)
+    assert run(["--json", "solve", path]) == EXIT_OK
+    (model,) = json.loads(capsys.readouterr().out)["models"]
+    pairs = ["(c1,c2)", "(c2,c3)", "(c3,c4)", "(c4,c5)"]
+    assert model == [f"e{x}" for x in pairs] + [f"r{x}" for x in pairs]
+
+
+def test_entail_wide_negation_free_program(files):
+    path = files("wide.lp", WIDE_POSITIVE)
+    assert run(["entail", path, "r(c2, c3)"]) == EXIT_OK
+    assert run(["entail", path, "r(c1, c3)"]) == EXIT_NEGATIVE
+    assert run(["entail", path, "e(c5, c1)"]) == EXIT_NEGATIVE
+
+
+def test_prove_too_deep_is_budget_not_negative(files, capsys):
+    # provable: a0 -> (a0 -> a1) -> ... -> (a999 -> a1000) -> a1000
+    steps = [f"(a{i} -> a{i + 1})" for i in range(1000)]
+    f = files("chain.sig1", " -> ".join(["a0"] + steps + ["a1000"]) + "\n")
+    assert run(["prove", f]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("error: input too deep")
 
 
 def test_translate_asp_output_proves(files, capsys, tmp_path):

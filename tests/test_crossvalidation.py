@@ -11,7 +11,6 @@ import pytest
 from aspsigma.engine import (
     has_stable_model,
     is_stable,
-    stable_models,
 )
 from aspsigma.errors import CapExceeded
 from aspsigma.logic_to_asp import _answers_first, decide_by_translation
@@ -31,6 +30,7 @@ from aspsigma.syntax import (
     make_program,
     var,
 )
+from oracle import naive_stable_models
 
 
 def _all_impl_formulas(atoms, max_leaves):
@@ -137,7 +137,7 @@ def _all_tiny_programs():
 
 def test_exhaustive_tiny_programs_existence_routes():
     for p in _all_tiny_programs():
-        enumerated = stable_models(p)
+        enumerated = naive_stable_models(p)
         witness = has_stable_model(p)
         assert (witness is not None) == bool(enumerated), str(p)
         if witness is not None:
@@ -153,8 +153,8 @@ def test_unary_programs_existence_routes():
     ]
     for text in texts:
         p = parse_program(text)
-        enumerated = stable_models(p)
+        enumerated = naive_stable_models(p)
         witness = has_stable_model(p, branch_priority=_answers_first)
         assert (witness is not None) == bool(enumerated), text
         if witness is not None:
-            assert is_stable(p, witness)
+            assert witness in enumerated

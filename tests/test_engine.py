@@ -20,6 +20,7 @@ from aspsigma.engine import (
 from aspsigma.errors import CapExceeded
 from aspsigma.parsing import parse_program
 from aspsigma.syntax import Atom, Clause, const, make_program, var
+from oracle import naive_stable_models, subsets
 
 P_CHOICE = "p :- not q. q :- not p."
 
@@ -128,6 +129,10 @@ def test_stable_models_cap():
     text = "#domain c1, c2, c3, c4, c5. p(x, y) :- not q(x, y)."
     with pytest.raises(CapExceeded):
         stable_models(parse_program(text))
+    # the cap counts the atoms that occur negated, not the base
+    with pytest.raises(CapExceeded):
+        stable_models(parse_program(P_CHOICE), cap=1)
+    assert stable_models(parse_program("p. q :- p."), cap=0) == (atoms("p", "q"),)
 
 
 def test_sms_entails_examples():
@@ -161,14 +166,14 @@ def _tiny_programs():
 def test_interpretation_idempotent_and_minimal():
     for p in _tiny_programs():
         g = ground(p)
-        for m in _all_subsets(g.base):
+        for m in subsets(g.base):
             interp = interpretation(g, m)
             # idempotence: one more application of the operator adds nothing
             r = reduct(g, m)
             again = interpretation(GroundLike(r), interp)
             assert interp == interpretation(g, m)
             # minimality: no strict subset is closed under the reduct operator
-            for sub in _all_subsets(interp):
+            for sub in subsets(interp):
                 if sub == interp:
                     continue
                 assert not _closed_under(r, sub)
@@ -185,17 +190,11 @@ def _closed_under(g, s):
     return True
 
 
-def _all_subsets(base):
-    base = sorted(base)
-    for bits in itertools.product((False, True), repeat=len(base)):
-        yield frozenset(a for a, b in zip(base, bits) if b)
-
-
 def test_lemma_one_fresh_omega_entailment():
     for p in _tiny_programs():
         fresh = Atom("omega")
         assert fresh.pred not in p.predicates()
-        assert sms_entails(p, fresh) == (len(stable_models(p)) == 0)
+        assert sms_entails(p, fresh) == (not naive_stable_models(p))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def test_overline_interpretation_identity_small():
     for p in _tiny_programs():
         g = ground(p)
         over = overline(g)
-        for m in _all_subsets(g.base):
+        for m in subsets(g.base):
             facts = over.complement(m)
             derived = {
                 a for a in g.base if horn_derives(over.program, facts, a)
@@ -254,11 +253,11 @@ def test_overline_interpretation_identity_small():
 
 def test_has_stable_model_matches_enumeration():
     for p in _tiny_programs():
-        expected = stable_models(p)
+        expected = naive_stable_models(p)
         witness = has_stable_model(p)
-        assert (witness is not None) == (len(expected) > 0), str(p)
+        assert (witness is not None) == bool(expected), str(p)
         if witness is not None:
-            assert is_stable(p, witness)
+            assert witness in expected
 
 
 def test_has_stable_model_on_programs_with_unary_predicates():
@@ -270,11 +269,37 @@ def test_has_stable_model_on_programs_with_unary_predicates():
     ]
     for t in texts:
         p = parse_program(t)
-        expected = len(stable_models(p)) > 0
+        expected = naive_stable_models(p)
         witness = has_stable_model(p)
-        assert (witness is not None) == expected, t
+        assert (witness is not None) == bool(expected), t
         if witness is not None:
-            assert is_stable(p, witness)
+            assert witness in expected
+
+
+_POOL = [Atom(f"p{i}") for i in range(8)]
+_LITERAL = st.builds(
+    lambda a, negated: Atom(a.pred, (), negated),
+    st.sampled_from(_POOL),
+    st.booleans(),
+)
+_CLAUSE = st.builds(
+    lambda head, body: Clause(head, tuple(body)),
+    st.sampled_from(_POOL),
+    st.lists(_LITERAL, max_size=3),
+)
+
+
+@given(st.lists(_CLAUSE, min_size=1, max_size=8))
+def test_search_views_match_oracle(clauses):
+    p = make_program(clauses)
+    expected = naive_stable_models(p)
+    models = stable_models(p)
+    assert len(models) == len(expected) and set(models) == expected
+    for a in _POOL + [Atom("omega")]:
+        assert sms_entails(p, a) == all(a in m for m in expected), a
+    witness = has_stable_model(p)
+    assert (witness is None) == (not expected)
+    assert witness is None or witness in expected
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +368,7 @@ def test_derivation_rejects_returns():
 def test_refutation_derivation_duality_small():
     for p in _tiny_programs():
         g = ground(p)
-        for m in _all_subsets(g.base):
+        for m in subsets(g.base):
             interp = interpretation(g, m)
             for a in sorted(g.base):
                 ref = find_refutation(g, m, a)
