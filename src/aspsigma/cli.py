@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import asp_to_logic, engine, logic_to_asp, proofs, soups
 from .corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
-from .errors import AspSigmaError, BudgetExceeded, CapExceeded
+from .errors import AspSigmaError, BudgetExceeded, CapExceeded, CrossCheckError
 from .parsing import parse_formula, parse_ground_atom, parse_program
 from .syntax import fmt_formula
 
@@ -550,6 +550,10 @@ def run(argv: list[str]) -> int:
             f"error: input too deep for the recursive search ({e})", file=sys.stderr
         )
         return EXIT_BUDGET
+    except CrossCheckError as e:
+        # two routes disagreed: a disagreement, not an input error
+        print(f"error: cross-check failed: {e}", file=sys.stderr)
+        return EXIT_NEGATIVE
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

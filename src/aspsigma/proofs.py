@@ -8,6 +8,19 @@ inclusion.  Positive results are found as a least fixpoint: depth-first passes
 that treat in-progress judgments as failed are repeated until the solved table
 stops growing, which is sound for negative answers as well.
 
+Context members are interned: each alpha-equivalence class gets a dense
+integer id the first time it is met, so a context is a set of ids over the
+base members and a judgment is ``(frozenset of added ids, goal atom)``.
+Formula trees are hashed only when a formula is interned, not per judgment.
+Members are tried in id order (base members first, then the added ones), and
+only those whose target predicate is the goal's.  Ground atom members are
+indexed by predicate once per search, with the added ones merged in per
+judgment, to join a member's membership-only premises.  The premises a
+member instance leaves to prove (substituted, peeled, with their hypotheses
+interned) are computed once per (member id, instantiation) and kept for the
+life of one search.  Every iteration follows these orders, so the certificate
+found does not depend on the string hash seed.
+
 Every positive answer is returned as a long-normal-form certificate that the
 checker accepts.
 """
@@ -349,9 +362,8 @@ def parse_term(text: str) -> ProofTerm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Entry:
-    index: int
     formula: Formula
     scheme: Pi1Scheme
 
@@ -367,34 +379,49 @@ class _Prover:
         self.pool = pool
         self.max_judgments = max_judgments
         self.deadline = deadline
-        self.entries: dict[Formula, _Entry] = {}
+        # member id -> entry; ids are dense and follow interning order
+        self.entries: list[_Entry] = []
+        self.ids: dict[Formula, int] = {}  # alpha_canon(member) -> id
+        # (pred, constant names...) -> id of that ground atom member
+        self.atom_ids: dict[tuple[str, ...], int] = {}
         # predicates that head a non-atomic member; their atoms may be proved
         # by a generation step, all other atoms only by context membership
         self.flexible_preds: set[str] = set()
-        self.base_keys: list[Formula] = []
-        for f in base:
-            key = self.intern(f)
-            if key not in self.base_keys:
-                self.base_keys.append(key)
-        self.base_set = frozenset(self.base_keys)
+        # base members are interned first, so they hold the ids 0 .. n-1
+        self.base_ids = [self.intern(f) for f in base]
+        self.base_set = frozenset(range(len(self.entries)))
+        self.base_by_target: dict[str, list[int]] = {}
+        self.base_atoms: dict[str, list[AtomF]] = {}
+        for mid, entry in enumerate(self.entries):
+            pred = entry.scheme.target.pred
+            self.base_by_target.setdefault(pred, []).append(mid)
+            if isinstance(entry.formula, AtomF):
+                self.base_atoms.setdefault(pred, []).append(entry.formula)
+        # (member id, assigned constant names) -> per-premise child data
+        self.children: dict[tuple[int, tuple[str, ...]], tuple] = {}
         # solved[goal] -> list of (added_set, record); insertion order matters
-        self.solved: dict[AtomF, list[tuple[frozenset, tuple]]] = {}
-        self.failed: dict[AtomF, list[frozenset]] = {}
-        self.judgments_seen: set[tuple[frozenset, AtomF]] = set()
+        self.solved: dict[AtomF, list[tuple[frozenset[int], tuple]]] = {}
+        self.failed: dict[AtomF, list[frozenset[int]]] = {}
+        self.judgments_seen: set[tuple[frozenset[int], AtomF]] = set()
 
-    def intern(self, f: Formula) -> Formula:
-        key = alpha_canon(f)
-        if key not in self.entries:
+    def intern(self, f: Formula) -> int:
+        # an atom has no binders, so it is its own canonical form
+        key = f if isinstance(f, AtomF) else alpha_canon(f)
+        mid = self.ids.get(key)
+        if mid is None:
             cls = classify(f)
             if cls not in (MintsClass.PI1, MintsClass.BOTH):
                 raise FormulaError(
                     f"context members must be Pi1 formulas: {fmt_formula(f)}"
                 )
             scheme = decompose_pi1(f)
-            self.entries[key] = _Entry(len(self.entries), f, scheme)
+            mid = self.ids[key] = len(self.entries)
+            self.entries.append(_Entry(f, scheme))
+            if isinstance(f, AtomF) and not any(t.var for t in f.args):
+                self.atom_ids[(f.pred, *(t.name for t in f.args))] = mid
             if scheme.steps or scheme.top_vars:
                 self.flexible_preds.add(scheme.target.pred)
-        return key
+        return mid
 
     # -- matching ----------------------------------------------------------
 
@@ -419,17 +446,20 @@ class _Prover:
                 return None
         return out if out is not binding else dict(binding)
 
-    def instantiations(self, scheme: Pi1Scheme, goal: AtomF, atom_members):
+    def instantiations(
+        self, scheme: Pi1Scheme, goal: AtomF, added: frozenset[int], atoms_of
+    ):
         """Top-variable assignments matching the target against the goal.
 
         Atomic premises over membership-only predicates are joined against the
-        context's atom members, which both binds their variables and prunes
-        instantiations that could never be completed.
+        context's atom members (``atoms_of(pred)``, in member-id order), which
+        both binds their variables and prunes instantiations that could never
+        be completed.
         """
-        binding = self._match_atom(scheme.target, goal, set(scheme.top_vars), {})
+        tv = set(scheme.top_vars)
+        binding = self._match_atom(scheme.target, goal, tv, {})
         if binding is None:
             return
-        tv = set(scheme.top_vars)
         rigid = [
             s.sigma
             for s in scheme.steps
@@ -445,20 +475,19 @@ class _Prover:
                     yield full
                 return
             pattern = rigid[i]
-            if all(not (a.var and a.name in tv) or a.name in b for a in pattern.args):
+            if all(not a.var or a.name in b for a in pattern.args):
                 # fully bound: a bare membership test, no branching
-                concrete = AtomF(
-                    pattern.pred,
-                    tuple(
-                        b[a.name] if a.var and a.name in b else a
-                        for a in pattern.args
-                    ),
+                mid = self.atom_ids.get(
+                    (
+                        pattern.pred,
+                        *(b[a.name].name if a.var else a.name for a in pattern.args),
+                    )
                 )
-                if concrete in atom_members.get(pattern.pred, ()):
+                if mid is not None and (mid in self.base_set or mid in added):
                     yield from join(i + 1, b)
                 return
             seen: set[tuple] = set()
-            for cand in atom_members.get(pattern.pred, ()):
+            for cand in atoms_of(pattern.pred):
                 nb = self._match_atom(pattern, cand, tv, b)
                 if nb is not None:
                     sig = tuple(sorted((k, v.name) for k, v in nb.items()))
@@ -468,43 +497,59 @@ class _Prover:
 
         yield from join(0, binding)
 
-    def attempts(self, added: frozenset, goal: AtomF):
-        members = list(self.base_keys)
-        members.extend(sorted(added, key=lambda k: self.entries[k].index))
-        atom_members: dict[str, set[AtomF]] = {}
-        for key in members:
-            entry = self.entries[key]
-            if isinstance(entry.formula, AtomF):
-                atom_members.setdefault(entry.formula.pred, set()).add(entry.formula)
-        for key in members:
-            entry = self.entries[key]
-            for t_assign in self.instantiations(entry.scheme, goal, atom_members):
-                child_data = []
-                for i in range(1, entry.scheme.premise_count + 1):
-                    sigma = substitute(entry.scheme.steps[i - 1].sigma, t_assign)
-                    taus, a_i = peel_sigma1(sigma)
-                    tau_keys = []
-                    for tau in taus:
-                        tk = self.intern(tau)
-                        tau_keys.append(tk)
-                    child_added = added | (
-                        frozenset(tau_keys) - self.base_set
-                    )
-                    child_data.append((taus, tuple(tau_keys), child_added, a_i))
-                yield key, t_assign, child_data
+    def child_data(self, mid: int, t_assign: dict[str, Term]) -> tuple:
+        """Per premise: its peeled taus, their ids, the ids new beyond the
+        base, and its target atom; computed once per member instance."""
+        scheme = self.entries[mid].scheme
+        key = (mid, tuple(t_assign[v].name for v in scheme.top_vars))
+        data = self.children.get(key)
+        if data is None:
+            out = []
+            for step in scheme.steps:
+                taus, a_i = peel_sigma1(substitute(step.sigma, t_assign))
+                tau_ids = tuple(self.intern(tau) for tau in taus)
+                out.append((taus, tau_ids, frozenset(tau_ids) - self.base_set, a_i))
+            data = self.children[key] = tuple(out)
+        return data
+
+    def attempts(self, added: frozenset[int], goal: AtomF):
+        """Member instances whose target is the goal: base members first, then
+        the added ones, each in id order."""
+        entries = self.entries
+        extra = sorted(added)
+        added_atoms: dict[str, list[AtomF]] = {}
+        for mid in extra:
+            f = entries[mid].formula
+            if isinstance(f, AtomF):
+                added_atoms.setdefault(f.pred, []).append(f)
+
+        def atoms_of(pred: str) -> list[AtomF]:
+            base = self.base_atoms.get(pred, [])
+            more = added_atoms.get(pred)
+            return base + more if more else base
+
+        pred = goal.pred
+        members = itertools.chain(
+            self.base_by_target.get(pred, ()),
+            (mid for mid in extra if entries[mid].scheme.target.pred == pred),
+        )
+        for mid in members:
+            scheme = entries[mid].scheme
+            for t_assign in self.instantiations(scheme, goal, added, atoms_of):
+                yield mid, t_assign, self.child_data(mid, t_assign)
 
     # -- search ------------------------------------------------------------
 
-    def solved_lookup(self, added: frozenset, goal: AtomF):
+    def solved_lookup(self, added: frozenset[int], goal: AtomF):
         for added2, record in self.solved.get(goal, ()):
             if added2 <= added:
                 return record
         return None
 
-    def failed_lookup(self, added: frozenset, goal: AtomF) -> bool:
+    def failed_lookup(self, added: frozenset[int], goal: AtomF) -> bool:
         return any(added <= added2 for added2 in self.failed.get(goal, ()))
 
-    def dfs(self, added: frozenset, goal: AtomF, stack: set) -> bool:
+    def dfs(self, added: frozenset[int], goal: AtomF, stack: set) -> bool:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("proof search budget exhausted")
         if self.solved_lookup(added, goal) is not None:
@@ -520,22 +565,26 @@ class _Prover:
                 f"judgment space exceeded {self.max_judgments}",
                 feasible=self.max_judgments,
             )
-        stack = stack | {j}
-        for key, t_assign, child_data in self.attempts(added, goal):
-            ok = True
-            for _, _, child_added, a_i in child_data:
-                if not self.dfs(child_added, a_i, stack):
-                    ok = False
-                    break
-            if ok:
-                record = (key, t_assign, child_data)
-                self.solved.setdefault(goal, []).append((added, record))
-                return True
-        self.failed.setdefault(goal, []).append(added)
-        return False
+        stack.add(j)
+        try:
+            for mid, t_assign, children in self.attempts(added, goal):
+                child_added = []
+                for _, _, new, a_i in children:
+                    sub = added if new <= added else added | new
+                    if not self.dfs(sub, a_i, stack):
+                        break
+                    child_added.append(sub)
+                else:
+                    record = (mid, t_assign, children, child_added)
+                    self.solved.setdefault(goal, []).append((added, record))
+                    return True
+            self.failed.setdefault(goal, []).append(added)
+            return False
+        finally:
+            stack.discard(j)
 
     def run(self, goal: AtomF) -> bool:
-        added0: frozenset = frozenset()
+        added0: frozenset[int] = frozenset()
         while True:
             size_before = sum(len(v) for v in self.solved.values())
             self.failed = {}
@@ -546,27 +595,28 @@ class _Prover:
 
     # -- certificate extraction --------------------------------------------
 
-    def extract(self, added: frozenset, goal: AtomF, names: dict, counter) -> ProofTerm:
+    def extract(
+        self, added: frozenset[int], goal: AtomF, names: dict[int, str], counter
+    ) -> ProofTerm:
         record = self.solved_lookup(added, goal)
         assert record is not None, "extraction requires a solved judgment"
-        key, t_assign, child_data = record
-        entry = self.entries[key]
-        scheme = entry.scheme
-        term: ProofTerm = PVar(names[key])
+        mid, t_assign, children, child_added = record
+        scheme = self.entries[mid].scheme
+        term: ProofTerm = PVar(names[mid])
         seen_vars = 0
-        for i, step in enumerate(scheme.steps, start=1):
+        for i, step in enumerate(scheme.steps):
             for v in scheme.top_vars[seen_vars : step.vars_visible]:
                 term = OApp(term, t_assign[v])
             seen_vars = step.vars_visible
-            taus, tau_keys, child_added, a_i = child_data[i - 1]
+            taus, tau_ids, _, a_i = children[i]
             sub_names = dict(names)
             abs_info: list[tuple[str, Formula]] = []
-            for tau, tk in zip(taus, tau_keys):
+            for tau, tid in zip(taus, tau_ids):
                 tau_inst = substitute(tau, t_assign)
                 name = f"X{next(counter)}"
                 abs_info.append((name, tau_inst))
-                sub_names[tk] = name
-            body = self.extract(child_added, a_i, sub_names, counter)
+                sub_names[tid] = name
+            body = self.extract(child_added[i], a_i, sub_names, counter)
             for name, annot in reversed(abs_info):
                 body = PAbs(name, annot, body)
             term = PApp(term, body)
@@ -633,12 +683,11 @@ def prove(
     prover = _Prover(ctx + [p for _, p in peeled_names], pool, max_judgments, deadline)
     if not prover.run(target):
         return None
-    names: dict[Formula, str] = {}
-    env = context_environment(ctx)
-    for name, f in env.decls:
-        names[alpha_canon(f)] = name
-    for name, f in peeled_names:
-        names[alpha_canon(f)] = name
+    # the prover numbers distinct context members in order, from 0, just as
+    # context_environment names them H1, H2, ...
+    names = {mid: f"H{mid + 1}" for mid in prover.base_ids[: len(ctx)]}
+    for (name, _), mid in zip(peeled_names, prover.base_ids[len(ctx) :]):
+        names[mid] = name
     term = prover.extract(frozenset(), target, names, counter)
     for name, annot in reversed(peeled_names):
         term = PAbs(name, annot, term)

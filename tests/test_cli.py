@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from aspsigma import cli
 from aspsigma.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -13,6 +14,7 @@ from aspsigma.cli import (
     run,
 )
 from aspsigma.corpus import CorpusSpec
+from aspsigma.errors import CrossCheckError
 
 
 @pytest.fixture
@@ -114,6 +116,18 @@ def test_prove_too_deep_is_budget_not_negative(files, capsys):
     f = files("chain.sig1", " -> ".join(["a0"] + steps + ["a1000"]) + "\n")
     assert run(["prove", f]) == EXIT_BUDGET
     assert capsys.readouterr().err.startswith("error: input too deep")
+
+
+def test_cross_check_failure_is_a_disagreement(files, capsys, monkeypatch):
+    def disagree(args):
+        raise CrossCheckError("realized model is not stable; translation bug")
+
+    monkeypatch.setattr(cli, "_cmd_soup_to_model", disagree)
+    f = files("f.sig1", "a -> a\n")
+    assert run(["soup-to-model", f, f]) == EXIT_NEGATIVE
+    assert capsys.readouterr().err == (
+        "error: cross-check failed: realized model is not stable; translation bug\n"
+    )
 
 
 def test_translate_asp_output_proves(files, capsys, tmp_path):

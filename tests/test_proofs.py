@@ -1,6 +1,16 @@
-import pytest
+import os
+import subprocess
+import sys
+import time
 
-from aspsigma.errors import FormulaError
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import aspsigma
+from aspsigma.asp_to_logic import translate
+from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
+from aspsigma.errors import BudgetExceeded, CapExceeded, FormulaError
 from aspsigma.parsing import parse_formula
 from aspsigma.proofs import (
     Environment,
@@ -19,7 +29,18 @@ from aspsigma.proofs import (
     prove,
     prove_sigma1,
 )
-from aspsigma.syntax import AtomF, Forall, Impl, const, fmt_formula, var
+from aspsigma.syntax import (
+    Atom,
+    AtomF,
+    Clause,
+    Forall,
+    Impl,
+    const,
+    fmt_formula,
+    make_program,
+    var,
+)
+from oracle import naive_stable_models
 
 a = AtomF("a")
 b = AtomF("b")
@@ -144,6 +165,20 @@ def test_prove_generation_step():
     assert is_lnf(env, t, goal)
 
 
+def test_prove_names_hypotheses_like_context_environment():
+    # alpha-equal members share one name, and a peeled premise gets an X name
+    ctx = [
+        parse_formula("forall x. P(x) -> Q(x)"),
+        parse_formula("forall y. P(y) -> Q(y)"),
+        parse_formula("P(c)"),
+    ]
+    goal = parse_formula("R(c) -> (forall z. Q(z) -> R(z) -> S(z)) -> S(c)")
+    t = prove(ctx, goal)
+    env = context_environment(ctx)
+    assert [n for n, _ in env.decls] == ["H1", "H2"]
+    assert check(env, t, goal) and is_lnf(env, t, goal)
+
+
 def test_prove_peirce_fails():
     assert prove([], parse_formula("((a -> b) -> a) -> a")) is None
 
@@ -249,3 +284,98 @@ def test_empty_pool_gets_fresh_constant():
     t = prove_sigma1(f)
     assert t is not None
     assert check(Environment(), t, f)
+
+
+# ---------------------------------------------------------------------------
+# Search guards, determinism, and the prover against the stable-model oracle
+# ---------------------------------------------------------------------------
+
+
+def _corpus_formula(i):
+    p = gen_programs(CorpusSpec(count=500, seed=0))[i]
+    return translate(p, fresh_goal_atom(p)).formula
+
+
+def test_prove_past_deadline_is_budget_exceeded():
+    f = parse_formula("(forall x. P(x) -> Q(x)) -> P(c) -> Q(c)")
+    with pytest.raises(BudgetExceeded):
+        prove_sigma1(f, deadline=time.monotonic() - 1)
+
+
+def test_prove_rejects_non_pi1_member():
+    # the premise of this member is quantified, so the member is not Pi1
+    member = parse_formula("(forall y. P(y)) -> g")
+    with pytest.raises(FormulaError):
+        prove([member], parse_formula("g"))
+
+
+def test_judgment_cap_fires_at_the_pinned_judgment():
+    # seed-0 corpus program 256 is entailed; its proof search visits 47
+    # judgments, whatever the hash seed, so a cap of 46 fires at the last one
+    f = _corpus_formula(256)
+    k = 46
+    with pytest.raises(CapExceeded):
+        prove_sigma1(f, max_judgments=k)
+    assert prove_sigma1(f, max_judgments=k + 1) is not None
+
+
+_CERT_SCRIPT = """
+from aspsigma import asp_to_logic, proofs
+from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
+
+programs = gen_programs(CorpusSpec(count=500, seed=0))
+for i in (2, 43, 88, 94, 135):
+    p = programs[i]
+    cert = proofs.prove_sigma1(asp_to_logic.translate(p, fresh_goal_atom(p)).formula)
+    print(i, None if cert is None else proofs.fmt_term(cert))
+"""
+
+
+def test_certificates_do_not_depend_on_hash_seed():
+    # these programs' proofs choose among several candidate instantiations, so
+    # their certificates expose any search order that follows the hash seed
+    src = os.path.dirname(os.path.dirname(aspsigma.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _CERT_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == 5 and "None" not in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+_ATOMS = [
+    Atom("p"),
+    Atom("q", (const("c"),)),
+    Atom("q", (const("d"),)),
+    Atom("q", (var("x"),)),
+    Atom("r", (var("x"),)),
+]
+_LITERAL = st.builds(
+    lambda a, negated: Atom(a.pred, a.args, negated),
+    st.sampled_from(_ATOMS),
+    st.booleans(),
+)
+_CLAUSE = st.builds(
+    lambda head, body: Clause(head, tuple(body)),
+    st.sampled_from(_ATOMS),
+    st.lists(_LITERAL, max_size=2),
+)
+
+
+@given(st.lists(_CLAUSE, min_size=1, max_size=3))
+def test_prover_decides_entailment_like_the_oracle(clauses):
+    p = make_program(clauses, extra_constants=("c",))
+    omega = fresh_goal_atom(p)
+    phi = translate(p, omega).formula
+    cert = prove_sigma1(phi)
+    assert (cert is not None) == all(omega in m for m in naive_stable_models(p))
+    if cert is not None:
+        env = Environment()
+        assert check(env, cert, phi) and is_lnf(env, cert, phi)
