@@ -30,7 +30,6 @@ from .logic_to_asp import translate as translate_formula
 from .parsing import parse_formula, parse_ground_atom, parse_program
 from .proofs import (
     Environment,
-    Judgment,
     ProofTerm,
     check,
     fmt_term,
@@ -41,7 +40,6 @@ from .proofs import (
 )
 from .soups import (
     Disjudgment,
-    Question,
     Soup,
     check_soup,
     find_soup,

@@ -48,6 +48,7 @@ from .syntax import (
 DEFAULT_ADDR_LEN_CAP = 4
 EMISSION_CAP = 10_000_000
 INSTANCE_CAP = 200_000
+CONE_CAP = 200_000
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -222,6 +223,7 @@ class AnswerOption:
     index: int  # 1-based premise position
     subgoal: AtomF  # ground subgoal instance
     taus: tuple[int, ...]  # instance indices added to the context
+    tau_keys: frozenset  # their alpha-canonical keys
 
 
 @dataclass(frozen=True)
@@ -256,16 +258,16 @@ class Analysis:
         return {(p.occ, p.assign): p.index for p in self.instances}
 
 
-def analysis(phi: Formula, instance_cap: int = INSTANCE_CAP) -> Analysis:
+def analysis(phi: Formula) -> Analysis:
     sig, _ = analyze(phi)
     occs, pool = sig.occs, list(sig.pool)
     instances: list[InstancePattern] = []
     lookup: dict[tuple[int, tuple], int] = {}
     for occ in sig.env_occs:
         fv = sorted(free_vars(occs[occ].formula))
-        if len(pool) ** len(fv) + len(instances) > instance_cap:
+        if len(pool) ** len(fv) + len(instances) > INSTANCE_CAP:
             raise CapExceeded(
-                f"instance table would exceed {instance_cap}", feasible=instance_cap
+                f"instance table would exceed {INSTANCE_CAP}", feasible=INSTANCE_CAP
             )
         for combo in itertools.product(pool, repeat=len(fv)):
             assign = tuple(zip(fv, combo))
@@ -300,7 +302,14 @@ def analysis(phi: Formula, instance_cap: int = INSTANCE_CAP) -> Analysis:
                         (v, full[v].name) for v in tau_fv
                     )
                     taus.append(lookup[(tau_occ, u_assign)])
-                answers.append(AnswerOption(step.index, subgoal, tuple(taus)))
+                answers.append(
+                    AnswerOption(
+                        step.index,
+                        subgoal,
+                        tuple(taus),
+                        frozenset(instances[i].key for i in taus),
+                    )
+                )
                 goals.add(subgoal)
             questions.append(
                 QuestionPattern(
@@ -325,7 +334,7 @@ def analysis(phi: Formula, instance_cap: int = INSTANCE_CAP) -> Analysis:
 
 
 def reachable_cone(
-    an: Analysis, cap: int = 200_000, deadline: float | None = None
+    an: Analysis, deadline: float | None = None
 ) -> set[tuple[frozenset, AtomF]]:
     """All judgments reachable from the initial one via minimal answers.
 
@@ -348,12 +357,11 @@ def reachable_cone(
                 if q.head != goal:
                     continue
                 for opt in q.answers:
-                    added = frozenset(an.instances[i].key for i in opt.taus)
-                    nxt = (ctx | added, opt.subgoal)
+                    nxt = (ctx | opt.tau_keys, opt.subgoal)
                     if nxt not in seen:
-                        if len(seen) >= cap:
+                        if len(seen) >= CONE_CAP:
                             raise CapExceeded(
-                                f"judgment cone exceeds {cap}", feasible=cap
+                                f"judgment cone exceeds {CONE_CAP}", feasible=CONE_CAP
                             )
                         seen.add(nxt)
                         work.append(nxt)
@@ -813,7 +821,6 @@ class TranslationVerdict:
     refutable: bool
     addr_len: int
     witness: Model | None
-    clause_count: int
 
     @property
     def provable(self) -> bool:
@@ -847,4 +854,4 @@ def decide_by_translation(
                 f"translation says refutable={refutable} but proof search "
                 f"says provable={cert is not None} for {fmt_formula(phi)}"
             )
-    return TranslationVerdict(refutable, addr_len, witness, len(t.program.clauses))
+    return TranslationVerdict(refutable, addr_len, witness)

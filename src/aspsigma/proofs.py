@@ -120,23 +120,6 @@ class Environment:
         return tuple(f for _, f in self.decls)
 
 
-@dataclass(frozen=True)
-class Judgment:
-    """A context of closed Pi1 instances with a ground atomic goal."""
-
-    context: tuple[Formula, ...]
-    goal: AtomF
-
-    def __post_init__(self) -> None:
-        for f in self.context:
-            if classify(f) not in (MintsClass.PI1, MintsClass.BOTH):
-                raise FormulaError(
-                    f"context member is not Pi1: {fmt_formula(f)}"
-                )
-        if any(t.var for t in self.goal.args):
-            raise FormulaError(f"goal is not ground: {fmt_formula(self.goal)}")
-
-
 # ---------------------------------------------------------------------------
 # Type checking
 # ---------------------------------------------------------------------------
@@ -659,7 +642,6 @@ def context_environment(ctx) -> Environment:
 def prove(
     ctx,
     goal: Formula,
-    pool: list[Term] | None = None,
     max_judgments: int = MAX_JUDGMENTS,
     deadline: float | None = None,
 ) -> ProofTerm | None:
@@ -674,8 +656,7 @@ def prove(
     if classify(goal) not in (MintsClass.SIGMA1, MintsClass.BOTH):
         raise FormulaError(f"goal must be a Sigma1 formula: {fmt_formula(goal)}")
     premises, target = peel_sigma1(goal)
-    if pool is None:
-        pool = _constant_pool(ctx + [goal])
+    pool = _constant_pool(ctx + [goal])
     counter = itertools.count(1)
     peeled_names: list[tuple[str, Formula]] = []
     for p in premises:

@@ -5,11 +5,16 @@ A soup stores addressed disjudgments plus an explicit answer map.  The map is
 a checkable witness; validity itself only requires that every asked question
 has some valid answer among the members, and the checker falls back to that
 existence reading when map entries are missing or malformed.
+
+``logic_to_asp.Analysis`` is the one question table: every question (a member
+instance psi[S] with a head instance under T) and its answer options (the
+challenged subgoal and the instances an answer adds) are tabulated there once
+per formula.  Checking, searching, both conversions and ``questions_at`` read
+that table; none of them substitutes into the formula again.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -20,9 +25,7 @@ from .logic_to_asp import (
     Analysis,
     FormulaTranslation,
     QuestionPattern,
-    SoupSignature,
     analysis,
-    analyze,
     certified_addr_len,
     translate,
 )
@@ -32,14 +35,14 @@ from .syntax import (
     AtomF,
     Formula,
     alpha_canon,
-    const,
     fmt_atomf,
     fmt_formula,
     free_vars,
-    substitute,
 )
 
 log = logging.getLogger(__name__)
+
+SOUP_CANDIDATE_CAP = 100_000  # candidate extensions the deletion search may add
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +58,6 @@ class Disjudgment:
 
     def context_keys(self) -> frozenset:
         return frozenset(alpha_canon(f) for f in self.context)
-
-
-@dataclass(frozen=True)
-class Question:
-    occ: int  # subformula occurrence of the member
-    s_assign: tuple[tuple[str, str], ...]
-    t_assign: tuple[tuple[str, str], ...]
-    asked_at: Disjudgment
 
 
 @dataclass(frozen=True)
@@ -106,70 +101,42 @@ class SoupReport:
 # ---------------------------------------------------------------------------
 
 
-def _instance_key(sig: SoupSignature, occ: int, s_assign) -> Formula:
-    f = substitute(sig.occs[occ].formula, {v: const(c) for v, c in s_assign})
-    return alpha_canon(f)
+def questions_at(d: Disjudgment, an: Analysis) -> tuple[QuestionPattern, ...]:
+    """The questions asked at ``d``, in ``an.questions`` order: context
+    members whose instantiated head is the goal."""
+    return _questions(an, d.context_keys(), d.goal)
 
 
-def _semantic_question_key(sig: SoupSignature, occ: int, s_assign, t_assign):
-    schema = sig.schemas[occ]
-    t = dict(t_assign)
-    return (_instance_key(sig, occ, s_assign), tuple(t[v] for v in schema.top_vars))
+def _questions(an: Analysis, keys: frozenset, goal: AtomF):
+    return tuple(
+        q
+        for q in an.questions
+        if q.head == goal and an.instances[q.inst].key in keys
+    )
 
 
-def questions_at(d: Disjudgment, sig: SoupSignature) -> tuple[Question, ...]:
-    """All triples (member occurrence, S, T) whose instantiated head is the goal."""
-    keys = d.context_keys()
-    out: list[Question] = []
-    pool = sig.pool
-    for occ in sig.env_occs:
-        schema = sig.schemas[occ]
-        fv = sorted(free_vars(sig.occs[occ].formula))
-        for s_combo in itertools.product(pool, repeat=len(fv)):
-            s_assign = tuple(zip(fv, s_combo))
-            if _instance_key(sig, occ, s_assign) not in keys:
-                continue
-            s_map = {v: const(c) for v, c in s_assign}
-            for t_combo in itertools.product(pool, repeat=len(schema.top_vars)):
-                t_assign = tuple(zip(schema.top_vars, t_combo))
-                full = dict(s_map)
-                full.update({v: const(c) for v, c in t_assign})
-                head = substitute(schema.head, full)
-                if head == d.goal:
-                    out.append(Question(occ, s_assign, t_assign, d))
-    return tuple(out)
+def _requirements(q: QuestionPattern, keys: frozenset):
+    """Per answer option of ``q`` asked at context ``keys``: the subgoal and
+    the context keys an answer must contain."""
+    return [(opt.subgoal, keys | opt.tau_keys) for opt in q.answers]
 
 
-def answer_requirements(
-    sig: SoupSignature, q: Question, index: int
-) -> tuple[AtomF, frozenset]:
-    """The challenged subgoal instance and the context keys an answer must add."""
-    schema = sig.schemas[q.occ]
-    if not (1 <= index <= len(schema.steps)):
-        raise FormulaError(f"no premise {index} in occurrence {q.occ}")
-    step = schema.steps[index - 1]
-    full = {v: const(c) for v, c in q.s_assign}
-    full.update({v: const(c) for v, c in q.t_assign})
-    subgoal = substitute(step.subgoal, full)
-    tau_keys = set()
-    for tau_occ in step.descendants:
-        tau_fv = sorted(free_vars(sig.occs[tau_occ].formula))
-        tau_assign = tuple((v, full[v].name) for v in tau_fv)
-        tau_keys.add(_instance_key(sig, tau_occ, tau_assign))
-    assert isinstance(subgoal, AtomF)
-    return subgoal, frozenset(tau_keys)
+def _meets(need, target: Disjudgment, target_keys: frozenset) -> bool:
+    subgoal, keys = need
+    return target.goal == subgoal and keys <= target_keys
 
 
-def _is_valid_answer(
-    sig: SoupSignature, q: Question, index: int, target: Disjudgment
-) -> bool:
-    schema = sig.schemas[q.occ]
-    if not (1 <= index <= len(schema.steps)):
-        return False
-    subgoal, tau_keys = answer_requirements(sig, q, index)
-    if target.goal != subgoal:
-        return False
-    return q.asked_at.context_keys() | tau_keys <= target.context_keys()
+def _entry_key(an: Analysis, lookup: dict, e: AnswerEntry):
+    """The question a map entry names, as ``QuestionPattern.semantic_key``
+    reads it; None when ``S`` names no instance of the member.  Raises
+    KeyError when the member asks no question or ``T`` misses a variable."""
+    schema = an.sig.schemas[e.occ]
+    t = dict(e.t_assign)
+    t_key = tuple(t[v] for v in schema.top_vars)
+    s = dict(e.s_assign)
+    fv = sorted(free_vars(an.sig.occs[e.occ].formula))
+    i = lookup.get((e.occ, tuple((v, s.get(v)) for v in fv)))
+    return None if i is None else (an.instances[i].key, t_key)
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +144,13 @@ def _is_valid_answer(
 # ---------------------------------------------------------------------------
 
 
-def _instance_universe_keys(sig: SoupSignature) -> frozenset:
-    keys = set()
-    for occ in sig.env_occs:
-        fv = sorted(free_vars(sig.occs[occ].formula))
-        for combo in itertools.product(sig.pool, repeat=len(fv)):
-            keys.add(_instance_key(sig, occ, tuple(zip(fv, combo))))
-    return frozenset(keys)
-
-
 def check_soup(z: Soup, phi: Formula) -> SoupReport:
     """Verify the three soup invariants; diagnostics name the first failure."""
-    sig, _ = analyze(phi)
+    return _check(z, analysis(phi))
+
+
+def _check(z: Soup, an: Analysis) -> SoupReport:
+    sig = an.sig
     diags: list[str] = []
     seen_addr: set[str] = set()
     for d in z.judgments:
@@ -203,9 +165,10 @@ def check_soup(z: Soup, phi: Formula) -> SoupReport:
     if diags:
         return SoupReport(False, tuple(diags))
 
-    universe = _instance_universe_keys(sig)
-    for d in z.judgments:
-        foreign = d.context_keys() - universe
+    universe = {p.key for p in an.instances}
+    keys = [d.context_keys() for d in z.judgments]
+    for k in keys:
+        foreign = k - universe
         if foreign:
             diags.append(
                 "context member is not an instantiated subformula: "
@@ -216,38 +179,40 @@ def check_soup(z: Soup, phi: Formula) -> SoupReport:
     initial = z.initial()
     if initial is None:
         return SoupReport(False, ("no judgment at the initial address",))
-    init_keys = frozenset(
-        alpha_canon(sig.occs[occ].formula) for occ in sig.premises
-    )
     if initial.goal != sig.target:
         diags.append(
             f"initial goal is {fmt_atomf(initial.goal)}, expected "
             f"{fmt_atomf(sig.target)}"
         )
-    if initial.context_keys() != init_keys:
+    if initial.context_keys() != an.initial_keys:
         diags.append("initial context is not exactly the premise set")
     if diags:
         return SoupReport(False, tuple(diags))
 
+    lookup = an.instance_lookup()
     entry_index: dict[tuple, list[AnswerEntry]] = {}
     for e in z.answers:
         try:
-            key = _semantic_question_key(sig, e.occ, e.s_assign, e.t_assign)
-        except Exception:
+            key = _entry_key(an, lookup, e)
+        except KeyError:
             diags.append(f"answer entry references a bad occurrence: {e}")
             continue
-        entry_index.setdefault((key, e.from_addr), []).append(e)
+        if key is not None:
+            entry_index.setdefault((key, e.from_addr), []).append(e)
 
-    by_addr = z.by_address()
-    for d in z.judgments:
-        for q in questions_at(d, sig):
-            key = _semantic_question_key(sig, q.occ, q.s_assign, q.t_assign)
+    by_addr = {a: j for j, d in enumerate(z.judgments) for a in d.addresses}
+    for d, d_keys in zip(z.judgments, keys):
+        for q in _questions(an, d_keys, d.goal):
+            needs = _requirements(q, d_keys)
+            key = q.semantic_key(an)
             answered = False
             for a in d.addresses:
                 for e in entry_index.get((key, a), ()):
-                    target = by_addr.get(e.to_addr)
-                    if target is not None and _is_valid_answer(
-                        sig, q, e.index, target
+                    j = by_addr.get(e.to_addr)
+                    if (
+                        j is not None
+                        and 1 <= e.index <= len(needs)
+                        and _meets(needs[e.index - 1], z.judgments[j], keys[j])
                     ):
                         answered = True
                         break
@@ -257,18 +222,16 @@ def check_soup(z: Soup, phi: Formula) -> SoupReport:
                 if answered:
                     break
             if not answered:
-                schema = sig.schemas[q.occ]
-                for other in z.judgments:
-                    if any(
-                        _is_valid_answer(sig, q, i, other)
-                        for i in range(1, len(schema.steps) + 1)
-                    ):
-                        answered = True
-                        break
+                answered = any(
+                    _meets(need, other, other_keys)
+                    for other, other_keys in zip(z.judgments, keys)
+                    for need in needs
+                )
             if not answered:
+                inst = an.instances[q.inst]
                 diags.append(
-                    f"unanswered question (psi{q.occ}, "
-                    f"{_fmt_assign(q.s_assign)}, {_fmt_assign(q.t_assign)}) "
+                    f"unanswered question (psi{inst.occ}, "
+                    f"{_fmt_assign(inst.assign)}, {_fmt_assign(q.t_assign)}) "
                     f"at goal {fmt_atomf(d.goal)}"
                 )
                 return SoupReport(False, tuple(diags))
@@ -282,7 +245,6 @@ def check_soup(z: Soup, phi: Formula) -> SoupReport:
 
 def _question_options(an: Analysis):
     """Per member instance key: deduplicated question heads with answer data."""
-    sig = an.sig
     grouped: dict[Formula, dict[tuple, QuestionPattern]] = {}
     for q in an.questions:
         key = an.instances[q.inst].key
@@ -292,20 +254,17 @@ def _question_options(an: Analysis):
     for key, sems in grouped.items():
         entries = []
         for q in sems.values():
-            opts = []
-            for opt in q.answers:
-                tau_keys = frozenset(
-                    an.instances[i].key for i in opt.taus
-                ) - an.initial_keys
-                opts.append((opt.index, opt.subgoal, tau_keys))
-            entries.append((q, tuple(opts)))
+            opts = tuple(
+                (opt.index, opt.subgoal, opt.tau_keys - an.initial_keys)
+                for opt in q.answers
+            )
+            entries.append((q, opts))
         out[key] = entries
     return out
 
 
 def survivor_antichains(
     an: Analysis,
-    max_judgments: int = 100_000,
     deadline: float | None = None,
     schedule: str = "forward",
 ) -> dict[AtomF, list[frozenset]]:
@@ -364,17 +323,16 @@ def survivor_antichains(
                     if not any(sub <= m for m in chains[g]):
                         chains[g].append(sub)
                         work += 1
-                        if work > max_judgments:
+                        if work > SOUP_CANDIDATE_CAP:
                             raise CapExceeded(
-                                f"soup candidate space exceeded {max_judgments}",
-                                feasible=max_judgments,
+                                f"soup candidate space exceeded {SOUP_CANDIDATE_CAP}",
+                                feasible=SOUP_CANDIDATE_CAP,
                             )
     return chains
 
 
 def find_soup(
     phi: Formula,
-    max_judgments: int = 100_000,
     addr_len: int | None = None,
     deadline: float | None = None,
     schedule: str = "forward",
@@ -388,7 +346,7 @@ def find_soup(
     sig = an.sig
     if addr_len is None:
         addr_len = certified_addr_len(an, deadline=deadline)
-    chains = survivor_antichains(an, max_judgments, deadline, schedule)
+    chains = survivor_antichains(an, deadline, schedule)
     if not any(frozenset() <= m for m in chains.get(sig.target, ())):
         return None
 
@@ -396,14 +354,11 @@ def find_soup(
     key_repr: dict[Formula, Formula] = {}
     for p in an.instances:
         key_repr.setdefault(p.key, p.formula)
-    for occ in sig.premises:
-        f = sig.occs[occ].formula
-        key_repr.setdefault(alpha_canon(f), f)
 
     # realize reachable judgments with minimal answers
     nodes: dict[tuple[frozenset, AtomF], int] = {}
     order: list[tuple[frozenset, AtomF]] = []
-    entries: list[tuple[int, AnswerEntry]] = []
+    edges: list[tuple[int, QuestionPattern, int, int]] = []  # from, q, index, to
 
     def node_id(x: frozenset, goal: AtomF) -> int:
         j = (x, goal)
@@ -441,35 +396,29 @@ def find_soup(
                 index, subgoal, need = chosen
                 to_id = node_id(need, subgoal)
                 queue.append(to_id)
-                inst = an.instances[q.inst]
-                entries.append(
-                    (
-                        nid,
-                        AnswerEntry(
-                            inst.occ,
-                            inst.assign,
-                            q.t_assign,
-                            "",  # addresses are assigned below
-                            index,
-                            "",
-                        ),
-                    )
-                )
-                entries[-1] = (nid, entries[-1][1], to_id)  # type: ignore[misc]
+                edges.append((nid, q, index, to_id))
 
     def addr(i: int) -> str:
         return format(i, f"0{addr_len}b")
 
-    judgments = []
-    for i, (x, goal) in enumerate(order):
-        ctx = frozenset(key_repr[k] for k in (an.initial_keys | x))
-        judgments.append(Disjudgment(ctx, goal, (addr(i),)))
-    final_entries = []
-    for nid, e, to_id in entries:  # type: ignore[misc]
-        final_entries.append(
-            AnswerEntry(e.occ, e.s_assign, e.t_assign, addr(nid), e.index, addr(to_id))
+    judgments = tuple(
+        Disjudgment(
+            frozenset(key_repr[k] for k in (an.initial_keys | x)), goal, (addr(i),)
         )
-    return Soup(addr_len, tuple(judgments), tuple(final_entries))
+        for i, (x, goal) in enumerate(order)
+    )
+    answers = tuple(
+        AnswerEntry(
+            an.instances[q.inst].occ,
+            an.instances[q.inst].assign,
+            q.t_assign,
+            addr(nid),
+            index,
+            addr(to_id),
+        )
+        for nid, q, index, to_id in edges
+    )
+    return Soup(addr_len, judgments, answers)
 
 
 # ---------------------------------------------------------------------------
@@ -558,70 +507,42 @@ def model_from_soup(
             f"soup uses addresses of length {z.addr_len} but the translation "
             f"has {t.addr_len}"
         )
-    report = check_soup(z, phi)
+    an = t.analysis
+    report = _check(z, an)
     if not report.ok:
         raise FormulaError(
             "not a valid soup: " + "; ".join(report.diagnostics)
         )
-    an = t.analysis
-    sig = an.sig
-    known_keys = {p.key for p in an.instances}
+    keys = [d.context_keys() for d in z.judgments]
 
-    # trim to the judgments reachable from the initial one through answers
-    kept: list[Disjudgment] = []
-    initial = z.initial()
-    assert initial is not None
+    # trim to the judgments reachable from the initial one through answers;
+    # ``answering`` collects the judgments that answer some kept question
+    initial = z.judgments.index(z.initial())
+    kept = {initial}
+    answering: set[int] = set()
     work = [initial]
     while work:
-        d = work.pop()
-        if d in kept:
-            continue
-        kept.append(d)
-        missing = d.context_keys() - known_keys
-        if missing:
-            raise FormulaError(
-                "context member outside the translation universe: "
-                + ", ".join(sorted(str(k) for k in missing))
-            )
-        for q in questions_at(d, sig):
-            schema = sig.schemas[q.occ]
-            for other in z.judgments:
-                for i in range(1, len(schema.steps) + 1):
-                    if _is_valid_answer(sig, q, i, other):
-                        if other not in kept and other not in work:
-                            work.append(other)
+        j = work.pop()
+        for q in _questions(an, keys[j], z.judgments[j].goal):
+            for need in _requirements(q, keys[j]):
+                for k, other in enumerate(z.judgments):
+                    if _meets(need, other, keys[k]):
+                        answering.add(k)
+                        if k not in kept:
+                            kept.add(k)
+                            work.append(k)
     if len(kept) < len(z.judgments):
         log.warning(
             "soup has %d unreachable judgments; trimming them",
             len(z.judgments) - len(kept),
         )
 
-    ctx_cache = {id(d): d.context_keys() for d in kept}
-
-    def answers_something(d: Disjudgment) -> bool:
-        for d2 in kept:
-            for q in questions_at(d2, sig):
-                schema = sig.schemas[q.occ]
-                if any(
-                    _is_valid_answer(sig, q, i, d)
-                    for i in range(1, len(schema.steps) + 1)
-                ):
-                    return True
-        return False
-
-    by_addr: dict[str, Disjudgment] = {}
-    for d in kept:
-        for a in d.addresses:
-            by_addr[a] = d
+    by_addr = {a: j for j in kept for a in z.judgments[j].addresses}
     # fill spare addresses by repeating the last judgment that answers some
     # question; a judgment without that property cannot support a goal atom
-    filler = None
-    for d in sorted(kept, key=lambda d: d.addresses[0], reverse=True):
-        if answers_something(d):
-            filler = d
-            break
     all_addrs = t.builder.all_addresses()
-    if filler is not None:
+    if answering:
+        filler = max(answering, key=lambda j: z.judgments[j].addresses[0])
         for bits in all_addrs:
             by_addr.setdefault(bits, filler)
 
@@ -629,16 +550,15 @@ def model_from_soup(
     atoms: set[Atom] = set(t.syntax_facts)
 
     for bits in all_addrs:
-        d = by_addr.get(bits)
-        if d is None:
+        j = by_addr.get(bits)
+        if j is None:
             # dead address: empty environment, no goal
             for p in an.instances:
                 atoms.add(b.nenv_atom(p.index, bits))
             continue
-        atoms.add(b.goal_atom(d.goal, bits))
-        keys = ctx_cache[id(d)]
+        atoms.add(b.goal_atom(z.judgments[j].goal, bits))
         for p in an.instances:
-            if p.key in keys:
+            if p.key in keys[j]:
                 atoms.add(b.env_atom(p.index, bits))
             else:
                 atoms.add(b.nenv_atom(p.index, bits))
@@ -649,21 +569,15 @@ def model_from_soup(
             continue
         inst = an.instances[q.inst]
         for bits in all_addrs:
-            d = by_addr.get(bits)
-            if d is None or inst.key not in ctx_cache[id(d)] or q.head != d.goal:
+            j = by_addr.get(bits)
+            if j is None or inst.key not in keys[j] or q.head != z.judgments[j].goal:
                 continue
             atoms.add(b.q_atom(q.index, bits))
             any_answer = False
-            for opt in q.answers:
-                tau_keys = frozenset(an.instances[i].key for i in opt.taus)
-                need = ctx_cache[id(d)] | tau_keys
+            for opt, need in zip(q.answers, _requirements(q, keys[j])):
                 for bits2 in all_addrs:
-                    d2 = by_addr.get(bits2)
-                    if (
-                        d2 is not None
-                        and d2.goal == opt.subgoal
-                        and need <= ctx_cache[id(d2)]
-                    ):
+                    k = by_addr.get(bits2)
+                    if k is not None and _meets(need, z.judgments[k], keys[k]):
                         atoms.add(b.ans_atom(opt.index, q.index, bits, bits2))
                         any_answer = True
                     else:

@@ -577,10 +577,6 @@ class Pi1Scheme:
     steps: tuple[Pi1Step, ...]
     target: AtomF
 
-    @property
-    def premise_count(self) -> int:
-        return len(self.steps)
-
     def subgoal(self, i: int) -> AtomF:
         """Target atom of the i-th premise (1-based)."""
         _, tgt = peel_sigma1(self.steps[i - 1].sigma)
@@ -651,24 +647,3 @@ def occurrences(f: Formula) -> tuple[Occurrence, ...]:
 
     walk(f)
     return tuple(out)
-
-
-def child_indices(occs: tuple[Occurrence, ...], idx: int) -> tuple[int, ...]:
-    node = occs[idx].formula
-    if isinstance(node, AtomF):
-        return ()
-    if isinstance(node, Forall):
-        return (idx + 1,)
-    assert isinstance(node, Impl)
-    lhs = idx + 1
-    return (lhs, lhs + occs[lhs].size)
-
-
-def atom_to_formula(a: Atom) -> AtomF:
-    if a.negated:
-        raise FormulaError(f"cannot view a negated atom as a formula: {a}")
-    return AtomF(a.pred, a.args)
-
-
-def formula_to_atom(f: AtomF) -> Atom:
-    return Atom(f.pred, f.args)

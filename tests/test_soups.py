@@ -1,12 +1,17 @@
+import dataclasses
+import hashlib
+
 import pytest
 
+from aspsigma import soups
+from aspsigma.corpus import CorpusSpec, gen_formulas
 from aspsigma.engine import has_stable_model, is_stable
-from aspsigma.errors import FormulaError
+from aspsigma.errors import CapExceeded, CrossCheckError, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
     analysis,
-    analyze,
     certified_addr_len,
+    decide_by_translation,
     translate,
 )
 from aspsigma.parsing import parse_formula
@@ -14,7 +19,6 @@ from aspsigma.proofs import prove_sigma1
 from aspsigma.soups import (
     Disjudgment,
     Soup,
-    answer_requirements,
     check_soup,
     find_soup,
     model_from_soup,
@@ -25,10 +29,11 @@ from aspsigma.soups import (
     write_soup,
 )
 from aspsigma.syntax import AtomF, MintsClass, classify, const, fmt_formula
+from oracle import naive_questions_at
 
 
-def _sig(text):
-    return analyze(parse_formula(text))[0]
+def _an(text):
+    return analysis(parse_formula(text))
 
 
 # ---------------------------------------------------------------------------
@@ -37,23 +42,23 @@ def _sig(text):
 
 
 def test_questions_target_mismatch():
-    sig = _sig("b -> a")
+    an = _an("b -> a")
     d = Disjudgment(frozenset({AtomF("b")}), AtomF("a"), ("0",))
-    assert questions_at(d, sig) == ()
+    assert questions_at(d, an) == ()
 
 
 def test_questions_atom_member():
-    sig = _sig("a -> a")
+    an = _an("a -> a")
     d = Disjudgment(frozenset({AtomF("a")}), AtomF("a"), ("0",))
-    qs = questions_at(d, sig)
+    qs = questions_at(d, an)
     assert len(qs) == 1 and qs[0].t_assign == ()
 
 
 def test_questions_enumerate_substitutions():
-    sig = _sig("(forall y. P(y) -> Q(c)) -> P(d) -> Q(c)")
+    an = _an("(forall y. P(y) -> Q(c)) -> P(d) -> Q(c)")
     member = parse_formula("forall y. P(y) -> Q(c)")
     d = Disjudgment(frozenset({member}), AtomF("Q", (const("c"),)), ("0" * 8,))
-    qs = questions_at(d, sig)
+    qs = questions_at(d, an)
     # T maps the top variable to either constant
     values = sorted(v for q in qs for _, v in q.t_assign)
     assert values == ["c", "d"]
@@ -122,7 +127,7 @@ def test_check_soup_accepts_superset_answers():
     )
     assert classify(phi) in (MintsClass.SIGMA1, MintsClass.BOTH)
     assert prove_sigma1(phi) is None
-    sig, _ = analyze(phi)
+    an = analysis(phi)
     c = const("c")
     initial = Disjudgment(
         frozenset(
@@ -142,8 +147,10 @@ def test_check_soup_accepts_superset_answers():
         AtomF("R", (c,)),
         ("1",),
     )
-    (q,) = questions_at(initial, sig)
-    subgoal, tau_keys = answer_requirements(sig, q, 1)
+    (q,) = questions_at(initial, an)
+    opt = q.answers[0]
+    subgoal = opt.subgoal
+    tau_keys = frozenset(an.instances[i].key for i in opt.taus)
     assert subgoal == answer.goal
     assert initial.context_keys() | tau_keys < answer.context_keys()
     z = Soup(1, (initial, answer), ())
@@ -152,6 +159,31 @@ def test_check_soup_accepts_superset_answers():
     # without the required instance Q(c) the answer no longer counts
     short = Disjudgment(answer.context - {AtomF("Q", (c,))}, answer.goal, ("1",))
     assert not check_soup(Soup(1, (initial, short), ()), phi).ok
+
+
+def test_check_soup_matches_entries_whatever_their_variable_order():
+    # the member Q(x) -> S(y) has two free variables; a map entry may list
+    # its S in any order and still names the same instance
+    phi = parse_formula(
+        "U(c, d) -> (forall x. forall y. ((Q(x) -> S(y)) -> S(y)) -> g) -> g"
+    )
+    z = find_soup(phi)
+    (e,) = [e for e in z.answers if e.s_assign == (("x", "c"), ("y", "d"))]
+    swapped = dataclasses.replace(e, s_assign=(("y", "d"), ("x", "c")))
+
+    def with_entry(new):
+        return Soup(
+            z.addr_len, z.judgments, tuple(new if a is e else a for a in z.answers)
+        )
+
+    report = check_soup(with_entry(swapped), phi)
+    assert report.ok and report.diagnostics == ()
+    # pointed at a judgment that does not answer it, the swapped entry is
+    # still matched to its question, so it is reported
+    wrong = dataclasses.replace(swapped, to_addr=z.judgments[0].addresses[0])
+    report = check_soup(with_entry(wrong), phi)
+    assert report.ok
+    assert report.diagnostics == (f"map entry {wrong} is not a valid answer",)
 
 
 def test_check_soup_rejects_non_sigma1():
@@ -203,6 +235,12 @@ def test_find_soup_duality_with_prover():
         assert (z is None) == provable, text
         if z is not None:
             assert check_soup(z, phi).ok, text
+
+
+def test_find_soup_candidate_cap(monkeypatch):
+    monkeypatch.setattr(soups, "SOUP_CANDIDATE_CAP", 0)
+    with pytest.raises(CapExceeded, match="soup candidate space exceeded 0"):
+        find_soup(parse_formula("((a -> b) -> a) -> a"))
 
 
 def test_deletion_is_confluent():
@@ -335,3 +373,77 @@ def test_round_trip_properties():
                         for opt in q.answers
                         for b2 in t.builder.all_addresses()
                     ) or not q.answers
+
+
+# ---------------------------------------------------------------------------
+# The seed-0 formula corpus
+# ---------------------------------------------------------------------------
+
+CORPUS = CorpusSpec(count=600, seed=0, formula_max_size=20)
+# formulas whose soup_from_model soup realizes a non-stable model (ROADMAP item 6)
+NON_STABLE_REALIZATIONS = [131, 153, 186, 193, 202, 263, 514]
+
+
+@pytest.fixture(scope="module")
+def corpus_soups():
+    """Per formula: (phi, find_soup's soup, translation, soup_from_model's
+    soup); the last two at decide_by_translation's address length, or None
+    for provable formulas."""
+    out = []
+    for phi in gen_formulas(CORPUS):
+        found = find_soup(phi)
+        verdict = decide_by_translation(phi, cross_check=False)
+        t = cooked = None
+        if verdict.witness is not None:
+            t = translate(phi, addr_len=verdict.addr_len)
+            cooked = soup_from_model(verdict.witness, t)
+        out.append((phi, found, t, cooked))
+    return out
+
+
+def test_question_table_matches_substitution_oracle(corpus_soups):
+    compared = 0
+    for phi, found, t, cooked in corpus_soups:
+        an = analysis(phi)
+        for z in (found, cooked):
+            for d in z.judgments if z is not None else ():
+                table = [
+                    (an.instances[q.inst].occ, an.instances[q.inst].assign, q.t_assign)
+                    for q in questions_at(d, an)
+                ]
+                assert table == naive_questions_at(d, an.sig), fmt_formula(phi)
+                compared += 1
+    assert compared == 1036
+
+
+def test_soup_layer_digest(corpus_soups):
+    """Pins the soups, diagnostics and realized models over the corpus."""
+    h = hashlib.sha256()
+
+    def feed(*parts):
+        for part in parts:
+            h.update(str(part).encode())
+            h.update(b"\0")
+
+    cross_check_failures = []
+    for i, (phi, found, t, cooked) in enumerate(corpus_soups):
+        feed("formula", i)
+        if found is None:
+            feed("provable")
+        else:
+            report = check_soup(found, phi)
+            feed(write_soup(found), report.ok, *report.diagnostics)
+        if cooked is None:
+            continue
+        report = check_soup(cooked, phi)
+        feed(write_soup(cooked), report.ok, *report.diagnostics)
+        try:
+            model = model_from_soup(cooked, phi, translation=t)
+        except Exception as e:
+            feed(type(e).__name__, e)
+            if isinstance(e, CrossCheckError):
+                cross_check_failures.append(i)
+        else:
+            feed(*sorted(str(a) for a in model))
+    assert cross_check_failures == NON_STABLE_REALIZATIONS
+    assert h.hexdigest()[:16] == "b8aef2db22ffff00"
