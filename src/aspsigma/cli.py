@@ -38,13 +38,15 @@ class RoundTripReport:
     soup_checks: dict[str, bool] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     skipped: str | None = None
+    # an exception that ended the instance early, kept as its disagreement
+    error: str | None = None
 
     @property
     def agreed(self) -> bool:
         return all(self.agreement.values())
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "instance_id": self.instance_id,
             "direction": self.direction,
             "source": self.source,
@@ -55,6 +57,10 @@ class RoundTripReport:
             "timings": {k: round(v, 4) for k, v in self.timings.items()},
             "skipped": self.skipped,
         }
+        # only when set, so the digests of runs without errors do not move
+        if self.error:
+            out["error"] = self.error
+        return out
 
     def digest_fields(self) -> dict:
         d = self.to_json()
@@ -68,6 +74,8 @@ class RoundTripReport:
                 f"{self.skipped} | {self.source}"
             )
         verdicts = " ".join(f"{k}={v}" for k, v in self.verdicts.items())
+        if self.error:
+            verdicts = f"error: {self.error}"
         flag = "agree" if self.agreed else "DISAGREE"
         return f"[{self.instance_id:04d} {self.direction}] {verdicts} {flag} | {self.source}"
 
@@ -158,6 +166,19 @@ def _logic_instance(args: tuple) -> RoundTripReport:
     return report
 
 
+def _logic_job(job: tuple) -> RoundTripReport:
+    """One logic instance; a failed cross-check is that instance's disagreement."""
+    try:
+        return _logic_instance(job)
+    except CrossCheckError as e:
+        spec, idx, _ = job
+        phi = gen_formulas(spec)[idx]
+        report = RoundTripReport(idx, "logic->asp", fmt_formula(phi))
+        report.agreement["cross_check"] = False
+        report.error = f"CrossCheckError: {e}"
+        return report
+
+
 def _run_instances(worker, spec: CorpusSpec, timeout: float | None, workers: int):
     jobs = [(spec, i, timeout) for i in range(spec.count)]
     if workers <= 1:
@@ -180,7 +201,7 @@ def roundtrip_logic(
     spec: CorpusSpec, timeout: float | None = 30.0, workers: int = 1
 ) -> list[RoundTripReport]:
     """Provability versus soup existence versus stable models, per formula."""
-    return _run_instances(_logic_instance, spec, timeout, workers)
+    return _run_instances(_logic_job, spec, timeout, workers)
 
 
 def report_digest(reports: list[RoundTripReport]) -> str:

@@ -9,17 +9,27 @@ that treat in-progress judgments as failed are repeated until the solved table
 stops growing, which is sound for negative answers as well.
 
 Context members are interned: each alpha-equivalence class gets a dense
-integer id the first time it is met, so a context is a set of ids over the
-base members and a judgment is ``(frozenset of added ids, goal atom)``.
+integer id the first time it is met, so a context is a set of ids added to
+the initial context and a judgment is ``(frozenset of added ids, goal atom)``.
 Formula trees are hashed only when a formula is interned, not per judgment.
-Members are tried in id order (base members first, then the added ones), and
-only those whose target predicate is the goal's.  Ground atom members are
-indexed by predicate once per search, with the added ones merged in per
+Members are tried in id order (initial members first, then the added ones),
+and only those whose target predicate is the goal's.  Ground atom members are
+indexed by predicate before the search, with the added ones merged in per
 judgment, to join a member's membership-only premises.  The premises a
 member instance leaves to prove (substituted, peeled, with their hypotheses
 interned) are computed once per (member id, instantiation) and kept for the
 life of one search.  Every iteration follows these orders, so the certificate
 found does not depend on the string hash seed.
+
+Interning is split in two.  The context minus its trailing run of ground
+atoms is interned once into a base (``_Base``): frozen members, their
+constants, the entries and every table built from them.  A search copies the
+base's tables, then interns the trailing atoms and the goal's premises after
+it, in context order, so ids and certificates are those of interning the whole
+context afresh.  ``prove`` keeps the last base and reuses it while the leading
+members of the next context compare equal: the two instability cases of a
+model ask the same axioms, and so do all models of one program
+(``asp_to_logic``).  ``prove_sigma1`` has an empty context and so an empty base.
 
 Every positive answer is returned as a long-normal-form certificate that the
 checker accepts.
@@ -351,17 +361,22 @@ class _Entry:
     scheme: Pi1Scheme
 
 
-class _Prover:
-    def __init__(
-        self,
-        base: list[Formula],
-        pool: list[Term],
-        max_judgments: int,
-        deadline: float | None,
-    ):
-        self.pool = pool
-        self.max_judgments = max_judgments
-        self.deadline = deadline
+class _Base:
+    """The interned leading members of a context, shared by later calls.
+
+    Holds the member tables a search starts from: the entries and their ids,
+    the ground atom index, ``flexible_preds`` and the per-predicate member and
+    atom lists.  Nothing mutates a base once it is built; a search copies the
+    tables (``_Prover``) before it interns anything else.
+    """
+
+    def __init__(self, members: list[Formula]):
+        # as given, so the next call can compare its own leading members
+        self.members = members
+        frozen = [_freeze_free_vars(f) for f in members]
+        self.constants: set[str] = set()
+        for f in frozen:
+            self.constants |= formula_constants(f)
         # member id -> entry; ids are dense and follow interning order
         self.entries: list[_Entry] = []
         self.ids: dict[Formula, int] = {}  # alpha_canon(member) -> id
@@ -370,41 +385,80 @@ class _Prover:
         # predicates that head a non-atomic member; their atoms may be proved
         # by a generation step, all other atoms only by context membership
         self.flexible_preds: set[str] = set()
-        # base members are interned first, so they hold the ids 0 .. n-1
-        self.base_ids = [self.intern(f) for f in base]
-        self.base_set = frozenset(range(len(self.entries)))
+        self.base_ids = [self.intern(f) for f in frozen]
         self.base_by_target: dict[str, list[int]] = {}
         self.base_atoms: dict[str, list[AtomF]] = {}
-        for mid, entry in enumerate(self.entries):
-            pred = entry.scheme.target.pred
-            self.base_by_target.setdefault(pred, []).append(mid)
-            if isinstance(entry.formula, AtomF):
-                self.base_atoms.setdefault(pred, []).append(entry.formula)
-        # (member id, assigned constant names) -> per-premise child data
-        self.children: dict[tuple[int, tuple[str, ...]], tuple] = {}
-        # solved[goal] -> list of (added_set, record); insertion order matters
-        self.solved: dict[AtomF, list[tuple[frozenset[int], tuple]]] = {}
-        self.failed: dict[AtomF, list[frozenset[int]]] = {}
-        self.judgments_seen: set[tuple[frozenset[int], AtomF]] = set()
+        self._index(0, {}, {})
 
     def intern(self, f: Formula) -> int:
         # an atom has no binders, so it is its own canonical form
         key = f if isinstance(f, AtomF) else alpha_canon(f)
         mid = self.ids.get(key)
         if mid is None:
-            cls = classify(f)
-            if cls not in (MintsClass.PI1, MintsClass.BOTH):
+            try:
+                scheme = decompose_pi1(f)
+            except FormulaError:
                 raise FormulaError(
                     f"context members must be Pi1 formulas: {fmt_formula(f)}"
-                )
-            scheme = decompose_pi1(f)
+                ) from None
             mid = self.ids[key] = len(self.entries)
             self.entries.append(_Entry(f, scheme))
-            if isinstance(f, AtomF) and not any(t.var for t in f.args):
+            if _is_ground_atom(f):
                 self.atom_ids[(f.pred, *(t.name for t in f.args))] = mid
             if scheme.steps or scheme.top_vars:
                 self.flexible_preds.add(scheme.target.pred)
         return mid
+
+    def _index(self, start: int, targets: dict, atoms: dict) -> None:
+        """List the members from id ``start`` on by target predicate, copying
+        a list that the base's ``targets`` or ``atoms`` holds before
+        extending it."""
+        for mid in range(start, len(self.entries)):
+            entry = self.entries[mid]
+            pred = entry.scheme.target.pred
+            _append(self.base_by_target, targets, pred, mid)
+            if isinstance(entry.formula, AtomF):
+                _append(self.base_atoms, atoms, pred, entry.formula)
+
+
+def _append(table: dict[str, list], shared: dict[str, list], key: str, item) -> None:
+    items = table.get(key)
+    if items is None or items is shared.get(key):
+        items = table[key] = list(items or ())
+    items.append(item)
+
+
+class _Prover(_Base):
+    """One search: a copy of a base's tables, the context's remaining members
+    and the goal's premises interned after the base's, in that order."""
+
+    def __init__(
+        self,
+        base: _Base,
+        extra: list[Formula],
+        pool: list[Term],
+        max_judgments: int,
+        deadline: float | None,
+    ):
+        self.pool = pool
+        self.max_judgments = max_judgments
+        self.deadline = deadline
+        self.entries = list(base.entries)
+        self.ids = dict(base.ids)
+        self.atom_ids = dict(base.atom_ids)
+        self.flexible_preds = set(base.flexible_preds)
+        # the base holds the ids 0 .. k-1, the extra members the ones after
+        self.base_ids = base.base_ids + [self.intern(f) for f in extra]
+        self.base_set = frozenset(range(len(self.entries)))
+        self.base_by_target = dict(base.base_by_target)
+        self.base_atoms = dict(base.base_atoms)
+        self._index(len(base.entries), base.base_by_target, base.base_atoms)
+        # (member id, assigned constant names) -> per-premise child data
+        self.children: dict[tuple[int, tuple[str, ...]], tuple] = {}
+        # solved[goal] -> list of (added_set, record); insertion order matters
+        self.solved: dict[AtomF, list[tuple[frozenset[int], tuple]]] = {}
+        self.failed: dict[AtomF, list[frozenset[int]]] = {}
+        self.judgments_seen: set[tuple[frozenset[int], AtomF]] = set()
 
     # -- matching ----------------------------------------------------------
 
@@ -616,20 +670,11 @@ def _freeze_free_vars(f: Formula) -> Formula:
     return substitute(f, {v: const(v) for v in fv})
 
 
-def _constant_pool(formulas: list[Formula]) -> list[Term]:
-    names: set[str] = set()
-    for f in formulas:
-        names |= formula_constants(f)
-    if not names:
-        names = {"c0"}
-    return [const(n) for n in sorted(names)]
-
-
 def context_environment(ctx) -> Environment:
     """The hypothesis naming ``prove`` uses for free assumptions."""
     decls = []
     seen: dict[Formula, str] = {}
-    for i, f in enumerate(ctx, start=1):
+    for f in ctx:
         key = alpha_canon(f)
         if key in seen:
             continue
@@ -637,6 +682,23 @@ def context_environment(ctx) -> Environment:
         seen[key] = name
         decls.append((name, f))
     return Environment(tuple(decls))
+
+
+def _is_ground_atom(f: Formula) -> bool:
+    return isinstance(f, AtomF) and not any(t.var for t in f.args)
+
+
+# the base of the last call; bases are never mutated, so calls from several
+# threads can share one, and a race at worst builds a base twice
+_last_base = _Base([])
+
+
+def _base_for(members: list[Formula]) -> _Base:
+    global _last_base
+    base = _last_base
+    if base.members != members:
+        base = _last_base = _Base(members)
+    return base
 
 
 def prove(
@@ -651,17 +713,30 @@ def prove(
     or Both.  Free proof variables of the result are named as in
     ``context_environment``.
     """
-    ctx = [_freeze_free_vars(f) for f in ctx]
+    ctx = list(ctx)
     goal = _freeze_free_vars(goal)
     if classify(goal) not in (MintsClass.SIGMA1, MintsClass.BOTH):
         raise FormulaError(f"goal must be a Sigma1 formula: {fmt_formula(goal)}")
     premises, target = peel_sigma1(goal)
-    pool = _constant_pool(ctx + [goal])
+    k = len(ctx)
+    while k and _is_ground_atom(ctx[k - 1]):
+        k -= 1
+    base = _base_for(ctx[:k])
+    atoms = ctx[k:]
+    constants = set(base.constants)
+    for f in atoms + [goal]:
+        constants |= formula_constants(f)
     counter = itertools.count(1)
     peeled_names: list[tuple[str, Formula]] = []
     for p in premises:
         peeled_names.append((f"X{next(counter)}", p))
-    prover = _Prover(ctx + [p for _, p in peeled_names], pool, max_judgments, deadline)
+    prover = _Prover(
+        base,
+        atoms + [p for _, p in peeled_names],
+        [const(n) for n in sorted(constants or {"c0"})],
+        max_judgments,
+        deadline,
+    )
     if not prover.run(target):
         return None
     # the prover numbers distinct context members in order, from 0, just as

@@ -193,6 +193,29 @@ def test_roundtrip_logic_driver():
     assert all(r.agreed for r in reports if not r.skipped)
 
 
+def test_roundtrip_logic_records_a_cross_check_failure():
+    # seed-0 formula 131 realizes a soup as a model that is not stable
+    spec = CorpusSpec(count=132, seed=0, formula_max_size=20)
+    reports = roundtrip_logic(spec)
+    assert len(reports) == 132
+    failed = [r for r in reports if r.skipped or not r.agreed]
+    assert [r.instance_id for r in failed] == [131]
+    assert failed[0].error.startswith("CrossCheckError: ")
+    assert failed[0].to_json()["error"] == failed[0].error
+    assert "error" not in reports[0].to_json()
+    # the job is sent to worker processes too
+    assert report_digest(roundtrip_logic(spec, workers=2)) == report_digest(reports)
+
+
+def test_roundtrip_cli_finishes_after_a_cross_check_failure(capsys):
+    args = ["roundtrip-logic", "--count", "132", "--max-size", "20"]
+    assert run(args) == EXIT_NEGATIVE
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 133
+    assert out[131].startswith("[0131 logic->asp] error: CrossCheckError: ")
+    assert out[-1].startswith("# 132 instances, 1 disagreements, 0 skipped, digest ")
+
+
 def test_digest_reproducible():
     spec = CorpusSpec(count=10, seed=5)
     a = report_digest(roundtrip_asp(spec, timeout=10.0))

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 import aspsigma
 from aspsigma.asp_to_logic import translate
+from aspsigma import proofs
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
+from aspsigma.engine import program_base
 from aspsigma.errors import BudgetExceeded, CapExceeded, FormulaError
 from aspsigma.parsing import parse_formula
 from aspsigma.proofs import (
@@ -305,7 +309,7 @@ def test_prove_past_deadline_is_budget_exceeded():
 def test_prove_rejects_non_pi1_member():
     # the premise of this member is quantified, so the member is not Pi1
     member = parse_formula("(forall y. P(y)) -> g")
-    with pytest.raises(FormulaError):
+    with pytest.raises(FormulaError, match="context members must be Pi1 formulas"):
         prove([member], parse_formula("g"))
 
 
@@ -379,3 +383,133 @@ def test_prover_decides_entailment_like_the_oracle(clauses):
     if cert is not None:
         env = Environment()
         assert check(env, cert, phi) and is_lnf(env, cert, phi)
+
+
+# ---------------------------------------------------------------------------
+# The shared axiom base
+# ---------------------------------------------------------------------------
+
+
+def _text(cert) -> str:
+    return "None" if cert is None else fmt_term(cert)
+
+
+def test_case_certificates_are_pinned():
+    # the two instability cases of every model of the small seed-0 programs,
+    # proved in acceptance 8's order, so one base serves all of a program's
+    # models; the digest was computed when every call built its own prover
+    h = hashlib.sha256()
+    for p in gen_programs(CorpusSpec(count=500, seed=0)):
+        base = sorted(program_base(p))
+        if len(base) > 4:
+            continue
+        t = translate(p, fresh_goal_atom(p))
+        for bits in itertools.product((False, True), repeat=len(base)):
+            m = frozenset(a for a, keep in zip(base, bits) if keep)
+            ctx = list(t.model_context(m).formulas)
+            for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
+                h.update((_text(prove(ctx, AtomF(goal))) + "\n").encode())
+    assert h.hexdigest()[:16] == "854b5168f3abfd2e"
+
+
+def _tables(base) -> tuple:
+    return (
+        list(base.members),
+        list(base.entries),
+        dict(base.ids),
+        dict(base.atom_ids),
+        set(base.flexible_preds),
+        list(base.base_ids),
+        {k: list(v) for k, v in base.base_by_target.items()},
+        {k: list(v) for k, v in base.base_atoms.items()},
+    )
+
+
+def test_search_leaves_the_shared_base_unchanged():
+    # the trailing atom P(f) joins lists the base holds for P, and the search
+    # interns the hypothesis forall x. R(x) -> S(x), which makes S flexible
+    leading = [
+        parse_formula("P(c)"),
+        parse_formula("forall x. Q(x) -> P(x)"),
+        parse_formula("((forall x. R(x) -> S(x)) -> P(d)) -> h"),
+    ]
+    atoms = [parse_formula("Q(d)"), parse_formula("P(f)")]
+    goal = parse_formula("h")
+    base = proofs._Base(leading)
+    before = _tables(base)
+    pool = [const(n) for n in ("c", "d", "f")]
+    for _ in range(2):
+        prover = proofs._Prover(base, atoms, pool, 1000, None)
+        assert prover.run(goal)
+        assert len(prover.entries) > len(prover.base_set)
+        assert "S" in prover.flexible_preds and "S" not in base.flexible_preds
+        assert _tables(base) == before
+    proofs._last_base = base
+    warm = prove(leading + atoms, goal)
+    assert proofs._last_base is base and _tables(base) == before
+    proofs._last_base = proofs._Base([])
+    assert fmt_term(prove(leading + atoms, goal)) == fmt_term(warm)
+
+
+_BAD_MEMBER = parse_formula("(forall y. P(y)) -> g")
+_UNRELATED = [parse_formula("forall x. P(x) -> Q(x)"), parse_formula("P(c)")]
+
+
+def _warm_up(kind: str, t, m, ctx, goal) -> None:
+    axioms = [ax.formula for ax in t.axioms]
+    if kind == "same context":
+        prove(list(ctx), goal)
+    elif kind == "other atoms":
+        other = frozenset(program_base(t.program)) - m
+        prove(list(t.model_context(other).formulas), goal)
+    elif kind == "unrelated context":
+        prove(_UNRELATED, parse_formula("Q(c)"))
+    elif kind == "bad member":
+        with pytest.raises(FormulaError):
+            prove(axioms + [_BAD_MEMBER] + ctx[len(axioms) :], goal)
+    elif kind == "bad goal":
+        with pytest.raises(FormulaError):
+            prove(ctx, parse_formula("forall x. P(x)"))
+    elif kind == "cap":
+        # the first axiom's first premise asks a second judgment, with a
+        # hypothesis the base does not hold
+        with pytest.raises(CapExceeded):
+            prove(axioms, AtomF(t.vocabulary.lupa), max_judgments=1)
+    else:
+        with pytest.raises(BudgetExceeded):
+            prove(ctx, goal, deadline=time.monotonic() - 1)
+
+
+_WARM_UPS = [
+    "same context",
+    "other atoms",
+    "unrelated context",
+    "bad member",
+    "bad goal",
+    "cap",
+    "budget",
+]
+
+
+@given(
+    st.lists(_CLAUSE, min_size=1, max_size=3),
+    st.integers(0, 63),
+    st.booleans(),
+    st.sampled_from(_WARM_UPS),
+)
+def test_certificates_do_not_depend_on_the_base_in_use(clauses, bits, case_b, kind):
+    p = make_program(clauses, extra_constants=("c",))
+    t = translate(p, fresh_goal_atom(p))
+    m = frozenset(
+        a for i, a in enumerate(sorted(program_base(p))) if bits >> i & 1
+    )
+    ctx = list(t.model_context(m).formulas)
+    goal = AtomF(t.vocabulary.case_b if case_b else t.vocabulary.case_a)
+    proofs._last_base = proofs._Base([])
+    cold = _text(prove(ctx, goal))
+    _warm_up(kind, t, m, ctx, goal)
+    assert _text(prove(ctx, goal)) == cold
+    base = proofs._last_base
+    before = _tables(base)
+    assert _text(prove(ctx, goal)) == cold
+    assert proofs._last_base is base and _tables(base) == before
