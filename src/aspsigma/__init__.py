@@ -3,15 +3,10 @@
 from .engine import (
     GroundProgram,
     Model,
-    find_derivation_no_returns,
-    find_refutation,
     ground,
     has_stable_model,
-    horn_derives,
     interpretation,
     is_stable,
-    overline,
-    reduct,
     sms_entails,
     stable_models,
 )
@@ -25,7 +20,7 @@ from .errors import (
     ParseError,
 )
 from .asp_to_logic import translate as translate_program
-from .logic_to_asp import analyze, decide_by_translation
+from .logic_to_asp import decide_by_translation
 from .logic_to_asp import translate as translate_formula
 from .parsing import parse_formula, parse_ground_atom, parse_program
 from .proofs import (
@@ -64,7 +59,6 @@ from .syntax import (
     fmt_formula,
     make_program,
     substitute,
-    target_of,
     var,
 )
 

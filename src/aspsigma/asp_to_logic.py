@@ -55,15 +55,6 @@ class Vocabulary:
     circ: str
     bullet: str
 
-    def all_names(self) -> list[str]:
-        names = [self.lupa, self.omega, self.case_a, self.case_b, self.circ, self.bullet]
-        for s in self.preds.values():
-            names.extend([s.plain, s.bar, s.bang, s.query])
-        names.extend(self.pairs.values())
-        for k, kbar in self.clause_syms.values():
-            names.extend([k, kbar])
-        return names
-
 
 @dataclass(frozen=True)
 class Axiom:
@@ -95,9 +86,6 @@ class AspTranslation:
         for ax in self.axioms:
             counts[ax.schema] = counts.get(ax.schema, 0) + 1
         return counts
-
-    def model_context(self, m: Model) -> "ModelContext":
-        return model_context(self, m)
 
     def case_a(self, m: Model, deadline: float | None = None) -> bool:
         return _check_case(self, m, self.vocabulary.case_a, _unsound, deadline)

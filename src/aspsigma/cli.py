@@ -75,7 +75,7 @@ class RoundTripReport:
             )
         verdicts = " ".join(f"{k}={v}" for k, v in self.verdicts.items())
         if self.error:
-            verdicts = f"error: {self.error}"
+            verdicts = f"error: {self.error}" + (f"; {verdicts}" if verdicts else "")
         flag = "agree" if self.agreed else "DISAGREE"
         return f"[{self.instance_id:04d} {self.direction}] {verdicts} {flag} | {self.source}"
 
@@ -117,7 +117,12 @@ def _logic_instance(args: tuple) -> RoundTripReport:
     spec, idx, timeout = args
     phi = gen_formulas(spec)[idx]
     report = RoundTripReport(idx, "logic->asp", fmt_formula(phi))
-    deadline = _deadline(timeout)
+    _logic_checks(report, phi, _deadline(timeout))
+    return report
+
+
+def _logic_checks(report: RoundTripReport, phi, deadline: float | None) -> None:
+    """Fill ``report`` with the verdicts and cross-checks of ``phi``."""
     try:
         t0 = time.monotonic()
         cert = proofs.prove_sigma1(phi, deadline=deadline)
@@ -163,20 +168,20 @@ def _logic_instance(args: tuple) -> RoundTripReport:
             ]
     except (BudgetExceeded, CapExceeded) as e:
         report.skipped = f"{type(e).__name__}: {e}"
-    return report
 
 
 def _logic_job(job: tuple) -> RoundTripReport:
-    """One logic instance; a failed cross-check is that instance's disagreement."""
+    """One logic instance; a failed cross-check is that instance's
+    disagreement, and the verdicts reached before it stay in the report."""
+    spec, idx, timeout = job
+    phi = gen_formulas(spec)[idx]
+    report = RoundTripReport(idx, "logic->asp", fmt_formula(phi))
     try:
-        return _logic_instance(job)
+        _logic_checks(report, phi, _deadline(timeout))
     except CrossCheckError as e:
-        spec, idx, _ = job
-        phi = gen_formulas(spec)[idx]
-        report = RoundTripReport(idx, "logic->asp", fmt_formula(phi))
         report.agreement["cross_check"] = False
         report.error = f"CrossCheckError: {e}"
-        return report
+    return report
 
 
 def _run_instances(worker, spec: CorpusSpec, timeout: float | None, workers: int):

@@ -1,6 +1,4 @@
-"""Stable model semantics: grounding, reducts, fixpoints, enumeration,
-entailment, the overline transform, refutation trees and return-free
-derivations.
+"""Stable model semantics: grounding, fixpoints, enumeration and entailment.
 
 One search core, ``_search``, enumerates the stable models: it propagates
 bounds over the atoms that occur negated and branches only where forced, which
@@ -59,8 +57,9 @@ def program_base(p: Program) -> frozenset[Atom]:
     return frozenset(atoms)
 
 
-def ground(p: Program, cap: int = GROUND_CAP) -> GroundProgram:
-    """All substitution instances of the clauses over the program domain."""
+def ground(p: Program) -> GroundProgram:
+    """All substitution instances of the clauses over the program domain;
+    more than ``GROUND_CAP`` of them raise ``CapExceeded``."""
     dom = sorted(p.domain)
     out: list[Clause] = []
     seen: set[Clause] = set()
@@ -69,9 +68,9 @@ def ground(p: Program, cap: int = GROUND_CAP) -> GroundProgram:
         cvars = sorted(clause.variables())
         n_inst = len(dom) ** len(cvars)
         count += n_inst
-        if count > cap:
+        if count > GROUND_CAP:
             raise CapExceeded(
-                f"grounding would exceed {cap} clauses", feasible=cap
+                f"grounding would exceed {GROUND_CAP} clauses", feasible=GROUND_CAP
             )
         for combo in itertools.product(dom, repeat=len(cvars)):
             binding = dict(zip(cvars, combo))
@@ -170,18 +169,8 @@ class _Compiled:
 
 
 # ---------------------------------------------------------------------------
-# Reduct, interpretation, stability
+# Interpretation and stability
 # ---------------------------------------------------------------------------
-
-
-def reduct(g: GroundProgram, m: Model) -> GroundProgram:
-    """The negation-free transform relative to ``m``."""
-    out: list[Clause] = []
-    for c in g.clauses:
-        if any(a.negated and a.positive() in m for a in c.body):
-            continue
-        out.append(Clause(c.head, tuple(a for a in c.body if not a.negated)))
-    return GroundProgram(tuple(out), g.base)
 
 
 def interpretation(p: Program | GroundProgram, m: Model) -> Model:
@@ -391,231 +380,3 @@ def has_stable_model(
     """
     return next(_search(_as_ground(p), deadline, branch_priority), None)
 
-
-# ---------------------------------------------------------------------------
-# Overline transform and Horn derivability
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OverlineProgram:
-    """The ground program with negative atoms replaced by fresh bar predicates."""
-
-    program: GroundProgram
-    bar_names: dict[str, str]
-    source_base: frozenset[Atom]
-
-    def bar(self, a: Atom) -> Atom:
-        return Atom(self.bar_names[a.pred], a.args)
-
-    def complement(self, m: Model) -> frozenset[Atom]:
-        """The bar-atoms of everything in the base that is missing from ``m``."""
-        return frozenset(self.bar(b) for b in self.source_base - m)
-
-
-def overline(p: Program | GroundProgram) -> OverlineProgram:
-    g = _as_ground(p)
-    preds = {a.pred for c in g.clauses for a in c.atoms()} | {
-        a.pred for a in g.base
-    }
-    bar_names: dict[str, str] = {}
-    for name in sorted(preds):
-        candidate = name + "_bar"
-        while candidate in preds or candidate in bar_names.values():
-            candidate += "_"
-        bar_names[name] = candidate
-    out = []
-    for c in g.clauses:
-        body = tuple(
-            Atom(bar_names[a.pred], a.args) if a.negated else a for a in c.body
-        )
-        out.append(Clause(c.head, body))
-    barred = GroundProgram(
-        tuple(out),
-        g.base | frozenset(Atom(bar_names[a.pred], a.args) for a in g.base),
-    )
-    return OverlineProgram(barred, bar_names, g.base)
-
-
-def horn_derives(
-    horn: GroundProgram, facts: frozenset[Atom] | set[Atom], goal: Atom
-) -> bool:
-    """Forward-chaining derivability of ``goal`` from ``facts`` under ``horn``."""
-    for c in horn.clauses:
-        if any(a.negated for a in c.body):
-            raise FormulaError("horn_derives requires a negation-free program")
-    comp = horn.compiled()
-    seeds = comp.model_ids(frozenset(facts))
-    derived = comp.lfp([True] * len(comp.heads), seeds)
-    gid = comp.atom_ids.get(goal.positive())
-    return goal.positive() in frozenset(facts) or (gid is not None and gid in derived)
-
-
-# ---------------------------------------------------------------------------
-# Refutation trees
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RefNode:
-    node_id: int
-    label: Atom
-    overlined: bool
-    children: tuple[int, ...]
-    back_edge: int | None
-    history: frozenset[tuple[Atom, Atom]]
-
-
-@dataclass(frozen=True)
-class RefutationTree:
-    """A regular tree witnessing that an atom lies outside the interpretation.
-
-    Every internal node labeled ``a`` has one child per ground clause whose
-    head is ``a``; repeated labels on a path become back edges.  ``history``
-    carries the transition pairs accumulated from the root.
-    """
-
-    root: int
-    nodes: dict[int, RefNode]
-
-    def node(self, node_id: int) -> RefNode:
-        return self.nodes[node_id]
-
-
-def find_refutation(
-    p: Program | GroundProgram, m: Model, a: Atom
-) -> RefutationTree | None:
-    g = _as_ground(p)
-    interp = interpretation(g, m)
-    a = a.positive()
-    if a in interp:
-        return None
-    by_head: dict[Atom, list[Clause]] = {}
-    for c in g.clauses:
-        by_head.setdefault(c.head, []).append(c)
-
-    nodes: dict[int, RefNode] = {}
-    counter = itertools.count()
-
-    def build(
-        label: Atom,
-        path: dict[Atom, int],
-        history: frozenset[tuple[Atom, Atom]],
-    ) -> int:
-        nid = next(counter)
-        if label in path:
-            nodes[nid] = RefNode(nid, label, False, (), path[label], history)
-            return nid
-        child_ids: list[int] = []
-        path = dict(path)
-        path[label] = nid
-        for clause in by_head.get(label, []):
-            neg_hit = next(
-                (b for b in clause.body if b.negated and b.positive() in m), None
-            )
-            if neg_hit is not None:
-                leaf = next(counter)
-                nodes[leaf] = RefNode(
-                    leaf, neg_hit.positive(), True, (), None, history
-                )
-                child_ids.append(leaf)
-                continue
-            witness = next(
-                (b for b in clause.body if not b.negated and b not in interp),
-                None,
-            )
-            if witness is None:
-                raise AssertionError(
-                    f"no failing body atom for {clause}; interpretation is wrong"
-                )
-            child_hist = history | {(label, witness)}
-            child_ids.append(build(witness, path, child_hist))
-        nodes[nid] = RefNode(nid, label, False, tuple(child_ids), None, history)
-        return nid
-
-    root = build(a, {}, frozenset())
-    return RefutationTree(root, nodes)
-
-
-# ---------------------------------------------------------------------------
-# Derivations without returns
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivNode:
-    node_id: int
-    clause: Clause | None  # None for bar-atom leaves
-    leaf_atom: Atom | None
-    derived: Atom | None  # the head this subtree derives, for clause nodes
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DerivationTree:
-    """A finite derivation over the overline program and the complement facts."""
-
-    root: int
-    nodes: dict[int, DerivNode]
-
-    def node(self, node_id: int) -> DerivNode:
-        return self.nodes[node_id]
-
-
-def find_derivation_no_returns(
-    p: Program | GroundProgram, m: Model, a: Atom
-) -> DerivationTree | None:
-    """A derivation whose derived head atoms never repeat along a path.
-
-    Exists exactly when ``a`` is in the interpretation; the search works on
-    the overline program directly and never consults the fixpoint.
-    """
-    over = overline(p)
-    mbar = over.complement(m)
-    by_head: dict[Atom, list[Clause]] = {}
-    for c in over.program.clauses:
-        by_head.setdefault(c.head, []).append(c)
-    bar_preds = set(over.bar_names.values())
-
-    def derive(goal: Atom, forbidden: frozenset[Atom]) -> tuple | None:
-        for clause in by_head.get(goal, []):
-            bar_leaves = [b for b in clause.body if b.pred in bar_preds]
-            if any(b not in mbar for b in bar_leaves):
-                continue
-            pos_goals = [b for b in clause.body if b.pred not in bar_preds]
-            if any(b in forbidden for b in pos_goals):
-                continue
-            subs: list[tuple] = []
-            ok = True
-            for b in pos_goals:
-                sub = derive(b, forbidden | {goal})
-                if sub is None:
-                    ok = False
-                    break
-                subs.append(sub)
-            if not ok:
-                continue
-            subs.extend(("leaf", b) for b in bar_leaves)
-            return ("node", clause, goal, subs)
-        return None
-
-    tmp = derive(a.positive(), frozenset())
-    if tmp is None:
-        return None
-
-    nodes: dict[int, DerivNode] = {}
-    counter = itertools.count()
-
-    def materialize(t: tuple) -> int:
-        if t[0] == "leaf":
-            nid = next(counter)
-            nodes[nid] = DerivNode(nid, None, t[1], None, ())
-            return nid
-        _, clause, goal, subs = t
-        child_ids = tuple(materialize(s) for s in subs)
-        nid = next(counter)
-        nodes[nid] = DerivNode(nid, clause, None, goal, child_ids)
-        return nid
-
-    root = materialize(tmp)
-    return DerivationTree(root, nodes)

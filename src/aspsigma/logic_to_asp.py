@@ -90,17 +90,6 @@ class SoupSignature:
     env_occs: tuple[int, ...]  # occurrences that can appear in environments
     schemas: dict[int, QuestionSchema]
 
-    def atom_universe(self) -> tuple[AtomF, ...]:
-        """All atoms over the signature's names; polynomially many."""
-        from .syntax import var
-
-        terms = [const(c) for c in self.pool] + [var(v) for v in self.bound_vars]
-        out: list[AtomF] = []
-        for pred, arity in sorted(formula_predicates(self.phi).items()):
-            for combo in itertools.product(terms, repeat=arity):
-                out.append(AtomF(pred, tuple(combo)))
-        return tuple(out)
-
 
 def _freeze(phi: Formula) -> Formula:
     fv = free_vars(phi)
@@ -152,12 +141,13 @@ def _validate_schema(occs, schema: QuestionSchema) -> None:
     assert free_vars(schema.head) <= psi_fv | set(schema.top_vars)
 
 
-def analyze(phi: Formula) -> tuple[SoupSignature, tuple[QuestionSchema, ...]]:
+def _signature(phi: Formula) -> SoupSignature:
     """Decompose a Sigma1 formula for the soup machinery.
 
-    Returns the signature (domain data, constant pool, sizes) and the question
-    schema of every subformula occurrence that can appear in an environment:
-    the top-level premises and, transitively, all their premise descendants.
+    The signature holds the domain data, constant pool and sizes, and the
+    question schema of every subformula occurrence that can appear in an
+    environment: the top-level premises and, transitively, all their premise
+    descendants.
     """
     phi = _freeze(phi)
     if classify(phi) not in (MintsClass.SIGMA1, MintsClass.BOTH):
@@ -189,7 +179,7 @@ def analyze(phi: Formula) -> tuple[SoupSignature, tuple[QuestionSchema, ...]]:
         env_occs.append(idx)
         for step in schema.steps:
             worklist.extend(step.descendants)
-    sig = SoupSignature(
+    return SoupSignature(
         phi,
         occs,
         tuple(pool),
@@ -201,7 +191,6 @@ def analyze(phi: Formula) -> tuple[SoupSignature, tuple[QuestionSchema, ...]]:
         tuple(env_occs),
         schemas,
     )
-    return sig, tuple(schemas[i] for i in sig.env_occs)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +236,7 @@ class Analysis:
     instances: tuple[InstancePattern, ...]
     questions: tuple[QuestionPattern, ...]
     goal_universe: tuple[AtomF, ...]
-    initial_instances: tuple[int, ...]  # instance indices of the premises
-    initial_keys: frozenset
+    initial_keys: frozenset  # keys of the premises, the initial context
 
     def distinct_added_keys(self) -> frozenset:
         keys = {p.key for p in self.instances}
@@ -259,7 +247,8 @@ class Analysis:
 
 
 def analysis(phi: Formula) -> Analysis:
-    sig, _ = analyze(phi)
+    """The signature of ``phi`` and its instance and question tables."""
+    sig = _signature(phi)
     occs, pool = sig.occs, list(sig.pool)
     instances: list[InstancePattern] = []
     lookup: dict[tuple[int, tuple], int] = {}
@@ -317,18 +306,13 @@ def analysis(phi: Formula) -> Analysis:
                 )
             )
 
-    initial_instances = []
-    for occ in sig.premises:
-        fv = sorted(free_vars(occs[occ].formula))
-        assert not fv  # top-level premises of a closed formula are closed
-        initial_instances.append(lookup[(occ, ())])
-    initial_keys = frozenset(instances[i].key for i in initial_instances)
+    # top-level premises of a closed formula are closed: one instance each
+    initial_keys = frozenset(instances[lookup[(occ, ())]].key for occ in sig.premises)
     return Analysis(
         sig,
         tuple(instances),
         tuple(questions),
         tuple(sorted(goals, key=fmt_atomf)),
-        tuple(initial_instances),
         initial_keys,
     )
 
@@ -551,7 +535,7 @@ def estimate_emission(an: Analysis, addr_len: int, full_facts: bool = False) -> 
             )
             mult = len(an.sig.pool) ** irrelevant
         total += (taus + k + 1) * mult
-    total += 1 + len(an.initial_instances) + (n_inst - len(an.initial_instances))
+    total += 1 + n_inst  # families 4-6: the goal, and env or nenv per instance
     total += ans_pairs * (n_inst + 1 + 1 + 2 + 1)  # families 7, 8-ish, 9, 12, 15
     total += n_inst * a * 3  # families 10, 11
     total += len(active) * a * 2  # families 13, 14
@@ -564,7 +548,6 @@ def translate(
     phi: Formula,
     addr_len: int | None = None,
     full_facts: bool = False,
-    emission_cap: int = EMISSION_CAP,
     deadline: float | None = None,
     an: Analysis | None = None,
 ) -> FormulaTranslation:
@@ -572,7 +555,8 @@ def translate(
 
     Any address length is sound (a stable model yields a soup); completeness
     holds from ``certified_addr_len`` up.  The default is the capped length
-    ``min(certified, 4)``.
+    ``min(certified, 4)``.  An estimate above ``EMISSION_CAP`` clauses raises
+    ``CapExceeded`` with the longest feasible address length.
     """
     if an is None:
         an = analysis(phi)
@@ -581,14 +565,14 @@ def translate(
     if addr_len < 1:
         raise FormulaError("address length must be at least 1")
     est = estimate_emission(an, addr_len, full_facts)
-    if est > emission_cap:
+    if est > EMISSION_CAP:
         feasible = None
         for l in range(addr_len - 1, 0, -1):
-            if estimate_emission(an, l, full_facts) <= emission_cap:
+            if estimate_emission(an, l, full_facts) <= EMISSION_CAP:
                 feasible = l
                 break
         raise CapExceeded(
-            f"emission of ~{est} clauses exceeds the cap {emission_cap} "
+            f"emission of ~{est} clauses exceeds the cap {EMISSION_CAP} "
             f"at address length {addr_len}",
             feasible=feasible,
         )
@@ -676,12 +660,14 @@ def translate(
             emit("03_head", Clause(Atom(names.head_pred(q.head), base_args)))
 
     # families 4-6: the initial judgment at address 0...0
+    # an instance is in the initial context when its key is, as in the soup
+    # layer, so a repeated premise key also puts its other occurrences there
     emit("04_initial_goal", Clause(goal_atom(sig.target, zero_bits)))
-    initial_set = set(an.initial_instances)
-    for i in an.initial_instances:
-        emit("05_initial_env", Clause(env(i, zero_bits)))
     for p in an.instances:
-        if p.index not in initial_set:
+        if p.key in an.initial_keys:
+            emit("05_initial_env", Clause(env(p.index, zero_bits)))
+    for p in an.instances:
+        if p.key not in an.initial_keys:
             emit("06_initial_nenv", Clause(nenv(p.index, zero_bits)))
 
     # families 7-9: answers propagate environments and set goals
@@ -830,7 +816,6 @@ class TranslationVerdict:
 def decide_by_translation(
     phi: Formula,
     deadline: float | None = None,
-    emission_cap: int = EMISSION_CAP,
     cross_check: bool = True,
 ) -> TranslationVerdict:
     """Refutability of ``phi`` via stable-model existence of its program.
@@ -840,9 +825,7 @@ def decide_by_translation(
     """
     an = analysis(phi)
     addr_len = certified_addr_len(an, deadline=deadline)
-    t = translate(
-        phi, addr_len=addr_len, emission_cap=emission_cap, deadline=deadline, an=an
-    )
+    t = translate(phi, addr_len=addr_len, deadline=deadline, an=an)
     witness = has_stable_model(
         t.ground_program, deadline=deadline, branch_priority=_answers_first
     )

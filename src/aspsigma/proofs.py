@@ -437,11 +437,9 @@ class _Prover(_Base):
         base: _Base,
         extra: list[Formula],
         pool: list[Term],
-        max_judgments: int,
         deadline: float | None,
     ):
         self.pool = pool
-        self.max_judgments = max_judgments
         self.deadline = deadline
         self.entries = list(base.entries)
         self.ids = dict(base.ids)
@@ -597,10 +595,10 @@ class _Prover(_Base):
         if j in stack:
             return False
         self.judgments_seen.add(j)
-        if len(self.judgments_seen) > self.max_judgments:
+        if len(self.judgments_seen) > MAX_JUDGMENTS:
             raise CapExceeded(
-                f"judgment space exceeded {self.max_judgments}",
-                feasible=self.max_judgments,
+                f"judgment space exceeded {MAX_JUDGMENTS}",
+                feasible=MAX_JUDGMENTS,
             )
         stack.add(j)
         try:
@@ -704,7 +702,6 @@ def _base_for(members: list[Formula]) -> _Base:
 def prove(
     ctx,
     goal: Formula,
-    max_judgments: int = MAX_JUDGMENTS,
     deadline: float | None = None,
 ) -> ProofTerm | None:
     """A long-normal-form proof of ``goal`` from ``ctx``, or None.
@@ -734,7 +731,6 @@ def prove(
         base,
         atoms + [p for _, p in peeled_names],
         [const(n) for n in sorted(constants or {"c0"})],
-        max_judgments,
         deadline,
     )
     if not prover.run(target):
@@ -752,7 +748,6 @@ def prove(
 
 def prove_sigma1(
     phi: Formula,
-    max_judgments: int = MAX_JUDGMENTS,
     deadline: float | None = None,
 ) -> ProofTerm | None:
     """A closed long-normal-form proof of the Sigma1 formula ``phi``, or None."""
@@ -760,4 +755,4 @@ def prove_sigma1(
         raise FormulaError(
             f"prove_sigma1 takes Sigma1 formulas, got {classify(phi).value}"
         )
-    return prove([], phi, max_judgments=max_judgments, deadline=deadline)
+    return prove([], phi, deadline=deadline)

@@ -335,7 +335,6 @@ def find_soup(
     phi: Formula,
     addr_len: int | None = None,
     deadline: float | None = None,
-    schedule: str = "forward",
 ) -> Soup | None:
     """A refutation soup for ``phi``, or None when the formula is provable.
 
@@ -346,7 +345,7 @@ def find_soup(
     sig = an.sig
     if addr_len is None:
         addr_len = certified_addr_len(an, deadline=deadline)
-    chains = survivor_antichains(an, deadline, schedule)
+    chains = survivor_antichains(an, deadline)
     if not any(frozenset() <= m for m in chains.get(sig.target, ())):
         return None
 

@@ -320,12 +320,6 @@ def formula_predicates(f: Formula, table: dict[str, int] | None = None) -> dict[
     return table
 
 
-def is_rectified(f: Formula) -> bool:
-    """No free name also bound, no name bound twice."""
-    names = binder_names(f)
-    return len(names) == len(set(names)) and not (set(names) & free_vars(f))
-
-
 def _fresh_name(base: str, taken: set[str]) -> str:
     i = 1
     while f"{base}{i}" in taken:
@@ -577,15 +571,6 @@ class Pi1Scheme:
     steps: tuple[Pi1Step, ...]
     target: AtomF
 
-    def subgoal(self, i: int) -> AtomF:
-        """Target atom of the i-th premise (1-based)."""
-        _, tgt = peel_sigma1(self.steps[i - 1].sigma)
-        return tgt
-
-    def descendants(self, i: int) -> tuple[Formula, ...]:
-        prem, _ = peel_sigma1(self.steps[i - 1].sigma)
-        return prem
-
 
 def decompose_pi1(f: Formula) -> Pi1Scheme:
     if not _in_pi1(f):
@@ -602,16 +587,6 @@ def decompose_pi1(f: Formula) -> Pi1Scheme:
         assert isinstance(g, Impl)
         steps.append(Pi1Step(g.lhs, len(top)))
         g = g.rhs
-
-
-def target_of(f: Formula) -> AtomF:
-    """Rightmost atom after peeling premises and quantifiers."""
-    cls = classify(f)
-    if cls in (MintsClass.SIGMA1, MintsClass.BOTH):
-        return peel_sigma1(f)[1]
-    if cls is MintsClass.PI1:
-        return decompose_pi1(f).target
-    raise FormulaError(f"formula is neither Sigma1 nor Pi1: {fmt_formula(f)}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,12 @@ import pytest
 from aspsigma.asp_to_logic import translate as translate_asp
 from aspsigma.cli import report_digest, roundtrip_asp, roundtrip_logic
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
-from aspsigma.engine import (
-    find_derivation_no_returns,
-    find_refutation,
-    ground,
-    horn_derives,
-    interpretation,
-    overline,
-    program_base,
-    stable_models,
-)
+from aspsigma.engine import ground, interpretation, program_base, stable_models
 from aspsigma.logic_to_asp import translate as translate_formula
 from aspsigma.parsing import parse_formula, parse_program
 from aspsigma.proofs import Environment, check, is_lnf, prove_sigma1
 from aspsigma.syntax import Atom, fmt_formula, formula_length
+from lemmas import find_derivation_no_returns, find_refutation, horn_derives, overline
 from oracle import naive_stable_models, subsets
 
 CORPUS = CorpusSpec(count=500, seed=0)

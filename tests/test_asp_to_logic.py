@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from aspsigma.asp_to_logic import translate
+from aspsigma.asp_to_logic import model_context, translate
 from aspsigma.corpus import fresh_goal_atom
 from aspsigma.engine import is_stable, program_base, sms_entails, stable_models
 from aspsigma.errors import FormulaError
@@ -126,17 +126,28 @@ def _assert_easy(f):
                 stack.append(g.body)
 
 
+def _all_names(voc):
+    """Every symbol the vocabulary holds, source predicates included."""
+    names = [voc.lupa, voc.omega, voc.case_a, voc.case_b, voc.circ, voc.bullet]
+    for s in voc.preds.values():
+        names.extend([s.plain, s.bar, s.bang, s.query])
+    names.extend(voc.pairs.values())
+    for k, kbar in voc.clause_syms.values():
+        names.extend([k, kbar])
+    return names
+
+
 def test_mangling_is_injective():
     p = parse_program("p :- not q. q :- not p.")
     t = translate(p, OMEGA)
-    names = t.vocabulary.all_names()
+    names = _all_names(t.vocabulary)
     assert len(names) == len(set(names))
 
 
 def test_mangling_freshens_collisions():
     p = parse_program("lupa :- not caseA. caseA :- not bar_p. p :- not lupa.")
     t = translate(p, OMEGA)
-    names = t.vocabulary.all_names()
+    names = _all_names(t.vocabulary)
     assert len(names) == len(set(names))
     source = set(p.predicates())
     generated = [n for n in names if n not in source]
@@ -162,7 +173,7 @@ def test_rejects_non_nullary_goal():
 
 def test_gamma_m_splits_base():
     p = parse_program("p :- not q. q :- not p.")
-    ctx = translate(p, fresh_goal_atom(p)).model_context(frozenset({Atom("p")}))
+    ctx = model_context(translate(p, fresh_goal_atom(p)), frozenset({Atom("p")}))
     assert AtomF("p") in ctx.model_atoms
     assert AtomF("bar_q") in ctx.complement_atoms
     assert len(ctx.model_atoms) + len(ctx.complement_atoms) == 2
@@ -170,7 +181,7 @@ def test_gamma_m_splits_base():
 
 def test_gamma_m_empty_model():
     p = parse_program("p.")
-    ctx = translate(p, fresh_goal_atom(p)).model_context(frozenset())
+    ctx = model_context(translate(p, fresh_goal_atom(p)), frozenset())
     assert ctx.model_atoms == ()
     assert ctx.complement_atoms == (AtomF("bar_p"),)
 

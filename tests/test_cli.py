@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from aspsigma import cli
+from aspsigma import cli, soups
 from aspsigma.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -13,7 +13,7 @@ from aspsigma.cli import (
     roundtrip_logic,
     run,
 )
-from aspsigma.corpus import CorpusSpec
+from aspsigma.corpus import CorpusSpec, gen_formulas
 from aspsigma.errors import CrossCheckError
 
 
@@ -193,9 +193,30 @@ def test_roundtrip_logic_driver():
     assert all(r.agreed for r in reports if not r.skipped)
 
 
-def test_roundtrip_logic_records_a_cross_check_failure():
-    # seed-0 formula 131 realizes a soup as a model that is not stable
-    spec = CorpusSpec(count=132, seed=0, formula_max_size=20)
+SPEC_132 = CorpusSpec(count=132, seed=0, formula_max_size=20)
+# seed-0 formula 131 is refutable, so its soup is realized as a model
+VERDICTS_131 = {"provable": False, "soup_exists": True, "program_has_model": True}
+
+
+@pytest.fixture
+def realizing_131_fails(monkeypatch):
+    """``soups.model_from_soup`` raises a CrossCheckError for formula 131
+    only; worker processes forked after the patch see it too."""
+    phi_131 = gen_formulas(SPEC_132)[131]
+    realize = soups.model_from_soup
+
+    def model_from_soup(z, phi, *args, **kwargs):
+        if phi == phi_131:
+            raise CrossCheckError("realized model is not stable; translation bug")
+        return realize(z, phi, *args, **kwargs)
+
+    monkeypatch.setattr(soups, "model_from_soup", model_from_soup)
+
+
+def test_roundtrip_logic_records_a_cross_check_failure(realizing_131_fails):
+    spec = SPEC_132
+    with pytest.raises(CrossCheckError):
+        cli._logic_instance((spec, 131, None))
     reports = roundtrip_logic(spec)
     assert len(reports) == 132
     failed = [r for r in reports if r.skipped or not r.agreed]
@@ -203,17 +224,24 @@ def test_roundtrip_logic_records_a_cross_check_failure():
     assert failed[0].error.startswith("CrossCheckError: ")
     assert failed[0].to_json()["error"] == failed[0].error
     assert "error" not in reports[0].to_json()
+    # the verdicts reached before the failed cross-check are kept
+    assert failed[0].verdicts == VERDICTS_131
+    assert failed[0].to_json()["verdicts"] == VERDICTS_131
     # the job is sent to worker processes too
     assert report_digest(roundtrip_logic(spec, workers=2)) == report_digest(reports)
 
 
-def test_roundtrip_cli_finishes_after_a_cross_check_failure(capsys):
+def test_roundtrip_cli_finishes_after_a_cross_check_failure(capsys, realizing_131_fails):
     args = ["roundtrip-logic", "--count", "132", "--max-size", "20"]
     assert run(args) == EXIT_NEGATIVE
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 133
     assert out[131].startswith("[0131 logic->asp] error: CrossCheckError: ")
+    assert "; provable=False soup_exists=True program_has_model=True DISAGREE |" in out[131]
     assert out[-1].startswith("# 132 instances, 1 disagreements, 0 skipped, digest ")
+    assert run(["--json"] + args) == EXIT_NEGATIVE
+    data = json.loads(capsys.readouterr().out)
+    assert data["reports"][131]["verdicts"] == VERDICTS_131
 
 
 def test_digest_reproducible():

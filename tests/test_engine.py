@@ -4,22 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aspsigma import engine
 from aspsigma.engine import (
-    find_derivation_no_returns,
-    find_refutation,
     ground,
     has_stable_model,
-    horn_derives,
     interpretation,
     is_stable,
-    overline,
-    reduct,
     sms_entails,
     stable_models,
 )
 from aspsigma.errors import CapExceeded
 from aspsigma.parsing import parse_program
 from aspsigma.syntax import Atom, Clause, const, make_program, var
+from lemmas import (
+    find_derivation_no_returns,
+    find_refutation,
+    horn_derives,
+    overline,
+    reduct,
+)
 from oracle import naive_stable_models, subsets
 
 P_CHOICE = "p :- not q. q :- not p."
@@ -55,10 +58,11 @@ def test_ground_empty_program_base():
     assert g.clauses == () and g.base == frozenset()
 
 
-def test_ground_cap():
+def test_ground_cap(monkeypatch):
+    monkeypatch.setattr(engine, "GROUND_CAP", 1000)
     text = "#domain c1, c2, c3, c4. p(u, v, w, x, y, z) :- q(u)."
     with pytest.raises(CapExceeded):
-        ground(parse_program(text), cap=1000)
+        ground(parse_program(text))
 
 
 # ---------------------------------------------------------------------------

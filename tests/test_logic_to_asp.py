@@ -1,12 +1,12 @@
 import pytest
 
+from aspsigma import logic_to_asp
 from aspsigma.corpus import CorpusSpec, gen_formulas
 from aspsigma.engine import has_stable_model, is_stable
 from aspsigma.errors import CapExceeded, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
     analysis,
-    analyze,
     certified_addr_len,
     decide_by_translation,
     reachable_cone,
@@ -18,12 +18,18 @@ from aspsigma.syntax import Atom, AtomF, const, fmt_formula
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# the signature of analysis
 # ---------------------------------------------------------------------------
 
 
+def _signature(phi):
+    """The signature and the question schemas of its environment occurrences."""
+    sig = analysis(phi).sig
+    return sig, [sig.schemas[i] for i in sig.env_occs]
+
+
 def test_analyze_identity_formula():
-    sig, schemas = analyze(parse_formula("a -> a"))
+    sig, schemas = _signature(parse_formula("a -> a"))
     assert sig.target == AtomF("a")
     assert len(sig.premises) == 1
     (schema,) = schemas
@@ -37,7 +43,7 @@ def test_analyze_nested_quantifier_blocks():
     phi = parse_formula(
         "(forall y1. R(y1, c2) -> (forall y2. P(y1, c1) -> S(c1, y2, y3))) -> S(c1, c4, y3)"
     )
-    sig, schemas = analyze(phi)
+    sig, schemas = _signature(phi)
     (schema,) = [s for s in schemas if s.top_vars]
     assert len(schema.top_vars) == 2
     assert schema.head.pred == "S"
@@ -50,17 +56,7 @@ def test_analyze_nested_quantifier_blocks():
 
 def test_analyze_rejects_non_sigma1():
     with pytest.raises(FormulaError):
-        analyze(parse_formula("forall x. P(x)"))
-
-
-def test_atom_universe_is_polynomial():
-    phi = parse_formula("(forall x. forall y. P(x, y) -> Q(c1, c2)) -> Q(c1, c2)")
-    sig, _ = analyze(phi)
-    names = len(sig.pool) + len(sig.bound_vars)
-    bound = sum(names**arity for arity in (2, 2))
-    universe = sig.atom_universe()
-    assert len(universe) == bound
-    assert len(universe) <= sig.n ** 3
+        analysis(parse_formula("forall x. P(x)"))
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +97,20 @@ def test_initial_facts_pin_the_first_address():
     assert any(s.startswith("env(f1,") and s.endswith("0,0).") for s in facts)
 
 
+def test_initial_environment_follows_instance_keys():
+    # the hypothesis a (occurrence 7) and the premise a of a -> c (occurrence
+    # 3) share a key, so both start in the environment at the first address
+    t = translate(parse_formula("((a -> c) -> b) -> a -> b"), addr_len=1)
+    an, b = t.analysis, t.builder
+    facts = {c.head for c in t.program.clauses if not c.body}
+    assert sum(p.key == AtomF("a") for p in an.instances) == 2
+    for p in an.instances:
+        initial = p.key in an.initial_keys
+        assert (b.env_atom(p.index, "0") in facts) == initial
+        assert (b.nenv_atom(p.index, "0") in facts) == (not initial)
+    assert t.counts["05_initial_env"] == 3 and "06_initial_nenv" not in t.counts
+
+
 def test_full_facts_enumerates_star_positions():
     # with two constants, the irrelevant substitution slot of the head fact
     # ranges over both of them under --full-facts
@@ -116,10 +126,11 @@ def test_full_facts_enumerates_star_positions():
     assert (lazy_model is None) == (full_model is None)
 
 
-def test_emission_cap_reports_feasible_length():
+def test_emission_cap_reports_feasible_length(monkeypatch):
+    monkeypatch.setattr(logic_to_asp, "EMISSION_CAP", 2000)
     phi = parse_formula("(forall x. P(x) -> Q(x)) -> P(c) -> Q(d)")
     with pytest.raises(CapExceeded) as e:
-        translate(phi, addr_len=8, emission_cap=2000)
+        translate(phi, addr_len=8)
     assert e.value.feasible is not None and e.value.feasible < 8
 
 

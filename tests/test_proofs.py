@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import aspsigma
-from aspsigma.asp_to_logic import translate
+from aspsigma.asp_to_logic import model_context, translate
 from aspsigma import proofs
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
 from aspsigma.engine import program_base
@@ -313,14 +314,16 @@ def test_prove_rejects_non_pi1_member():
         prove([member], parse_formula("g"))
 
 
-def test_judgment_cap_fires_at_the_pinned_judgment():
+def test_judgment_cap_fires_at_the_pinned_judgment(monkeypatch):
     # seed-0 corpus program 256 is entailed; its proof search visits 47
     # judgments, whatever the hash seed, so a cap of 46 fires at the last one
     f = _corpus_formula(256)
     k = 46
+    monkeypatch.setattr(proofs, "MAX_JUDGMENTS", k)
     with pytest.raises(CapExceeded):
-        prove_sigma1(f, max_judgments=k)
-    assert prove_sigma1(f, max_judgments=k + 1) is not None
+        prove_sigma1(f)
+    monkeypatch.setattr(proofs, "MAX_JUDGMENTS", k + 1)
+    assert prove_sigma1(f) is not None
 
 
 _CERT_SCRIPT = """
@@ -406,7 +409,7 @@ def test_case_certificates_are_pinned():
         t = translate(p, fresh_goal_atom(p))
         for bits in itertools.product((False, True), repeat=len(base)):
             m = frozenset(a for a, keep in zip(base, bits) if keep)
-            ctx = list(t.model_context(m).formulas)
+            ctx = list(model_context(t, m).formulas)
             for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
                 h.update((_text(prove(ctx, AtomF(goal))) + "\n").encode())
     assert h.hexdigest()[:16] == "854b5168f3abfd2e"
@@ -439,7 +442,7 @@ def test_search_leaves_the_shared_base_unchanged():
     before = _tables(base)
     pool = [const(n) for n in ("c", "d", "f")]
     for _ in range(2):
-        prover = proofs._Prover(base, atoms, pool, 1000, None)
+        prover = proofs._Prover(base, atoms, pool, None)
         assert prover.run(goal)
         assert len(prover.entries) > len(prover.base_set)
         assert "S" in prover.flexible_preds and "S" not in base.flexible_preds
@@ -461,7 +464,7 @@ def _warm_up(kind: str, t, m, ctx, goal) -> None:
         prove(list(ctx), goal)
     elif kind == "other atoms":
         other = frozenset(program_base(t.program)) - m
-        prove(list(t.model_context(other).formulas), goal)
+        prove(list(model_context(t, other).formulas), goal)
     elif kind == "unrelated context":
         prove(_UNRELATED, parse_formula("Q(c)"))
     elif kind == "bad member":
@@ -472,9 +475,11 @@ def _warm_up(kind: str, t, m, ctx, goal) -> None:
             prove(ctx, parse_formula("forall x. P(x)"))
     elif kind == "cap":
         # the first axiom's first premise asks a second judgment, with a
-        # hypothesis the base does not hold
-        with pytest.raises(CapExceeded):
-            prove(axioms, AtomF(t.vocabulary.lupa), max_judgments=1)
+        # hypothesis the base does not hold; patched here because a fixture
+        # cannot patch inside a Hypothesis example
+        with mock.patch.object(proofs, "MAX_JUDGMENTS", 1):
+            with pytest.raises(CapExceeded):
+                prove(axioms, AtomF(t.vocabulary.lupa))
     else:
         with pytest.raises(BudgetExceeded):
             prove(ctx, goal, deadline=time.monotonic() - 1)
@@ -503,7 +508,7 @@ def test_certificates_do_not_depend_on_the_base_in_use(clauses, bits, case_b, ki
     m = frozenset(
         a for i, a in enumerate(sorted(program_base(p))) if bits >> i & 1
     )
-    ctx = list(t.model_context(m).formulas)
+    ctx = list(model_context(t, m).formulas)
     goal = AtomF(t.vocabulary.case_b if case_b else t.vocabulary.case_a)
     proofs._last_base = proofs._Base([])
     cold = _text(prove(ctx, goal))

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aspsigma import soups
 from aspsigma.corpus import CorpusSpec, gen_formulas
@@ -28,7 +30,15 @@ from aspsigma.soups import (
     survivor_antichains,
     write_soup,
 )
-from aspsigma.syntax import AtomF, MintsClass, classify, const, fmt_formula
+from aspsigma.syntax import (
+    AtomF,
+    Impl,
+    MintsClass,
+    classify,
+    const,
+    fmt_formula,
+    impl_chain,
+)
 from oracle import naive_questions_at
 
 
@@ -375,13 +385,58 @@ def test_round_trip_properties():
                     ) or not q.answers
 
 
+def _assert_realizes_stably(phi, t, z):
+    """``z`` is valid and realizes as a stable model, also after a write and
+    parse of its file form."""
+    assert check_soup(z, phi).ok, fmt_formula(phi)
+    m = model_from_soup(z, phi, translation=t)
+    assert is_stable(t.ground_program, m), fmt_formula(phi)
+    assert model_from_soup(parse_soup(write_soup(z)), phi, translation=t) == m
+
+
+def test_repeated_premise_atom_realizes_stably():
+    # the hypothesis a and the premise a of a -> c share a key: both are in
+    # the initial context, so the translation must not deny the second one
+    phi, t = _translation("((a -> c) -> b) -> a -> b")
+    assert t.addr_len == 1
+    m = has_stable_model(t.ground_program, branch_priority=_answers_first)
+    assert m is not None
+    _assert_realizes_stably(phi, t, soup_from_model(m, t))
+    _assert_realizes_stably(phi, t, find_soup(phi, addr_len=t.addr_len))
+
+
+_PROPOSITIONS = st.sampled_from([AtomF("a"), AtomF("b"), AtomF("c")])
+# two or three premises, each an atom or (x -> y) -> z, over three atoms: most
+# formulas repeat an atom, often as a hypothesis and as the x of a premise
+_PREMISES = st.one_of(
+    _PROPOSITIONS,
+    st.builds(Impl, st.builds(Impl, _PROPOSITIONS, _PROPOSITIONS), _PROPOSITIONS),
+)
+_SMALL_FORMULAS = st.builds(
+    impl_chain, st.lists(_PREMISES, min_size=2, max_size=3), _PROPOSITIONS
+)
+
+
+@given(_SMALL_FORMULAS)
+def test_soups_read_off_a_model_realize_stably(phi):
+    # the program of a provable formula has no model, and the search can take
+    # seconds to exhaust it, so only refutable formulas are translated
+    if prove_sigma1(phi) is not None:
+        return
+    an = analysis(phi)
+    t = translate(phi, addr_len=certified_addr_len(an), an=an)
+    m = has_stable_model(t.ground_program, branch_priority=_answers_first)
+    assert m is not None, fmt_formula(phi)
+    _assert_realizes_stably(phi, t, soup_from_model(m, t))
+
+
 # ---------------------------------------------------------------------------
 # The seed-0 formula corpus
 # ---------------------------------------------------------------------------
 
 CORPUS = CorpusSpec(count=600, seed=0, formula_max_size=20)
-# formulas whose soup_from_model soup realizes a non-stable model (ROADMAP item 6)
-NON_STABLE_REALIZATIONS = [131, 153, 186, 193, 202, 263, 514]
+# formulas whose soup_from_model soup realizes a non-stable model
+NON_STABLE_REALIZATIONS = []
 
 
 @pytest.fixture(scope="module")
@@ -446,4 +501,4 @@ def test_soup_layer_digest(corpus_soups):
         else:
             feed(*sorted(str(a) for a in model))
     assert cross_check_failures == NON_STABLE_REALIZATIONS
-    assert h.hexdigest()[:16] == "b8aef2db22ffff00"
+    assert h.hexdigest()[:16] == "c750d23bfed81723"

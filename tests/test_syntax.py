@@ -12,19 +12,18 @@ from aspsigma.syntax import (
     Forall,
     Impl,
     MintsClass,
+    binder_names,
     classify,
     const,
     decompose_pi1,
     fmt_formula,
     formula_length,
     free_vars,
-    is_rectified,
     make_program,
     occurrences,
     peel_sigma1,
     rectify,
     substitute,
-    target_of,
     var,
 )
 
@@ -137,21 +136,8 @@ def test_classify_matches_grammar_enumeration_up_to_size_12():
 
 
 # ---------------------------------------------------------------------------
-# Targets, substitution, rectification
+# Substitution and rectification
 # ---------------------------------------------------------------------------
-
-
-def test_target_of_impl():
-    assert target_of(Impl(A, Q)) == Q
-
-
-def test_target_of_pi1():
-    f = Forall("x", Impl(AtomF("S", (var("x"),)), AtomF("B1", (var("x"),))))
-    assert target_of(f) == AtomF("B1", (var("x"),))
-
-
-def test_target_of_atom():
-    assert target_of(AtomF("R", (const("c"),))) == AtomF("R", (const("c"),))
 
 
 def test_substitute_simple():
@@ -210,7 +196,9 @@ def _formula_constants(f):
 def test_rectify_renames_duplicate_binders():
     f = Impl(Forall("x", P(var("x"))), Forall("x", P(var("x"))))
     r = rectify(f)
-    assert is_rectified(r)
+    # rectified: no name bound twice, no free name also bound
+    names = binder_names(r)
+    assert len(names) == len(set(names)) and not (set(names) & free_vars(r))
     assert fmt_formula(r) != fmt_formula(f)
 
 
@@ -236,8 +224,7 @@ def test_decompose_nested():
     assert s.top_vars == ("x", "y")
     assert [st_.vars_visible for st_ in s.steps] == [1, 2]
     assert s.target == B
-    assert s.subgoal(1) == P(var("x")).__class__("P", (var("x"),))
-    assert s.descendants(1) == ()
+    assert peel_sigma1(s.steps[0].sigma) == ((), P(var("x")))
 
 
 def test_decompose_trailing_quantifier():
