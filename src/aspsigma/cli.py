@@ -153,19 +153,18 @@ def _logic_checks(report: RoundTripReport, phi, deadline: float | None) -> None:
                 "found_soup_valid"
             ]
         if verdict.witness is not None:
-            t = logic_to_asp.translate(phi, addr_len=verdict.addr_len)
+            t = verdict.translation
             cooked = soups.soup_from_model(verdict.witness, t)
-            report.soup_checks["model_soup_valid"] = soups.check_soup(cooked, phi).ok
-            model = soups.model_from_soup(cooked, phi, translation=t)
-            report.soup_checks["soup_model_stable"] = engine.is_stable(
-                t.ground_program, model
-            )
-            report.agreement["model_soup_valid"] = report.soup_checks[
-                "model_soup_valid"
-            ]
-            report.agreement["soup_model_stable"] = report.soup_checks[
-                "soup_model_stable"
-            ]
+            valid = soups.check_soup(cooked, phi).ok
+            report.soup_checks["model_soup_valid"] = valid
+            report.agreement["model_soup_valid"] = valid
+            # only a valid soup can be realized; an invalid one is already
+            # this instance's disagreement
+            if valid:
+                model = soups.model_from_soup(cooked, phi, translation=t)
+                stable = engine.is_stable(t.ground_program, model)
+                report.soup_checks["soup_model_stable"] = stable
+                report.agreement["soup_model_stable"] = stable
     except (BudgetExceeded, CapExceeded) as e:
         report.skipped = f"{type(e).__name__}: {e}"
 

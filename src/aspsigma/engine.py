@@ -9,22 +9,16 @@ scales to the large ground programs produced by the formula translation.
 from __future__ import annotations
 
 import itertools
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CapExceeded, FormulaError
+from .errors import CapExceeded, FormulaError, check_deadline
 from .syntax import Atom, Clause, Program, const
 
 Model = frozenset[Atom]
 
 GROUND_CAP = 10**6
 ENUM_CAP = 22
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("wall-clock budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +234,7 @@ def _search(
 
     def propagate(assign: dict[int, int]) -> tuple[set[int], set[int]] | None:
         while True:
-            _check_deadline(deadline)
+            check_deadline(deadline, "wall-clock")
             lower, upper = lower_upper(assign)
             changed = False
             for a in neg_atoms:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one deadline check."""
+
+import time
 
 
 class AspSigmaError(Exception):
@@ -32,6 +34,13 @@ class CapExceeded(AspSigmaError):
 
 class BudgetExceeded(AspSigmaError):
     """A wall-clock budget ran out before the operation finished."""
+
+
+def check_deadline(deadline: float | None, stage: str) -> None:
+    """Raise ``BudgetExceeded("<stage> budget exhausted")`` once the
+    ``time.monotonic()`` reading ``deadline`` has passed; None never expires."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded(f"{stage} budget exhausted")
 
 
 class CrossCheckError(AspSigmaError):

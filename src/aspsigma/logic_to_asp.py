@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 from .engine import GroundProgram, Model, has_stable_model
-from .errors import BudgetExceeded, CapExceeded, CrossCheckError, FormulaError
+from .errors import CapExceeded, CrossCheckError, FormulaError, check_deadline
 from .proofs import prove_sigma1
 from .syntax import (
     Atom,
@@ -49,11 +48,6 @@ DEFAULT_ADDR_LEN_CAP = 4
 EMISSION_CAP = 10_000_000
 INSTANCE_CAP = 200_000
 CONE_CAP = 200_000
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("translation budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +226,36 @@ class QuestionPattern:
 
 @dataclass(frozen=True)
 class Analysis:
+    """The instance and question tables of a formula, with the indexes their
+    readers share; all of it is built once by ``analysis`` and never mutated."""
+
     sig: SoupSignature
     instances: tuple[InstancePattern, ...]
     questions: tuple[QuestionPattern, ...]
     goal_universe: tuple[AtomF, ...]
     initial_keys: frozenset  # keys of the premises, the initial context
+    instance_index: dict[tuple[int, tuple], int]  # (occ, assign) -> instance
+    key_formula: dict[Formula, Formula]  # key -> its first instance formula
+    # questions per (member key, head), each list in table order
+    by_key_head: dict[tuple[Formula, AtomF], list[QuestionPattern]]
+    active: tuple[QuestionPattern, ...]  # questions whose head is a goal
 
-    def distinct_added_keys(self) -> frozenset:
-        keys = {p.key for p in self.instances}
-        return frozenset(keys) - self.initial_keys
-
-    def instance_lookup(self) -> dict[tuple[int, tuple], int]:
-        return {(p.occ, p.assign): p.index for p in self.instances}
+    def asked(self, keys, goal: AtomF) -> tuple[QuestionPattern, ...]:
+        """The questions a context with member ``keys`` asks at ``goal``: its
+        members' questions whose head is ``goal``, in ``questions`` order."""
+        found = [q for k in keys for q in self.by_key_head.get((k, goal), ())]
+        found.sort(key=lambda q: q.index)
+        return tuple(found)
 
 
 def analysis(phi: Formula) -> Analysis:
-    """The signature of ``phi`` and its instance and question tables."""
+    """The signature of ``phi``, its instance and question tables, and their
+    indexes."""
     sig = _signature(phi)
     occs, pool = sig.occs, list(sig.pool)
     instances: list[InstancePattern] = []
     lookup: dict[tuple[int, tuple], int] = {}
+    key_formula: dict[Formula, Formula] = {}
     for occ in sig.env_occs:
         fv = sorted(free_vars(occs[occ].formula))
         if len(pool) ** len(fv) + len(instances) > INSTANCE_CAP:
@@ -268,8 +272,10 @@ def analysis(phi: Formula) -> Analysis:
             )
             instances.append(p)
             lookup[(occ, assign)] = p.index
+            key_formula.setdefault(p.key, inst_formula)
 
     questions: list[QuestionPattern] = []
+    by_key_head: dict[tuple[Formula, AtomF], list[QuestionPattern]] = {}
     goals: set[AtomF] = {sig.target}
     for p in instances:
         schema = sig.schemas[p.occ]
@@ -300,11 +306,9 @@ def analysis(phi: Formula) -> Analysis:
                     )
                 )
                 goals.add(subgoal)
-            questions.append(
-                QuestionPattern(
-                    len(questions), p.index, t_assign, head, tuple(answers)
-                )
-            )
+            q = QuestionPattern(len(questions), p.index, t_assign, head, tuple(answers))
+            questions.append(q)
+            by_key_head.setdefault((p.key, head), []).append(q)
 
     # top-level premises of a closed formula are closed: one instance each
     initial_keys = frozenset(instances[lookup[(occ, ())]].key for occ in sig.premises)
@@ -314,6 +318,10 @@ def analysis(phi: Formula) -> Analysis:
         tuple(questions),
         tuple(sorted(goals, key=fmt_atomf)),
         initial_keys,
+        lookup,
+        key_formula,
+        by_key_head,
+        tuple(q for q in questions if q.head in goals),
     )
 
 
@@ -327,19 +335,14 @@ def reachable_cone(
     premise and moves to its target.  Every soup can be reshaped to live
     inside this cone, so its size certifies a sufficient address space.
     """
-    by_key: dict[Formula, list[QuestionPattern]] = {}
-    for q in an.questions:
-        by_key.setdefault(an.instances[q.inst].key, []).append(q)
     initial = (an.initial_keys, an.sig.target)
     seen: set[tuple[frozenset, AtomF]] = {initial}
     work = [initial]
     while work:
-        _check_deadline(deadline)
+        check_deadline(deadline, "translation")
         ctx, goal = work.pop()
         for key in ctx:
-            for q in by_key.get(key, ()):
-                if q.head != goal:
-                    continue
+            for q in an.by_key_head.get((key, goal), ()):
                 for opt in q.answers:
                     nxt = (ctx | opt.tau_keys, opt.subgoal)
                     if nxt not in seen:
@@ -400,7 +403,7 @@ class AtomBuilder:
             + block(dict(q.t_assign))
             for q in an.questions
         ]
-        self._block = block
+        self.block = block
         self._addr_cache: dict[str, tuple[Term, ...]] = {}
 
     def addr(self, bits: str) -> tuple[Term, ...]:
@@ -516,9 +519,7 @@ def _fresh_bits(pool: set[str]) -> tuple[str, str]:
 def estimate_emission(an: Analysis, addr_len: int, full_facts: bool = False) -> int:
     a = 2**addr_len
     n_inst = len(an.instances)
-    goal_set = set(an.goal_universe)
-    active = [q for q in an.questions if q.head in goal_set]
-    ans_pairs = sum(len(q.answers) for q in active) * a * a
+    ans_pairs = sum(len(q.answers) for q in an.active) * a * a
     total = 0
     # facts 1-3
     for q in an.questions:
@@ -538,7 +539,7 @@ def estimate_emission(an: Analysis, addr_len: int, full_facts: bool = False) -> 
     total += 1 + n_inst  # families 4-6: the goal, and env or nenv per instance
     total += ans_pairs * (n_inst + 1 + 1 + 2 + 1)  # families 7, 8-ish, 9, 12, 15
     total += n_inst * a * 3  # families 10, 11
-    total += len(active) * a * 2  # families 13, 14
+    total += len(an.active) * a * 2  # families 13, 14
     g = len(an.goal_universe)
     total += (g * (g - 1) // 2) * a  # family 16
     return total
@@ -591,9 +592,7 @@ def translate(
     ans, nans = b.ans_atom, b.nans_atom
     goal_atom = b.goal_atom
     q_args = b.q_args
-
-    def block(assign: dict[str, str]) -> tuple[Term, ...]:
-        return b._block(assign)
+    block = b.block
 
     f_atom = Atom("f")
     not_f = Atom("f", (), True)
@@ -608,10 +607,7 @@ def translate(
         if family[:2] in ("01", "02", "03"):
             syntax_facts.add(clause.head)
         if len(clauses) % 4096 == 0:
-            _check_deadline(deadline)
-
-    goal_set = set(an.goal_universe)
-    active = [q for q in an.questions if q.head in goal_set]
+            check_deadline(deadline, "translation")
 
     # families 1-3: syntax facts (descendants, subgoals, heads)
     def filled_blocks(p: InstancePattern, t_assign) -> list[tuple[dict, dict]]:
@@ -671,7 +667,7 @@ def translate(
             emit("06_initial_nenv", Clause(nenv(p.index, zero_bits)))
 
     # families 7-9: answers propagate environments and set goals
-    for q in active:
+    for q in an.active:
         qi = q.index
         for opt in q.answers:
             for a_from in addresses:
@@ -723,7 +719,7 @@ def translate(
             emit("11_env_conflict", Clause(f_atom, (e, ne, not_f)))
 
     # family 12: answer choice, guarded by the question
-    for q in active:
+    for q in an.active:
         for opt in q.answers:
             for a_from in addresses:
                 guard = q_atom(q.index, a_from)
@@ -734,7 +730,7 @@ def translate(
                     emit("12_answer_choice", Clause(na_atom, (a_atom.negate(), guard)))
 
     # families 13-15: question recognition and the everything-answered rule
-    for q in active:
+    for q in an.active:
         head_pred = names.head_pred(q.head)
         for addr in addresses:
             emit(
@@ -805,8 +801,12 @@ def _answers_first(a: Atom) -> int:
 @dataclass(frozen=True)
 class TranslationVerdict:
     refutable: bool
-    addr_len: int
+    translation: FormulaTranslation  # the program that was solved
     witness: Model | None
+
+    @property
+    def addr_len(self) -> int:
+        return self.translation.addr_len
 
     @property
     def provable(self) -> bool:
@@ -837,4 +837,4 @@ def decide_by_translation(
                 f"translation says refutable={refutable} but proof search "
                 f"says provable={cert is not None} for {fmt_formula(phi)}"
             )
-    return TranslationVerdict(refutable, addr_len, witness)
+    return TranslationVerdict(refutable, t, witness)

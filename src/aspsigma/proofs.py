@@ -38,10 +38,9 @@ checker accepts.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CapExceeded, FormulaError, ParseError
+from .errors import CapExceeded, FormulaError, ParseError, check_deadline
 from .syntax import (
     AtomF,
     Forall,
@@ -585,8 +584,7 @@ class _Prover(_Base):
         return any(added <= added2 for added2 in self.failed.get(goal, ()))
 
     def dfs(self, added: frozenset[int], goal: AtomF, stack: set) -> bool:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("proof search budget exhausted")
+        check_deadline(self.deadline, "proof search")
         if self.solved_lookup(added, goal) is not None:
             return True
         if self.failed_lookup(added, goal):

@@ -9,18 +9,18 @@ existence reading when map entries are missing or malformed.
 ``logic_to_asp.Analysis`` is the one question table: every question (a member
 instance psi[S] with a head instance under T) and its answer options (the
 challenged subgoal and the instances an answer adds) are tabulated there once
-per formula.  Checking, searching, both conversions and ``questions_at`` read
-that table; none of them substitutes into the formula again.
+per formula, together with its indexes by member key and head.  Checking,
+searching, both conversions and ``questions_at`` read that table and those
+indexes; none of them substitutes into the formula or re-indexes the table.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 
 from .engine import Model, is_stable
-from .errors import BudgetExceeded, CapExceeded, CrossCheckError, FormulaError
+from .errors import CapExceeded, CrossCheckError, FormulaError, check_deadline
 from .logic_to_asp import (
     Analysis,
     FormulaTranslation,
@@ -104,15 +104,7 @@ class SoupReport:
 def questions_at(d: Disjudgment, an: Analysis) -> tuple[QuestionPattern, ...]:
     """The questions asked at ``d``, in ``an.questions`` order: context
     members whose instantiated head is the goal."""
-    return _questions(an, d.context_keys(), d.goal)
-
-
-def _questions(an: Analysis, keys: frozenset, goal: AtomF):
-    return tuple(
-        q
-        for q in an.questions
-        if q.head == goal and an.instances[q.inst].key in keys
-    )
+    return an.asked(d.context_keys(), d.goal)
 
 
 def _requirements(q: QuestionPattern, keys: frozenset):
@@ -126,7 +118,7 @@ def _meets(need, target: Disjudgment, target_keys: frozenset) -> bool:
     return target.goal == subgoal and keys <= target_keys
 
 
-def _entry_key(an: Analysis, lookup: dict, e: AnswerEntry):
+def _entry_key(an: Analysis, e: AnswerEntry):
     """The question a map entry names, as ``QuestionPattern.semantic_key``
     reads it; None when ``S`` names no instance of the member.  Raises
     KeyError when the member asks no question or ``T`` misses a variable."""
@@ -135,7 +127,7 @@ def _entry_key(an: Analysis, lookup: dict, e: AnswerEntry):
     t_key = tuple(t[v] for v in schema.top_vars)
     s = dict(e.s_assign)
     fv = sorted(free_vars(an.sig.occs[e.occ].formula))
-    i = lookup.get((e.occ, tuple((v, s.get(v)) for v in fv)))
+    i = an.instance_index.get((e.occ, tuple((v, s.get(v)) for v in fv)))
     return None if i is None else (an.instances[i].key, t_key)
 
 
@@ -165,10 +157,9 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
     if diags:
         return SoupReport(False, tuple(diags))
 
-    universe = {p.key for p in an.instances}
     keys = [d.context_keys() for d in z.judgments]
     for k in keys:
-        foreign = k - universe
+        foreign = k.difference(an.key_formula)
         if foreign:
             diags.append(
                 "context member is not an instantiated subformula: "
@@ -189,11 +180,10 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
     if diags:
         return SoupReport(False, tuple(diags))
 
-    lookup = an.instance_lookup()
     entry_index: dict[tuple, list[AnswerEntry]] = {}
     for e in z.answers:
         try:
-            key = _entry_key(an, lookup, e)
+            key = _entry_key(an, e)
         except KeyError:
             diags.append(f"answer entry references a bad occurrence: {e}")
             continue
@@ -202,7 +192,7 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
 
     by_addr = {a: j for j, d in enumerate(z.judgments) for a in d.addresses}
     for d, d_keys in zip(z.judgments, keys):
-        for q in _questions(an, d_keys, d.goal):
+        for q in an.asked(d_keys, d.goal):
             needs = _requirements(q, d_keys)
             key = q.semantic_key(an)
             answered = False
@@ -244,22 +234,20 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
 
 
 def _question_options(an: Analysis):
-    """Per member instance key: deduplicated question heads with answer data."""
-    grouped: dict[Formula, dict[tuple, QuestionPattern]] = {}
-    for q in an.questions:
-        key = an.instances[q.inst].key
-        sem = q.semantic_key(an)
-        grouped.setdefault(key, {}).setdefault(sem, q)
-    out: dict[Formula, list[tuple[QuestionPattern, tuple]]] = {}
-    for key, sems in grouped.items():
-        entries = []
+    """Per (member key, head): the questions, one per semantic key, with
+    their answer data."""
+    out: dict[tuple[Formula, AtomF], list[tuple[QuestionPattern, tuple]]] = {}
+    for key_head, qs in an.by_key_head.items():
+        sems: dict[tuple, QuestionPattern] = {}
+        for q in qs:
+            sems.setdefault(q.semantic_key(an), q)
+        entries = out[key_head] = []
         for q in sems.values():
             opts = tuple(
                 (opt.index, opt.subgoal, opt.tau_keys - an.initial_keys)
                 for opt in q.answers
             )
             entries.append((q, opts))
-        out[key] = entries
     return out
 
 
@@ -275,8 +263,11 @@ def survivor_antichains(
     so each goal keeps an antichain of maximal extension sets.  The deletion
     order must not matter; ``schedule`` picks a scan order for tests.
     """
-    options = _question_options(an)
-    added_universe = frozenset(an.distinct_added_keys())
+    return _antichains(an, _question_options(an), deadline, schedule)
+
+
+def _antichains(an: Analysis, options, deadline, schedule):
+    added_universe = frozenset(an.key_formula) - an.initial_keys
     chains: dict[AtomF, list[frozenset]] = {
         g: [added_universe] for g in an.goal_universe
     }
@@ -292,17 +283,14 @@ def survivor_antichains(
     def survives(x: frozenset, goal: AtomF) -> bool:
         ctx = an.initial_keys | x
         for key in ctx:
-            for q, opts in options.get(key, ()):
-                if q.head != goal:
-                    continue
+            for q, opts in options.get((key, goal), ()):
                 if not answered(x, opts):
                     return False
         return True
 
     changed = True
     while changed:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("soup search budget exhausted")
+        check_deadline(deadline, "soup search")
         changed = False
         goals = list(chains)
         if schedule == "reverse":
@@ -345,14 +333,10 @@ def find_soup(
     sig = an.sig
     if addr_len is None:
         addr_len = certified_addr_len(an, deadline=deadline)
-    chains = survivor_antichains(an, deadline)
+    options = _question_options(an)
+    chains = _antichains(an, options, deadline, "forward")
     if not any(frozenset() <= m for m in chains.get(sig.target, ())):
         return None
-
-    options = _question_options(an)
-    key_repr: dict[Formula, Formula] = {}
-    for p in an.instances:
-        key_repr.setdefault(p.key, p.formula)
 
     # realize reachable judgments with minimal answers
     nodes: dict[tuple[frozenset, AtomF], int] = {}
@@ -382,9 +366,7 @@ def find_soup(
         x, goal = order[nid]
         ctx = an.initial_keys | x
         for key in sorted(ctx, key=fmt_formula):
-            for q, opts in options.get(key, ()):
-                if q.head != goal:
-                    continue
+            for q, opts in options.get((key, goal), ()):
                 chosen = None
                 for index, subgoal, tau_keys in opts:
                     need = x | tau_keys
@@ -402,7 +384,9 @@ def find_soup(
 
     judgments = tuple(
         Disjudgment(
-            frozenset(key_repr[k] for k in (an.initial_keys | x)), goal, (addr(i),)
+            frozenset(an.key_formula[k] for k in (an.initial_keys | x)),
+            goal,
+            (addr(i),),
         )
         for i, (x, goal) in enumerate(order)
     )
@@ -450,25 +434,18 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
         if goals:
             judgment_data[bits] = (frozenset(keys), goals[0])
 
-    key_repr: dict[Formula, Formula] = {}
-    for p in an.instances:
-        key_repr.setdefault(p.key, p.formula)
-
     grouped: dict[tuple[frozenset, AtomF], list[str]] = {}
     for bits, jd in sorted(judgment_data.items()):
         grouped.setdefault(jd, []).append(bits)
     judgments = tuple(
         Disjudgment(
-            frozenset(key_repr[k] for k in keys), goal, tuple(addresses)
+            frozenset(an.key_formula[k] for k in keys), goal, tuple(addresses)
         )
         for (keys, goal), addresses in grouped.items()
     )
 
     entries: list[AnswerEntry] = []
-    goal_set = set(an.goal_universe)
-    for q in an.questions:
-        if q.head not in goal_set:
-            continue
+    for q in an.active:
         inst = an.instances[q.inst]
         for opt in q.answers:
             for a_from in b.all_addresses():
@@ -522,7 +499,7 @@ def model_from_soup(
     work = [initial]
     while work:
         j = work.pop()
-        for q in _questions(an, keys[j], z.judgments[j].goal):
+        for q in an.asked(keys[j], z.judgments[j].goal):
             for need in _requirements(q, keys[j]):
                 for k, other in enumerate(z.judgments):
                     if _meets(need, other, keys[k]):
@@ -561,16 +538,9 @@ def model_from_soup(
                 atoms.add(b.env_atom(p.index, bits))
             else:
                 atoms.add(b.nenv_atom(p.index, bits))
-
-    goal_set = set(an.goal_universe)
-    for q in an.questions:
-        if q.head not in goal_set:
-            continue
-        inst = an.instances[q.inst]
-        for bits in all_addrs:
-            j = by_addr.get(bits)
-            if j is None or inst.key not in keys[j] or q.head != z.judgments[j].goal:
-                continue
+        # a kept judgment's goal is the target or a subgoal, so every
+        # question asked here has a goal for its head
+        for q in an.asked(keys[j], z.judgments[j].goal):
             atoms.add(b.q_atom(q.index, bits))
             any_answer = False
             for opt, need in zip(q.answers, _requirements(q, keys[j])):

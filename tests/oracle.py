@@ -7,6 +7,9 @@ exponential in the base and only meant for small programs.
 ``naive_questions_at`` shares no code with ``logic_to_asp.analysis``'s question
 table: it substitutes every combination of pool constants into every member
 schema, once per judgment.
+
+``scan_questions`` is the linear scan the soup layer ran over that table before
+``Analysis`` indexed it by member key and head.
 """
 
 import itertools
@@ -68,3 +71,13 @@ def naive_questions_at(d, sig):
                 if substitute(schema.head, full) == d.goal:
                     out.append((occ, s_assign, t_assign))
     return out
+
+
+def scan_questions(an, keys, goal):
+    """The questions of ``an`` whose member key is in ``keys`` and whose head
+    is ``goal``, by one pass over the whole table."""
+    return tuple(
+        q
+        for q in an.questions
+        if q.head == goal and an.instances[q.inst].key in keys
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -242,6 +243,37 @@ def test_roundtrip_cli_finishes_after_a_cross_check_failure(capsys, realizing_13
     assert run(["--json"] + args) == EXIT_NEGATIVE
     data = json.loads(capsys.readouterr().out)
     assert data["reports"][131]["verdicts"] == VERDICTS_131
+
+
+@pytest.fixture
+def cooked_soups_lose_their_judgments(monkeypatch):
+    """``soups.soup_from_model`` returns its soup without judgments, which
+    ``check_soup`` rejects and ``model_from_soup`` refuses to realize."""
+    cook = soups.soup_from_model
+
+    def soup_from_model(m, t):
+        return dataclasses.replace(cook(m, t), judgments=())
+
+    monkeypatch.setattr(soups, "soup_from_model", soup_from_model)
+
+
+def test_roundtrip_cli_finishes_after_an_invalid_cooked_soup(
+    capsys, cooked_soups_lose_their_judgments
+):
+    # the first five seed-0 formulas are refutable: each cooked soup is invalid
+    args = ["roundtrip-logic", "--count", "5"]
+    assert run(args) == EXIT_NEGATIVE
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 6
+    for i, line in enumerate(out[:5]):
+        assert line.startswith(f"[000{i} logic->asp] provable=False ")
+        assert " DISAGREE | " in line
+    assert out[-1].startswith("# 5 instances, 5 disagreements, 0 skipped, digest ")
+    assert run(["--json"] + args) == EXIT_NEGATIVE
+    for r in json.loads(capsys.readouterr().out)["reports"]:
+        assert r["soup_checks"] == {"found_soup_valid": True, "model_soup_valid": False}
+        assert r["agreement"]["model_soup_valid"] is False
+        assert "soup_model_stable" not in r["agreement"]
 
 
 def test_digest_reproducible():

@@ -1,8 +1,9 @@
 import dataclasses
+import functools
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspsigma import soups
@@ -39,7 +40,7 @@ from aspsigma.syntax import (
     fmt_formula,
     impl_chain,
 )
-from oracle import naive_questions_at
+from oracle import naive_questions_at, scan_questions
 
 
 def _an(text):
@@ -469,6 +470,23 @@ def test_question_table_matches_substitution_oracle(corpus_soups):
                 assert table == naive_questions_at(d, an.sig), fmt_formula(phi)
                 compared += 1
     assert compared == 1036
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_analysis(i):
+    return analysis(gen_formulas(CORPUS)[i])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_asked_matches_a_scan_of_the_table(data):
+    """``Analysis.asked`` returns the questions one pass over the whole table
+    finds, in table order, also at contexts no corpus soup reaches."""
+    an = _corpus_analysis(data.draw(st.integers(0, CORPUS.count - 1)))
+    keys = sorted(an.key_formula, key=fmt_formula)
+    ctx = frozenset(data.draw(st.sets(st.sampled_from(keys)))) if keys else frozenset()
+    for goal in an.goal_universe:
+        assert an.asked(ctx, goal) == scan_questions(an, ctx, goal)
 
 
 def test_soup_layer_digest(corpus_soups):
