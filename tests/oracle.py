@@ -10,6 +10,13 @@ schema, once per judgment.
 
 ``scan_questions`` is the linear scan the soup layer ran over that table before
 ``Analysis`` indexed it by member key and head.
+
+``reference_search`` is the stable-model search as it was before the engine
+kept its bounds on a trail: every propagation round recomputes ``lower`` and
+``upper`` with two full least-fixpoint passes (``lower_upper``), and every
+child copies the whole assignment dict.  ``engine._search`` must yield what it
+yields, in the same order, and ``propagate`` is the per-node reference for
+``engine._Propagator``.
 """
 
 import itertools
@@ -81,3 +88,157 @@ def scan_questions(an, keys, goal):
         for q in an.questions
         if q.head == goal and an.instances[q.inst].key in keys
     )
+
+
+# ---------------------------------------------------------------------------
+# The stable-model search with bounds recomputed from scratch each round
+# ---------------------------------------------------------------------------
+
+UNKNOWN, TRUE, FALSE = 0, 1, 2
+
+
+def lfp(comp, usable, seeds=None, excluded=None):
+    """Least model of the positive parts of the usable clauses of ``comp``.
+
+    ``seeds`` are taken as given facts; atoms in ``excluded`` are never
+    derived (and so never feed positive bodies).
+    """
+    counts = comp.pos_need[:]
+    derived = set(seeds or ())
+    queue = list(derived)
+    for ci in range(len(comp.heads)):
+        if usable[ci] and counts[ci] == 0:
+            h = comp.heads[ci]
+            if h not in derived and (excluded is None or h not in excluded):
+                derived.add(h)
+                queue.append(h)
+    while queue:
+        a = queue.pop()
+        for ci in comp.watch[a]:
+            counts[ci] -= 1
+            if counts[ci] == 0 and usable[ci]:
+                h = comp.heads[ci]
+                if h not in derived and (excluded is None or h not in excluded):
+                    derived.add(h)
+                    queue.append(h)
+    return derived
+
+
+def clauses_by_head(comp):
+    by_head = {}
+    for ci, h in enumerate(comp.heads):
+        by_head.setdefault(h, []).append(ci)
+    return by_head
+
+
+def lower_upper(comp, assign):
+    """The lower fixpoint (clauses whose negative bodies are all assigned
+    false, seeded with the true atoms) and the upper fixpoint (clauses with no
+    true negated atom, false atoms underivable) of a partial ``assign``."""
+    sure = [True] * len(comp.heads)
+    poss = [True] * len(comp.heads)
+    for ci, ns in enumerate(comp.neg_sets):
+        for a in ns:
+            v = assign[a]
+            if v != FALSE:
+                sure[ci] = False
+            if v == TRUE:
+                poss[ci] = False
+                break
+    seeds = {a for a, v in assign.items() if v == TRUE}
+    excluded = {a for a, v in assign.items() if v == FALSE}
+    return lfp(comp, sure, seeds), lfp(comp, poss, None, excluded)
+
+
+def propagate(comp, neg_atoms, by_head, assign):
+    """Extend ``assign`` in place to its propagation fixpoint; return the
+    final ``(lower, upper)``, or None on a conflict."""
+    while True:
+        lower, upper = lower_upper(comp, assign)
+        changed = False
+        for a in neg_atoms:
+            v = assign[a]
+            inl, inu = a in lower, a in upper
+            if v == TRUE and not inu:
+                return None
+            if v == FALSE and inl:
+                return None
+            if v == UNKNOWN:
+                if inl:
+                    assign[a] = TRUE
+                    changed = True
+                elif not inu:
+                    assign[a] = FALSE
+                    changed = True
+        # a clause whose head is excluded must not fire: if its positive
+        # body is already certain, the one open negative literal is forced
+        for a in neg_atoms:
+            if assign[a] != FALSE:
+                continue
+            for ci in by_head.get(a, ()):
+                if not all(b in lower for b in comp.pos[ci]):
+                    continue
+                open_negs = [b for b in comp.neg_sets[ci] if assign[b] == UNKNOWN]
+                if len(open_negs) == 1 and all(
+                    assign[b] == FALSE for b in comp.neg_sets[ci] if b != open_negs[0]
+                ):
+                    if assign[open_negs[0]] == UNKNOWN:
+                        assign[open_negs[0]] = TRUE
+                        changed = True
+        if not changed:
+            return lower, upper
+
+
+def reference_search(g, branch_priority=None):
+    """Every stable model of ``g`` in the order the engine's search yields them."""
+    comp = g.compiled()
+    neg_atoms = list(comp.negated)
+    if branch_priority is not None:
+        neg_atoms.sort(key=lambda a: (branch_priority(comp.atoms[a]), a))
+    by_head = clauses_by_head(comp)
+
+    def leaf_model(assign):
+        usable = [all(assign[a] == FALSE for a in ns) for ns in comp.neg_sets]
+        derived = lfp(comp, usable)
+        for a in neg_atoms:
+            if (a in derived) != (assign[a] == TRUE):
+                return None
+        return comp.ids_to_atoms(derived)
+
+    def choose(assign, lower, upper):
+        for t in neg_atoms:
+            if assign[t] != TRUE or t in lower:
+                continue
+            for ci in by_head.get(t, ()):
+                if any(assign[b] == TRUE for b in comp.neg_sets[ci]):
+                    continue
+                if not all(b in upper for b in comp.pos[ci]):
+                    continue
+                for b in comp.pos[ci]:
+                    if b in assign and assign[b] == UNKNOWN:
+                        return b, (TRUE, FALSE)
+                for b in comp.neg_sets[ci]:
+                    if assign[b] == UNKNOWN:
+                        return b, (FALSE, TRUE)
+        pick = next((a for a in neg_atoms if assign[a] == UNKNOWN), None)
+        if pick is None:
+            return None
+        return pick, (FALSE, TRUE)
+
+    stack = [{a: UNKNOWN for a in neg_atoms}]
+    while stack:
+        assign = stack.pop()
+        bounds = propagate(comp, neg_atoms, by_head, assign)
+        if bounds is None:
+            continue
+        choice = choose(assign, *bounds)
+        if choice is None:
+            m = leaf_model(assign)
+            if m is not None:
+                yield m
+            continue
+        pick, values = choice
+        for value in reversed(values):
+            child = dict(assign)
+            child[pick] = value
+            stack.append(child)

@@ -1,7 +1,8 @@
 import itertools
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspsigma import engine
@@ -13,9 +14,16 @@ from aspsigma.engine import (
     sms_entails,
     stable_models,
 )
-from aspsigma.errors import CapExceeded
+from aspsigma.corpus import CorpusSpec, gen_formulas
+from aspsigma.errors import BudgetExceeded, CapExceeded
+from aspsigma.logic_to_asp import (
+    _answers_first,
+    analysis,
+    certified_addr_len,
+    translate,
+)
 from aspsigma.parsing import parse_program
-from aspsigma.syntax import Atom, Clause, const, make_program, var
+from aspsigma.syntax import Atom, Clause, const, fmt_formula, make_program
 from lemmas import (
     find_derivation_no_returns,
     find_refutation,
@@ -23,7 +31,16 @@ from lemmas import (
     overline,
     reduct,
 )
-from oracle import naive_stable_models, subsets
+from oracle import (
+    FALSE,
+    TRUE,
+    UNKNOWN,
+    clauses_by_head,
+    naive_stable_models,
+    propagate,
+    reference_search,
+    subsets,
+)
 
 P_CHOICE = "p :- not q. q :- not p."
 
@@ -304,6 +321,177 @@ def test_search_views_match_oracle(clauses):
     witness = has_stable_model(p)
     assert (witness is None) == (not expected)
     assert witness is None or witness in expected
+
+
+def _programs(n_atoms, max_clauses):
+    pool = [Atom(f"p{i}") for i in range(n_atoms)]
+    literal = st.builds(
+        lambda a, negated: Atom(a.pred, (), negated),
+        st.sampled_from(pool),
+        st.booleans(),
+    )
+    clause = st.builds(
+        lambda head, body: Clause(head, tuple(body)),
+        st.sampled_from(pool),
+        st.lists(literal, max_size=4),
+    )
+    return st.lists(clause, min_size=1, max_size=max_clauses)
+
+
+@st.composite
+def _dense_programs(draw):
+    # up to three clauses per atom: heads are excluded before their bodies
+    # are certain, and positive recursion deletes and derives again chains
+    # of atoms in ``upper``
+    n = draw(st.integers(1, 16))
+    pool = [Atom(f"p{i}") for i in range(n)]
+    clauses = []
+    for _ in range(draw(st.integers(1, 3 * n))):
+        head = draw(st.sampled_from(pool))
+        body = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=4))
+        clauses.append(Clause(head, tuple(Atom(a.pred, (), neg) for a, neg in body)))
+    return clauses
+
+
+_GROUND_PROGRAMS = st.one_of(_programs(6, 10), _programs(16, 40), _dense_programs())
+
+
+@settings(max_examples=200)
+@given(_GROUND_PROGRAMS, st.dictionaries(st.integers(0, 15), st.integers(0, 3)))
+def test_search_yields_what_the_reference_yields(clauses, ranks):
+    g = ground(make_program(clauses))
+    assert list(engine._search(g)) == list(reference_search(g))
+
+    def priority(a):
+        return ranks.get(int(a.pred[1:]), 0)
+
+    assert list(engine._search(g, None, priority)) == list(
+        reference_search(g, priority)
+    )
+
+
+def _bounds(prop, comp):
+    return (
+        {a: prop.val[a] for a in comp.negated},
+        {a for a in range(comp.n_atoms) if prop.lower[a]},
+        {a for a in range(comp.n_atoms) if prop.upper[a]},
+    )
+
+
+@settings(max_examples=300)
+@given(_GROUND_PROGRAMS, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 99)), max_size=12))
+def test_propagator_matches_the_reference_at_every_node(clauses, moves):
+    # a walk down the search tree: at each node every decision is
+    # propagated, compared with the reference and undone, and then ``moves``
+    # pick one consistent child to go on from after backing up ``up`` nodes;
+    # the assignment, lower and upper must be the reference's, and so must
+    # a conflict
+    comp = ground(make_program(clauses)).compiled()
+    by_head = clauses_by_head(comp)
+    prop = engine._Propagator(comp)
+    assign = {a: UNKNOWN for a in comp.negated}
+    bounds = propagate(comp, comp.negated, by_head, assign)
+    assert prop.propagate(prop.initial) == (bounds is not None)
+    if bounds is None:
+        return
+    path = [(len(prop.trail), (assign, *bounds))]
+    for up, pick in moves:
+        del path[max(len(path) - up, 1) :]
+        mark, state = path[-1]
+        prop.undo(mark)
+        assert _bounds(prop, comp) == state
+        children = []
+        for a in comp.negated:
+            if state[0][a] != UNKNOWN:
+                continue
+            for value in (TRUE, FALSE):
+                assign = dict(state[0])
+                assign[a] = value
+                bounds = propagate(comp, comp.negated, by_head, assign)
+                assert prop.propagate([(a, value)]) == (bounds is not None)
+                if bounds is not None:
+                    assert _bounds(prop, comp) == (assign, *bounds)
+                    children.append(((a, value), (assign, *bounds)))
+                prop.undo(mark)
+        if children:
+            decision, state = children[pick % len(children)]
+            prop.propagate([decision])
+            path.append((len(prop.trail), state))
+
+
+@pytest.mark.parametrize(
+    "text, decided",
+    [
+        # p0 :- not p1 forces p1 once p0 is false, and p1 then has no support
+        ("p1 :- not p0, not p1. p0 :- not p1.", "p0"),
+        # p1 false drops p2, so p3 becomes certain and completes the positive
+        # body of p1 :- not p0, p3; p0 must then be true, which p0 :- not p0
+        # refutes
+        ("p1 :- not p0, p3. p2 :- p1. p3 :- not p2, not p1. p0 :- not p0.", "p1"),
+    ],
+)
+def test_a_false_head_forces_its_last_open_literal(text, decided):
+    comp = ground(parse_program(text)).compiled()
+    a = comp.atom_ids[Atom(decided)]
+    prop = engine._Propagator(comp)
+    assert prop.propagate(prop.initial)
+    assert not prop.propagate([(a, FALSE)])
+    assign = {b: UNKNOWN for b in comp.negated}
+    assign[a] = FALSE
+    assert propagate(comp, comp.negated, clauses_by_head(comp), assign) is None
+
+
+def test_answers_first_finds_the_reference_witness():
+    for phi in gen_formulas(CorpusSpec(count=100, seed=0, formula_max_size=20)):
+        an = analysis(phi)
+        g = translate(phi, addr_len=certified_addr_len(an), an=an).ground_program
+        assert has_stable_model(g, branch_priority=_answers_first) == next(
+            reference_search(g, _answers_first), None
+        ), fmt_formula(phi)
+
+
+def _cycle(n):
+    """p0 :- not p1. ... p<n-1> :- not p0: two stable models when n is even,
+    none when n is odd."""
+    return parse_program("\n".join(f"p{i} :- not p{(i + 1) % n}." for i in range(n)))
+
+
+def _binary(n):
+    """Reachability over a chain of n constants plus even negation loops."""
+    consts = [f"c{i}" for i in range(n)]
+    lines = [f"e({consts[i]}, {consts[i + 1]})." for i in range(n - 1)]
+    lines += [
+        "r(x, y) :- e(x, z), r(z, y).",
+        "r(x, y) :- e(x, y).",
+        "a(x, y) :- r(x, y), not b(x, y).",
+        "b(x, y) :- r(x, y), not a(x, y).",
+        "m(x) :- not n(x).",
+        "n(x) :- not m(x).",
+        "s(x) :- m(x), not n(x).",
+    ]
+    return parse_program("\n".join(lines))
+
+
+def test_expired_deadline_stops_every_search_view():
+    g = ground(_cycle(1401))
+    past = time.monotonic() - 1
+    with pytest.raises(BudgetExceeded):
+        has_stable_model(g, deadline=past)
+    with pytest.raises(BudgetExceeded):
+        stable_models(g, cap=1401, deadline=past)
+    with pytest.raises(BudgetExceeded):
+        sms_entails(g, Atom("p0"), cap=1401, deadline=past)
+
+
+def test_search_is_fast_on_long_cycles_and_binary_programs():
+    # quadratic in the cycle length while each propagation round re-ran
+    # both fixpoints over the whole program
+    assert has_stable_model(ground(_cycle(2001))) is None
+    binary = ground(_binary(12))
+    assert len(binary.clauses) == 2207
+    for g in (ground(_cycle(2000)), binary):
+        witness = has_stable_model(g)
+        assert witness is not None and is_stable(g, witness)
 
 
 # ---------------------------------------------------------------------------
