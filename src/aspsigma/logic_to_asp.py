@@ -20,6 +20,7 @@ from .engine import GroundProgram, Model, has_stable_model
 from .errors import CapExceeded, CrossCheckError, FormulaError, check_deadline
 from .proofs import prove_sigma1
 from .syntax import (
+    AlphaKey,
     Atom,
     AtomF,
     Clause,
@@ -31,6 +32,7 @@ from .syntax import (
     Program,
     Term,
     alpha_canon,
+    alpha_key,
     binder_names,
     classify,
     const,
@@ -198,7 +200,7 @@ class InstancePattern:
     occ: int
     assign: tuple[tuple[str, str], ...]  # variable -> constant, restricted to FV
     formula: Formula
-    key: Formula  # alpha-canonical form, the semantic identity
+    key: AlphaKey  # alpha_key(formula), the semantic identity
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ class AnswerOption:
     index: int  # 1-based premise position
     subgoal: AtomF  # ground subgoal instance
     taus: tuple[int, ...]  # instance indices added to the context
-    tau_keys: frozenset  # their alpha-canonical keys
+    tau_keys: frozenset[AlphaKey]  # their alpha keys
 
 
 @dataclass(frozen=True)
@@ -233,11 +235,13 @@ class Analysis:
     instances: tuple[InstancePattern, ...]
     questions: tuple[QuestionPattern, ...]
     goal_universe: tuple[AtomF, ...]
-    initial_keys: frozenset  # keys of the premises, the initial context
+    initial_keys: frozenset[AlphaKey]  # keys of the premises, the initial context
     instance_index: dict[tuple[int, tuple], int]  # (occ, assign) -> instance
-    key_formula: dict[Formula, Formula]  # key -> its first instance formula
+    key_formula: dict[AlphaKey, Formula]  # key -> its first instance formula
+    # key -> its formula's alpha-canonical text, the order keys are listed in
+    key_text: dict[AlphaKey, str]
     # questions per (member key, head), each list in table order
-    by_key_head: dict[tuple[Formula, AtomF], list[QuestionPattern]]
+    by_key_head: dict[tuple[AlphaKey, AtomF], list[QuestionPattern]]
     active: tuple[QuestionPattern, ...]  # questions whose head is a goal
 
     def asked(self, keys, goal: AtomF) -> tuple[QuestionPattern, ...]:
@@ -255,7 +259,8 @@ def analysis(phi: Formula) -> Analysis:
     occs, pool = sig.occs, list(sig.pool)
     instances: list[InstancePattern] = []
     lookup: dict[tuple[int, tuple], int] = {}
-    key_formula: dict[Formula, Formula] = {}
+    key_formula: dict[AlphaKey, Formula] = {}
+    key_text: dict[AlphaKey, str] = {}
     for occ in sig.env_occs:
         fv = sorted(free_vars(occs[occ].formula))
         if len(pool) ** len(fv) + len(instances) > INSTANCE_CAP:
@@ -268,14 +273,16 @@ def analysis(phi: Formula) -> Analysis:
                 occs[occ].formula, {v: const(c) for v, c in assign}
             )
             p = InstancePattern(
-                len(instances), occ, assign, inst_formula, alpha_canon(inst_formula)
+                len(instances), occ, assign, inst_formula, alpha_key(inst_formula)
             )
             instances.append(p)
             lookup[(occ, assign)] = p.index
-            key_formula.setdefault(p.key, inst_formula)
+            if p.key not in key_formula:
+                key_formula[p.key] = inst_formula
+                key_text[p.key] = fmt_formula(alpha_canon(inst_formula))
 
     questions: list[QuestionPattern] = []
-    by_key_head: dict[tuple[Formula, AtomF], list[QuestionPattern]] = {}
+    by_key_head: dict[tuple[AlphaKey, AtomF], list[QuestionPattern]] = {}
     goals: set[AtomF] = {sig.target}
     for p in instances:
         schema = sig.schemas[p.occ]
@@ -320,6 +327,7 @@ def analysis(phi: Formula) -> Analysis:
         initial_keys,
         lookup,
         key_formula,
+        key_text,
         by_key_head,
         tuple(q for q in questions if q.head in goals),
     )

@@ -11,7 +11,9 @@ stops growing, which is sound for negative answers as well.
 Context members are interned: each alpha-equivalence class gets a dense
 integer id the first time it is met, so a context is a set of ids added to
 the initial context and a judgment is ``(frozenset of added ids, goal atom)``.
-Formula trees are hashed only when a formula is interned, not per judgment.
+A class is looked up by its ``syntax.alpha_key``, a flat tuple built once
+when a formula is interned and hashed without calls back into Python; no
+member's tree is hashed or rebuilt, and per judgment only goal atoms are.
 Members are tried in id order (initial members first, then the added ones),
 and only those whose target predicate is the goal's.  Ground atom members are
 indexed by predicate before the search, with the added ones merged in per
@@ -49,8 +51,9 @@ from .syntax import (
     MintsClass,
     Pi1Scheme,
     Term,
-    alpha_canon,
+    AlphaKey,
     alpha_eq,
+    alpha_key,
     classify,
     const,
     decompose_pi1,
@@ -378,7 +381,7 @@ class _Base:
             self.constants |= formula_constants(f)
         # member id -> entry; ids are dense and follow interning order
         self.entries: list[_Entry] = []
-        self.ids: dict[Formula, int] = {}  # alpha_canon(member) -> id
+        self.ids: dict[AlphaKey, int] = {}  # alpha_key(frozen member) -> id
         # (pred, constant names...) -> id of that ground atom member
         self.atom_ids: dict[tuple[str, ...], int] = {}
         # predicates that head a non-atomic member; their atoms may be proved
@@ -390,8 +393,7 @@ class _Base:
         self._index(0, {}, {})
 
     def intern(self, f: Formula) -> int:
-        # an atom has no binders, so it is its own canonical form
-        key = f if isinstance(f, AtomF) else alpha_canon(f)
+        key = alpha_key(f)
         mid = self.ids.get(key)
         if mid is None:
             try:
@@ -667,16 +669,19 @@ def _freeze_free_vars(f: Formula) -> Formula:
 
 
 def context_environment(ctx) -> Environment:
-    """The hypothesis naming ``prove`` uses for free assumptions."""
+    """The hypothesis naming ``prove`` uses for free assumptions.
+
+    Like ``prove``, it reads free variables as constants and numbers members
+    by the alpha key of that frozen formula, which each hypothesis declares.
+    """
     decls = []
-    seen: dict[Formula, str] = {}
+    seen: set[AlphaKey] = set()
     for f in ctx:
-        key = alpha_canon(f)
-        if key in seen:
-            continue
-        name = f"H{len(seen) + 1}"
-        seen[key] = name
-        decls.append((name, f))
+        frozen = _freeze_free_vars(f)
+        key = alpha_key(frozen)
+        if key not in seen:
+            seen.add(key)
+            decls.append((f"H{len(seen)}", frozen))
     return Environment(tuple(decls))
 
 

@@ -31,10 +31,12 @@ from .logic_to_asp import (
 )
 from .parsing import parse_formula
 from .syntax import (
+    AlphaKey,
     Atom,
     AtomF,
     Formula,
     alpha_canon,
+    alpha_key,
     fmt_atomf,
     fmt_formula,
     free_vars,
@@ -56,8 +58,8 @@ class Disjudgment:
     goal: AtomF  # ground atom
     addresses: tuple[str, ...]  # bit strings, all of the soup's length
 
-    def context_keys(self) -> frozenset:
-        return frozenset(alpha_canon(f) for f in self.context)
+    def context_keys(self) -> frozenset[AlphaKey]:
+        return frozenset(alpha_key(f) for f in self.context)
 
 
 @dataclass(frozen=True)
@@ -158,12 +160,13 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
         return SoupReport(False, tuple(diags))
 
     keys = [d.context_keys() for d in z.judgments]
-    for k in keys:
+    for d, k in zip(z.judgments, keys):
         foreign = k.difference(an.key_formula)
         if foreign:
+            text = {alpha_key(f): fmt_formula(alpha_canon(f)) for f in d.context}
             diags.append(
                 "context member is not an instantiated subformula: "
-                + ", ".join(sorted(fmt_formula(f) for f in foreign))
+                + ", ".join(sorted(text[key] for key in foreign))
             )
             return SoupReport(False, tuple(diags))
 
@@ -236,7 +239,7 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
 def _question_options(an: Analysis):
     """Per (member key, head): the questions, one per semantic key, with
     their answer data."""
-    out: dict[tuple[Formula, AtomF], list[tuple[QuestionPattern, tuple]]] = {}
+    out: dict[tuple[AlphaKey, AtomF], list[tuple[QuestionPattern, tuple]]] = {}
     for key_head, qs in an.by_key_head.items():
         sems: dict[tuple, QuestionPattern] = {}
         for q in qs:
@@ -306,7 +309,7 @@ def _antichains(an: Analysis, options, deadline, schedule):
                     continue
                 chains[g].remove(x)
                 changed = True
-                for e in sorted(x, key=fmt_formula):
+                for e in sorted(x, key=an.key_text.__getitem__):
                     sub = x - {e}
                     if not any(sub <= m for m in chains[g]):
                         chains[g].append(sub)
@@ -365,7 +368,7 @@ def find_soup(
         processed.add(nid)
         x, goal = order[nid]
         ctx = an.initial_keys | x
-        for key in sorted(ctx, key=fmt_formula):
+        for key in sorted(ctx, key=an.key_text.__getitem__):
             for q, opts in options.get((key, goal), ()):
                 chosen = None
                 for index, subgoal, tau_keys in opts:

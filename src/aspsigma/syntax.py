@@ -463,8 +463,62 @@ def alpha_canon(f: Formula) -> Formula:
     return walk(f, {})
 
 
+# An alpha key is a flat tuple of str, int and None; see ``alpha_key``.
+AlphaKey = tuple
+
+_IMPL_TAG = 0
+_FORALL_TAG = 1
+
+
+def alpha_key(f: Formula) -> AlphaKey:
+    """The identity of ``f`` up to alpha-equivalence, as one flat tuple.
+
+    Two formulas share a key exactly when ``alpha_canon`` makes them equal,
+    and hashing or comparing a key never calls back into Python.  The key
+    lists the nodes in preorder: an implication as 0, a quantifier as 1 (the
+    binders are numbered 1, 2, ... in that order, as ``alpha_canon`` names
+    them ``$1``, ``$2``, ...), and an atom as its predicate name and argument
+    count followed by its arguments.  A constant is its name, a bound
+    variable its binder's number, and a free variable None and its name.
+    """
+    out: list = []
+    emit = out.append
+    binders = 0
+    ren: dict[str, int] = {}
+    stack: list[tuple[Formula, dict[str, int]]] = []
+    g = f
+    while True:
+        if isinstance(g, Impl):
+            emit(_IMPL_TAG)
+            stack.append((g.rhs, ren))
+            g = g.lhs
+            continue
+        if isinstance(g, Forall):
+            binders += 1
+            ren = dict(ren)
+            ren[g.var] = binders
+            emit(_FORALL_TAG)
+            g = g.body
+            continue
+        if not isinstance(g, AtomF):
+            raise TypeError(g)
+        emit(g.pred)
+        emit(len(g.args))
+        for t in g.args:
+            if not t.var:
+                emit(t.name)
+            elif t.name in ren:
+                emit(ren[t.name])
+            else:
+                emit(None)
+                emit(t.name)
+        if not stack:
+            return tuple(out)
+        g, ren = stack.pop()
+
+
 def alpha_eq(f: Formula, g: Formula) -> bool:
-    return alpha_canon(f) == alpha_canon(g)
+    return alpha_key(f) == alpha_key(g)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ yields, in the same order, and ``propagate`` is the per-node reference for
 import itertools
 
 from aspsigma.engine import ground
-from aspsigma.syntax import alpha_canon, const, free_vars, substitute
+from aspsigma.syntax import alpha_key, const, free_vars, substitute
 
 
 def subsets(atoms):
@@ -69,7 +69,7 @@ def naive_questions_at(d, sig):
         for s_combo in itertools.product(sig.pool, repeat=len(fv)):
             s_assign = tuple(zip(fv, s_combo))
             s_map = {v: const(c) for v, c in s_assign}
-            if alpha_canon(substitute(sig.occs[occ].formula, s_map)) not in keys:
+            if alpha_key(substitute(sig.occs[occ].formula, s_map)) not in keys:
                 continue
             for t_combo in itertools.product(sig.pool, repeat=len(schema.top_vars)):
                 t_assign = tuple(zip(schema.top_vars, t_combo))

@@ -14,7 +14,7 @@ from aspsigma.logic_to_asp import (
 )
 from aspsigma.parsing import parse_formula
 from aspsigma.proofs import prove_sigma1
-from aspsigma.syntax import Atom, AtomF, const, fmt_formula
+from aspsigma.syntax import Atom, AtomF, alpha_key, const, fmt_formula
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_initial_environment_follows_instance_keys():
     t = translate(parse_formula("((a -> c) -> b) -> a -> b"), addr_len=1)
     an, b = t.analysis, t.builder
     facts = {c.head for c in t.program.clauses if not c.body}
-    assert sum(p.key == AtomF("a") for p in an.instances) == 2
+    assert sum(p.key == alpha_key(AtomF("a")) for p in an.instances) == 2
     for p in an.instances:
         initial = p.key in an.initial_keys
         assert (b.env_atom(p.index, "0") in facts) == initial

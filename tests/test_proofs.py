@@ -184,6 +184,22 @@ def test_prove_names_hypotheses_like_context_environment():
     assert check(env, t, goal) and is_lnf(env, t, goal)
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        [P(var("x")), P(const("x"))],
+        [Impl(AtomF("Q"), P(var("x"))), AtomF("Q"), Impl(AtomF("Q"), P(const("x")))],
+    ],
+)
+def test_free_variable_and_constant_members_share_a_hypothesis(ctx):
+    # prove reads the free variable x as the constant x, so the two members
+    # are one hypothesis, and the environment must number them alike
+    goal = P(const("x"))
+    t = prove(ctx, goal)
+    env = context_environment(ctx)
+    assert check(env, t, goal) and is_lnf(env, t, goal)
+
+
 def test_prove_peirce_fails():
     assert prove([], parse_formula("((a -> b) -> a) -> a")) is None
 

@@ -1,11 +1,15 @@
 import dataclasses
 import functools
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aspsigma
 from aspsigma import soups
 from aspsigma.corpus import CorpusSpec, gen_formulas
 from aspsigma.engine import has_stable_model, is_stable
@@ -483,7 +487,7 @@ def test_asked_matches_a_scan_of_the_table(data):
     """``Analysis.asked`` returns the questions one pass over the whole table
     finds, in table order, also at contexts no corpus soup reaches."""
     an = _corpus_analysis(data.draw(st.integers(0, CORPUS.count - 1)))
-    keys = sorted(an.key_formula, key=fmt_formula)
+    keys = sorted(an.key_formula, key=an.key_text.__getitem__)
     ctx = frozenset(data.draw(st.sets(st.sampled_from(keys)))) if keys else frozenset()
     for goal in an.goal_universe:
         assert an.asked(ctx, goal) == scan_questions(an, ctx, goal)
@@ -520,3 +524,43 @@ def test_soup_layer_digest(corpus_soups):
             feed(*sorted(str(a) for a in model))
     assert cross_check_failures == NON_STABLE_REALIZATIONS
     assert h.hexdigest()[:16] == "c750d23bfed81723"
+
+
+_SOUP_SCRIPT = """
+from aspsigma.corpus import CorpusSpec, gen_formulas
+from aspsigma.logic_to_asp import decide_by_translation, translate
+from aspsigma.soups import find_soup, soup_from_model, write_soup
+from aspsigma.syntax import AtomF, Impl, impl_chain
+
+formulas = gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20))
+h = AtomF("h")
+# answering a premise phi -> h adds the premises of phi to the context; with
+# all three premises, three questions are asked at the first judgment
+wrapped = [Impl(formulas[i], h) for i in (0, 35, 123)]
+print(write_soup(find_soup(impl_chain(wrapped, h))))
+for w in wrapped:
+    phi = Impl(w, h)
+    verdict = decide_by_translation(phi, cross_check=False)
+    print(write_soup(find_soup(phi)))
+    t = translate(phi, addr_len=verdict.addr_len)
+    print(write_soup(soup_from_model(verdict.witness, t)))
+"""
+
+
+def test_soups_do_not_depend_on_hash_seed():
+    # context keys are tuples of strings, so a set of them iterates in an
+    # order that follows the hash seed; soups must list keys by their text
+    src = os.path.dirname(os.path.dirname(aspsigma.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _SOUP_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].count("addr-len:") == 7
+    assert outputs[0] == outputs[1]

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aspsigma.errors import FormulaError
@@ -12,6 +12,8 @@ from aspsigma.syntax import (
     Forall,
     Impl,
     MintsClass,
+    alpha_canon,
+    alpha_key,
     binder_names,
     classify,
     const,
@@ -205,6 +207,92 @@ def test_rectify_renames_duplicate_binders():
 def test_rectify_keeps_clean_formulas():
     f = Forall("x", Impl(P(var("x")), Qa(var("x"))))
     assert rectify(f) == f
+
+
+# ---------------------------------------------------------------------------
+# Alpha-equivalence
+# ---------------------------------------------------------------------------
+
+# x and c are each both a variable name and a constant name
+_ALPHA_TERMS = [var("x"), var("y"), var("c"), const("c"), const("x")]
+_ALPHA_BINDERS = ["x", "y", "c"]
+_ALPHA_FORMULAS = st.recursive(
+    st.one_of(
+        st.just(A),
+        st.builds(P, st.sampled_from(_ALPHA_TERMS)),
+        st.builds(
+            lambda t, u: AtomF("R", (t, u)),
+            st.sampled_from(_ALPHA_TERMS),
+            st.sampled_from(_ALPHA_TERMS),
+        ),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Impl, sub, sub),
+        st.builds(Forall, st.sampled_from(_ALPHA_BINDERS), sub),
+    ),
+    max_leaves=6,
+)
+
+
+def _rename_binders(f, names):
+    """``f`` with its binders renamed, in preorder, to ``names``; each
+    occurrence follows the binder that bound it, so a renaming can capture."""
+    names = iter(names)
+
+    def walk(g, ren):
+        if isinstance(g, AtomF):
+            return AtomF(
+                g.pred,
+                tuple(var(ren[t.name]) if t.var and t.name in ren else t for t in g.args),
+            )
+        if isinstance(g, Impl):
+            lhs = walk(g.lhs, ren)
+            return Impl(lhs, walk(g.rhs, ren))
+        name = next(names)
+        return Forall(name, walk(g.body, {**ren, g.var: name}))
+
+    return walk(f, {})
+
+
+@st.composite
+def _alpha_pairs(draw):
+    """Two formulas: a binder renaming of one formula, to fresh names (always
+    alpha-equal) or to reused ones (which may capture), or two drawn alike."""
+    f = draw(_ALPHA_FORMULAS)
+    how = draw(st.sampled_from(["fresh", "reused", "drawn"]))
+    if how == "drawn":
+        return f, draw(_ALPHA_FORMULAS)
+    n = len(binder_names(f))
+    if how == "fresh":
+        names = [f"v{i}" for i in range(n)]
+    else:
+        names = draw(st.lists(st.sampled_from(_ALPHA_BINDERS), min_size=n, max_size=n))
+    return f, _rename_binders(f, names)
+
+
+_X, _Y = var("x"), var("y")
+
+
+@given(_alpha_pairs())
+# shadowed binders: forall x. (forall x. P(x)) -> P(x)
+@example((
+    Forall("x", Impl(Forall("x", P(_X)), P(_X))),
+    Forall("y", Impl(Forall("x", P(_X)), P(_Y))),
+))
+@example((
+    Forall("x", Impl(Forall("x", P(_X)), P(_X))),
+    Forall("y", Impl(Forall("y", P(_X)), P(_Y))),
+))
+# vacuous binders
+@example((Forall("x", A), Forall("y", A)))
+@example((Forall("x", A), A))
+@example((Forall("x", Forall("x", P(_X))), Forall("y", Forall("x", P(_X)))))
+# a free variable named like a constant
+@example((P(_X), P(const("x"))))
+@example((Forall("y", P(_X)), Forall("x", P(_X))))
+def test_alpha_key_agrees_with_alpha_canon(pair):
+    f, g = pair
+    assert (alpha_key(f) == alpha_key(g)) == (alpha_canon(f) == alpha_canon(g))
 
 
 # ---------------------------------------------------------------------------
