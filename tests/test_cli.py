@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -152,6 +153,29 @@ def test_translate_formula_header(files, capsys, tmp_path):
     text = open(out).read()
     assert text.startswith("% source formula: b -> a")
     assert "addresses of length" in text
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "formula, flags, golden",
+    [
+        # propositional, with a descendant premise (Peirce's law)
+        ("((a -> b) -> a) -> a", [], "peirce.lp"),
+        ("(forall x. P(x) -> Q(x)) -> P(c) -> Q(d)", [], "forall.lp"),
+        (
+            "(forall x. P(x) -> Q(x)) -> (forall y. Q(y) -> P(y)) -> P(c) -> Q(d)",
+            ["--full-facts"],
+            "full_facts.lp",
+        ),
+    ],
+)
+def test_translate_formula_text_is_pinned(files, tmp_path, formula, flags, golden):
+    f = files("f.sig1", formula + "\n")
+    out = tmp_path / "out.lp"
+    assert run(["translate-formula", f, *flags, "-o", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_soup_pipeline(files, capsys, tmp_path):
