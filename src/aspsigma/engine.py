@@ -17,33 +17,149 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CapExceeded, FormulaError, check_deadline
-from .syntax import Atom, Clause, Program, const
+from .syntax import Atom, Clause, Program, Term, const
 
 Model = frozenset[Atom]
+AtomKey = tuple[str, ...]
 
 GROUND_CAP = 10**6
 ENUM_CAP = 22
 
 
 # ---------------------------------------------------------------------------
-# Grounding
+# Ground programs as integer clause rows
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroundProgram:
-    clauses: tuple[Clause, ...]
-    base: frozenset[Atom]
+def atom_key(a: Atom) -> AtomKey:
+    """The key of a ground atom: its predicate and argument names."""
+    return (a.pred, *[t.name for t in a.args])
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_compiled", None)
+
+class GroundProgram:
+    """A ground program as integer clause rows over a table of atoms.
+
+    ``ids`` numbers the atoms, each by its key ``(pred, arg name, ...)``, in
+    insertion order from 0; clause ``c`` is ``heads[c] :- pos[c], not
+    neg[c]``.  The engine works on the rows alone.  ``Atom`` and ``Clause``
+    objects are built only when read, each atom once: ``atom`` and
+    ``atoms_of`` decode ids, and ``clauses`` and ``base`` decode the whole
+    program unless they were given.  A decoded body lists the negated atoms
+    first, then the positive ones, and last a negated atom that repeats the
+    head, so the self-blocking constraint ``f :- B, not f`` reads as written.
+    """
+
+    __slots__ = (
+        "ids", "heads", "pos", "neg", "_keys", "_atoms", "_terms",
+        "_clauses", "_base", "_compiled",
+    )
+
+    def __init__(
+        self,
+        ids: dict[AtomKey, int],
+        heads: list[int],
+        pos: list[tuple[int, ...]],
+        neg: list[tuple[int, ...]],
+        clauses: tuple[Clause, ...] | None = None,
+        base: frozenset[Atom] | None = None,
+        atoms: list[Atom] | None = None,
+    ):
+        self.ids = ids
+        self.heads, self.pos, self.neg = heads, pos, neg
+        self._keys: list[AtomKey] | None = None
+        self._atoms: list[Atom | None] = atoms or [None] * len(ids)
+        self._terms: dict[str, Term] = {}
+        self._clauses = clauses
+        self._base = base
+        self._compiled: _Compiled | None = None
+
+    @classmethod
+    def from_clauses(
+        cls, clauses: tuple[Clause, ...], base: frozenset[Atom]
+    ) -> "GroundProgram":
+        """Number the atoms of ground ``clauses`` in order (for each clause
+        its head, its positive body, then its negated body) and keep the
+        clauses and ``base`` as given."""
+        ids: dict[AtomKey, int] = {}
+        atoms: list[Atom] = []
+
+        def intern(a: Atom) -> int:
+            i = ids.setdefault(atom_key(a), len(atoms))
+            if i == len(atoms):
+                atoms.append(a.positive())
+            return i
+
+        heads, pos, neg = [], [], []
+        for c in clauses:
+            heads.append(intern(c.head))
+            pos.append(tuple([intern(a) for a in c.body if not a.negated]))
+            neg.append(tuple([intern(a) for a in c.body if a.negated]))
+        return cls(ids, heads, pos, neg, clauses, base, atoms)
 
     def compiled(self) -> "_Compiled":
-        c = getattr(self, "_compiled")
-        if c is None:
-            c = _Compiled(self.clauses)
-            object.__setattr__(self, "_compiled", c)
-        return c
+        if self._compiled is None:
+            self._compiled = _Compiled(len(self.ids), self.heads, self.pos, self.neg)
+        return self._compiled
+
+    def atom(self, i: int) -> Atom:
+        a = self._atoms[i]
+        if a is None:
+            if self._keys is None:
+                self._keys = list(self.ids)
+            pred, *names = self._keys[i]
+            terms = self._terms
+            args = []
+            for n in names:
+                t = terms.get(n)
+                if t is None:
+                    t = terms[n] = const(n)
+                args.append(t)
+            a = self._atoms[i] = Atom(pred, tuple(args))
+        return a
+
+    def atoms_of(self, ids) -> frozenset[Atom]:
+        return frozenset([self.atom(i) for i in ids])
+
+    def ids_of(self, m: Model) -> set[int]:
+        """The ids of the positive atoms of ``m`` that are in the table."""
+        get = self.ids.get
+        found = {get(atom_key(a)) for a in m if not a.negated}
+        found.discard(None)
+        return found
+
+    def reduct_model(self, mids: set[int]) -> set[int]:
+        """The least model of the reduct of the program by the atoms
+        ``mids``, as ids."""
+        comp = self.compiled()
+        return comp.lfp(comp.usable_for_model(mids))
+
+    def stable_ids(self, m: Model) -> set[int] | None:
+        """The ids of ``m`` when it is a stable model, else None."""
+        m = frozenset(m)
+        mids = self.ids_of(m)
+        if len(mids) != len(m) or self.reduct_model(mids) != mids:
+            return None
+        return mids
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        if self._clauses is None:
+            atom = self.atom
+            out = []
+            for h, ps, ns in zip(self.heads, self.pos, self.neg):
+                last = ns[-1:] if ns and ns[-1] == h else ()
+                body = [atom(b).negate() for b in ns[: len(ns) - len(last)]]
+                body += [atom(b) for b in ps]
+                body += [atom(b).negate() for b in last]
+                out.append(Clause(atom(h), tuple(body)))
+            self._clauses = tuple(out)
+        return self._clauses
+
+    @property
+    def base(self) -> frozenset[Atom]:
+        if self._base is None:
+            self._base = self.atoms_of(range(len(self.ids)))
+        return self._base
 
 
 def program_base(p: Program) -> frozenset[Atom]:
@@ -79,7 +195,7 @@ def ground(p: Program) -> GroundProgram:
             if g not in seen:
                 seen.add(g)
                 out.append(g)
-    return GroundProgram(tuple(out), program_base(p))
+    return GroundProgram.from_clauses(tuple(out), program_base(p))
 
 
 def _as_ground(p: Program | GroundProgram) -> GroundProgram:
@@ -92,36 +208,25 @@ def _as_ground(p: Program | GroundProgram) -> GroundProgram:
 
 
 class _Compiled:
-    """Integer-indexed clause arrays with Dowling-Gallier style derivation."""
+    """The clause rows with the indexes Dowling-Gallier style derivation
+    needs."""
 
-    def __init__(self, clauses: tuple[Clause, ...]):
-        self.atom_ids: dict[Atom, int] = {}
-        self.atoms: list[Atom] = []
-
-        def intern(a: Atom) -> int:
-            a = a.positive()
-            i = self.atom_ids.get(a)
-            if i is None:
-                i = len(self.atoms)
-                self.atom_ids[a] = i
-                self.atoms.append(a)
-            return i
-
-        self.heads: list[int] = []
-        self.pos: list[tuple[int, ...]] = []
-        self.neg: list[tuple[int, ...]] = []
-        for c in clauses:
-            self.heads.append(intern(c.head))
-            self.pos.append(tuple(intern(a) for a in c.body if not a.negated))
-            self.neg.append(tuple(intern(a) for a in c.body if a.negated))
-        self.n_atoms = len(self.atoms)
-        self.watch: list[list[int]] = [[] for _ in range(self.n_atoms)]
-        for ci, body in enumerate(self.pos):
+    def __init__(
+        self,
+        n_atoms: int,
+        heads: list[int],
+        pos: list[tuple[int, ...]],
+        neg: list[tuple[int, ...]],
+    ):
+        self.n_atoms = n_atoms
+        self.heads, self.pos, self.neg = heads, pos, neg
+        self.watch: list[list[int]] = [[] for _ in range(n_atoms)]
+        for ci, body in enumerate(pos):
             for a in set(body):
                 self.watch[a].append(ci)
         # positive-body counts use distinct atoms so the watch lists fire once
-        self.pos_need: list[int] = [len(set(b)) for b in self.pos]
-        self.neg_sets: list[frozenset[int]] = [frozenset(ns) for ns in self.neg]
+        self.pos_need: list[int] = [len(set(b)) for b in pos]
+        self.neg_sets: list[frozenset[int]] = [frozenset(ns) for ns in neg]
         # the atoms that occur negated, the only branch points of the search
         self.negated: list[int] = sorted({a for ns in self.neg_sets for a in ns})
 
@@ -150,12 +255,6 @@ class _Compiled:
     def usable_for_model(self, model_ids: set[int]) -> list[bool]:
         return [not (ns & model_ids) for ns in self.neg_sets]
 
-    def model_ids(self, m: Model) -> set[int]:
-        return {self.atom_ids[a] for a in m if a in self.atom_ids}
-
-    def ids_to_atoms(self, ids: set[int]) -> frozenset[Atom]:
-        return frozenset(self.atoms[i] for i in ids)
-
 
 # ---------------------------------------------------------------------------
 # Interpretation and stability
@@ -165,13 +264,11 @@ class _Compiled:
 def interpretation(p: Program | GroundProgram, m: Model) -> Model:
     """Least fixpoint of the one-step consequence operator of the reduct."""
     g = _as_ground(p)
-    comp = g.compiled()
-    usable = comp.usable_for_model(comp.model_ids(m))
-    return comp.ids_to_atoms(comp.lfp(usable))
+    return g.atoms_of(g.reduct_model(g.ids_of(m)))
 
 
 def is_stable(p: Program | GroundProgram, m: Model) -> bool:
-    return frozenset(m) == interpretation(p, m)
+    return _as_ground(p).stable_ids(m) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +509,9 @@ def _search(
     g: GroundProgram,
     deadline: float | None = None,
     branch_priority=None,
-) -> Iterator[Model]:
-    """Every stable model of ``g``, each once, in depth-first order.
+) -> Iterator[set[int]]:
+    """Every stable model of ``g`` as a set of atom ids, each once, in
+    depth-first order.
 
     A stable model is fixed by the truth values of the atoms that occur
     negated, so the search assigns values only to those.  A partial
@@ -440,17 +538,17 @@ def _search(
     comp = g.compiled()
     neg_atoms = list(comp.negated)
     if branch_priority is not None:
-        neg_atoms.sort(key=lambda a: (branch_priority(comp.atoms[a]), a))
+        neg_atoms.sort(key=lambda a: (branch_priority(g.atom(a)), a))
     prop = _Propagator(comp, deadline)
     UNKNOWN, TRUE, FALSE = prop.UNKNOWN, prop.TRUE, prop.FALSE
     val, lower = prop.val, prop.lower
 
-    def leaf_model() -> Model | None:
+    def leaf_model() -> set[int] | None:
         derived = comp.lfp([nf == 0 for nf in prop.not_false])
         for a in neg_atoms:
             if (a in derived) != (val[a] == TRUE):
                 return None
-        return comp.ids_to_atoms(derived)
+        return derived
 
     def choose() -> tuple[int, tuple[int, int]] | None:
         # a true-assigned atom that is not yet derivable needs a support
@@ -512,7 +610,8 @@ def stable_models(
     deadline: float | None = None,
 ) -> tuple[Model, ...]:
     """All stable models, smallest first; ``cap`` bounds the negated atoms."""
-    found = list(_search(_within_cap(p, cap), deadline))
+    g = _within_cap(p, cap)
+    found = [g.atoms_of(m) for m in _search(g, deadline)]
     found.sort(key=lambda m: (len(m), sorted(str(a) for a in m)))
     return tuple(found)
 
@@ -529,7 +628,9 @@ def sms_entails(
     """
     if a.negated or not a.is_ground():
         raise FormulaError(f"entailment queries take positive ground atoms: {a}")
-    return all(a in m for m in _search(_within_cap(p, cap), deadline))
+    g = _within_cap(p, cap)
+    aid = g.ids.get(atom_key(a))
+    return all(aid in m for m in _search(g, deadline))
 
 
 def has_stable_model(
@@ -541,5 +642,7 @@ def has_stable_model(
 
     No cap applies; ``deadline`` bounds the work.
     """
-    return next(_search(_as_ground(p), deadline, branch_priority), None)
+    g = _as_ground(p)
+    m = next(_search(g, deadline, branch_priority), None)
+    return None if m is None else g.atoms_of(m)
 

@@ -15,22 +15,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .engine import GroundProgram, Model, has_stable_model
+from .engine import AtomKey, GroundProgram, Model, has_stable_model
 from .errors import CapExceeded, CrossCheckError, FormulaError, check_deadline
 from .proofs import prove_sigma1
 from .syntax import (
     AlphaKey,
     Atom,
     AtomF,
-    Clause,
     Forall,
     Formula,
     Impl,
     MintsClass,
     Occurrence,
     Program,
-    Term,
     alpha_canon,
     alpha_key,
     binder_names,
@@ -382,44 +381,42 @@ def certified_addr_len(an: Analysis, deadline: float | None = None) -> int:
 
 
 class AtomBuilder:
-    """Constructs the translated program's ground atoms from pattern indices.
+    """Names the translated program's ground atoms and numbers them.
 
-    Addresses are given as bit strings; substitution blocks are flattened over
-    the formula's binder list with irrelevant positions pinned to the first
-    pool constant.
+    An atom is named by its key ``(pred, arg name, ...)``, and ``id`` gives a
+    key the next int the first time it is met.  Addresses are given as bit
+    strings; substitution blocks are flattened over the formula's binder list
+    with irrelevant positions pinned to the first pool constant.
     """
 
     def __init__(self, an: Analysis, names: "_Names", addr_len: int):
         self.an = an
         self.names = names
         self.addr_len = addr_len
-        sig = an.sig
-        pin = const(names.pin)
-        self._bvars = sig.bound_vars
+        pin, bvars = names.pin, an.sig.bound_vars
 
-        def block(assign: dict[str, str]) -> tuple[Term, ...]:
-            return tuple(
-                const(assign[v]) if v in assign else pin for v in self._bvars
-            )
+        def block(assign: dict[str, str]) -> tuple[str, ...]:
+            return tuple([assign.get(v, pin) for v in bvars])
 
+        self.block = block
         self.inst_args = [
-            (names.occ_const(p.occ),) + block(dict(p.assign)) for p in an.instances
+            (names.occ_name(p.occ),) + block(dict(p.assign)) for p in an.instances
         ]
         self.q_args = [
-            (names.occ_const(an.instances[q.inst].occ),)
+            (names.occ_name(an.instances[q.inst].occ),)
             + block(dict(an.instances[q.inst].assign))
             + block(dict(q.t_assign))
             for q in an.questions
         ]
-        self.block = block
-        self._addr_cache: dict[str, tuple[Term, ...]] = {}
+        self.addr = {
+            bits: tuple([names.bits[int(c)] for c in bits])
+            for bits in self.all_addresses()
+        }
+        self.ids: dict[AtomKey, int] = {}
 
-    def addr(self, bits: str) -> tuple[Term, ...]:
-        cached = self._addr_cache.get(bits)
-        if cached is None:
-            cached = tuple(const(self.names.bits[int(b)]) for b in bits)
-            self._addr_cache[bits] = cached
-        return cached
+    def id(self, key: AtomKey) -> int:
+        ids = self.ids
+        return ids.setdefault(key, len(ids))
 
     def all_addresses(self) -> list[str]:
         return [
@@ -427,26 +424,26 @@ class AtomBuilder:
             for bits in itertools.product("01", repeat=self.addr_len)
         ]
 
-    def env_atom(self, inst: int, bits: str) -> Atom:
-        return Atom("env", self.inst_args[inst] + self.addr(bits))
+    def env(self, inst: int, bits: str) -> AtomKey:
+        return ("env",) + self.inst_args[inst] + self.addr[bits]
 
-    def nenv_atom(self, inst: int, bits: str) -> Atom:
-        return Atom("nenv", self.inst_args[inst] + self.addr(bits))
+    def nenv(self, inst: int, bits: str) -> AtomKey:
+        return ("nenv",) + self.inst_args[inst] + self.addr[bits]
 
-    def q_atom(self, qi: int, bits: str) -> Atom:
-        return Atom("q", self.q_args[qi] + self.addr(bits))
+    def q(self, qi: int, bits: str) -> AtomKey:
+        return ("q",) + self.q_args[qi] + self.addr[bits]
 
-    def y_atom(self, qi: int, bits: str) -> Atom:
-        return Atom("y", self.q_args[qi] + self.addr(bits))
+    def y(self, qi: int, bits: str) -> AtomKey:
+        return ("y",) + self.q_args[qi] + self.addr[bits]
 
-    def ans_atom(self, i: int, qi: int, bits_from: str, bits_to: str) -> Atom:
-        return Atom(f"ans{i}", self.q_args[qi] + self.addr(bits_from) + self.addr(bits_to))
+    def ans(self, i: int, qi: int, bits_from: str, bits_to: str) -> AtomKey:
+        return (f"ans{i}",) + self.q_args[qi] + self.addr[bits_from] + self.addr[bits_to]
 
-    def nans_atom(self, i: int, qi: int, bits_from: str, bits_to: str) -> Atom:
-        return Atom(f"nans{i}", self.q_args[qi] + self.addr(bits_from) + self.addr(bits_to))
+    def nans(self, i: int, qi: int, bits_from: str, bits_to: str) -> AtomKey:
+        return (f"nans{i}",) + self.q_args[qi] + self.addr[bits_from] + self.addr[bits_to]
 
-    def goal_atom(self, g: AtomF, bits: str) -> Atom:
-        return Atom(self.names.goal_pred(g), self.addr(bits))
+    def goal(self, g: AtomF, bits: str) -> AtomKey:
+        return (self.names.goal_pred(g),) + self.addr[bits]
 
 
 @dataclass(frozen=True)
@@ -455,16 +452,23 @@ class FormulaTranslation:
     analysis: Analysis
     addr_len: int
     full_facts: bool
-    program: Program
     ground_program: GroundProgram
     counts: dict[str, int]
     names: "_Names"
     builder: AtomBuilder
-    syntax_facts: frozenset[Atom]
+    syntax_facts: frozenset[int]  # ids of the heads of families 1-3
 
     @property
     def sig(self) -> SoupSignature:
         return self.analysis.sig
+
+    @cached_property
+    def program(self) -> Program:
+        """The emitted clauses over their constant domain, which checks them."""
+        names = self.names
+        domain = {*names.bits, *self.sig.pool}
+        domain.update(names.occ_name(occ) for occ in range(len(self.sig.occs)))
+        return Program(self.ground_program.clauses, frozenset(domain))
 
     def header(self) -> str:
         sig = self.sig
@@ -500,8 +504,8 @@ class _Names:
             taken.add(key)
             self.atom_keys[g] = key
 
-    def occ_const(self, occ: int) -> Term:
-        return const(f"{self.occ_prefix}{occ}")
+    def occ_name(self, occ: int) -> str:
+        return f"{self.occ_prefix}{occ}"
 
     def goal_pred(self, g: AtomF) -> str:
         return "goal_" + self.atom_keys[g]
@@ -566,6 +570,11 @@ def translate(
     holds from ``certified_addr_len`` up.  The default is the capped length
     ``min(certified, 4)``.  An estimate above ``EMISSION_CAP`` clauses raises
     ``CapExceeded`` with the longest feasible address length.
+
+    The program is emitted as integer rows ``(head, pos, neg)``: each clause
+    gives its head, then its positive body, then its negated body an id on
+    first sight (``AtomBuilder.id``), and ``Atom`` objects are built only
+    when the program is read.
     """
     if an is None:
         an = analysis(phi)
@@ -589,32 +598,35 @@ def translate(
     sig = an.sig
     pool = sig.pool
     bvars = sig.bound_vars
-    occs = sig.occs
     b = AtomBuilder(an, names, addr_len)
 
     addresses = b.all_addresses()
     zero_bits = addresses[0]
 
-    env, nenv = b.env_atom, b.nenv_atom
-    q_atom, y_atom = b.q_atom, b.y_atom
-    ans, nans = b.ans_atom, b.nans_atom
-    goal_atom = b.goal_atom
+    env, nenv = b.env, b.nenv
+    q_atom, y_atom = b.q, b.y
+    ans, nans = b.ans, b.nans
+    goal_atom = b.goal
     q_args = b.q_args
     block = b.block
 
-    f_atom = Atom("f")
-    not_f = Atom("f", (), True)
+    f_atom = ("f",)
 
-    clauses: list[Clause] = []
+    heads: list[int] = []
+    pos: list[tuple[int, ...]] = []
+    neg: list[tuple[int, ...]] = []
     counts: dict[str, int] = {}
-    syntax_facts: set[Atom] = set()
 
-    def emit(family: str, clause: Clause) -> None:
-        clauses.append(clause)
+    # ``AtomBuilder.id`` inlined: the next id for a key met the first time
+    ids = b.ids
+    sd = ids.setdefault
+
+    def emit(family: str, head: AtomKey, body=(), negated=()) -> None:
+        heads.append(sd(head, len(ids)))
+        pos.append(tuple([sd(a, len(ids)) for a in body]))
+        neg.append(tuple([sd(a, len(ids)) for a in negated]))
         counts[family] = counts.get(family, 0) + 1
-        if family[:2] in ("01", "02", "03"):
-            syntax_facts.add(clause.head)
-        if len(clauses) % 4096 == 0:
+        if len(heads) % 4096 == 0:
             check_deadline(deadline, "translation")
 
     # families 1-3: syntax facts (descendants, subgoals, heads)
@@ -640,91 +652,75 @@ def translate(
         p = an.instances[q.inst]
         for s_map, t_map in filled_blocks(p, q.t_assign):
             s_blk, t_blk = block(s_map), block(t_map)
-            base_args = (names.occ_const(p.occ),) + s_blk + t_blk
+            base_args = (names.occ_name(p.occ),) + s_blk + t_blk
             for opt in q.answers:
                 for tau_idx in opt.taus:
                     tau = an.instances[tau_idx]
                     u_blk = block(dict(tau.assign))
                     emit(
                         "01_descendant",
-                        Clause(
-                            Atom(
-                                f"di{opt.index}",
-                                (names.occ_const(tau.occ), names.occ_const(p.occ))
-                                + s_blk
-                                + t_blk
-                                + u_blk,
-                            )
-                        ),
+                        (f"di{opt.index}", names.occ_name(tau.occ), names.occ_name(p.occ))
+                        + s_blk
+                        + t_blk
+                        + u_blk,
                     )
                 emit(
                     "02_subgoal",
-                    Clause(Atom(names.subgoal_pred(opt.index, opt.subgoal), base_args)),
+                    (names.subgoal_pred(opt.index, opt.subgoal),) + base_args,
                 )
-            emit("03_head", Clause(Atom(names.head_pred(q.head), base_args)))
+            emit("03_head", (names.head_pred(q.head),) + base_args)
+    syntax_facts = frozenset(heads)
 
     # families 4-6: the initial judgment at address 0...0
     # an instance is in the initial context when its key is, as in the soup
     # layer, so a repeated premise key also puts its other occurrences there
-    emit("04_initial_goal", Clause(goal_atom(sig.target, zero_bits)))
+    emit("04_initial_goal", goal_atom(sig.target, zero_bits))
     for p in an.instances:
         if p.key in an.initial_keys:
-            emit("05_initial_env", Clause(env(p.index, zero_bits)))
+            emit("05_initial_env", env(p.index, zero_bits))
     for p in an.instances:
         if p.key not in an.initial_keys:
-            emit("06_initial_nenv", Clause(nenv(p.index, zero_bits)))
+            emit("06_initial_nenv", nenv(p.index, zero_bits))
 
     # families 7-9: answers propagate environments and set goals
     for q in an.active:
         qi = q.index
         for opt in q.answers:
+            sg_atom = (names.subgoal_pred(opt.index, opt.subgoal),) + q_args[qi]
             for a_from in addresses:
                 for a_to in addresses:
                     a_atom = ans(opt.index, qi, a_from, a_to)
                     for p in an.instances:
                         emit(
                             "07_env_propagation",
-                            Clause(
-                                env(p.index, a_to),
-                                (a_atom, env(p.index, a_from)),
-                            ),
+                            env(p.index, a_to),
+                            (a_atom, env(p.index, a_from)),
                         )
                     for tau_idx in opt.taus:
                         tau = an.instances[tau_idx]
-                        d_atom = Atom(
+                        d_atom = (
                             f"di{opt.index}",
-                            (
-                                names.occ_const(tau.occ),
-                                names.occ_const(an.instances[q.inst].occ),
-                            )
-                            + q_args[qi][1:]
-                            + block(dict(tau.assign)),
-                        )
+                            names.occ_name(tau.occ),
+                            names.occ_name(an.instances[q.inst].occ),
+                        ) + q_args[qi][1:] + block(dict(tau.assign))
                         emit(
                             "08_env_descendants",
-                            Clause(env(tau_idx, a_to), (a_atom, d_atom)),
+                            env(tau_idx, a_to),
+                            (a_atom, d_atom),
                         )
                     emit(
                         "09_goal_of_answer",
-                        Clause(
-                            goal_atom(opt.subgoal, a_to),
-                            (
-                                a_atom,
-                                Atom(
-                                    names.subgoal_pred(opt.index, opt.subgoal),
-                                    q_args[qi],
-                                ),
-                            ),
-                        ),
+                        goal_atom(opt.subgoal, a_to),
+                        (a_atom, sg_atom),
                     )
 
     # families 10-11: environment choice and its exclusivity
     for p in an.instances:
         for addr in addresses:
             e, ne = env(p.index, addr), nenv(p.index, addr)
-            emit("10_env_choice", Clause(e, (ne.negate(),)))
-            emit("10_env_choice", Clause(ne, (e.negate(),)))
-            emit("11_env_conflict", Clause(f_atom, (e, ne, not_f)))
+            emit("10_env_choice", e, (), (ne,))
+            emit("10_env_choice", ne, (), (e,))
+            emit("11_env_conflict", f_atom, (e, ne), (f_atom,))
 
     # family 12: answer choice, guarded by the question
     for q in an.active:
@@ -734,40 +730,31 @@ def translate(
                 for a_to in addresses:
                     a_atom = ans(opt.index, q.index, a_from, a_to)
                     na_atom = nans(opt.index, q.index, a_from, a_to)
-                    emit("12_answer_choice", Clause(a_atom, (na_atom.negate(), guard)))
-                    emit("12_answer_choice", Clause(na_atom, (a_atom.negate(), guard)))
+                    emit("12_answer_choice", a_atom, (guard,), (na_atom,))
+                    emit("12_answer_choice", na_atom, (guard,), (a_atom,))
 
     # families 13-15: question recognition and the everything-answered rule
     for q in an.active:
-        head_pred = names.head_pred(q.head)
+        hd_atom = (names.head_pred(q.head),) + q_args[q.index]
         for addr in addresses:
             emit(
                 "13_question",
-                Clause(
-                    q_atom(q.index, addr),
-                    (
-                        env(q.inst, addr),
-                        Atom(head_pred, q_args[q.index]),
-                        goal_atom(q.head, addr),
-                    ),
-                ),
+                q_atom(q.index, addr),
+                (env(q.inst, addr), hd_atom, goal_atom(q.head, addr)),
             )
             emit(
                 "14_must_answer",
-                Clause(
-                    f_atom,
-                    (y_atom(q.index, addr).negate(), q_atom(q.index, addr), not_f),
-                ),
+                f_atom,
+                (q_atom(q.index, addr),),
+                (y_atom(q.index, addr), f_atom),
             )
         for opt in q.answers:
             for a_from in addresses:
                 for a_to in addresses:
                     emit(
                         "15_answered",
-                        Clause(
-                            y_atom(q.index, a_from),
-                            (ans(opt.index, q.index, a_from, a_to),),
-                        ),
+                        y_atom(q.index, a_from),
+                        (ans(opt.index, q.index, a_from, a_to),),
                     )
 
     # family 16: at most one goal per address
@@ -775,19 +762,14 @@ def translate(
         for addr in addresses:
             emit(
                 "16_unique_goal",
-                Clause(f_atom, (goal_atom(g1, addr), goal_atom(g2, addr), not_f)),
+                f_atom,
+                (goal_atom(g1, addr), goal_atom(g2, addr)),
+                (f_atom,),
             )
 
-    domain = {names.bits[0], names.bits[1]}
-    domain.update(pool)
-    for occ in range(len(occs)):
-        domain.add(f"{names.occ_prefix}{occ}")
-    program = Program(tuple(clauses), frozenset(domain))
-    occurring = {a.positive() for c in clauses for a in c.atoms()}
-    gp = GroundProgram(tuple(clauses), frozenset(occurring))
+    gp = GroundProgram(b.ids, heads, pos, neg)
     return FormulaTranslation(
-        sig.phi, an, addr_len, full_facts, program, gp, counts, names, b,
-        frozenset(syntax_facts),
+        sig.phi, an, addr_len, full_facts, gp, counts, names, b, syntax_facts
     )
 
 

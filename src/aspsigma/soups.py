@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .engine import Model, is_stable
+from .engine import AtomKey, Model
 from .errors import CapExceeded, CrossCheckError, FormulaError, check_deadline
 from .logic_to_asp import (
     Analysis,
@@ -32,7 +32,6 @@ from .logic_to_asp import (
 from .parsing import parse_formula
 from .syntax import (
     AlphaKey,
-    Atom,
     AtomF,
     Formula,
     alpha_canon,
@@ -414,19 +413,25 @@ def find_soup(
 
 def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
     """Read the soup a stable model of the translated program describes."""
-    if not is_stable(t.ground_program, m):
+    mids = t.ground_program.stable_ids(m)
+    if mids is None:
         raise FormulaError("the given model is not stable for the translation")
     an = t.analysis
     b = t.builder
+    id_of = t.ground_program.ids.get
+
+    def holds(key) -> bool:
+        return id_of(key) in mids
+
     judgment_data: dict[str, tuple[frozenset, AtomF]] = {}
     for bits in b.all_addresses():
-        goals = [g for g in an.goal_universe if b.goal_atom(g, bits) in m]
+        goals = [g for g in an.goal_universe if holds(b.goal(g, bits))]
         if len(goals) > 1:
             raise CrossCheckError(f"two goals at address {bits}")
         keys = set()
         for p in an.instances:
-            e_in = b.env_atom(p.index, bits) in m
-            ne_in = b.nenv_atom(p.index, bits) in m
+            e_in = holds(b.env(p.index, bits))
+            ne_in = holds(b.nenv(p.index, bits))
             if e_in == ne_in:
                 raise CrossCheckError(
                     f"environment choice for instance {p.index} at {bits} "
@@ -453,7 +458,7 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
         for opt in q.answers:
             for a_from in b.all_addresses():
                 for a_to in b.all_addresses():
-                    if b.ans_atom(opt.index, q.index, a_from, a_to) in m:
+                    if holds(b.ans(opt.index, q.index, a_from, a_to)):
                         entries.append(
                             AnswerEntry(
                                 inst.occ,
@@ -526,40 +531,42 @@ def model_from_soup(
             by_addr.setdefault(bits, filler)
 
     b = t.builder
-    atoms: set[Atom] = set(t.syntax_facts)
+    true: set[AtomKey] = set()  # the keys of the model's atoms
 
     for bits in all_addrs:
         j = by_addr.get(bits)
         if j is None:
             # dead address: empty environment, no goal
             for p in an.instances:
-                atoms.add(b.nenv_atom(p.index, bits))
+                true.add(b.nenv(p.index, bits))
             continue
-        atoms.add(b.goal_atom(z.judgments[j].goal, bits))
+        true.add(b.goal(z.judgments[j].goal, bits))
         for p in an.instances:
             if p.key in keys[j]:
-                atoms.add(b.env_atom(p.index, bits))
+                true.add(b.env(p.index, bits))
             else:
-                atoms.add(b.nenv_atom(p.index, bits))
+                true.add(b.nenv(p.index, bits))
         # a kept judgment's goal is the target or a subgoal, so every
         # question asked here has a goal for its head
         for q in an.asked(keys[j], z.judgments[j].goal):
-            atoms.add(b.q_atom(q.index, bits))
+            true.add(b.q(q.index, bits))
             any_answer = False
             for opt, need in zip(q.answers, _requirements(q, keys[j])):
                 for bits2 in all_addrs:
                     k = by_addr.get(bits2)
                     if k is not None and _meets(need, z.judgments[k], keys[k]):
-                        atoms.add(b.ans_atom(opt.index, q.index, bits, bits2))
+                        true.add(b.ans(opt.index, q.index, bits, bits2))
                         any_answer = True
                     else:
-                        atoms.add(b.nans_atom(opt.index, q.index, bits, bits2))
+                        true.add(b.nans(opt.index, q.index, bits, bits2))
             if any_answer:
-                atoms.add(b.y_atom(q.index, bits))
-    model = frozenset(atoms)
-    if not is_stable(t.ground_program, model):
+                true.add(b.y(q.index, bits))
+    g = t.ground_program
+    mids = {g.ids.get(key) for key in true}
+    mids.update(t.syntax_facts)
+    if None in mids or g.reduct_model(mids) != mids:
         raise CrossCheckError("realized model is not stable; translation bug")
-    return model
+    return g.atoms_of(mids)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ and 6 check them against ``aspsigma.engine.interpretation``.
 import itertools
 from dataclasses import dataclass
 
-from aspsigma.engine import GroundProgram, Model, ground, interpretation
+from aspsigma.engine import GroundProgram, Model, atom_key, ground, interpretation
 from aspsigma.errors import FormulaError
 from aspsigma.syntax import Atom, Clause, Program
 from oracle import lfp
@@ -26,7 +26,7 @@ def reduct(g: GroundProgram, m: Model) -> GroundProgram:
         if any(a.negated and a.positive() in m for a in c.body):
             continue
         out.append(Clause(c.head, tuple(a for a in c.body if not a.negated)))
-    return GroundProgram(tuple(out), g.base)
+    return GroundProgram.from_clauses(tuple(out), g.base)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def overline(p: Program | GroundProgram) -> OverlineProgram:
             Atom(bar_names[a.pred], a.args) if a.negated else a for a in c.body
         )
         out.append(Clause(c.head, body))
-    barred = GroundProgram(
+    barred = GroundProgram.from_clauses(
         tuple(out),
         g.base | frozenset(Atom(bar_names[a.pred], a.args) for a in g.base),
     )
@@ -82,9 +82,9 @@ def horn_derives(
         if any(a.negated for a in c.body):
             raise FormulaError("horn_derives requires a negation-free program")
     comp = horn.compiled()
-    seeds = comp.model_ids(frozenset(facts))
+    seeds = horn.ids_of(frozenset(facts))
     derived = lfp(comp, [True] * len(comp.heads), seeds)
-    gid = comp.atom_ids.get(goal.positive())
+    gid = horn.ids.get(atom_key(goal))
     return goal.positive() in frozenset(facts) or (gid is not None and gid in derived)
 
 

@@ -194,7 +194,7 @@ def reference_search(g, branch_priority=None):
     comp = g.compiled()
     neg_atoms = list(comp.negated)
     if branch_priority is not None:
-        neg_atoms.sort(key=lambda a: (branch_priority(comp.atoms[a]), a))
+        neg_atoms.sort(key=lambda a: (branch_priority(g.atom(a)), a))
     by_head = clauses_by_head(comp)
 
     def leaf_model(assign):
@@ -203,7 +203,7 @@ def reference_search(g, branch_priority=None):
         for a in neg_atoms:
             if (a in derived) != (assign[a] == TRUE):
                 return None
-        return comp.ids_to_atoms(derived)
+        return g.atoms_of(derived)
 
     def choose(assign, lower, upper):
         for t in neg_atoms:

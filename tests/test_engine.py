@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from aspsigma import engine
 from aspsigma.engine import (
+    atom_key,
     ground,
     has_stable_model,
     interpretation,
@@ -360,12 +361,12 @@ _GROUND_PROGRAMS = st.one_of(_programs(6, 10), _programs(16, 40), _dense_program
 @given(_GROUND_PROGRAMS, st.dictionaries(st.integers(0, 15), st.integers(0, 3)))
 def test_search_yields_what_the_reference_yields(clauses, ranks):
     g = ground(make_program(clauses))
-    assert list(engine._search(g)) == list(reference_search(g))
+    assert [g.atoms_of(m) for m in engine._search(g)] == list(reference_search(g))
 
     def priority(a):
         return ranks.get(int(a.pred[1:]), 0)
 
-    assert list(engine._search(g, None, priority)) == list(
+    assert [g.atoms_of(m) for m in engine._search(g, None, priority)] == list(
         reference_search(g, priority)
     )
 
@@ -431,8 +432,9 @@ def test_propagator_matches_the_reference_at_every_node(clauses, moves):
     ],
 )
 def test_a_false_head_forces_its_last_open_literal(text, decided):
-    comp = ground(parse_program(text)).compiled()
-    a = comp.atom_ids[Atom(decided)]
+    g = ground(parse_program(text))
+    comp = g.compiled()
+    a = g.ids[atom_key(Atom(decided))]
     prop = engine._Propagator(comp)
     assert prop.propagate(prop.initial)
     assert not prop.propagate([(a, FALSE)])

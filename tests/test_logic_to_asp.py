@@ -2,7 +2,7 @@ import pytest
 
 from aspsigma import logic_to_asp
 from aspsigma.corpus import CorpusSpec, gen_formulas
-from aspsigma.engine import has_stable_model, is_stable
+from aspsigma.engine import atom_key, has_stable_model, is_stable
 from aspsigma.errors import CapExceeded, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
@@ -102,12 +102,12 @@ def test_initial_environment_follows_instance_keys():
     # 3) share a key, so both start in the environment at the first address
     t = translate(parse_formula("((a -> c) -> b) -> a -> b"), addr_len=1)
     an, b = t.analysis, t.builder
-    facts = {c.head for c in t.program.clauses if not c.body}
+    facts = {atom_key(c.head) for c in t.program.clauses if not c.body}
     assert sum(p.key == alpha_key(AtomF("a")) for p in an.instances) == 2
     for p in an.instances:
         initial = p.key in an.initial_keys
-        assert (b.env_atom(p.index, "0") in facts) == initial
-        assert (b.nenv_atom(p.index, "0") in facts) == (not initial)
+        assert (b.env(p.index, "0") in facts) == initial
+        assert (b.nenv(p.index, "0") in facts) == (not initial)
     assert t.counts["05_initial_env"] == 3 and "06_initial_nenv" not in t.counts
 
 
@@ -168,11 +168,12 @@ def test_soundness_at_any_addr_len():
                 assert is_stable(t.ground_program, witness)
                 # no two goals share an address, and the false atom is absent
                 assert Atom("f") not in witness
+                keys = {atom_key(a) for a in witness}
                 for bits in t.builder.all_addresses():
                     goals = [
                         g
                         for g in t.analysis.goal_universe
-                        if t.builder.goal_atom(g, bits) in witness
+                        if t.builder.goal(g, bits) in keys
                     ]
                     assert len(goals) <= 1
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import aspsigma
 from aspsigma import soups
 from aspsigma.corpus import CorpusSpec, gen_formulas
-from aspsigma.engine import has_stable_model, is_stable
+from aspsigma.engine import atom_key, has_stable_model, is_stable
 from aspsigma.errors import CapExceeded, CrossCheckError, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
@@ -342,7 +342,7 @@ def test_model_from_soup_simple():
     assert is_stable(t.ground_program, m)
     assert Atom_f() not in m
     # goal present at the initial address
-    assert t.builder.goal_atom(AtomF("a"), "0" * t.addr_len) in m
+    assert t.builder.goal(AtomF("a"), "0" * t.addr_len) in {atom_key(a) for a in m}
 
 
 def Atom_f():
@@ -380,11 +380,12 @@ def test_round_trip_properties():
         # the contradiction atom never appears in a stable model
         assert Atom_f() not in m and Atom_f() not in m2
         # every question in the model has an answer atom
+        keys = {atom_key(a) for a in m2}
         for q in t.analysis.questions:
             for bits in t.builder.all_addresses():
-                if t.builder.q_atom(q.index, bits) in m2:
+                if t.builder.q(q.index, bits) in keys:
                     assert any(
-                        t.builder.ans_atom(opt.index, q.index, bits, b2) in m2
+                        t.builder.ans(opt.index, q.index, bits, b2) in keys
                         for opt in q.answers
                         for b2 in t.builder.all_addresses()
                     ) or not q.answers
