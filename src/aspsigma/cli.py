@@ -27,7 +27,7 @@ EXIT_BUDGET = 3
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundTripReport:
     instance_id: int
     direction: str  # 'asp->logic' | 'logic->asp'

@@ -709,12 +709,17 @@ def prove(
 ) -> ProofTerm | None:
     """A long-normal-form proof of ``goal`` from ``ctx``, or None.
 
-    ``ctx`` members must classify Pi1 or Both; the goal must classify Sigma1
-    or Both.  Free proof variables of the result are named as in
-    ``context_environment``.
+    ``ctx`` members must classify Pi1 or Both and may have free variables,
+    which are read as constants; the goal must classify Sigma1 or Both and be
+    closed, so that the result checks against the goal as given.  Free proof
+    variables of the result are named as in ``context_environment``.
     """
     ctx = list(ctx)
-    goal = _freeze_free_vars(goal)
+    fv = free_vars(goal)
+    if fv:
+        raise FormulaError(
+            f"goal has free variables {', '.join(sorted(fv))}: {fmt_formula(goal)}"
+        )
     if classify(goal) not in (MintsClass.SIGMA1, MintsClass.BOTH):
         raise FormulaError(f"goal must be a Sigma1 formula: {fmt_formula(goal)}")
     premises, target = peel_sigma1(goal)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import pickle
 
 import pytest
 
@@ -324,3 +325,19 @@ def test_roundtrip_workers_agree_with_sequential():
     seq = roundtrip_asp(spec, timeout=10.0, workers=1)
     par = roundtrip_asp(spec, timeout=10.0, workers=2)
     assert report_digest(seq) == report_digest(par)
+
+
+def test_reports_have_slots_and_survive_worker_processes():
+    # a report has no per-instance __dict__, and pickling (the --workers
+    # path) keeps every field
+    report = cli.RoundTripReport(7, "logic->asp", "a -> a")
+    report.verdicts["provable"] = True
+    report.timings["prover"] = 0.5
+    report.skipped, report.error = "BudgetExceeded: x", "CrossCheckError: y"
+    assert not hasattr(report, "__dict__")
+    assert pickle.loads(pickle.dumps(report)) == report
+    spec = CorpusSpec(count=6, seed=0, formula_max_size=12)
+    seq = roundtrip_logic(spec, workers=1)
+    par = roundtrip_logic(spec, workers=2)
+    assert [r.digest_fields() for r in par] == [r.digest_fields() for r in seq]
+    assert all(isinstance(r, cli.RoundTripReport) for r in par)

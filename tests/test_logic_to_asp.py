@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspsigma import logic_to_asp
 from aspsigma.corpus import CorpusSpec, gen_formulas
-from aspsigma.engine import atom_key, has_stable_model, is_stable
+from aspsigma.engine import GroundProgram, atom_key, has_stable_model, is_stable
 from aspsigma.errors import CapExceeded, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
@@ -212,3 +216,65 @@ def test_certified_length_covers_cone():
     assert 2**l >= len(cone)
     # this formula needs three distinct judgments, so one bit cannot be enough
     assert l >= 2
+
+
+# ---------------------------------------------------------------------------
+# the emitted rows against the clause route
+# ---------------------------------------------------------------------------
+
+
+def _assert_rows_match_the_clause_route(t):
+    """The rows ``translate`` emits are the rows the engine's clause route
+    interns from ``t.program.clauses``: the same atom table, ``heads``,
+    ``pos``, ``neg`` and ``negated``, and the same first witness."""
+    g = t.ground_program
+    h = GroundProgram.from_clauses(t.program.clauses, g.base)
+    assert list(h.ids) == list(g.ids)
+    assert [h.atom(i) for i in h.ids.values()] == [g.atom(i) for i in g.ids.values()]
+    assert (h.heads, h.pos, h.neg) == (g.heads, g.pos, g.neg)
+    assert h.compiled().negated == g.compiled().negated
+    assert has_stable_model(h, branch_priority=_answers_first) == has_stable_model(
+        g, branch_priority=_answers_first
+    )
+
+
+_PREMISES = st.sampled_from(
+    [
+        "a",
+        "P(c)",
+        "a -> b",
+        "(a -> b) -> a",
+        "(b -> a) -> P(d)",
+        "forall x. P(x) -> Q(x)",
+        "forall x. (P(x) -> a) -> Q(x)",
+        "forall x. forall y. R(x, y) -> P(y)",
+        "forall x. Q(x)",
+    ]
+)
+_TARGETS = st.sampled_from(["a", "b", "P(c)", "Q(d)"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_PREMISES, min_size=1, max_size=3), _TARGETS, st.integers(1, 2))
+def test_emitted_rows_match_the_clause_route(premises, target, addr_len):
+    text = " -> ".join([f"({p})" for p in premises] + [target])
+    _assert_rows_match_the_clause_route(translate(parse_formula(text), addr_len=addr_len))
+
+
+def test_seed0_rows_match_the_clause_route():
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        an = analysis(phi)
+        t = translate(phi, addr_len=certified_addr_len(an), an=an)
+        _assert_rows_match_the_clause_route(t)
+
+
+def test_seed0_translation_text_is_pinned():
+    # SHA-256 over the header and program text of the 600 seed-0 formulas
+    # at their certified address length, computed on the clause-object
+    # emitter that the integer rows replaced
+    digest = hashlib.sha256()
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        an = analysis(phi)
+        t = translate(phi, addr_len=certified_addr_len(an), an=an)
+        digest.update((t.header() + "\n" + str(t.program)).encode())
+    assert digest.hexdigest()[:16] == "127fbabb6f0d2f0a"

@@ -42,6 +42,7 @@ from aspsigma.syntax import (
     Impl,
     const,
     fmt_formula,
+    free_vars,
     make_program,
     var,
 )
@@ -315,6 +316,56 @@ def test_empty_pool_gets_fresh_constant():
 def _corpus_formula(i):
     p = gen_programs(CorpusSpec(count=500, seed=0))[i]
     return translate(p, fresh_goal_atom(p)).formula
+
+
+def test_prove_rejects_free_goal_variables():
+    # read as a constant, x would give the certificate H1 x, whose type P(x)
+    # with x a constant is not the goal as given
+    ctx = [Forall("y", P(var("y")))]
+    with pytest.raises(FormulaError, match="goal has free variables x"):
+        prove(ctx, P(var("x")))
+    with pytest.raises(FormulaError, match="goal has free variables x"):
+        prove_sigma1(Impl(P(var("x")), P(var("x"))))
+    assert check(context_environment(ctx), prove(ctx, P(const("x"))), P(const("x")))
+
+
+_MEMBERS = st.sampled_from(
+    [
+        a,
+        P(var("x")),
+        P(const("c")),
+        Forall("y", P(var("y"))),
+        Impl(a, P(var("x"))),
+        Forall("y", Impl(P(var("y")), AtomF("Q", (var("y"),)))),
+        Forall("y", Impl(Impl(P(var("y")), b), AtomF("Q", (var("y"),)))),
+        Impl(Impl(a, b), a),
+    ]
+)
+_GOALS = st.sampled_from(
+    [
+        a,
+        b,
+        P(const("x")),
+        P(var("x")),
+        P(const("c")),
+        AtomF("Q", (const("c"),)),
+        Impl(b, a),
+        Impl(P(const("d")), AtomF("Q", (const("d"),))),
+        Impl(Forall("z", Impl(P(var("z")), b)), b),
+    ]
+)
+
+
+@given(st.lists(_MEMBERS, max_size=4), _GOALS)
+def test_every_certificate_checks_against_the_goal_as_given(ctx, goal):
+    try:
+        t = prove(ctx, goal)
+    except FormulaError:
+        assert free_vars(goal)
+        return
+    if t is not None:
+        env = context_environment(ctx)
+        assert check(env, t, goal) and is_lnf(env, t, goal)
 
 
 def test_prove_past_deadline_is_budget_exceeded():
