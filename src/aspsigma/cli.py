@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import asp_to_logic, engine, logic_to_asp, proofs, soups
@@ -188,6 +186,9 @@ def _run_instances(worker, spec: CorpusSpec, timeout: float | None, workers: int
     if workers <= 1:
         reports = [worker(j) for j in jobs]
     else:
+        # imported here: the pool machinery costs about 2 MB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(worker, jobs))
     reports.sort(key=lambda r: r.instance_id)
@@ -212,6 +213,10 @@ def report_digest(reports: list[RoundTripReport]) -> str:
     payload = json.dumps(
         [r.digest_fields() for r in reports], sort_keys=True
     ).encode()
+    # imported here: hashlib loads OpenSSL, about 4 MB of memory that only
+    # a digest needs
+    import hashlib
+
     return hashlib.sha256(payload).hexdigest()
 
 
