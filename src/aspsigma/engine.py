@@ -1,5 +1,14 @@
 """Stable model semantics: grounding, fixpoints, enumeration and entailment.
 
+A ``GroundProgram`` is a table of ground atoms numbered from 0, each known
+by its key ``(pred, arg name, ...)``, and one integer row ``(head, pos,
+neg)`` per clause.  The formula translation emits those rows directly and
+``ground`` interns its clauses into them (``GroundProgram.from_clauses``);
+either way the search, the fixpoints and the stability check run on the rows
+alone, through the one ``_Compiled`` constructor.  ``Atom`` and ``Clause``
+objects are built only for what a caller reads: a returned model, a
+printed clause, the atoms a branching priority looks at.
+
 One search core, ``_search``, enumerates the stable models: it propagates
 bounds over the atoms that occur negated and branches only where forced, which
 scales to the large ground programs produced by the formula translation.
@@ -144,14 +153,15 @@ class GroundProgram:
     @property
     def clauses(self) -> tuple[Clause, ...]:
         if self._clauses is None:
-            atom = self.atom
+            atoms = [self.atom(i) for i in range(len(self.ids))]
+            nots = {i: atoms[i].negate() for ns in self.neg for i in ns}
             out = []
             for h, ps, ns in zip(self.heads, self.pos, self.neg):
                 last = ns[-1:] if ns and ns[-1] == h else ()
-                body = [atom(b).negate() for b in ns[: len(ns) - len(last)]]
-                body += [atom(b) for b in ps]
-                body += [atom(b).negate() for b in last]
-                out.append(Clause(atom(h), tuple(body)))
+                body = [nots[b] for b in ns[: len(ns) - len(last)]]
+                body += [atoms[b] for b in ps]
+                body += [nots[b] for b in last]
+                out.append(Clause(atoms[h], tuple(body)))
             self._clauses = tuple(out)
         return self._clauses
 

@@ -8,6 +8,14 @@ disjudgment per bit-string address: environment membership is a free choice
 per (subformula instance, address), questions are recognized from goals and
 heads, answer choices propagate environments and goals, and a self-blocking
 false atom forces every question to receive an answer.
+
+``translate`` names each atom by a plain key ``(pred, arg name, ...)`` and
+emits each clause as an integer row ``(head, pos, neg)`` into an
+``engine.GroundProgram``; an atom gets its id the first time a clause meets
+it, head first, then the positive body, then the negated body.  The engine
+solves those rows as they are, and the soup conversions look atoms up by
+key.  ``FormulaTranslation.program`` builds ``Atom`` and ``Clause`` objects
+and checks their domain only when it is read.
 """
 
 from __future__ import annotations
@@ -383,14 +391,14 @@ def certified_addr_len(an: Analysis, deadline: float | None = None) -> int:
 class AtomBuilder:
     """Names the translated program's ground atoms and numbers them.
 
-    An atom is named by its key ``(pred, arg name, ...)``, and ``id`` gives a
-    key the next int the first time it is met.  Addresses are given as bit
+    An atom is named by its key ``(pred, arg name, ...)``; ``ids`` gives a
+    key the next int the first time ``translate`` meets it, and is the atom
+    table of the translation's ``GroundProgram``.  Addresses are given as bit
     strings; substitution blocks are flattened over the formula's binder list
     with irrelevant positions pinned to the first pool constant.
     """
 
     def __init__(self, an: Analysis, names: "_Names", addr_len: int):
-        self.an = an
         self.names = names
         self.addr_len = addr_len
         pin, bvars = names.pin, an.sig.bound_vars
@@ -413,10 +421,6 @@ class AtomBuilder:
             for bits in self.all_addresses()
         }
         self.ids: dict[AtomKey, int] = {}
-
-    def id(self, key: AtomKey) -> int:
-        ids = self.ids
-        return ids.setdefault(key, len(ids))
 
     def all_addresses(self) -> list[str]:
         return [
@@ -573,7 +577,7 @@ def translate(
 
     The program is emitted as integer rows ``(head, pos, neg)``: each clause
     gives its head, then its positive body, then its negated body an id on
-    first sight (``AtomBuilder.id``), and ``Atom`` objects are built only
+    first sight (``AtomBuilder.ids``), and ``Atom`` objects are built only
     when the program is read.
     """
     if an is None:
@@ -617,7 +621,7 @@ def translate(
     neg: list[tuple[int, ...]] = []
     counts: dict[str, int] = {}
 
-    # ``AtomBuilder.id`` inlined: the next id for a key met the first time
+    # the next id for a key met the first time
     ids = b.ids
     sd = ids.setdefault
 

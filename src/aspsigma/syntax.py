@@ -134,9 +134,9 @@ class Program:
     def __post_init__(self) -> None:
         if not self.domain:
             raise FormulaError("program domain must be nonempty")
-        used = set()
-        for c in self.clauses:
-            used |= c.constants()
+        used = {
+            t.name for c in self.clauses for a in c.atoms() for t in a.args if not t.var
+        }
         missing = used - self.domain
         if missing:
             raise FormulaError(f"constants outside the domain: {sorted(missing)}")
