@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import CapExceeded, FormulaError, check_deadline
 from .syntax import Atom, Clause, Program, Term, const
