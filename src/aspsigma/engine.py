@@ -125,8 +125,8 @@ class GroundProgram:
             a = self._atoms[i] = Atom(pred, tuple(args))
         return a
 
-    def atoms_of(self, ids) -> frozenset[Atom]:
-        return frozenset([self.atom(i) for i in ids])
+    def atoms_of(self, atom_ids) -> frozenset[Atom]:
+        return frozenset([self.atom(i) for i in atom_ids])
 
     def ids_of(self, m: Model) -> set[int]:
         """The ids of the positive atoms of ``m`` that are in the table."""

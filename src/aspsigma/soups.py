@@ -531,38 +531,38 @@ def model_from_soup(
             by_addr.setdefault(bits, filler)
 
     b = t.builder
-    true: set[AtomKey] = set()  # the keys of the model's atoms
+    true_keys: set[AtomKey] = set()  # the keys of the model's atoms
 
     for bits in all_addrs:
         j = by_addr.get(bits)
         if j is None:
             # dead address: empty environment, no goal
             for p in an.instances:
-                true.add(b.nenv(p.index, bits))
+                true_keys.add(b.nenv(p.index, bits))
             continue
-        true.add(b.goal(z.judgments[j].goal, bits))
+        true_keys.add(b.goal(z.judgments[j].goal, bits))
         for p in an.instances:
             if p.key in keys[j]:
-                true.add(b.env(p.index, bits))
+                true_keys.add(b.env(p.index, bits))
             else:
-                true.add(b.nenv(p.index, bits))
+                true_keys.add(b.nenv(p.index, bits))
         # a kept judgment's goal is the target or a subgoal, so every
         # question asked here has a goal for its head
         for q in an.asked(keys[j], z.judgments[j].goal):
-            true.add(b.q(q.index, bits))
+            true_keys.add(b.q(q.index, bits))
             any_answer = False
             for opt, need in zip(q.answers, _requirements(q, keys[j])):
                 for bits2 in all_addrs:
                     k = by_addr.get(bits2)
                     if k is not None and _meets(need, z.judgments[k], keys[k]):
-                        true.add(b.ans(opt.index, q.index, bits, bits2))
+                        true_keys.add(b.ans(opt.index, q.index, bits, bits2))
                         any_answer = True
                     else:
-                        true.add(b.nans(opt.index, q.index, bits, bits2))
+                        true_keys.add(b.nans(opt.index, q.index, bits, bits2))
             if any_answer:
-                true.add(b.y(q.index, bits))
+                true_keys.add(b.y(q.index, bits))
     g = t.ground_program
-    mids = {g.ids.get(key) for key in true}
+    mids = {g.ids.get(key) for key in true_keys}
     mids.update(t.syntax_facts)
     if None in mids or g.reduct_model(mids) != mids:
         raise CrossCheckError("realized model is not stable; translation bug")
