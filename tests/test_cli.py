@@ -179,6 +179,28 @@ def test_translate_formula_text_is_pinned(files, tmp_path, formula, flags, golde
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# a mixed-sign body with its positive atom first, a negated 0-ary atom in a
+# clause with a variable, a duplicate instance, two clauses that differ only
+# in body order, and base atoms (m(d), n(c)) that occur in no clause
+GROUND_PROGRAM = """\
+#domain c, d.
+p(x) :- q(x), not r(x).
+k(x) :- not g, q(x).
+t(x) :- q(x), s(x).
+t(c) :- q(c), s(c).
+a :- b, not c.
+a :- not c, b.
+m(c) :- n(d).
+"""
+
+
+@pytest.mark.parametrize("flags, golden", [([], "ground.txt"), (["--json"], "ground.json")])
+def test_ground_output_is_pinned(files, capsys, flags, golden):
+    path = files("p.lp", GROUND_PROGRAM)
+    assert run([*flags, "ground", path]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 def test_soup_pipeline(files, capsys, tmp_path):
     f = files("f.sig1", "((a -> b) -> a) -> a\n")
     soup = str(tmp_path / "z.soup")
