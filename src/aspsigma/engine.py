@@ -22,6 +22,7 @@ propagation step costs what it changes, not a pass over the program.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator
 
 from .errors import CapExceeded, FormulaError, check_deadline
@@ -52,13 +53,20 @@ class GroundProgram:
     neg[c]``.  The engine works on the rows alone.  ``Atom`` and ``Clause``
     objects are built only when read, each atom once: ``atom`` and
     ``atoms_of`` decode ids, and ``clauses`` and ``base`` decode the whole
-    program unless they were given.  A decoded body lists the negated atoms
+    program.
+
+    ``ground`` passes its ``source``: the program it instantiated and, per
+    source clause, the end of that clause's rows and the signs of its body
+    (True for a negated atom).  A decoded body then follows its source
+    clause's order, and ``base`` is ``program_base`` of the program.  Without
+    a source (the formula translation), a decoded body lists the negated atoms
     first, then the positive ones, and last a negated atom that repeats the
-    head, so the self-blocking constraint ``f :- B, not f`` reads as written.
+    head, so the self-blocking constraint ``f :- B, not f`` reads as written;
+    ``base`` is then the atom table.
     """
 
     __slots__ = (
-        "ids", "heads", "pos", "neg", "_keys", "_atoms", "_terms",
+        "ids", "heads", "pos", "neg", "_source", "_keys", "_atoms", "_terms",
         "_clauses", "_base", "_compiled",
     )
 
@@ -68,41 +76,17 @@ class GroundProgram:
         heads: list[int],
         pos: list[tuple[int, ...]],
         neg: list[tuple[int, ...]],
-        clauses: tuple[Clause, ...] | None = None,
-        base: frozenset[Atom] | None = None,
-        atoms: list[Atom] | None = None,
+        source: tuple[Program, list[tuple[int, tuple[bool, ...]]]] | None = None,
     ):
         self.ids = ids
         self.heads, self.pos, self.neg = heads, pos, neg
+        self._source = source
         self._keys: list[AtomKey] | None = None
-        self._atoms: list[Atom | None] = atoms or [None] * len(ids)
+        self._atoms: list[Atom | None] = [None] * len(ids)
         self._terms: dict[str, Term] = {}
-        self._clauses = clauses
-        self._base = base
+        self._clauses: tuple[Clause, ...] | None = None
+        self._base: frozenset[Atom] | None = None
         self._compiled: _Compiled | None = None
-
-    @classmethod
-    def from_clauses(
-        cls, clauses: tuple[Clause, ...], base: frozenset[Atom]
-    ) -> "GroundProgram":
-        """Number the atoms of ground ``clauses`` in order (for each clause
-        its head, its positive body, then its negated body) and keep the
-        clauses and ``base`` as given."""
-        ids: dict[AtomKey, int] = {}
-        atoms: list[Atom] = []
-
-        def intern(a: Atom) -> int:
-            i = ids.setdefault(atom_key(a), len(atoms))
-            if i == len(atoms):
-                atoms.append(a.positive())
-            return i
-
-        heads, pos, neg = [], [], []
-        for c in clauses:
-            heads.append(intern(c.head))
-            pos.append(tuple([intern(a) for a in c.body if not a.negated]))
-            neg.append(tuple([intern(a) for a in c.body if a.negated]))
-        return cls(ids, heads, pos, neg, clauses, base, atoms)
 
     def compiled(self) -> "_Compiled":
         if self._compiled is None:
@@ -154,20 +138,33 @@ class GroundProgram:
         if self._clauses is None:
             atoms = [self.atom(i) for i in range(len(self.ids))]
             nots = {i: atoms[i].negate() for ns in self.neg for i in ns}
+            rows = zip(self.heads, self.pos, self.neg)
             out = []
-            for h, ps, ns in zip(self.heads, self.pos, self.neg):
-                last = ns[-1:] if ns and ns[-1] == h else ()
-                body = [nots[b] for b in ns[: len(ns) - len(last)]]
-                body += [atoms[b] for b in ps]
-                body += [nots[b] for b in last]
-                out.append(Clause(atoms[h], tuple(body)))
+            if self._source is None:
+                for h, ps, ns in rows:
+                    last = ns[-1:] if ns and ns[-1] == h else ()
+                    body = [nots[b] for b in ns[: len(ns) - len(last)]]
+                    body += [atoms[b] for b in ps]
+                    body += [nots[b] for b in last]
+                    out.append(Clause(atoms[h], tuple(body)))
+            else:
+                start = 0
+                for end, signs in self._source[1]:
+                    for h, ps, ns in itertools.islice(rows, end - start):
+                        ps, ns = iter(ps), iter(ns)
+                        body = [nots[next(ns)] if s else atoms[next(ps)] for s in signs]
+                        out.append(Clause(atoms[h], tuple(body)))
+                    start = end
             self._clauses = tuple(out)
         return self._clauses
 
     @property
     def base(self) -> frozenset[Atom]:
         if self._base is None:
-            self._base = self.atoms_of(range(len(self.ids)))
+            if self._source is None:
+                self._base = self.atoms_of(range(len(self.ids)))
+            else:
+                self._base = program_base(self._source[0])
         return self._base
 
 
@@ -180,31 +177,74 @@ def program_base(p: Program) -> frozenset[Atom]:
     return frozenset(atoms)
 
 
+def _key_getters(clause: Clause, cvars: list[str]) -> tuple[list, tuple[str, ...]]:
+    """One getter per atom of ``clause`` (the head, the positive body, then
+    the negated body) that picks the atom's key from the values of a
+    substitution: the constants of ``cvars`` followed by the returned names,
+    the clause's predicates and constants."""
+    slot = {v: i for i, v in enumerate(cvars)}
+    where: dict[str, int] = {}
+
+    def at(name: str) -> int:
+        return where.setdefault(name, len(cvars) + len(where))
+
+    getters = []
+    for a in itertools.chain(
+        (clause.head,),
+        (b for b in clause.body if not b.negated),
+        (b for b in clause.body if b.negated),
+    ):
+        idx = [at(a.pred)] + [slot[t.name] if t.var else at(t.name) for t in a.args]
+        # itemgetter of one index gives the value, of a slice a tuple
+        getters.append(
+            operator.itemgetter(*idx) if a.args else operator.itemgetter(slice(idx[0], idx[0] + 1))
+        )
+    return getters, tuple(where)
+
+
 def ground(p: Program) -> GroundProgram:
-    """All substitution instances of the clauses over the program domain;
-    more than ``GROUND_CAP`` of them raise ``CapExceeded``."""
+    """All substitution instances of the clauses over the program domain, as
+    rows; more than ``GROUND_CAP`` of them raise ``CapExceeded``.
+
+    An instance interns the keys of its head, its positive body and its
+    negated body in that order, as the clauses of the formula translation do,
+    and is dropped when an earlier one has the same head and signed body in
+    source order: the same sign pattern and the same row.
+    """
     dom = sorted(p.domain)
-    out: list[Clause] = []
-    seen: set[Clause] = set()
+    ids: dict[AtomKey, int] = {}
+    setdefault = ids.setdefault
+    heads: list[int] = []
+    pos: list[tuple[int, ...]] = []
+    neg: list[tuple[int, ...]] = []
+    spans: list[tuple[int, tuple[bool, ...]]] = []
+    patterns: dict[tuple[bool, ...], int] = {}
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     count = 0
     for clause in p.clauses:
         cvars = sorted(clause.variables())
-        n_inst = len(dom) ** len(cvars)
-        count += n_inst
+        count += len(dom) ** len(cvars)
         if count > GROUND_CAP:
             raise CapExceeded(
                 f"grounding would exceed {GROUND_CAP} clauses", feasible=GROUND_CAP
             )
+        signs = tuple([a.negated for a in clause.body])
+        pattern = patterns.setdefault(signs, len(patterns))
+        split = len(signs) - sum(signs) + 1
+        getters, names = _key_getters(clause, cvars)
         for combo in itertools.product(dom, repeat=len(cvars)):
-            binding = dict(zip(cvars, combo))
-            g = Clause(
-                clause.head.apply(binding),
-                tuple(a.apply(binding) for a in clause.body),
-            )
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-    return GroundProgram.from_clauses(tuple(out), program_base(p))
+            vals = combo + names
+            row = tuple([setdefault(get(vals), len(ids)) for get in getters])
+            key = (pattern, row)
+            if key not in seen:
+                seen.add(key)
+                heads.append(row[0])
+                pos.append(row[1:split])
+                neg.append(row[split:])
+        spans.append((len(heads), signs))
+    # a predicate used with two arities raises here, as program_base would
+    p.predicates()
+    return GroundProgram(ids, heads, pos, neg, (p, spans))
 
 
 def _as_ground(p: Program | GroundProgram) -> GroundProgram:

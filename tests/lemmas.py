@@ -19,6 +19,29 @@ def _as_ground(p: Program | GroundProgram) -> GroundProgram:
     return p if isinstance(p, GroundProgram) else ground(p)
 
 
+def from_clauses(clauses: tuple[Clause, ...]) -> GroundProgram:
+    """The rows of ground ``clauses``, numbering their atoms in order: for
+    each clause its head, its positive body, then its negated body.
+
+    This is how ``engine.ground`` interned the ``Clause`` instances it built
+    before it emitted rows, and it is the oracle route the rows of ``ground``
+    and of the formula translation are checked against.  The result has no
+    source, so its ``clauses`` list a negated atom first and its ``base`` is
+    its atom table; on negation-free clauses that is the order given.
+    """
+    ids: dict = {}
+
+    def intern(a: Atom) -> int:
+        return ids.setdefault(atom_key(a), len(ids))
+
+    heads, pos, neg = [], [], []
+    for c in clauses:
+        heads.append(intern(c.head))
+        pos.append(tuple([intern(a) for a in c.body if not a.negated]))
+        neg.append(tuple([intern(a) for a in c.body if a.negated]))
+    return GroundProgram(ids, heads, pos, neg)
+
+
 def reduct(g: GroundProgram, m: Model) -> GroundProgram:
     """The negation-free transform relative to ``m``."""
     out: list[Clause] = []
@@ -26,7 +49,7 @@ def reduct(g: GroundProgram, m: Model) -> GroundProgram:
         if any(a.negated and a.positive() in m for a in c.body):
             continue
         out.append(Clause(c.head, tuple(a for a in c.body if not a.negated)))
-    return GroundProgram.from_clauses(tuple(out), g.base)
+    return from_clauses(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +90,7 @@ def overline(p: Program | GroundProgram) -> OverlineProgram:
             Atom(bar_names[a.pred], a.args) if a.negated else a for a in c.body
         )
         out.append(Clause(c.head, body))
-    barred = GroundProgram.from_clauses(
-        tuple(out),
-        g.base | frozenset(Atom(bar_names[a.pred], a.args) for a in g.base),
-    )
+    barred = from_clauses(tuple(out))
     return OverlineProgram(barred, bar_names, g.base)
 
 

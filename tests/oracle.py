@@ -1,8 +1,13 @@
 """Brute-force oracles shared by the tests.
 
-``naive_stable_models`` shares no code with ``aspsigma.engine``'s search: it
-tries every subset of the base against a naive reduct fixpoint, so it is
-exponential in the base and only meant for small programs.
+``naive_ground`` is the grounding loop ``engine.ground`` ran before it emitted
+integer rows: it builds every instance as a ``Clause`` and drops the ones
+equal to an earlier instance.
+
+``naive_stable_models`` shares no code with ``aspsigma.engine``'s grounding or
+search: it tries every subset of ``naive_ground``'s base against a naive
+reduct fixpoint, so it is exponential in the base and only meant for small
+programs.
 
 ``naive_questions_at`` shares no code with ``logic_to_asp.analysis``'s question
 table: it substitutes every combination of pool constants into every member
@@ -21,8 +26,9 @@ yields, in the same order, and ``propagate`` is the per-node reference for
 
 import itertools
 
-from aspsigma.engine import ground
-from aspsigma.syntax import alpha_key, const, free_vars, substitute
+from aspsigma import engine
+from aspsigma.errors import CapExceeded
+from aspsigma.syntax import Atom, Clause, alpha_key, const, free_vars, substitute
 
 
 def subsets(atoms):
@@ -31,13 +37,48 @@ def subsets(atoms):
         yield frozenset(a for a, b in zip(atoms, bits) if b)
 
 
+def naive_ground(p):
+    """The ground clauses of ``p`` in order and its base.
+
+    Every substitution of the domain into a clause's sorted variables is
+    built as a ``Clause`` and kept unless an equal one came first.  More than
+    ``engine.GROUND_CAP`` instances raise ``CapExceeded`` before the clause
+    that would pass the cap is instantiated.
+    """
+    dom = sorted(p.domain)
+    out, seen, count = [], set(), 0
+    for clause in p.clauses:
+        cvars = sorted(clause.variables())
+        count += len(dom) ** len(cvars)
+        if count > engine.GROUND_CAP:
+            raise CapExceeded(
+                f"grounding would exceed {engine.GROUND_CAP} clauses",
+                feasible=engine.GROUND_CAP,
+            )
+        for combo in itertools.product(dom, repeat=len(cvars)):
+            binding = dict(zip(cvars, combo))
+            g = Clause(
+                clause.head.apply(binding),
+                tuple(a.apply(binding) for a in clause.body),
+            )
+            if g not in seen:
+                seen.add(g)
+                out.append(g)
+    base = frozenset(
+        Atom(pred, tuple(const(c) for c in combo))
+        for pred, arity in p.predicates().items()
+        for combo in itertools.product(dom, repeat=arity)
+    )
+    return tuple(out), base
+
+
 def naive_stable_models(p):
     """The set of stable models of ``p``, by subset enumeration."""
-    g = ground(p)
+    clauses, base = naive_ground(p)
     found = set()
-    for m in subsets(g.base):
+    for m in subsets(base):
         reduct = []
-        for c in g.clauses:
+        for c in clauses:
             if any(b.negated and b.positive() in m for b in c.body):
                 continue
             reduct.append((c.head, [b for b in c.body if not b.negated]))

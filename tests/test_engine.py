@@ -15,8 +15,8 @@ from aspsigma.engine import (
     sms_entails,
     stable_models,
 )
-from aspsigma.corpus import CorpusSpec, gen_formulas
-from aspsigma.errors import BudgetExceeded, CapExceeded
+from aspsigma.corpus import CorpusSpec, gen_formulas, gen_programs
+from aspsigma.errors import ArityError, BudgetExceeded, CapExceeded
 from aspsigma.logic_to_asp import (
     _answers_first,
     analysis,
@@ -24,10 +24,11 @@ from aspsigma.logic_to_asp import (
     translate,
 )
 from aspsigma.parsing import parse_program
-from aspsigma.syntax import Atom, Clause, const, fmt_formula, make_program
+from aspsigma.syntax import Atom, Clause, const, fmt_formula, make_program, var
 from lemmas import (
     find_derivation_no_returns,
     find_refutation,
+    from_clauses,
     horn_derives,
     overline,
     reduct,
@@ -37,6 +38,7 @@ from oracle import (
     TRUE,
     UNKNOWN,
     clauses_by_head,
+    naive_ground,
     naive_stable_models,
     propagate,
     reference_search,
@@ -81,6 +83,77 @@ def test_ground_cap(monkeypatch):
     text = "#domain c1, c2, c3, c4. p(u, v, w, x, y, z) :- q(u)."
     with pytest.raises(CapExceeded):
         ground(parse_program(text))
+
+
+def test_ground_rejects_a_predicate_of_two_arities():
+    p = make_program([Clause(Atom("p"), (ga("p", "c"),))])
+    with pytest.raises(ArityError):
+        ground(p)
+
+
+def _cap_outcome(grounder, p, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "GROUND_CAP", cap)
+        try:
+            grounder(p)
+        except CapExceeded as e:
+            return str(e)
+    return None
+
+
+def _assert_ground_matches_the_oracle_route(p):
+    """``ground`` gives the atom table, rows, clauses and base of the clause
+    route (``naive_ground`` and ``from_clauses``), and raises ``CapExceeded``
+    at the same clause: on a cap just below and at each clause's running
+    instance count."""
+    g = ground(p)
+    clauses, base = naive_ground(p)
+    h = from_clauses(clauses)
+    assert list(g.ids.items()) == list(h.ids.items())
+    assert (g.heads, g.pos, g.neg) == (h.heads, h.pos, h.neg)
+    assert g.clauses == clauses
+    assert g.base == base
+    total = 0
+    for c in p.clauses:
+        total += len(p.domain) ** len(c.variables())
+        for cap in (total - 1, total):
+            assert _cap_outcome(ground, p, cap) == _cap_outcome(naive_ground, p, cap)
+
+
+_ARITY = {"a": 0, "b": 0, "p": 1, "q": 1, "r": 2}
+_TERMS = [var("x"), var("y"), const("c"), const("d")]
+
+
+@st.composite
+def _atoms(draw, negated_ok=True):
+    pred = draw(st.sampled_from(sorted(_ARITY)))
+    args = draw(st.lists(st.sampled_from(_TERMS), min_size=_ARITY[pred], max_size=_ARITY[pred]))
+    return Atom(pred, tuple(args), negated_ok and draw(st.booleans()))
+
+
+_CLAUSES = st.lists(
+    st.builds(Clause, _atoms(negated_ok=False), st.lists(_atoms(), max_size=3).map(tuple)),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CLAUSES, st.sets(st.sampled_from(["c", "d", "e"])))
+def test_ground_matches_the_oracle_route(clauses, extra):
+    _assert_ground_matches_the_oracle_route(make_program(clauses, extra | {"c"}))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CorpusSpec(count=500, seed=0),
+        CorpusSpec(count=150, max_arity=2, max_domain=3, max_clauses=5, max_body=3, seed=5),
+    ],
+    ids=["seed0", "arity2"],
+)
+def test_corpus_ground_rows_match_the_oracle_route(spec):
+    for p in gen_programs(spec):
+        _assert_ground_matches_the_oracle_route(p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aspsigma import logic_to_asp
 from aspsigma.corpus import CorpusSpec, gen_formulas
-from aspsigma.engine import GroundProgram, atom_key, has_stable_model, is_stable
+from aspsigma.engine import atom_key, has_stable_model, is_stable
 from aspsigma.errors import CapExceeded, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
@@ -19,6 +19,7 @@ from aspsigma.logic_to_asp import (
 from aspsigma.parsing import parse_formula
 from aspsigma.proofs import prove_sigma1
 from aspsigma.syntax import Atom, AtomF, alpha_key, const, fmt_formula
+from lemmas import from_clauses
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def _assert_rows_match_the_clause_route(t):
     interns from ``t.program.clauses``: the same atom table, ``heads``,
     ``pos``, ``neg`` and ``negated``, and the same first witness."""
     g = t.ground_program
-    h = GroundProgram.from_clauses(t.program.clauses, g.base)
+    h = from_clauses(t.program.clauses)
     assert list(h.ids) == list(g.ids)
     assert [h.atom(i) for i in h.ids.values()] == [g.atom(i) for i in g.ids.values()]
     assert (h.heads, h.pos, h.neg) == (g.heads, g.pos, g.neg)
