@@ -107,29 +107,49 @@ class OApp(ProofTerm):
     arg: Term
 
 
-@dataclass(frozen=True)
 class Environment:
-    """Ordered proof-variable declarations, at most one per variable."""
+    """Ordered proof-variable declarations, at most one per variable.
 
-    decls: tuple[tuple[str, Formula], ...] = ()
+    The declarations are kept as one name -> formula dict in declaration
+    order, so ``lookup`` is a hash probe and ``bind`` a dict copy, not a pass
+    over the declarations in Python.  ``bind`` shadows: the name's old
+    declaration goes and the new one comes last.
+    """
 
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.decls]
-        if len(names) != len(set(names)):
+    __slots__ = ("_index",)
+
+    def __init__(self, decls: tuple[tuple[str, Formula], ...] = ()):
+        self._index = dict(decls)
+        if len(self._index) != len(decls):
             raise FormulaError("environment declares a variable twice")
 
+    @property
+    def decls(self) -> tuple[tuple[str, Formula], ...]:
+        return tuple(self._index.items())
+
     def lookup(self, name: str) -> Formula | None:
-        for n, f in self.decls:
-            if n == name:
-                return f
-        return None
+        return self._index.get(name)
 
     def bind(self, name: str, f: Formula) -> "Environment":
-        kept = tuple((n, g) for n, g in self.decls if n != name)
-        return Environment(kept + ((name, f),))
+        env = Environment()
+        env._index = self._index.copy()
+        env._index.pop(name, None)
+        env._index[name] = f
+        return env
 
     def formulas(self) -> tuple[Formula, ...]:
-        return tuple(f for _, f in self.decls)
+        return tuple(self._index.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Environment):
+            return NotImplemented
+        return self.decls == other.decls
+
+    def __hash__(self) -> int:
+        return hash(self.decls)
+
+    def __repr__(self) -> str:
+        return f"Environment(decls={self.decls!r})"
 
 
 # ---------------------------------------------------------------------------

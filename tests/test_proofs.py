@@ -98,9 +98,32 @@ def test_check_alpha_equivalence_of_goal():
     assert check(env, PVar("X"), Forall("z", P(var("z"))))
 
 
-def test_environment_rejects_duplicates():
+@pytest.mark.parametrize(
+    "decls", [(("X", a), ("X", b)), (("X", a), ("Y", b), ("X", a))]
+)
+def test_environment_rejects_duplicates(decls):
     with pytest.raises(FormulaError):
-        Environment((("X", a), ("X", b)))
+        Environment(decls)
+
+
+def test_environment_keeps_declaration_order():
+    env = Environment((("Y", b), ("X", a))).bind("Z", Impl(a, b))
+    assert env.decls == (("Y", b), ("X", a), ("Z", Impl(a, b)))
+    assert env.formulas() == (b, a, Impl(a, b))
+    assert env == Environment(env.decls)
+
+
+def test_environment_bind_shadows():
+    outer = Environment((("X", a), ("Y", b)))
+    inner = outer.bind("X", b)
+    # the new declaration comes last and hides the old one; the outer
+    # environment is unchanged
+    assert inner.decls == (("Y", b), ("X", b))
+    assert inner.lookup("X") == b and outer.lookup("X") == a
+    assert inner.lookup("Z") is None
+    t = PAbs("X", b, PVar("X"))
+    assert check(Environment((("X", a),)), t, Impl(b, b))
+    assert not check(Environment((("X", a),)), t, Impl(b, a))
 
 
 # ---------------------------------------------------------------------------
