@@ -180,8 +180,8 @@ def program_base(p: Program) -> frozenset[Atom]:
 def _key_getters(clause: Clause, cvars: list[str]) -> tuple[list, tuple[str, ...]]:
     """One getter per atom of ``clause`` (the head, the positive body, then
     the negated body) that picks the atom's key from the values of a
-    substitution: the constants of ``cvars`` followed by the returned names,
-    the clause's predicates and constants."""
+    substitution: the constants it gives ``cvars``, in order, followed by the
+    returned names, which are the clause's predicates and constants."""
     slot = {v: i for i, v in enumerate(cvars)}
     where: dict[str, int] = {}
 
@@ -197,7 +197,9 @@ def _key_getters(clause: Clause, cvars: list[str]) -> tuple[list, tuple[str, ...
         idx = [at(a.pred)] + [slot[t.name] if t.var else at(t.name) for t in a.args]
         # itemgetter of one index gives the value, of a slice a tuple
         getters.append(
-            operator.itemgetter(*idx) if a.args else operator.itemgetter(slice(idx[0], idx[0] + 1))
+            operator.itemgetter(*idx)
+            if a.args
+            else operator.itemgetter(slice(idx[0], idx[0] + 1))
         )
     return getters, tuple(where)
 
@@ -218,8 +220,7 @@ def ground(p: Program) -> GroundProgram:
     pos: list[tuple[int, ...]] = []
     neg: list[tuple[int, ...]] = []
     spans: list[tuple[int, tuple[bool, ...]]] = []
-    patterns: dict[tuple[bool, ...], int] = {}
-    seen: set[tuple[int, tuple[int, ...]]] = set()
+    seen: set[tuple[tuple[bool, ...], tuple[int, ...]]] = set()
     count = 0
     for clause in p.clauses:
         cvars = sorted(clause.variables())
@@ -229,13 +230,12 @@ def ground(p: Program) -> GroundProgram:
                 f"grounding would exceed {GROUND_CAP} clauses", feasible=GROUND_CAP
             )
         signs = tuple([a.negated for a in clause.body])
-        pattern = patterns.setdefault(signs, len(patterns))
         split = len(signs) - sum(signs) + 1
         getters, names = _key_getters(clause, cvars)
         for combo in itertools.product(dom, repeat=len(cvars)):
             vals = combo + names
             row = tuple([setdefault(get(vals), len(ids)) for get in getters])
-            key = (pattern, row)
+            key = (signs, row)
             if key not in seen:
                 seen.add(key)
                 heads.append(row[0])
