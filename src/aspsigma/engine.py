@@ -2,12 +2,14 @@
 
 A ``GroundProgram`` is a table of ground atoms numbered from 0, each known
 by its key ``(pred, arg name, ...)``, and one integer row ``(head, pos,
-neg)`` per clause.  The formula translation emits those rows directly and
-``ground`` interns its clauses into them (``GroundProgram.from_clauses``);
-either way the search, the fixpoints and the stability check run on the rows
-alone, through the one ``_Compiled`` constructor.  ``Atom`` and ``Clause``
-objects are built only for what a caller reads: a returned model, a
-printed clause, the atoms a branching priority looks at.
+neg)`` per clause.  Both routes into it emit rows directly: the formula
+translation, and ``ground``, which compiles each source clause once into one
+key getter per atom and instantiates it by picking each substitution's keys
+and interning them, so no ``Atom`` or ``Clause`` is built per instance.  The
+search, the fixpoints and the stability check run on the rows alone, through
+the one ``_Compiled`` constructor.  ``Atom`` and ``Clause`` objects are built
+only for what a caller reads: a returned model, a printed clause, the atoms a
+branching priority looks at.
 
 One search core, ``_search``, enumerates the stable models: it propagates
 bounds over the atoms that occur negated and branches only where forced, which

@@ -3,7 +3,8 @@
 These are proof devices, not library features: the Gelfond-Lifschitz reduct,
 the overline transform with Horn derivability, refutation trees and
 return-free derivations.  ``tests/test_engine.py`` and acceptance criteria 2
-and 6 check them against ``aspsigma.engine.interpretation``.
+and 6 check them against ``aspsigma.engine.interpretation``.  They build
+their programs with ``from_clauses``, the clause route into integer rows.
 """
 
 import itertools
@@ -23,11 +24,11 @@ def from_clauses(clauses: tuple[Clause, ...]) -> GroundProgram:
     """The rows of ground ``clauses``, numbering their atoms in order: for
     each clause its head, its positive body, then its negated body.
 
-    This is how ``engine.ground`` interned the ``Clause`` instances it built
-    before it emitted rows, and it is the oracle route the rows of ``ground``
-    and of the formula translation are checked against.  The result has no
-    source, so its ``clauses`` list a negated atom first and its ``base`` is
-    its atom table; on negation-free clauses that is the order given.
+    This is the oracle route: the rows of ``engine.ground`` and of the
+    formula translation must be the rows it gives for their clauses.  The
+    result has no source, so its ``clauses`` list a negated atom first and
+    its ``base`` is its atom table; on negation-free clauses that is the
+    order given.
     """
     ids: dict = {}
 

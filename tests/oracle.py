@@ -1,8 +1,9 @@
 """Brute-force oracles shared by the tests.
 
-``naive_ground`` is the grounding loop ``engine.ground`` ran before it emitted
-integer rows: it builds every instance as a ``Clause`` and drops the ones
-equal to an earlier instance.
+``naive_ground`` shares no code with ``engine.ground``: it builds every
+instance as a ``Clause`` and drops the ones equal to an earlier instance.
+``ground`` must give its clauses and base, and through ``lemmas.from_clauses``
+its rows.
 
 ``naive_stable_models`` shares no code with ``aspsigma.engine``'s grounding or
 search: it tries every subset of ``naive_ground``'s base against a naive
