@@ -76,13 +76,6 @@ class Atom:
     def constants(self) -> set[str]:
         return {t.name for t in self.args if not t.var}
 
-    def apply(self, binding: Mapping[str, str]) -> "Atom":
-        args = tuple(
-            const(binding[t.name]) if t.var and t.name in binding else t
-            for t in self.args
-        )
-        return Atom(self.pred, args, self.negated)
-
     def __str__(self) -> str:
         body = self.pred if not self.args else (
             self.pred + "(" + ",".join(t.name for t in self.args) + ")"

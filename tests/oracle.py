@@ -38,6 +38,11 @@ def subsets(atoms):
         yield frozenset(a for a, b in zip(atoms, bits) if b)
 
 
+def _instance(a, binding):
+    args = tuple(const(binding[t.name]) if t.var else t for t in a.args)
+    return Atom(a.pred, args, a.negated)
+
+
 def naive_ground(p):
     """The ground clauses of ``p`` in order and its base.
 
@@ -59,8 +64,8 @@ def naive_ground(p):
         for combo in itertools.product(dom, repeat=len(cvars)):
             binding = dict(zip(cvars, combo))
             g = Clause(
-                clause.head.apply(binding),
-                tuple(a.apply(binding) for a in clause.body),
+                _instance(clause.head, binding),
+                tuple(_instance(a, binding) for a in clause.body),
             )
             if g not in seen:
                 seen.add(g)

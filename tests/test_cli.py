@@ -194,7 +194,9 @@ m(c) :- n(d).
 """
 
 
-@pytest.mark.parametrize("flags, golden", [([], "ground.txt"), (["--json"], "ground.json")])
+@pytest.mark.parametrize(
+    "flags, golden", [([], "ground.txt"), (["--json"], "ground.json")]
+)
 def test_ground_output_is_pinned(files, capsys, flags, golden):
     path = files("p.lp", GROUND_PROGRAM)
     assert run([*flags, "ground", path]) == EXIT_OK

@@ -127,12 +127,15 @@ _TERMS = [var("x"), var("y"), const("c"), const("d")]
 @st.composite
 def _atoms(draw, negated_ok=True):
     pred = draw(st.sampled_from(sorted(_ARITY)))
-    args = draw(st.lists(st.sampled_from(_TERMS), min_size=_ARITY[pred], max_size=_ARITY[pred]))
+    n = _ARITY[pred]
+    args = draw(st.lists(st.sampled_from(_TERMS), min_size=n, max_size=n))
     return Atom(pred, tuple(args), negated_ok and draw(st.booleans()))
 
 
 _CLAUSES = st.lists(
-    st.builds(Clause, _atoms(negated_ok=False), st.lists(_atoms(), max_size=3).map(tuple)),
+    st.builds(
+        Clause, _atoms(negated_ok=False), st.lists(_atoms(), max_size=3).map(tuple)
+    ),
     max_size=6,
 )
 
@@ -147,7 +150,9 @@ def test_ground_matches_the_oracle_route(clauses, extra):
     "spec",
     [
         CorpusSpec(count=500, seed=0),
-        CorpusSpec(count=150, max_arity=2, max_domain=3, max_clauses=5, max_body=3, seed=5),
+        CorpusSpec(
+            count=150, max_arity=2, max_domain=3, max_clauses=5, max_body=3, seed=5
+        ),
     ],
     ids=["seed0", "arity2"],
 )
