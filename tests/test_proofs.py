@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -502,6 +503,38 @@ def test_case_certificates_are_pinned():
             for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
                 h.update((_text(prove(ctx, AtomF(goal))) + "\n").encode())
     assert h.hexdigest()[:16] == "854b5168f3abfd2e"
+
+
+def test_sigma1_certificates_are_pinned():
+    # the proof terms of the 500 seed-0 translations, not only their verdicts
+    h = hashlib.sha256()
+    for p in gen_programs(CorpusSpec(count=500, seed=0)):
+        phi = translate(p, fresh_goal_atom(p)).formula
+        h.update((_text(prove_sigma1(phi)) + "\n").encode())
+    assert h.hexdigest()[:16] == "54cfac6e9a4abd8a"
+
+
+def test_case_certificates_do_not_depend_on_the_call_order():
+    # every fourth small program's case pairs, proved once in acceptance 8's
+    # order and once shuffled, so that most calls build a fresh base
+    pairs = []
+    small = [
+        p
+        for p in gen_programs(CorpusSpec(count=500, seed=0))
+        if len(program_base(p)) <= 4
+    ]
+    for j, p in enumerate(small[::4]):
+        t = translate(p, fresh_goal_atom(p))
+        base = sorted(program_base(p))
+        for bits in itertools.product((False, True), repeat=len(base)):
+            m = frozenset(a for a, keep in zip(base, bits) if keep)
+            ctx = list(model_context(t, m).formulas)
+            for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
+                pairs.append(((j, m, goal), ctx, AtomF(goal)))
+    in_order = {key: _text(prove(ctx, goal)) for key, ctx, goal in pairs}
+    random.Random(13).shuffle(pairs)
+    shuffled = {key: _text(prove(ctx, goal)) for key, ctx, goal in pairs}
+    assert len(in_order) > 100 and shuffled == in_order
 
 
 def _tables(base) -> tuple:
