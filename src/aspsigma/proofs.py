@@ -14,11 +14,20 @@ the initial context and a judgment is ``(frozenset of added ids, goal atom)``.
 A class is looked up by its ``syntax.alpha_key``, a flat tuple built once
 when a formula is interned and hashed without calls back into Python; no
 member's tree is hashed or rebuilt, and per judgment only goal atoms are.
-Members are tried in id order (initial members first, then the added ones),
-and only those whose target predicate is the goal's.  Ground atom members are
-indexed by predicate before the search, with the added ones merged in per
-judgment, to join a member's membership-only premises.  The premises a
-member instance leaves to prove (substituted, peeled, with their hypotheses
+A context member is compiled from one walk (``syntax.survey``), which gives
+its key, its constants, its free variables and whether it is Pi1; its Pi1
+scheme then comes from the top-level quantifiers and premises alone.  The
+goal is walked once too, for its free variables, its class and constants.
+
+The search is one loop per judgment.  It tries the members whose target
+predicate is the goal's, initial members first, then the added ones, each in
+id order, and for each member the list of its instantiations, computed when
+the loop reaches it: the target matched against the goal, then, premise by
+premise, the atomic premises over membership-only predicates joined against
+the context's atom members, then the remaining top variables drawn from the
+constant pool.  The atom members by predicate and the added members by
+target predicate are built once per added set.  The premises a member
+instance leaves to prove (substituted, peeled, with their hypotheses
 interned) are computed once per (member id, instantiation) and kept for the
 life of one search.  Every iteration follows these orders, so the certificate
 found does not depend on the string hash seed.
@@ -48,20 +57,20 @@ from .syntax import (
     Forall,
     Formula,
     Impl,
-    MintsClass,
     Pi1Scheme,
+    Survey,
     Term,
     AlphaKey,
     alpha_eq,
     alpha_key,
     classify,
     const,
-    decompose_pi1,
     fmt_formula,
-    formula_constants,
     free_vars,
-    peel_sigma1,
+    impl_spine,
+    pi1_spine,
     substitute,
+    survey,
     var,
 )
 
@@ -381,6 +390,10 @@ def parse_term(text: str) -> ProofTerm:
 class _Entry:
     formula: Formula
     scheme: Pi1Scheme
+    top: frozenset[str]  # the scheme's top variables
+    # the premises that are atoms, in step order: the ones a search joins
+    # against the context's atom members when their predicate is rigid
+    atom_premises: tuple[AtomF, ...]
 
 
 class _Base:
@@ -395,10 +408,7 @@ class _Base:
     def __init__(self, members: list[Formula]):
         # as given, so the next call can compare its own leading members
         self.members = members
-        frozen = [_freeze_free_vars(f) for f in members]
         self.constants: set[str] = set()
-        for f in frozen:
-            self.constants |= formula_constants(f)
         # member id -> entry; ids are dense and follow interning order
         self.entries: list[_Entry] = []
         self.ids: dict[AlphaKey, int] = {}  # alpha_key(frozen member) -> id
@@ -407,23 +417,39 @@ class _Base:
         # predicates that head a non-atomic member; their atoms may be proved
         # by a generation step, all other atoms only by context membership
         self.flexible_preds: set[str] = set()
-        self.base_ids = [self.intern(f) for f in frozen]
+        self.base_ids: list[int] = []
+        for f in members:
+            frozen, key, facts = _freeze(f)
+            if not facts.pi1:
+                raise FormulaError(
+                    f"context members must be Pi1 formulas: {fmt_formula(f)}"
+                )
+            self.constants |= facts.constants | facts.free
+            self.base_ids.append(self.intern(frozen, key))
         self.base_by_target: dict[str, list[int]] = {}
         self.base_atoms: dict[str, list[AtomF]] = {}
         self._index(0, {}, {})
 
-    def intern(self, f: Formula) -> int:
-        key = alpha_key(f)
+    def intern(self, f: Formula, key: AlphaKey) -> int:
+        """The id of the class of ``f``, a closed Pi1 formula whose alpha key
+        is ``key``.
+
+        Only a context member can fail to be Pi1, and ``_Base`` checks those
+        from the walk that keys them.  Atoms, the goal's premises and the
+        hypotheses of a member's Sigma1 premises are Pi1 by their syntax.
+        """
         mid = self.ids.get(key)
         if mid is None:
-            try:
-                scheme = decompose_pi1(f)
-            except FormulaError:
-                raise FormulaError(
-                    f"context members must be Pi1 formulas: {fmt_formula(f)}"
-                ) from None
+            scheme = pi1_spine(f)
             mid = self.ids[key] = len(self.entries)
-            self.entries.append(_Entry(f, scheme))
+            self.entries.append(
+                _Entry(
+                    f,
+                    scheme,
+                    frozenset(scheme.top_vars),
+                    tuple(s.sigma for s in scheme.steps if isinstance(s.sigma, AtomF)),
+                )
+            )
             if _is_ground_atom(f):
                 self.atom_ids[(f.pred, *(t.name for t in f.args))] = mid
             if scheme.steps or scheme.top_vars:
@@ -449,6 +475,26 @@ def _append(table: dict[str, list], shared: dict[str, list], key: str, item) -> 
     items.append(item)
 
 
+def _match_atom(
+    pattern: AtomF, concrete: AtomF, tv: frozenset[str], binding: dict[str, Term]
+) -> dict[str, Term] | None:
+    """``binding`` extended so that the pattern becomes the concrete atom, as
+    a new dict, or None."""
+    if pattern.pred != concrete.pred or len(pattern.args) != len(concrete.args):
+        return None
+    out = dict(binding)
+    for p_arg, c_arg in zip(pattern.args, concrete.args):
+        if p_arg.var and p_arg.name in tv:
+            old = out.get(p_arg.name)
+            if old is None:
+                out[p_arg.name] = c_arg
+            elif old != c_arg:
+                return None
+        elif p_arg != c_arg:
+            return None
+    return out
+
+
 class _Prover(_Base):
     """One search: a copy of a base's tables, the context's remaining members
     and the goal's premises interned after the base's, in that order."""
@@ -467,11 +513,14 @@ class _Prover(_Base):
         self.atom_ids = dict(base.atom_ids)
         self.flexible_preds = set(base.flexible_preds)
         # the base holds the ids 0 .. k-1, the extra members the ones after
-        self.base_ids = base.base_ids + [self.intern(f) for f in extra]
+        self.base_ids = base.base_ids + [self.intern(f, alpha_key(f)) for f in extra]
         self.base_set = frozenset(range(len(self.entries)))
         self.base_by_target = dict(base.base_by_target)
         self.base_atoms = dict(base.base_atoms)
         self._index(len(base.entries), base.base_by_target, base.base_atoms)
+        # added set -> its members by target predicate and the context's atoms
+        # by predicate, for the predicates that have added atoms
+        self.added_tables: dict[frozenset[int], tuple[dict, dict]] = {}
         # (member id, assigned constant names) -> per-premise child data
         self.children: dict[tuple[int, tuple[str, ...]], tuple] = {}
         # solved[goal] -> list of (added_set, record); insertion order matters
@@ -481,77 +530,89 @@ class _Prover(_Base):
 
     # -- matching ----------------------------------------------------------
 
-    @staticmethod
-    def _match_atom(
-        pattern: AtomF, concrete: AtomF, tv: set[str], binding: dict[str, Term]
-    ) -> dict[str, Term] | None:
-        """Extend ``binding`` so the pattern becomes the concrete atom."""
-        if pattern.pred != concrete.pred or len(pattern.args) != len(concrete.args):
-            return None
-        out = binding
-        for p_arg, c_arg in zip(pattern.args, concrete.args):
-            if p_arg.var and p_arg.name in tv:
-                old = out.get(p_arg.name)
-                if old is None:
-                    if out is binding:
-                        out = dict(binding)
-                    out[p_arg.name] = c_arg
-                elif old != c_arg:
-                    return None
-            elif p_arg != c_arg:
-                return None
-        return out if out is not binding else dict(binding)
+    def members(self, added: frozenset[int], goal: AtomF) -> tuple:
+        """The members whose target predicate is the goal's, base members
+        first, then the added ones, each in id order; and the context's atom
+        members by predicate where they differ from the base's."""
+        tables = self.added_tables.get(added)
+        if tables is None:
+            by_target: dict[str, list[int]] = {}
+            atoms: dict[str, list[AtomF]] = {}
+            for mid in sorted(added):
+                entry = self.entries[mid]
+                by_target.setdefault(entry.scheme.target.pred, []).append(mid)
+                if isinstance(entry.formula, AtomF):
+                    atoms.setdefault(entry.formula.pred, []).append(entry.formula)
+            for pred, more in atoms.items():
+                atoms[pred] = self.base_atoms.get(pred, []) + more
+            tables = self.added_tables[added] = (by_target, atoms)
+        by_target, atoms = tables
+        pred = goal.pred
+        return (
+            itertools.chain(
+                self.base_by_target.get(pred, ()), by_target.get(pred, ())
+            ),
+            atoms,
+        )
 
-    def instantiations(
-        self, scheme: Pi1Scheme, goal: AtomF, added: frozenset[int], atoms_of
-    ):
-        """Top-variable assignments matching the target against the goal.
+    def instances(
+        self,
+        entry: _Entry,
+        goal: AtomF,
+        added: frozenset[int],
+        atoms: dict[str, list[AtomF]],
+    ) -> list[dict[str, Term]]:
+        """Top-variable assignments matching the member's target against the
+        goal.
 
         Atomic premises over membership-only predicates are joined against the
-        context's atom members (``atoms_of(pred)``, in member-id order), which
-        both binds their variables and prunes instantiations that could never
-        be completed.
+        context's atom members (``atoms``, else the base's, in member-id
+        order), which both binds their variables and prunes instantiations
+        that could never be completed.  The join runs premise by premise over
+        the partial assignments, so the list comes out in the order of a
+        depth-first join.  A search asks for the list only when it reaches
+        the member: ``flexible_preds`` grows as the search interns.
         """
-        tv = set(scheme.top_vars)
-        binding = self._match_atom(scheme.target, goal, tv, {})
-        if binding is None:
-            return
-        rigid = [
-            s.sigma
-            for s in scheme.steps
-            if isinstance(s.sigma, AtomF) and s.sigma.pred not in self.flexible_preds
-        ]
-
-        def join(i: int, b: dict[str, Term]):
-            if i == len(rigid):
-                rest = [v for v in scheme.top_vars if v not in b]
-                for combo in itertools.product(self.pool, repeat=len(rest)):
-                    full = dict(b)
-                    full.update(zip(rest, combo))
-                    yield full
-                return
-            pattern = rigid[i]
+        top = entry.top
+        b = _match_atom(entry.scheme.target, goal, top, {})
+        if b is None:
+            return []
+        found = [b]
+        for pattern in entry.atom_premises:
+            pred = pattern.pred
+            if pred in self.flexible_preds:
+                continue
+            kept = []
             if all(not a.var or a.name in b for a in pattern.args):
                 # fully bound: a bare membership test, no branching
-                mid = self.atom_ids.get(
-                    (
-                        pattern.pred,
-                        *(b[a.name].name if a.var else a.name for a in pattern.args),
+                for b in found:
+                    mid = self.atom_ids.get(
+                        (pred, *(b[a.name].name if a.var else a.name for a in pattern.args))
                     )
-                )
-                if mid is not None and (mid in self.base_set or mid in added):
-                    yield from join(i + 1, b)
-                return
-            seen: set[tuple] = set()
-            for cand in atoms_of(pattern.pred):
-                nb = self._match_atom(pattern, cand, tv, b)
-                if nb is not None:
-                    sig = tuple(sorted((k, v.name) for k, v in nb.items()))
-                    if sig not in seen:
-                        seen.add(sig)
-                        yield from join(i + 1, nb)
-
-        yield from join(0, binding)
+                    if mid is not None and (mid in self.base_set or mid in added):
+                        kept.append(b)
+            else:
+                # distinct atom members match with distinct bindings
+                cands = atoms.get(pred) or self.base_atoms.get(pred, ())
+                for b in found:
+                    for cand in cands:
+                        nb = _match_atom(pattern, cand, top, b)
+                        if nb is not None:
+                            kept.append(nb)
+            if not kept:
+                return kept
+            found = kept
+            b = found[0]  # every partial assignment binds the same variables
+        rest = [v for v in entry.scheme.top_vars if v not in b]
+        if not rest:
+            return found
+        out = []
+        for b in found:
+            for combo in itertools.product(self.pool, repeat=len(rest)):
+                full = dict(b)
+                full.update(zip(rest, combo))
+                out.append(full)
+        return out
 
     def child_data(self, mid: int, t_assign: dict[str, Term]) -> tuple:
         """Per premise: its peeled taus, their ids, the ids new beyond the
@@ -562,37 +623,11 @@ class _Prover(_Base):
         if data is None:
             out = []
             for step in scheme.steps:
-                taus, a_i = peel_sigma1(substitute(step.sigma, t_assign))
-                tau_ids = tuple(self.intern(tau) for tau in taus)
+                taus, a_i = impl_spine(substitute(step.sigma, t_assign))
+                tau_ids = tuple(self.intern(tau, alpha_key(tau)) for tau in taus)
                 out.append((taus, tau_ids, frozenset(tau_ids) - self.base_set, a_i))
             data = self.children[key] = tuple(out)
         return data
-
-    def attempts(self, added: frozenset[int], goal: AtomF):
-        """Member instances whose target is the goal: base members first, then
-        the added ones, each in id order."""
-        entries = self.entries
-        extra = sorted(added)
-        added_atoms: dict[str, list[AtomF]] = {}
-        for mid in extra:
-            f = entries[mid].formula
-            if isinstance(f, AtomF):
-                added_atoms.setdefault(f.pred, []).append(f)
-
-        def atoms_of(pred: str) -> list[AtomF]:
-            base = self.base_atoms.get(pred, [])
-            more = added_atoms.get(pred)
-            return base + more if more else base
-
-        pred = goal.pred
-        members = itertools.chain(
-            self.base_by_target.get(pred, ()),
-            (mid for mid in extra if entries[mid].scheme.target.pred == pred),
-        )
-        for mid in members:
-            scheme = entries[mid].scheme
-            for t_assign in self.instantiations(scheme, goal, added, atoms_of):
-                yield mid, t_assign, self.child_data(mid, t_assign)
 
     # -- search ------------------------------------------------------------
 
@@ -622,17 +657,20 @@ class _Prover(_Base):
             )
         stack.add(j)
         try:
-            for mid, t_assign, children in self.attempts(added, goal):
-                child_added = []
-                for _, _, new, a_i in children:
-                    sub = added if new <= added else added | new
-                    if not self.dfs(sub, a_i, stack):
-                        break
-                    child_added.append(sub)
-                else:
-                    record = (mid, t_assign, children, child_added)
-                    self.solved.setdefault(goal, []).append((added, record))
-                    return True
+            members, atoms = self.members(added, goal)
+            for mid in members:
+                for t_assign in self.instances(self.entries[mid], goal, added, atoms):
+                    children = self.child_data(mid, t_assign)
+                    child_added = []
+                    for _, _, new, a_i in children:
+                        sub = added if new <= added else added | new
+                        if not self.dfs(sub, a_i, stack):
+                            break
+                        child_added.append(sub)
+                    else:
+                        record = (mid, t_assign, children, child_added)
+                        self.solved.setdefault(goal, []).append((added, record))
+                        return True
             self.failed.setdefault(goal, []).append(added)
             return False
         finally:
@@ -663,13 +701,13 @@ class _Prover(_Base):
             for v in scheme.top_vars[seen_vars : step.vars_visible]:
                 term = OApp(term, t_assign[v])
             seen_vars = step.vars_visible
+            # the taus are instantiated already
             taus, tau_ids, _, a_i = children[i]
             sub_names = dict(names)
             abs_info: list[tuple[str, Formula]] = []
             for tau, tid in zip(taus, tau_ids):
-                tau_inst = substitute(tau, t_assign)
                 name = f"X{next(counter)}"
-                abs_info.append((name, tau_inst))
+                abs_info.append((name, tau))
                 sub_names[tid] = name
             body = self.extract(child_added[i], a_i, sub_names, counter)
             for name, annot in reversed(abs_info):
@@ -680,12 +718,14 @@ class _Prover(_Base):
         return term
 
 
-def _freeze_free_vars(f: Formula) -> Formula:
-    """Read free variables as constants, the convention for closed search."""
-    fv = free_vars(f)
-    if not fv:
-        return f
-    return substitute(f, {v: const(v) for v in fv})
+def _freeze(f: Formula) -> tuple[Formula, AlphaKey, Survey]:
+    """``f`` with its free variables read as constants, the convention for
+    closed search; its alpha key; and the survey of ``f`` as given."""
+    facts = survey(f)
+    if not facts.free:
+        return f, facts.key, facts
+    frozen = substitute(f, {v: const(v) for v in facts.free})
+    return frozen, alpha_key(frozen), facts
 
 
 def context_environment(ctx) -> Environment:
@@ -697,8 +737,7 @@ def context_environment(ctx) -> Environment:
     decls = []
     seen: set[AlphaKey] = set()
     for f in ctx:
-        frozen = _freeze_free_vars(f)
-        key = alpha_key(frozen)
+        frozen, key, _ = _freeze(f)
         if key not in seen:
             seen.add(key)
             decls.append((f"H{len(seen)}", frozen))
@@ -734,23 +773,29 @@ def prove(
     closed, so that the result checks against the goal as given.  Free proof
     variables of the result are named as in ``context_environment``.
     """
-    ctx = list(ctx)
-    fv = free_vars(goal)
-    if fv:
+    return _prove(list(ctx), goal, survey(goal), deadline)
+
+
+def _prove(
+    ctx: list[Formula], goal: Formula, facts: Survey, deadline: float | None
+) -> ProofTerm | None:
+    """``prove``, with ``facts`` the goal's ``survey``."""
+    if facts.free:
         raise FormulaError(
-            f"goal has free variables {', '.join(sorted(fv))}: {fmt_formula(goal)}"
+            f"goal has free variables {', '.join(sorted(facts.free))}: "
+            f"{fmt_formula(goal)}"
         )
-    if classify(goal) not in (MintsClass.SIGMA1, MintsClass.BOTH):
+    if not facts.sigma1:
         raise FormulaError(f"goal must be a Sigma1 formula: {fmt_formula(goal)}")
-    premises, target = peel_sigma1(goal)
+    premises, target = impl_spine(goal)
     k = len(ctx)
     while k and _is_ground_atom(ctx[k - 1]):
         k -= 1
     base = _base_for(ctx[:k])
     atoms = ctx[k:]
-    constants = set(base.constants)
-    for f in atoms + [goal]:
-        constants |= formula_constants(f)
+    constants = base.constants | facts.constants
+    for f in atoms:
+        constants.update(t.name for t in f.args)
     counter = itertools.count(1)
     peeled_names: list[tuple[str, Formula]] = []
     for p in premises:
@@ -779,8 +824,9 @@ def prove_sigma1(
     deadline: float | None = None,
 ) -> ProofTerm | None:
     """A closed long-normal-form proof of the Sigma1 formula ``phi``, or None."""
-    if classify(phi) not in (MintsClass.SIGMA1, MintsClass.BOTH):
+    facts = survey(phi)
+    if not facts.sigma1:
         raise FormulaError(
             f"prove_sigma1 takes Sigma1 formulas, got {classify(phi).value}"
         )
-    return prove([], phi, deadline=deadline)
+    return _prove([], phi, facts, deadline)

@@ -253,22 +253,15 @@ def _question_options(an: Analysis):
     return out
 
 
-def survivor_antichains(
-    an: Analysis,
-    deadline: float | None = None,
-    schedule: str = "forward",
-) -> dict[AtomF, list[frozenset]]:
+def _antichains(an: Analysis, options, deadline, schedule):
     """Maximal surviving context extensions per goal.
 
     Candidates are (initial context + X, goal); a candidate survives while all
-    its questions have surviving answers.  Survivors are downward closed in X,
-    so each goal keeps an antichain of maximal extension sets.  The deletion
-    order must not matter; ``schedule`` picks a scan order for tests.
+    its questions (``options``, from ``_question_options``) have surviving
+    answers.  Survivors are downward closed in X, so each goal keeps an
+    antichain of maximal extension sets.  The deletion order must not matter;
+    ``schedule`` ("forward" or "reverse") picks a scan order for tests.
     """
-    return _antichains(an, _question_options(an), deadline, schedule)
-
-
-def _antichains(an: Analysis, options, deadline, schedule):
     added_universe = frozenset(an.key_formula) - an.initial_keys
     chains: dict[AtomF, list[frozenset]] = {
         g: [added_universe] for g in an.goal_universe

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ArityError, FormulaError
 
@@ -514,6 +514,86 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
     return alpha_key(f) == alpha_key(g)
 
 
+class Survey(NamedTuple):
+    """What one walk of a formula finds; see ``survey``."""
+
+    key: AlphaKey
+    constants: set[str]
+    free: set[str]
+    sigma1: bool
+    pi1: bool
+
+
+# the two questions a survey asks of the root, as bits of a mask
+_ASK_SIGMA1 = 1
+_ASK_PI1 = 2
+
+
+def survey(f: Formula) -> Survey:
+    """The alpha key, constants, free variables and Mints class of ``f``, in
+    one walk.
+
+    ``key`` equals ``alpha_key(f)``, ``constants`` and ``free`` equal
+    ``formula_constants(f)`` and ``free_vars(f)``, and ``sigma1`` and ``pi1``
+    say whether ``classify(f)`` is Sigma1 or Pi1 (Both is both).  The class
+    is decided top-down: every node carries the root questions ("is the root
+    Sigma1?", "is it Pi1?") that need the node in Sigma1 and those that need
+    it in Pi1.  A quantifier fails the questions that need it in Sigma1; an
+    implication passes its needs on to its conclusion and swapped to its
+    premise; an atom is in both classes.
+    """
+    out: list = []
+    emit = out.append
+    constants: set[str] = set()
+    free: set[str] = set()
+    failed = 0
+    binders = 0
+    ren: dict[str, int] = {}
+    need_s, need_p = _ASK_SIGMA1, _ASK_PI1
+    stack: list[tuple[Formula, dict[str, int], int, int]] = []
+    g = f
+    while True:
+        cls = type(g)
+        if cls is Impl:
+            emit(_IMPL_TAG)
+            stack.append((g.rhs, ren, need_s, need_p))
+            g = g.lhs
+            need_s, need_p = need_p, need_s
+            continue
+        if cls is Forall:
+            failed |= need_s
+            need_s = 0
+            binders += 1
+            ren = {**ren, g.var: binders}
+            emit(_FORALL_TAG)
+            g = g.body
+            continue
+        if cls is not AtomF:
+            raise TypeError(g)
+        emit(g.pred)
+        emit(len(g.args))
+        for t in g.args:
+            name = t.name
+            if not t.var:
+                emit(name)
+                constants.add(name)
+            elif name in ren:
+                emit(ren[name])
+            else:
+                emit(None)
+                emit(name)
+                free.add(name)
+        if not stack:
+            return Survey(
+                tuple(out),
+                constants,
+                free,
+                not failed & _ASK_SIGMA1,
+                not failed & _ASK_PI1,
+            )
+        g, ren, need_s, need_p = stack.pop()
+
+
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
@@ -593,13 +673,17 @@ def peel_sigma1(f: Formula) -> tuple[tuple[Formula, ...], AtomF]:
     """Split ``t1 -> ... -> tq -> c`` into premises and the target atom."""
     if not _in_sigma1(f):
         raise FormulaError(f"not a Sigma1 formula: {fmt_formula(f)}")
+    return impl_spine(f)  # type: ignore[return-value]
+
+
+def impl_spine(f: Formula) -> tuple[tuple[Formula, ...], Formula]:
+    """Split ``t1 -> ... -> tq -> g``, g not an implication, into premises
+    and ``g``; for a Sigma1 formula, ``g`` is its target atom."""
     premises: list[Formula] = []
-    g = f
-    while isinstance(g, Impl):
-        premises.append(g.lhs)
-        g = g.rhs
-    assert isinstance(g, AtomF)
-    return tuple(premises), g
+    while isinstance(f, Impl):
+        premises.append(f.lhs)
+        f = f.rhs
+    return tuple(premises), f
 
 
 @dataclass(frozen=True, slots=True)
@@ -622,6 +706,12 @@ class Pi1Scheme:
 def decompose_pi1(f: Formula) -> Pi1Scheme:
     if not _in_pi1(f):
         raise FormulaError(f"not a Pi1 formula: {fmt_formula(f)}")
+    return pi1_spine(f)
+
+
+def pi1_spine(f: Formula) -> Pi1Scheme:
+    """``decompose_pi1`` for a formula known to be Pi1: only the top-level
+    quantifiers and premises are walked."""
     top: list[str] = []
     steps: list[Pi1Step] = []
     g = f

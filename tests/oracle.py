@@ -17,6 +17,11 @@ schema, once per judgment.
 ``scan_questions`` is the linear scan the soup layer ran over that table before
 ``Analysis`` indexed it by member key and head.
 
+``reference_attempts`` is the Sigma1 search's member enumeration as it was
+before the search became one flat loop: a generator per judgment, one per
+member and one per joined premise.  At every judgment, ``proofs._Prover``'s
+``members`` and ``instances`` must give what it yields, in the same order.
+
 ``reference_search`` is the stable-model search as it was before the engine
 kept its bounds on a trail: every propagation round recomputes ``lower`` and
 ``upper`` with two full least-fixpoint passes (``lower_upper``), and every
@@ -29,7 +34,7 @@ import itertools
 
 from aspsigma import engine
 from aspsigma.errors import CapExceeded
-from aspsigma.syntax import Atom, Clause, alpha_key, const, free_vars, substitute
+from aspsigma.syntax import Atom, AtomF, Clause, alpha_key, const, free_vars, substitute
 
 
 def subsets(atoms):
@@ -289,3 +294,100 @@ def reference_search(g, branch_priority=None):
             child = dict(assign)
             child[pick] = value
             stack.append(child)
+
+
+# ---------------------------------------------------------------------------
+# The Sigma1 search's member enumeration as generators
+# ---------------------------------------------------------------------------
+
+
+def _match_atom(pattern, concrete, tv, binding):
+    """Extend ``binding`` so the pattern becomes the concrete atom."""
+    if pattern.pred != concrete.pred or len(pattern.args) != len(concrete.args):
+        return None
+    out = binding
+    for p_arg, c_arg in zip(pattern.args, concrete.args):
+        if p_arg.var and p_arg.name in tv:
+            old = out.get(p_arg.name)
+            if old is None:
+                if out is binding:
+                    out = dict(binding)
+                out[p_arg.name] = c_arg
+            elif old != c_arg:
+                return None
+        elif p_arg != c_arg:
+            return None
+    return out if out is not binding else dict(binding)
+
+
+def reference_instantiations(prover, scheme, goal, added, atoms_of):
+    """Top-variable assignments matching the target against the goal, with
+    the membership-only atomic premises joined depth first against
+    ``atoms_of(pred)``."""
+    tv = set(scheme.top_vars)
+    binding = _match_atom(scheme.target, goal, tv, {})
+    if binding is None:
+        return
+    rigid = [
+        s.sigma
+        for s in scheme.steps
+        if isinstance(s.sigma, AtomF) and s.sigma.pred not in prover.flexible_preds
+    ]
+
+    def join(i, b):
+        if i == len(rigid):
+            rest = [v for v in scheme.top_vars if v not in b]
+            for combo in itertools.product(prover.pool, repeat=len(rest)):
+                full = dict(b)
+                full.update(zip(rest, combo))
+                yield full
+            return
+        pattern = rigid[i]
+        if all(not a.var or a.name in b for a in pattern.args):
+            mid = prover.atom_ids.get(
+                (
+                    pattern.pred,
+                    *(b[a.name].name if a.var else a.name for a in pattern.args),
+                )
+            )
+            if mid is not None and (mid in prover.base_set or mid in added):
+                yield from join(i + 1, b)
+            return
+        seen = set()
+        for cand in atoms_of(pattern.pred):
+            nb = _match_atom(pattern, cand, tv, b)
+            if nb is not None:
+                sig = tuple(sorted((k, v.name) for k, v in nb.items()))
+                if sig not in seen:
+                    seen.add(sig)
+                    yield from join(i + 1, nb)
+
+    yield from join(0, binding)
+
+
+def reference_attempts(prover, added, goal):
+    """The (member id, assignment) pairs the search tries at judgment
+    ``(added, goal)``: members whose target is the goal's predicate, base
+    members first, then the added ones, each in id order."""
+    entries = prover.entries
+    extra = sorted(added)
+    added_atoms = {}
+    for mid in extra:
+        f = entries[mid].formula
+        if isinstance(f, AtomF):
+            added_atoms.setdefault(f.pred, []).append(f)
+
+    def atoms_of(pred):
+        base = prover.base_atoms.get(pred, [])
+        more = added_atoms.get(pred)
+        return base + more if more else base
+
+    pred = goal.pred
+    members = itertools.chain(
+        prover.base_by_target.get(pred, ()),
+        (mid for mid in extra if entries[mid].scheme.target.pred == pred),
+    )
+    for mid in members:
+        scheme = entries[mid].scheme
+        for t_assign in reference_instantiations(prover, scheme, goal, added, atoms_of):
+            yield mid, t_assign

@@ -47,7 +47,7 @@ from aspsigma.syntax import (
     make_program,
     var,
 )
-from oracle import naive_stable_models
+from oracle import naive_stable_models, reference_attempts
 
 a = AtomF("a")
 b = AtomF("b")
@@ -352,18 +352,17 @@ def test_prove_rejects_free_goal_variables():
     assert check(context_environment(ctx), prove(ctx, P(const("x"))), P(const("x")))
 
 
-_MEMBERS = st.sampled_from(
-    [
-        a,
-        P(var("x")),
-        P(const("c")),
-        Forall("y", P(var("y"))),
-        Impl(a, P(var("x"))),
-        Forall("y", Impl(P(var("y")), AtomF("Q", (var("y"),)))),
-        Forall("y", Impl(Impl(P(var("y")), b), AtomF("Q", (var("y"),)))),
-        Impl(Impl(a, b), a),
-    ]
-)
+_MEMBER_LIST = [
+    a,
+    P(var("x")),
+    P(const("c")),
+    Forall("y", P(var("y"))),
+    Impl(a, P(var("x"))),
+    Forall("y", Impl(P(var("y")), AtomF("Q", (var("y"),)))),
+    Forall("y", Impl(Impl(P(var("y")), b), AtomF("Q", (var("y"),)))),
+    Impl(Impl(a, b), a),
+]
+_MEMBERS = st.sampled_from(_MEMBER_LIST)
 _GOALS = st.sampled_from(
     [
         a,
@@ -414,6 +413,23 @@ def test_judgment_cap_fires_at_the_pinned_judgment(monkeypatch):
         prove_sigma1(f)
     monkeypatch.setattr(proofs, "MAX_JUDGMENTS", k + 1)
     assert prove_sigma1(f) is not None
+
+
+def test_a_member_reads_the_flexible_predicates_when_the_search_reaches_it(
+    monkeypatch,
+):
+    # trying the first member interns forall x. R(x) -> S(x), which makes S
+    # flexible; the second member's premise S(c) is then no longer pruned as
+    # a missing atom member but asked, as a third judgment
+    ctx = [
+        parse_formula("((forall x. R(x) -> S(x)) -> P(d)) -> h"),
+        parse_formula("S(c) -> h"),
+    ]
+    monkeypatch.setattr(proofs, "MAX_JUDGMENTS", 2)
+    with pytest.raises(CapExceeded):
+        prove(ctx, parse_formula("h"))
+    monkeypatch.setattr(proofs, "MAX_JUDGMENTS", 3)
+    assert prove(ctx, parse_formula("h")) is None
 
 
 _CERT_SCRIPT = """
@@ -535,6 +551,99 @@ def test_case_certificates_do_not_depend_on_the_call_order():
     random.Random(13).shuffle(pairs)
     shuffled = {key: _text(prove(ctx, goal)) for key, ctx, goal in pairs}
     assert len(in_order) > 100 and shuffled == in_order
+
+
+# ---------------------------------------------------------------------------
+# The flat member loop against the generator enumeration
+# ---------------------------------------------------------------------------
+
+
+def _flat_attempts(prover, added, goal):
+    out = []
+    members, atoms = prover.members(added, goal)
+    for mid in members:
+        entry = prover.entries[mid]
+        out.extend((mid, t) for t in prover.instances(entry, goal, added, atoms))
+    return out
+
+
+class _AttemptSpy:
+    """While active, every judgment the search reaches first checks that the
+    flat loop would try the (member id, assignment) sequence that the
+    generator enumeration yields; neither side interns anything."""
+
+    def __init__(self):
+        self.judgments = 0
+        self.attempts = 0
+        search = proofs._Prover.dfs
+
+        def dfs(prover, added, goal, stack):
+            flat = _flat_attempts(prover, added, goal)
+            assert flat == list(reference_attempts(prover, added, goal))
+            self.judgments += 1
+            self.attempts += len(flat)
+            return search(prover, added, goal, stack)
+
+        self._patch = mock.patch.object(proofs._Prover, "dfs", dfs)
+
+    def __enter__(self):
+        self._patch.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._patch.__exit__(*exc)
+
+
+def test_flat_attempts_match_the_generators_on_the_corpus():
+    # the checks leave the search as it was: the certificates stay pinned
+    h = hashlib.sha256()
+    programs = gen_programs(CorpusSpec(count=500, seed=0))
+    with _AttemptSpy() as spy:
+        for p in programs:
+            phi = translate(p, fresh_goal_atom(p)).formula
+            h.update((_text(prove_sigma1(phi)) + "\n").encode())
+        for p in programs[:40]:
+            t = translate(p, fresh_goal_atom(p))
+            for m in (frozenset(), frozenset(program_base(p))):
+                ctx = list(model_context(t, m).formulas)
+                for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
+                    prove(ctx, AtomF(goal))
+    assert h.hexdigest()[:16] == "54cfac6e9a4abd8a"
+    assert spy.judgments > 40_000 and spy.attempts > spy.judgments
+
+
+# members whose premises add hypotheses with the target predicate of a
+# member already in the context, so that both kinds of member are tried
+_ADDING_MEMBERS = st.sampled_from(
+    _MEMBER_LIST
+    + [
+        Impl(Impl(a, a), a),
+        Forall("y", Impl(Impl(P(var("y")), P(const("c"))), P(var("y")))),
+        Forall("y", Impl(Impl(P(var("y")), b), Impl(P(const("d")), b))),
+    ]
+)
+
+
+@given(
+    st.lists(_CLAUSE, min_size=1, max_size=3),
+    st.integers(0, 63),
+    st.booleans(),
+    st.lists(_ADDING_MEMBERS, max_size=4),
+    _GOALS,
+)
+def test_flat_attempts_match_the_generators(clauses, bits, case_b, ctx, goal):
+    p = make_program(clauses, extra_constants=("c",))
+    t = translate(p, fresh_goal_atom(p))
+    m = frozenset(
+        a for i, a in enumerate(sorted(program_base(p))) if bits >> i & 1
+    )
+    with _AttemptSpy():
+        prove(
+            list(model_context(t, m).formulas),
+            AtomF(t.vocabulary.case_b if case_b else t.vocabulary.case_a),
+        )
+        if not free_vars(goal):
+            prove(ctx, goal)
 
 
 def _tables(base) -> tuple:

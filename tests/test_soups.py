@@ -26,13 +26,14 @@ from aspsigma.proofs import prove_sigma1
 from aspsigma.soups import (
     Disjudgment,
     Soup,
+    _antichains,
+    _question_options,
     check_soup,
     find_soup,
     model_from_soup,
     parse_soup,
     questions_at,
     soup_from_model,
-    survivor_antichains,
     write_soup,
 )
 from aspsigma.syntax import (
@@ -261,8 +262,9 @@ def test_find_soup_candidate_cap(monkeypatch):
 def test_deletion_is_confluent():
     for text in ["a -> a", "((a -> b) -> a) -> a", "(a -> b) -> a -> b"]:
         an = analysis(parse_formula(text))
-        fwd = survivor_antichains(an, schedule="forward")
-        rev = survivor_antichains(an, schedule="reverse")
+        options = _question_options(an)
+        fwd = _antichains(an, options, None, "forward")
+        rev = _antichains(an, options, None, "reverse")
         for g in set(fwd) | set(rev):
             assert {frozenset(x) for x in fwd.get(g, [])} == {
                 frozenset(x) for x in rev.get(g, [])

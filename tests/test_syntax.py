@@ -19,13 +19,17 @@ from aspsigma.syntax import (
     const,
     decompose_pi1,
     fmt_formula,
+    formula_constants,
     formula_length,
     free_vars,
+    impl_spine,
     make_program,
     occurrences,
     peel_sigma1,
+    pi1_spine,
     rectify,
     substitute,
+    survey,
     var,
 )
 
@@ -293,6 +297,31 @@ _X, _Y = var("x"), var("y")
 def test_alpha_key_agrees_with_alpha_canon(pair):
     f, g = pair
     assert (alpha_key(f) == alpha_key(g)) == (alpha_canon(f) == alpha_canon(g))
+
+
+@given(_ALPHA_FORMULAS)
+# shadowed binders, with x also free outside them
+@example(Impl(Forall("x", Impl(Forall("x", P(_X)), P(_X))), P(_X)))
+@example(Forall("x", Forall("x", AtomF("R", (_X, _Y)))))
+# a variable and a constant of one name
+@example(Impl(P(_X), P(const("x"))))
+# not Pi1: a quantified premise; neither class; a quantifier under a premise
+@example(Impl(Forall("y", P(_Y)), A))
+@example(Impl(Forall("y", P(_Y)), Forall("x", P(_X))))
+@example(Forall("x", Impl(Impl(Forall("y", P(_Y)), A), P(_X))))
+@example(Impl(Impl(A, Forall("y", P(_Y))), B))
+def test_survey_agrees_with_the_single_walkers(f):
+    facts = survey(f)
+    assert facts.key == alpha_key(f)
+    assert facts.constants == formula_constants(f)
+    assert facts.free == free_vars(f)
+    cls = classify(f)
+    assert facts.sigma1 == (cls in (MintsClass.SIGMA1, MintsClass.BOTH))
+    assert facts.pi1 == (cls in (MintsClass.PI1, MintsClass.BOTH))
+    if facts.pi1:
+        assert pi1_spine(f) == decompose_pi1(f)
+    if facts.sigma1:
+        assert impl_spine(f) == peel_sigma1(f)
 
 
 # ---------------------------------------------------------------------------
