@@ -434,9 +434,10 @@ class _Base:
         """The id of the class of ``f``, a closed Pi1 formula whose alpha key
         is ``key``.
 
-        Only a context member can fail to be Pi1, and ``_Base`` checks those
-        from the walk that keys them.  Atoms, the goal's premises and the
-        hypotheses of a member's Sigma1 premises are Pi1 by their syntax.
+        Only a leading context member can fail to be Pi1, and ``_Base``
+        checks those from the walk that keys them.  Atoms are Pi1, and so
+        are the premises of a Sigma1 goal and the hypotheses of a Pi1
+        member's premises, by the grammar of the two classes.
         """
         mid = self.ids.get(key)
         if mid is None:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import os
@@ -567,38 +568,30 @@ def _flat_attempts(prover, added, goal):
     return out
 
 
-class _AttemptSpy:
+@contextlib.contextmanager
+def _attempt_spy():
     """While active, every judgment the search reaches first checks that the
     flat loop would try the (member id, assignment) sequence that the
     generator enumeration yields; neither side interns anything."""
+    seen = {"judgments": 0, "attempts": 0}
+    search = proofs._Prover.dfs
 
-    def __init__(self):
-        self.judgments = 0
-        self.attempts = 0
-        search = proofs._Prover.dfs
+    def dfs(prover, added, goal, stack):
+        flat = _flat_attempts(prover, added, goal)
+        assert flat == list(reference_attempts(prover, added, goal))
+        seen["judgments"] += 1
+        seen["attempts"] += len(flat)
+        return search(prover, added, goal, stack)
 
-        def dfs(prover, added, goal, stack):
-            flat = _flat_attempts(prover, added, goal)
-            assert flat == list(reference_attempts(prover, added, goal))
-            self.judgments += 1
-            self.attempts += len(flat)
-            return search(prover, added, goal, stack)
-
-        self._patch = mock.patch.object(proofs._Prover, "dfs", dfs)
-
-    def __enter__(self):
-        self._patch.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        return self._patch.__exit__(*exc)
+    with mock.patch.object(proofs._Prover, "dfs", dfs):
+        yield seen
 
 
 def test_flat_attempts_match_the_generators_on_the_corpus():
     # the checks leave the search as it was: the certificates stay pinned
     h = hashlib.sha256()
     programs = gen_programs(CorpusSpec(count=500, seed=0))
-    with _AttemptSpy() as spy:
+    with _attempt_spy() as seen:
         for p in programs:
             phi = translate(p, fresh_goal_atom(p)).formula
             h.update((_text(prove_sigma1(phi)) + "\n").encode())
@@ -609,7 +602,7 @@ def test_flat_attempts_match_the_generators_on_the_corpus():
                 for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
                     prove(ctx, AtomF(goal))
     assert h.hexdigest()[:16] == "54cfac6e9a4abd8a"
-    assert spy.judgments > 40_000 and spy.attempts > spy.judgments
+    assert seen["judgments"] > 40_000 and seen["attempts"] > seen["judgments"]
 
 
 # members whose premises add hypotheses with the target predicate of a
@@ -637,7 +630,7 @@ def test_flat_attempts_match_the_generators(clauses, bits, case_b, ctx, goal):
     m = frozenset(
         a for i, a in enumerate(sorted(program_base(p))) if bits >> i & 1
     )
-    with _AttemptSpy():
+    with _attempt_spy():
         prove(
             list(model_context(t, m).formulas),
             AtomF(t.vocabulary.case_b if case_b else t.vocabulary.case_a),
