@@ -474,7 +474,40 @@ def alpha_key(f: Formula) -> AlphaKey:
     count followed by its arguments.  A constant is its name, a bound
     variable its binder's number, and a free variable None and its name.
     """
-    return survey(f).key
+    out: list = []
+    emit = out.append
+    binders = 0
+    ren: dict[str, int] = {}
+    stack: list[tuple[Formula, dict[str, int]]] = []
+    g = f
+    while True:
+        if isinstance(g, Impl):
+            emit(_IMPL_TAG)
+            stack.append((g.rhs, ren))
+            g = g.lhs
+            continue
+        if isinstance(g, Forall):
+            binders += 1
+            ren = dict(ren)
+            ren[g.var] = binders
+            emit(_FORALL_TAG)
+            g = g.body
+            continue
+        if not isinstance(g, AtomF):
+            raise TypeError(g)
+        emit(g.pred)
+        emit(len(g.args))
+        for t in g.args:
+            if not t.var:
+                emit(t.name)
+            elif t.name in ren:
+                emit(ren[t.name])
+            else:
+                emit(None)
+                emit(t.name)
+        if not stack:
+            return tuple(out)
+        g, ren = stack.pop()
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
@@ -498,10 +531,10 @@ _ASK_PI1 = 2
 
 def survey(f: Formula) -> Survey:
     """The alpha key, constants, free variables and Mints class of ``f``, in
-    one walk.
+    one walk.  ``alpha_key`` stays the leaner walk for callers that need
+    only the key.
 
-    ``key`` is the alpha key (its layout is on ``alpha_key``, which reads it
-    from here), ``constants`` and ``free`` equal
+    ``key`` equals ``alpha_key(f)``, ``constants`` and ``free`` equal
     ``formula_constants(f)`` and ``free_vars(f)``, and ``sigma1`` and ``pi1``
     say whether ``classify(f)`` is Sigma1 or Pi1 (Both is both).  The class
     is decided top-down: every node carries the root questions ("is the root

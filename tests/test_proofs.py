@@ -554,91 +554,6 @@ def test_case_certificates_do_not_depend_on_the_call_order():
     assert len(in_order) > 100 and shuffled == in_order
 
 
-# ---------------------------------------------------------------------------
-# The flat member loop against the generator enumeration
-# ---------------------------------------------------------------------------
-
-
-def _flat_attempts(prover, added, goal):
-    out = []
-    members, atoms = prover.members(added, goal)
-    for mid in members:
-        entry = prover.entries[mid]
-        out.extend((mid, t) for t in prover.instances(entry, goal, added, atoms))
-    return out
-
-
-@contextlib.contextmanager
-def _attempt_spy():
-    """While active, every judgment the search reaches first checks that the
-    flat loop would try the (member id, assignment) sequence that the
-    generator enumeration yields; neither side interns anything."""
-    seen = {"judgments": 0, "attempts": 0}
-    search = proofs._Prover.dfs
-
-    def dfs(prover, added, goal, stack):
-        flat = _flat_attempts(prover, added, goal)
-        assert flat == list(reference_attempts(prover, added, goal))
-        seen["judgments"] += 1
-        seen["attempts"] += len(flat)
-        return search(prover, added, goal, stack)
-
-    with mock.patch.object(proofs._Prover, "dfs", dfs):
-        yield seen
-
-
-def test_flat_attempts_match_the_generators_on_the_corpus():
-    # the checks leave the search as it was: the certificates stay pinned
-    h = hashlib.sha256()
-    programs = gen_programs(CorpusSpec(count=500, seed=0))
-    with _attempt_spy() as seen:
-        for p in programs:
-            phi = translate(p, fresh_goal_atom(p)).formula
-            h.update((_text(prove_sigma1(phi)) + "\n").encode())
-        for p in programs[:40]:
-            t = translate(p, fresh_goal_atom(p))
-            for m in (frozenset(), frozenset(program_base(p))):
-                ctx = list(model_context(t, m).formulas)
-                for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
-                    prove(ctx, AtomF(goal))
-    assert h.hexdigest()[:16] == "54cfac6e9a4abd8a"
-    assert seen["judgments"] > 40_000 and seen["attempts"] > seen["judgments"]
-
-
-# members whose premises add hypotheses with the target predicate of a
-# member already in the context, so that both kinds of member are tried
-_ADDING_MEMBERS = st.sampled_from(
-    _MEMBER_LIST
-    + [
-        Impl(Impl(a, a), a),
-        Forall("y", Impl(Impl(P(var("y")), P(const("c"))), P(var("y")))),
-        Forall("y", Impl(Impl(P(var("y")), b), Impl(P(const("d")), b))),
-    ]
-)
-
-
-@given(
-    st.lists(_CLAUSE, min_size=1, max_size=3),
-    st.integers(0, 63),
-    st.booleans(),
-    st.lists(_ADDING_MEMBERS, max_size=4),
-    _GOALS,
-)
-def test_flat_attempts_match_the_generators(clauses, bits, case_b, ctx, goal):
-    p = make_program(clauses, extra_constants=("c",))
-    t = translate(p, fresh_goal_atom(p))
-    m = frozenset(
-        a for i, a in enumerate(sorted(program_base(p))) if bits >> i & 1
-    )
-    with _attempt_spy():
-        prove(
-            list(model_context(t, m).formulas),
-            AtomF(t.vocabulary.case_b if case_b else t.vocabulary.case_a),
-        )
-        if not free_vars(goal):
-            prove(ctx, goal)
-
-
 def _tables(base) -> tuple:
     return (
         list(base.members),
@@ -742,3 +657,88 @@ def test_certificates_do_not_depend_on_the_base_in_use(clauses, bits, case_b, ki
     before = _tables(base)
     assert _text(prove(ctx, goal)) == cold
     assert proofs._last_base is base and _tables(base) == before
+
+
+# ---------------------------------------------------------------------------
+# The flat member loop against the generator enumeration
+# ---------------------------------------------------------------------------
+
+
+def _flat_attempts(prover, added, goal):
+    out = []
+    members, atoms = prover.members(added, goal)
+    for mid in members:
+        entry = prover.entries[mid]
+        out.extend((mid, t) for t in prover.instances(entry, goal, added, atoms))
+    return out
+
+
+@contextlib.contextmanager
+def _attempt_spy():
+    """While active, every judgment the search reaches first checks that the
+    flat loop would try the (member id, assignment) sequence that the
+    generator enumeration yields; neither side interns anything."""
+    seen = {"judgments": 0, "attempts": 0}
+    search = proofs._Prover.dfs
+
+    def dfs(prover, added, goal, stack):
+        flat = _flat_attempts(prover, added, goal)
+        assert flat == list(reference_attempts(prover, added, goal))
+        seen["judgments"] += 1
+        seen["attempts"] += len(flat)
+        return search(prover, added, goal, stack)
+
+    with mock.patch.object(proofs._Prover, "dfs", dfs):
+        yield seen
+
+
+def test_flat_attempts_match_the_generators_on_the_corpus():
+    # the checks leave the search as it was: the certificates stay pinned
+    h = hashlib.sha256()
+    programs = gen_programs(CorpusSpec(count=500, seed=0))
+    with _attempt_spy() as seen:
+        for p in programs:
+            phi = translate(p, fresh_goal_atom(p)).formula
+            h.update((_text(prove_sigma1(phi)) + "\n").encode())
+        for p in programs[:40]:
+            t = translate(p, fresh_goal_atom(p))
+            for m in (frozenset(), frozenset(program_base(p))):
+                ctx = list(model_context(t, m).formulas)
+                for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
+                    prove(ctx, AtomF(goal))
+    assert h.hexdigest()[:16] == "54cfac6e9a4abd8a"
+    assert seen["judgments"] > 40_000 and seen["attempts"] > seen["judgments"]
+
+
+# members whose premises add hypotheses with the target predicate of a
+# member already in the context, so that both kinds of member are tried
+_ADDING_MEMBERS = st.sampled_from(
+    _MEMBER_LIST
+    + [
+        Impl(Impl(a, a), a),
+        Forall("y", Impl(Impl(P(var("y")), P(const("c"))), P(var("y")))),
+        Forall("y", Impl(Impl(P(var("y")), b), Impl(P(const("d")), b))),
+    ]
+)
+
+
+@given(
+    st.lists(_CLAUSE, min_size=1, max_size=3),
+    st.integers(0, 63),
+    st.booleans(),
+    st.lists(_ADDING_MEMBERS, max_size=4),
+    _GOALS,
+)
+def test_flat_attempts_match_the_generators(clauses, bits, case_b, ctx, goal):
+    p = make_program(clauses, extra_constants=("c",))
+    t = translate(p, fresh_goal_atom(p))
+    m = frozenset(
+        a for i, a in enumerate(sorted(program_base(p))) if bits >> i & 1
+    )
+    with _attempt_spy():
+        prove(
+            list(model_context(t, m).formulas),
+            AtomF(t.vocabulary.case_b if case_b else t.vocabulary.case_a),
+        )
+        if not free_vars(goal):
+            prove(ctx, goal)

@@ -311,8 +311,8 @@ def test_alpha_key_agrees_with_alpha_canon(pair):
 @example(Forall("x", Impl(Impl(Forall("y", P(_Y)), A), P(_X))))
 @example(Impl(Impl(A, Forall("y", P(_Y))), B))
 def test_survey_agrees_with_the_single_walkers(f):
-    # the key is checked against alpha_canon by the alpha-key property above
     facts = survey(f)
+    assert facts.key == alpha_key(f)
     assert facts.constants == formula_constants(f)
     assert facts.free == free_vars(f)
     cls = classify(f)
