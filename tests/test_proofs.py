@@ -9,7 +9,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import aspsigma
@@ -729,6 +729,9 @@ _ADDING_MEMBERS = st.sampled_from(
     st.lists(_ADDING_MEMBERS, max_size=4),
     _GOALS,
 )
+# the premise a -> a adds the atom a, which the goal a then tries after the
+# base member itself
+@example([Clause(Atom("p"))], 0, False, [Impl(Impl(a, a), a)], a)
 def test_flat_attempts_match_the_generators(clauses, bits, case_b, ctx, goal):
     p = make_program(clauses, extra_constants=("c",))
     t = translate(p, fresh_goal_atom(p))
