@@ -33,25 +33,11 @@ class RoundTripReport:
     verdicts: dict[str, bool] = field(default_factory=dict)
     agreement: dict[str, bool] = field(default_factory=dict)
     certificate_ok: bool | None = None
+    soup_checks: dict[str, bool] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)
     skipped: str | None = None
     # an exception that ended the instance early, kept as its disagreement
     error: str | None = None
-    # made on first use: the asp->logic direction records no soup checks, and
-    # a driver that keeps every report need not hold two empty dicts each
-    _soup_checks: dict[str, bool] | None = None
-    _timings: dict[str, float] | None = None
-
-    @property
-    def soup_checks(self) -> dict[str, bool]:
-        if self._soup_checks is None:
-            self._soup_checks = {}
-        return self._soup_checks
-
-    @property
-    def timings(self) -> dict[str, float]:
-        if self._timings is None:
-            self._timings = {}
-        return self._timings
 
     @property
     def agreed(self) -> bool:
@@ -65,8 +51,8 @@ class RoundTripReport:
             "verdicts": self.verdicts,
             "agreement": self.agreement,
             "certificate_ok": self.certificate_ok,
-            "soup_checks": self._soup_checks or {},
-            "timings": {k: round(v, 4) for k, v in (self._timings or {}).items()},
+            "soup_checks": self.soup_checks,
+            "timings": {k: round(v, 4) for k, v in self.timings.items()},
             "skipped": self.skipped,
         }
         # only when set, so the digests of runs without errors do not move

@@ -360,12 +360,6 @@ def test_reports_have_slots_and_survive_worker_processes():
     report.skipped, report.error = "BudgetExceeded: x", "CrossCheckError: y"
     assert not hasattr(report, "__dict__")
     assert pickle.loads(pickle.dumps(report)) == report
-    # a report holds no soup-check or timing dict until one is recorded,
-    # and printing it makes none
-    fresh = cli.RoundTripReport(8, "asp->logic", "a.")
-    out = fresh.to_json()
-    assert out["soup_checks"] == {} and out["timings"] == {}
-    assert fresh._soup_checks is None and fresh._timings is None
     spec = CorpusSpec(count=6, seed=0, formula_max_size=12)
     seq = roundtrip_logic(spec, workers=1)
     par = roundtrip_logic(spec, workers=2)
