@@ -21,16 +21,19 @@ goal is walked once too, for its free variables, its class and constants.
 
 The search is one loop per judgment.  It tries the members whose target
 predicate is the goal's, initial members first, then the added ones, each in
-id order, and for each member the list of its instantiations, computed when
-the loop reaches it: the target matched against the goal, then, premise by
-premise, the atomic premises over membership-only predicates joined against
-the context's atom members, then the remaining top variables drawn from the
-constant pool.  The atom members by predicate and the added members by
-target predicate are built once per added set.  The premises a member
-instance leaves to prove (substituted, peeled, with their hypotheses
-interned) are computed once per (member id, instantiation) and kept for the
-life of one search.  Every iteration follows these orders, so the certificate
-found does not depend on the string hash seed.
+id order, and for each member its instantiations, enumerated from the moment
+the loop reaches it: the target matched against the goal, then, depth first,
+the atomic premises over membership-only predicates joined against the
+context's atom members, then the remaining top variables drawn from the
+constant pool.  Only the target match and the bare membership tests it
+allows are done at once; the join and the pool product, which can grow
+exponentially in a member's top variables, are walked lazily, so a search
+that succeeds early builds few of them.  The atom members by predicate and
+the added members by target predicate are built once per added set.  The
+premises a member instance leaves to prove (substituted, peeled, with their
+hypotheses interned) are computed once per (member id, instantiation) and
+kept for the life of one search.  Every iteration follows these orders, so
+the certificate found does not depend on the string hash seed.
 
 Interning is split in two.  The context minus its trailing run of ground
 atoms is interned once into a base (``_Base``): frozen members, their
@@ -49,6 +52,7 @@ checker accepts.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import CapExceeded, FormulaError, ParseError, check_deadline
@@ -562,58 +566,73 @@ class _Prover(_Base):
         goal: AtomF,
         added: frozenset[int],
         atoms: dict[str, list[AtomF]],
-    ) -> list[dict[str, Term]]:
+    ) -> Iterable[dict[str, Term]]:
         """Top-variable assignments matching the member's target against the
-        goal.
+        goal, in the order of a depth-first join.
 
         Atomic premises over membership-only predicates are joined against the
         context's atom members (``atoms``, else the base's, in member-id
         order), which both binds their variables and prunes instantiations
-        that could never be completed.  The join runs premise by premise over
-        the partial assignments, so the list comes out in the order of a
-        depth-first join.  A search asks for the list only when it reaches
-        the member: ``flexible_preds`` grows as the search interns.
+        that could never be completed; the top variables still unbound then
+        range over the pool.  Which predicates are membership-only is read
+        here, when the search reaches the member: ``flexible_preds`` grows as
+        the search interns.  When the target binds every top variable, the
+        premises are bare membership tests and the answer is at most one
+        assignment; otherwise the join and the pool product, which can grow
+        exponentially in the member's top variables, are enumerated lazily.
         """
-        top = entry.top
-        b = _match_atom(entry.scheme.target, goal, top, {})
+        b = _match_atom(entry.scheme.target, goal, entry.top, {})
         if b is None:
-            return []
-        found = [b]
-        for pattern in entry.atom_premises:
-            pred = pattern.pred
-            if pred in self.flexible_preds:
+            return ()
+        flexible = self.flexible_preds
+        rigid = [p for p in entry.atom_premises if p.pred not in flexible]
+        if len(b) == len(entry.top):
+            for pattern in rigid:
+                if not self.has_atom(pattern, b, added):
+                    return ()
+            return (b,)
+        return self.joined(entry, rigid, b, added, atoms)
+
+    def has_atom(self, pattern: AtomF, b: dict[str, Term], added) -> bool:
+        """Whether the context holds the pattern's instance under ``b``, which
+        binds all its variables.  An atom interned after the context is in
+        neither set."""
+        mid = self.atom_ids.get(
+            (pattern.pred, *(b[a.name].name if a.var else a.name for a in pattern.args))
+        )
+        return mid is not None and (mid in self.base_set or mid in added)
+
+    def joined(
+        self,
+        entry: _Entry,
+        rigid: list[AtomF],
+        b: dict[str, Term],
+        added: frozenset[int],
+        atoms: dict[str, list[AtomF]],
+    ) -> Iterator[dict[str, Term]]:
+        """The rest of ``instances``: the ``rigid`` premises joined depth first
+        from the target's binding ``b``, each full join completed from the
+        pool."""
+        top, n = entry.top, len(rigid)
+        stack = [(0, b)]
+        while stack:
+            i, b = stack.pop()
+            if i == n:
+                rest = [v for v in entry.scheme.top_vars if v not in b]
+                for combo in itertools.product(self.pool, repeat=len(rest)):
+                    full = dict(b)
+                    full.update(zip(rest, combo))
+                    yield full
                 continue
-            kept = []
+            pattern = rigid[i]
             if all(not a.var or a.name in b for a in pattern.args):
-                # fully bound: a bare membership test, no branching
-                for b in found:
-                    mid = self.atom_ids.get(
-                        (pred, *(b[a.name].name if a.var else a.name for a in pattern.args))
-                    )
-                    if mid is not None and (mid in self.base_set or mid in added):
-                        kept.append(b)
-            else:
-                # distinct atom members match with distinct bindings
-                cands = atoms.get(pred) or self.base_atoms.get(pred, ())
-                for b in found:
-                    for cand in cands:
-                        nb = _match_atom(pattern, cand, top, b)
-                        if nb is not None:
-                            kept.append(nb)
-            if not kept:
-                return kept
-            found = kept
-            b = found[0]  # every partial assignment binds the same variables
-        rest = [v for v in entry.scheme.top_vars if v not in b]
-        if not rest:
-            return found
-        out = []
-        for b in found:
-            for combo in itertools.product(self.pool, repeat=len(rest)):
-                full = dict(b)
-                full.update(zip(rest, combo))
-                out.append(full)
-        return out
+                if self.has_atom(pattern, b, added):
+                    stack.append((i + 1, b))
+                continue
+            # distinct atom members match with distinct bindings
+            cands = atoms.get(pattern.pred) or self.base_atoms.get(pattern.pred, ())
+            found = [_match_atom(pattern, cand, top, b) for cand in cands]
+            stack.extend((i + 1, nb) for nb in reversed(found) if nb is not None)
 
     def child_data(self, mid: int, t_assign: dict[str, Term]) -> tuple:
         """Per premise: its peeled taus, their ids, the ids new beyond the

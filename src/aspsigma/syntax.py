@@ -473,41 +473,9 @@ def alpha_key(f: Formula) -> AlphaKey:
     them ``$1``, ``$2``, ...), and an atom as its predicate name and argument
     count followed by its arguments.  A constant is its name, a bound
     variable its binder's number, and a free variable None and its name.
+    The key comes from ``survey``, the one walk that emits it.
     """
-    out: list = []
-    emit = out.append
-    binders = 0
-    ren: dict[str, int] = {}
-    stack: list[tuple[Formula, dict[str, int]]] = []
-    g = f
-    while True:
-        if isinstance(g, Impl):
-            emit(_IMPL_TAG)
-            stack.append((g.rhs, ren))
-            g = g.lhs
-            continue
-        if isinstance(g, Forall):
-            binders += 1
-            ren = dict(ren)
-            ren[g.var] = binders
-            emit(_FORALL_TAG)
-            g = g.body
-            continue
-        if not isinstance(g, AtomF):
-            raise TypeError(g)
-        emit(g.pred)
-        emit(len(g.args))
-        for t in g.args:
-            if not t.var:
-                emit(t.name)
-            elif t.name in ren:
-                emit(ren[t.name])
-            else:
-                emit(None)
-                emit(t.name)
-        if not stack:
-            return tuple(out)
-        g, ren = stack.pop()
+    return survey(f).key
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
@@ -531,10 +499,10 @@ _ASK_PI1 = 2
 
 def survey(f: Formula) -> Survey:
     """The alpha key, constants, free variables and Mints class of ``f``, in
-    one walk.  ``alpha_key`` stays the leaner walk for callers that need
-    only the key.
+    one walk.
 
-    ``key`` equals ``alpha_key(f)``, ``constants`` and ``free`` equal
+    ``key`` is ``alpha_key(f)`` (the format is described there), ``constants``
+    and ``free`` equal
     ``formula_constants(f)`` and ``free_vars(f)``, and ``sigma1`` and ``pi1``
     say whether ``classify(f)`` is Sigma1 or Pi1 (Both is both).  The class
     is decided top-down: every node carries the root questions ("is the root
@@ -670,13 +638,6 @@ def classify(f: Formula) -> MintsClass:
     return MintsClass.NEITHER
 
 
-def peel_sigma1(f: Formula) -> tuple[tuple[Formula, ...], AtomF]:
-    """Split ``t1 -> ... -> tq -> c`` into premises and the target atom."""
-    if not _in_sigma1(f):
-        raise FormulaError(f"not a Sigma1 formula: {fmt_formula(f)}")
-    return impl_spine(f)  # type: ignore[return-value]
-
-
 def impl_spine(f: Formula) -> tuple[tuple[Formula, ...], Formula]:
     """Split ``t1 -> ... -> tq -> g``, g not an implication, into premises
     and ``g``; for a Sigma1 formula, ``g`` is its target atom."""
@@ -704,15 +665,9 @@ class Pi1Scheme:
     target: AtomF
 
 
-def decompose_pi1(f: Formula) -> Pi1Scheme:
-    if not _in_pi1(f):
-        raise FormulaError(f"not a Pi1 formula: {fmt_formula(f)}")
-    return pi1_spine(f)
-
-
 def pi1_spine(f: Formula) -> Pi1Scheme:
-    """``decompose_pi1`` for a formula known to be Pi1: only the top-level
-    quantifiers and premises are walked."""
+    """The Pi1 scheme of ``f``, a formula known to be Pi1 (``survey`` says
+    which are): only the top-level quantifiers and premises are walked."""
     top: list[str] = []
     steps: list[Pi1Step] = []
     g = f

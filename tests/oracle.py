@@ -22,6 +22,11 @@ before the search became one flat loop: a generator per judgment, one per
 member and one per joined premise.  At every judgment, ``proofs._Prover``'s
 ``members`` and ``instances`` must give what it yields, in the same order.
 
+``reference_alpha_key`` is the key-only walk ``syntax.alpha_key`` made before
+the key was read from ``syntax.survey``; ``peel_sigma1`` and ``decompose_pi1``
+are the checked decompositions the prover used before ``survey`` decided the
+class and ``impl_spine``/``pi1_spine`` split without checking.
+
 ``reference_search`` is the stable-model search as it was before the engine
 kept its bounds on a trail: every propagation round recomputes ``lower`` and
 ``upper`` with two full least-fixpoint passes (``lower_upper``), and every
@@ -33,8 +38,23 @@ yields, in the same order, and ``propagate`` is the per-node reference for
 import itertools
 
 from aspsigma import engine
-from aspsigma.errors import CapExceeded
-from aspsigma.syntax import Atom, AtomF, Clause, alpha_key, const, free_vars, substitute
+from aspsigma.errors import CapExceeded, FormulaError
+from aspsigma.syntax import (
+    Atom,
+    AtomF,
+    Clause,
+    Forall,
+    Impl,
+    MintsClass,
+    alpha_key,
+    classify,
+    const,
+    fmt_formula,
+    free_vars,
+    impl_spine,
+    pi1_spine,
+    substitute,
+)
 
 
 def subsets(atoms):
@@ -294,6 +314,57 @@ def reference_search(g, branch_priority=None):
             child = dict(assign)
             child[pick] = value
             stack.append(child)
+
+
+# ---------------------------------------------------------------------------
+# Formula walks
+# ---------------------------------------------------------------------------
+
+
+def reference_alpha_key(f):
+    """The alpha key of ``f`` by a walk that emits the key and nothing else."""
+    out = []
+    binders = 0
+    ren = {}
+    stack = []
+    g = f
+    while True:
+        if isinstance(g, Impl):
+            out.append(0)
+            stack.append((g.rhs, ren))
+            g = g.lhs
+            continue
+        if isinstance(g, Forall):
+            binders += 1
+            ren = {**ren, g.var: binders}
+            out.append(1)
+            g = g.body
+            continue
+        out += [g.pred, len(g.args)]
+        for t in g.args:
+            if not t.var:
+                out.append(t.name)
+            elif t.name in ren:
+                out.append(ren[t.name])
+            else:
+                out += [None, t.name]
+        if not stack:
+            return tuple(out)
+        g, ren = stack.pop()
+
+
+def peel_sigma1(f):
+    """Split ``t1 -> ... -> tq -> c`` into premises and the target atom."""
+    if classify(f) not in (MintsClass.SIGMA1, MintsClass.BOTH):
+        raise FormulaError(f"not a Sigma1 formula: {fmt_formula(f)}")
+    return impl_spine(f)
+
+
+def decompose_pi1(f):
+    """The Pi1 scheme of ``f``, after checking that it is Pi1."""
+    if classify(f) not in (MintsClass.PI1, MintsClass.BOTH):
+        raise FormulaError(f"not a Pi1 formula: {fmt_formula(f)}")
+    return pi1_spine(f)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from aspsigma.syntax import (
     classify,
     fmt_formula,
     make_program,
-    peel_sigma1,
 )
+from oracle import peel_sigma1
 
 OMEGA = Atom("omega")
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -48,7 +49,7 @@ from aspsigma.syntax import (
     make_program,
     var,
 )
-from oracle import naive_stable_models, reference_attempts
+from oracle import naive_stable_models, peel_sigma1, reference_attempts
 
 a = AtomF("a")
 b = AtomF("b")
@@ -290,8 +291,6 @@ def test_weakening_over_generated_instances():
         parse_formula("forall x. W(x)"),
     ]
     for phi in gen_formulas(CorpusSpec(count=40, seed=21, formula_max_size=7)):
-        from aspsigma.syntax import peel_sigma1
-
         premises, target = peel_sigma1(phi)
         if prove(list(premises), target) is None:
             continue
@@ -431,6 +430,29 @@ def test_a_member_reads_the_flexible_predicates_when_the_search_reaches_it(
         prove(ctx, parse_formula("h"))
     monkeypatch.setattr(proofs, "MAX_JUDGMENTS", 3)
     assert prove(ctx, parse_formula("h")) is None
+
+
+@pytest.mark.parametrize("flexible", [True, False])
+def test_a_member_with_many_instances_proves_at_its_first(flexible):
+    # the member's four top variables are not bound by its target h, and the
+    # pool holds 20 constants: 160 000 assignments, from the pool product
+    # when Q is flexible, else from joining the premises against the 20 Q
+    # atoms.  The first assignment proves h, so the search must not build
+    # the others before trying it.
+    xs = [f"x{i}" for i in range(1, 5)]
+    member = "".join(f"forall {x}. " for x in xs)
+    member += " -> ".join(f"Q({x})" for x in xs) + " -> h"
+    atoms = [f"{'P' if flexible else 'Q'}(c{i})" for i in range(1, 21)]
+    lead = ["(forall x. Q(x))"] if flexible else []
+    phi = parse_formula(" -> ".join(lead + [f"({member})"] + atoms + ["h"]))
+    tracemalloc.start()
+    try:
+        cert = prove_sigma1(phi, deadline=time.monotonic() + 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert is not None and check(Environment(), cert, phi)
+    assert peak < 4_000_000
 
 
 _CERT_SCRIPT = """
