@@ -629,6 +629,9 @@ class _Prover(_Base):
                 if self.has_atom(pattern, b, added):
                     stack.append((i + 1, b))
                 continue
+            # a join that finds no complete assignment asks no judgment, so
+            # it checks the deadline itself, once per branching step
+            check_deadline(self.deadline, "proof search")
             # distinct atom members match with distinct bindings
             cands = atoms.get(pattern.pred) or self.base_atoms.get(pattern.pred, ())
             found = [_match_atom(pattern, cand, top, b) for cand in cands]

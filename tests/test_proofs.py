@@ -455,6 +455,21 @@ def test_a_member_with_many_instances_proves_at_its_first(flexible):
     assert peak < 4_000_000
 
 
+def test_a_join_that_finds_nothing_stops_at_the_deadline():
+    # the five Q premises join into 20 ** 5 assignments against the Q atoms,
+    # and each then fails the membership test of R(x1), so no judgment is
+    # ever asked below the goal
+    xs = [f"x{i}" for i in range(1, 6)]
+    member = "".join(f"forall {x}. " for x in xs)
+    member += " -> ".join(f"Q({x})" for x in xs) + " -> R(x1) -> h"
+    atoms = [f"Q(c{i})" for i in range(1, 21)]
+    phi = parse_formula(" -> ".join([f"({member})"] + atoms + ["h"]))
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        prove_sigma1(phi, deadline=t0 + 0.2)
+    assert time.monotonic() - t0 < 2
+
+
 _CERT_SCRIPT = """
 from aspsigma import asp_to_logic, proofs
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
