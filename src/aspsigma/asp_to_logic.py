@@ -178,7 +178,11 @@ def _terms_of(atom: Atom) -> tuple[Term, ...]:
     return atom.args
 
 
-def _zvars(count: int, avoid: set[str], prefix: str = "z") -> list[Term]:
+def _zvars(
+    count: int, avoid: set[str], terms: dict[str, Term], prefix: str = "z"
+) -> list[Term]:
+    """``count`` variables named ``prefix`` and a number, skipping ``avoid``;
+    each name's variable is made once and kept in ``terms``."""
     out: list[Term] = []
     i = 1
     while len(out) < count:
@@ -186,7 +190,10 @@ def _zvars(count: int, avoid: set[str], prefix: str = "z") -> list[Term]:
         i += 1
         if name in avoid:
             continue
-        out.append(var(name))
+        t = terms.get(name)
+        if t is None:
+            t = terms[name] = var(name)
+        out.append(t)
     return out
 
 
@@ -205,16 +212,23 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
     clauses = _normalize_clauses(p)
     preds_in_order = _source_predicates(p)
     axioms: list[Axiom] = []
+    # one object per nullary atom and per variable name: a translation
+    # repeats a few of each thousands of times
+    nullaries: dict[str, AtomF] = {}
+    zterms: dict[str, Term] = {}
 
     def nullary(name: str) -> AtomF:
-        return AtomF(name)
+        f = nullaries.get(name)
+        if f is None:
+            f = nullaries[name] = AtomF(name)
+        return f
 
     def bracket(premise: Formula, target: str) -> Formula:
         return Impl(premise, nullary(target))
 
     # schema 1: model choice per predicate
     for name, arity in preds_in_order:
-        z = _zvars(arity, avoid)
+        z = _zvars(arity, avoid, zterms)
         body = Impl(
             bracket(AtomF(name, tuple(z)), voc.lupa),
             Impl(bracket(AtomF(voc.preds[name].bar, tuple(z)), voc.lupa), nullary(voc.lupa)),
@@ -228,7 +242,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
 
     # schema 3: unsoundness openers
     for name, arity in preds_in_order:
-        z = _zvars(arity, avoid)
+        z = _zvars(arity, avoid, zterms)
         body = Impl(
             AtomF(voc.preds[name].bar, tuple(z)),
             Impl(bracket(AtomF(voc.preds[name].bang, tuple(z)), voc.bullet), nullary(voc.case_a)),
@@ -237,7 +251,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
 
     # schema 4: incompleteness openers
     for name, arity in preds_in_order:
-        z = _zvars(arity, avoid)
+        z = _zvars(arity, avoid, zterms)
         body = Impl(
             AtomF(name, tuple(z)),
             Impl(bracket(AtomF(voc.preds[name].query, tuple(z)), voc.circ), nullary(voc.case_b)),
@@ -262,7 +276,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
 
     # schema 6: question fan-out over the clauses with a matching head
     for name, arity in preds_in_order:
-        z = _zvars(arity, avoid)
+        z = _zvars(arity, avoid, zterms)
         premises = [AtomF(voc.preds[name].query, tuple(z))]
         for nc in clauses:
             if nc.clause.head.pred == name:
@@ -281,7 +295,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
             for d in consts:
                 if d == t.name:
                     continue
-                z = _zvars(len(head_args) - 1, avoid)
+                z = _zvars(len(head_args) - 1, avoid, zterms)
                 args = list(z[:pos]) + [const(d)] + list(z[pos:])
                 body = Impl(AtomF(k, tuple(args)), nullary(kbar))
                 axioms.append(
@@ -305,7 +319,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
                     for c2 in consts:
                         if c1 == c2:
                             continue
-                        z = _zvars(len(head_args) - 2, avoid)
+                        z = _zvars(len(head_args) - 2, avoid, zterms)
                         args: list[Term] = []
                         zi = iter(z)
                         for pos in range(len(head_args)):
@@ -330,7 +344,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
         for i in range(len(nc.body_only_vars)):
             k_i, kbar_i = voc.clause_syms[(nc.index, i)]
             k_n, kbar_n = voc.clause_syms[(nc.index, i + 1)]
-            z = _zvars(l + i, avoid)
+            z = _zvars(l + i, avoid, zterms)
             premises = [AtomF(k_i, tuple(z))]
             for d in consts:
                 premises.append(bracket(AtomF(k_n, tuple(z) + (const(d),)), kbar_n))
@@ -376,9 +390,9 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
     for r, ar_r in preds_in_order:
         for q, ar_q in preds_in_order:
             for s, ar_s in preds_in_order:
-                z = _zvars(ar_r, avoid, "z")
-                y = _zvars(ar_q, avoid, "y")
-                w = _zvars(ar_s, avoid, "w")
+                z = _zvars(ar_r, avoid, zterms, "z")
+                y = _zvars(ar_q, avoid, zterms, "y")
+                w = _zvars(ar_s, avoid, zterms, "w")
                 body = Impl(
                     AtomF(voc.pairs[(r, q)], tuple(z) + tuple(y)),
                     Impl(
@@ -399,7 +413,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
 
     # schema 12: loop closers
     for name, arity in preds_in_order:
-        z = _zvars(arity, avoid)
+        z = _zvars(arity, avoid, zterms)
         body = Impl(AtomF(voc.pairs[(name, name)], tuple(z) + tuple(z)), nullary(voc.circ))
         axioms.append(Axiom(forall_chain([t.name for t in z], body), 12, f"pred {name}"))
 

@@ -10,14 +10,19 @@ stops growing, which is sound for negative answers as well.
 
 Context members are interned: each alpha-equivalence class gets a dense
 integer id the first time it is met, so a context is a set of ids added to
-the initial context and a judgment is ``(frozenset of added ids, goal atom)``.
-A class is looked up by its ``syntax.alpha_key``, a flat tuple built once
-when a formula is interned and hashed without calls back into Python; no
-member's tree is hashed or rebuilt, and per judgment only goal atoms are.
+the initial context.  A class is looked up by its ``syntax.alpha_key``, a
+flat tuple built once when a formula is interned and hashed without calls
+back into Python; no member's tree is hashed or rebuilt.  Goal atoms are
+interned too, per search: each gets a dense integer id the first time the
+search meets it, once per member instance whose premise asks it, so a
+judgment is ``(frozenset of added ids, goal id)`` and no judgment hashes a
+formula.  The goal atom itself is read only to pick and match members.
 A context member is compiled from one walk (``syntax.survey``), which gives
 its key, its constants, its free variables and whether it is Pi1; its Pi1
 scheme then comes from the top-level quantifiers and premises alone.  The
-goal is walked once too, for its free variables, its class and constants.
+goal is not walked whole: each premise of its implication spine is surveyed
+once, the goal's class, constants and free variables follow from those
+surveys and its target, and the search interns the premises by their keys.
 
 The search is one loop per judgment.  It tries the members whose target
 predicate is the goal's, initial members first, then the added ones, each in
@@ -54,6 +59,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, FormulaError, ParseError, check_deadline
 from .syntax import (
@@ -507,7 +513,7 @@ class _Prover(_Base):
     def __init__(
         self,
         base: _Base,
-        extra: list[Formula],
+        extra: list[tuple[Formula, AlphaKey]],
         pool: list[Term],
         deadline: float | None,
     ):
@@ -518,7 +524,7 @@ class _Prover(_Base):
         self.atom_ids = dict(base.atom_ids)
         self.flexible_preds = set(base.flexible_preds)
         # the base holds the ids 0 .. k-1, the extra members the ones after
-        self.base_ids = base.base_ids + [self.intern(f, alpha_key(f)) for f in extra]
+        self.base_ids = base.base_ids + [self.intern(f, key) for f, key in extra]
         self.base_set = frozenset(range(len(self.entries)))
         self.base_by_target = dict(base.base_by_target)
         self.base_atoms = dict(base.base_atoms)
@@ -528,10 +534,21 @@ class _Prover(_Base):
         self.added_tables: dict[frozenset[int], tuple[dict, dict]] = {}
         # (member id, assigned constant names) -> per-premise child data
         self.children: dict[tuple[int, tuple[str, ...]], tuple] = {}
-        # solved[goal] -> list of (added_set, record); insertion order matters
-        self.solved: dict[AtomF, list[tuple[frozenset[int], tuple]]] = {}
-        self.failed: dict[AtomF, list[frozenset[int]]] = {}
-        self.judgments_seen: set[tuple[frozenset[int], AtomF]] = set()
+        # goal atoms by id, dense in the order the search first meets them;
+        # the tables below and the dfs stack key a goal by its id
+        self.goals: list[AtomF] = []
+        self.goal_ids: dict[AtomF, int] = {}
+        # solved[goal id] -> list of (added_set, record); insertion order matters
+        self.solved: dict[int, list[tuple[frozenset[int], tuple]]] = {}
+        self.failed: dict[int, list[frozenset[int]]] = {}
+        self.judgments_seen: set[tuple[frozenset[int], int]] = set()
+
+    def goal_id(self, goal: AtomF) -> int:
+        gid = self.goal_ids.get(goal)
+        if gid is None:
+            gid = self.goal_ids[goal] = len(self.goals)
+            self.goals.append(goal)
+        return gid
 
     # -- matching ----------------------------------------------------------
 
@@ -639,7 +656,8 @@ class _Prover(_Base):
 
     def child_data(self, mid: int, t_assign: dict[str, Term]) -> tuple:
         """Per premise: its peeled taus, their ids, the ids new beyond the
-        base, and its target atom; computed once per member instance."""
+        base, and its target atom's goal id; computed once per member
+        instance."""
         scheme = self.entries[mid].scheme
         key = (mid, tuple(t_assign[v].name for v in scheme.top_vars))
         data = self.children.get(key)
@@ -648,28 +666,30 @@ class _Prover(_Base):
             for step in scheme.steps:
                 taus, a_i = impl_spine(substitute(step.sigma, t_assign))
                 tau_ids = tuple(self.intern(tau, alpha_key(tau)) for tau in taus)
-                out.append((taus, tau_ids, frozenset(tau_ids) - self.base_set, a_i))
+                out.append(
+                    (taus, tau_ids, frozenset(tau_ids) - self.base_set, self.goal_id(a_i))
+                )
             data = self.children[key] = tuple(out)
         return data
 
     # -- search ------------------------------------------------------------
 
-    def solved_lookup(self, added: frozenset[int], goal: AtomF):
-        for added2, record in self.solved.get(goal, ()):
+    def solved_lookup(self, added: frozenset[int], gid: int):
+        for added2, record in self.solved.get(gid, ()):
             if added2 <= added:
                 return record
         return None
 
-    def failed_lookup(self, added: frozenset[int], goal: AtomF) -> bool:
-        return any(added <= added2 for added2 in self.failed.get(goal, ()))
+    def failed_lookup(self, added: frozenset[int], gid: int) -> bool:
+        return any(added <= added2 for added2 in self.failed.get(gid, ()))
 
-    def dfs(self, added: frozenset[int], goal: AtomF, stack: set) -> bool:
+    def dfs(self, added: frozenset[int], gid: int, stack: set) -> bool:
         check_deadline(self.deadline, "proof search")
-        if self.solved_lookup(added, goal) is not None:
+        if self.solved_lookup(added, gid) is not None:
             return True
-        if self.failed_lookup(added, goal):
+        if self.failed_lookup(added, gid):
             return False
-        j = (added, goal)
+        j = (added, gid)
         if j in stack:
             return False
         self.judgments_seen.add(j)
@@ -680,31 +700,33 @@ class _Prover(_Base):
             )
         stack.add(j)
         try:
+            goal = self.goals[gid]
             members, atoms = self.members(added, goal)
             for mid in members:
                 for t_assign in self.instances(self.entries[mid], goal, added, atoms):
                     children = self.child_data(mid, t_assign)
                     child_added = []
-                    for _, _, new, a_i in children:
+                    for _, _, new, child_gid in children:
                         sub = added if new <= added else added | new
-                        if not self.dfs(sub, a_i, stack):
+                        if not self.dfs(sub, child_gid, stack):
                             break
                         child_added.append(sub)
                     else:
                         record = (mid, t_assign, children, child_added)
-                        self.solved.setdefault(goal, []).append((added, record))
+                        self.solved.setdefault(gid, []).append((added, record))
                         return True
-            self.failed.setdefault(goal, []).append(added)
+            self.failed.setdefault(gid, []).append(added)
             return False
         finally:
             stack.discard(j)
 
     def run(self, goal: AtomF) -> bool:
         added0: frozenset[int] = frozenset()
+        gid = self.goal_id(goal)
         while True:
             size_before = sum(len(v) for v in self.solved.values())
             self.failed = {}
-            if self.dfs(added0, goal, set()):
+            if self.dfs(added0, gid, set()):
                 return True
             if sum(len(v) for v in self.solved.values()) == size_before:
                 return False
@@ -712,9 +734,9 @@ class _Prover(_Base):
     # -- certificate extraction --------------------------------------------
 
     def extract(
-        self, added: frozenset[int], goal: AtomF, names: dict[int, str], counter
+        self, added: frozenset[int], gid: int, names: dict[int, str], counter
     ) -> ProofTerm:
-        record = self.solved_lookup(added, goal)
+        record = self.solved_lookup(added, gid)
         assert record is not None, "extraction requires a solved judgment"
         mid, t_assign, children, child_added = record
         scheme = self.entries[mid].scheme
@@ -725,14 +747,14 @@ class _Prover(_Base):
                 term = OApp(term, t_assign[v])
             seen_vars = step.vars_visible
             # the taus are instantiated already
-            taus, tau_ids, _, a_i = children[i]
+            taus, tau_ids, _, child_gid = children[i]
             sub_names = dict(names)
             abs_info: list[tuple[str, Formula]] = []
             for tau, tid in zip(taus, tau_ids):
                 name = f"X{next(counter)}"
                 abs_info.append((name, tau))
                 sub_names[tid] = name
-            body = self.extract(child_added[i], a_i, sub_names, counter)
+            body = self.extract(child_added[i], child_gid, sub_names, counter)
             for name, annot in reversed(abs_info):
                 body = PAbs(name, annot, body)
             term = PApp(term, body)
@@ -784,6 +806,39 @@ def _base_for(members: list[Formula]) -> _Base:
     return base
 
 
+class _GoalSpine(NamedTuple):
+    """What ``prove`` reads of a goal, from one ``survey`` per premise: its
+    premises, their alpha keys and its target, and the goal's constants,
+    free variables and whether it is Sigma1."""
+
+    premises: tuple[Formula, ...]
+    keys: list[AlphaKey]
+    target: Formula
+    constants: set[str]
+    free: set[str]
+    sigma1: bool
+
+
+def _goal_spine(goal: Formula) -> _GoalSpine:
+    premises, target = impl_spine(goal)
+    facts = [survey(p) for p in premises]
+    if type(target) is AtomF:
+        # a Sigma1 formula is Pi1 premises leading to an atom
+        sigma1 = all(s.pi1 for s in facts)
+        constants = {t.name for t in target.args if not t.var}
+        free = {t.name for t in target.args if t.var}
+    else:
+        # not Sigma1; the target is surveyed for the free variables that
+        # ``prove`` names before it names the class
+        sigma1 = False
+        rest = survey(target)
+        constants, free = rest.constants, rest.free
+    for s in facts:
+        constants |= s.constants
+        free |= s.free
+    return _GoalSpine(premises, [s.key for s in facts], target, constants, free, sigma1)
+
+
 def prove(
     ctx,
     goal: Formula,
@@ -796,36 +851,34 @@ def prove(
     closed, so that the result checks against the goal as given.  Free proof
     variables of the result are named as in ``context_environment``.
     """
-    return _prove(list(ctx), goal, survey(goal), deadline)
+    return _prove(list(ctx), goal, _goal_spine(goal), deadline)
 
 
 def _prove(
-    ctx: list[Formula], goal: Formula, facts: Survey, deadline: float | None
+    ctx: list[Formula], goal: Formula, spine: _GoalSpine, deadline: float | None
 ) -> ProofTerm | None:
-    """``prove``, with ``facts`` the goal's ``survey``."""
-    if facts.free:
+    """``prove``, with ``spine`` the goal's ``_goal_spine``."""
+    if spine.free:
         raise FormulaError(
-            f"goal has free variables {', '.join(sorted(facts.free))}: "
+            f"goal has free variables {', '.join(sorted(spine.free))}: "
             f"{fmt_formula(goal)}"
         )
-    if not facts.sigma1:
+    if not spine.sigma1:
         raise FormulaError(f"goal must be a Sigma1 formula: {fmt_formula(goal)}")
-    premises, target = impl_spine(goal)
+    premises, target = spine.premises, spine.target
     k = len(ctx)
     while k and _is_ground_atom(ctx[k - 1]):
         k -= 1
     base = _base_for(ctx[:k])
     atoms = ctx[k:]
-    constants = base.constants | facts.constants
+    constants = base.constants | spine.constants
     for f in atoms:
         constants.update(t.name for t in f.args)
     counter = itertools.count(1)
-    peeled_names: list[tuple[str, Formula]] = []
-    for p in premises:
-        peeled_names.append((f"X{next(counter)}", p))
+    peeled_names = [(f"X{next(counter)}", p) for p in premises]
     prover = _Prover(
         base,
-        atoms + [p for _, p in peeled_names],
+        [(f, alpha_key(f)) for f in atoms] + list(zip(premises, spine.keys)),
         [const(n) for n in sorted(constants or {"c0"})],
         deadline,
     )
@@ -836,7 +889,7 @@ def _prove(
     names = {mid: f"H{mid + 1}" for mid in prover.base_ids[: len(ctx)]}
     for (name, _), mid in zip(peeled_names, prover.base_ids[len(ctx) :]):
         names[mid] = name
-    term = prover.extract(frozenset(), target, names, counter)
+    term = prover.extract(frozenset(), prover.goal_id(target), names, counter)
     for name, annot in reversed(peeled_names):
         term = PAbs(name, annot, term)
     return term
@@ -847,9 +900,10 @@ def prove_sigma1(
     deadline: float | None = None,
 ) -> ProofTerm | None:
     """A closed long-normal-form proof of the Sigma1 formula ``phi``, or None."""
-    facts = survey(phi)
-    if not facts.sigma1:
+    spine = _goal_spine(phi)
+    if not spine.sigma1:
+        # the rejected formula is walked once more, for the message alone
         raise FormulaError(
             f"prove_sigma1 takes Sigma1 formulas, got {classify(phi).value}"
         )
-    return _prove([], phi, facts, deadline)
+    return _prove([], phi, spine, deadline)

@@ -479,7 +479,8 @@ def alpha_key(f: Formula) -> AlphaKey:
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
-    return alpha_key(f) == alpha_key(g)
+    # syntactic equality implies alpha-equivalence, and is cheaper to test
+    return f is g or f == g or alpha_key(f) == alpha_key(g)
 
 
 class Survey(NamedTuple):

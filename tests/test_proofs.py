@@ -43,6 +43,7 @@ from aspsigma.syntax import (
     Clause,
     Forall,
     Impl,
+    alpha_key,
     const,
     fmt_formula,
     free_vars,
@@ -240,6 +241,50 @@ def test_prove_sigma1_examples():
 def test_prove_sigma1_rejects_pi1_only():
     with pytest.raises(FormulaError):
         prove_sigma1(parse_formula("forall x. P(x)"))
+
+
+# the messages as they read when the whole formula was surveyed at once;
+# the class comes from the premises' surveys now, the free variables too
+@pytest.mark.parametrize(
+    "phi, sigma1_message, prove_message",
+    [
+        (
+            parse_formula("((forall x. P(x)) -> a) -> b"),
+            "prove_sigma1 takes Sigma1 formulas, got Pi1",
+            "goal must be a Sigma1 formula: ((forall x. P(x)) -> a) -> b",
+        ),
+        (
+            parse_formula("(forall x. P(x)) -> forall y. Q(y)"),
+            "prove_sigma1 takes Sigma1 formulas, got Neither",
+            "goal must be a Sigma1 formula: (forall x. P(x)) -> forall y. Q(y)",
+        ),
+        (
+            parse_formula("forall x. P(x)"),
+            "prove_sigma1 takes Sigma1 formulas, got Pi1",
+            "goal must be a Sigma1 formula: forall x. P(x)",
+        ),
+        (
+            Impl(
+                Forall("y", AtomF("R", (var("x"), var("y")))),
+                Impl(P(var("z")), AtomF("Q", (var("x"),))),
+            ),
+            "goal has free variables x, z: (forall y. R(x,y)) -> P(z) -> Q(x)",
+            "goal has free variables x, z: (forall y. R(x,y)) -> P(z) -> Q(x)",
+        ),
+        (
+            Impl(P(var("w")), Forall("y", P(var("x")))),
+            "prove_sigma1 takes Sigma1 formulas, got Pi1",
+            "goal has free variables w, x: P(w) -> forall y. P(x)",
+        ),
+    ],
+)
+def test_rejected_goals_keep_their_messages(phi, sigma1_message, prove_message):
+    with pytest.raises(FormulaError) as e:
+        prove_sigma1(phi)
+    assert str(e.value) == sigma1_message
+    with pytest.raises(FormulaError) as e:
+        prove([], phi)
+    assert str(e.value) == prove_message
 
 
 def test_prove_instantiates_trailing_quantifiers():
@@ -618,7 +663,7 @@ def test_search_leaves_the_shared_base_unchanged():
     before = _tables(base)
     pool = [const(n) for n in ("c", "d", "f")]
     for _ in range(2):
-        prover = proofs._Prover(base, atoms, pool, None)
+        prover = proofs._Prover(base, [(f, alpha_key(f)) for f in atoms], pool, None)
         assert prover.run(goal)
         assert len(prover.entries) > len(prover.base_set)
         assert "S" in prover.flexible_preds and "S" not in base.flexible_preds
@@ -718,12 +763,13 @@ def _attempt_spy():
     seen = {"judgments": 0, "attempts": 0}
     search = proofs._Prover.dfs
 
-    def dfs(prover, added, goal, stack):
+    def dfs(prover, added, gid, stack):
+        goal = prover.goals[gid]
         flat = _flat_attempts(prover, added, goal)
         assert flat == list(reference_attempts(prover, added, goal))
         seen["judgments"] += 1
         seen["attempts"] += len(flat)
-        return search(prover, added, goal, stack)
+        return search(prover, added, gid, stack)
 
     with mock.patch.object(proofs._Prover, "dfs", dfs):
         yield seen
