@@ -212,8 +212,8 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
     clauses = _normalize_clauses(p)
     preds_in_order = _source_predicates(p)
     axioms: list[Axiom] = []
-    # one object per nullary atom and per variable name: a translation
-    # repeats a few of each thousands of times
+    # one object per nullary atom and per variable name that _zvars makes:
+    # a translation repeats a few of each thousands of times
     nullaries: dict[str, AtomF] = {}
     zterms: dict[str, Term] = {}
 
@@ -417,7 +417,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
         body = Impl(AtomF(voc.pairs[(name, name)], tuple(z) + tuple(z)), nullary(voc.circ))
         axioms.append(Axiom(forall_chain([t.name for t in z], body), 12, f"pred {name}"))
 
-    formula = impl_chain([ax.formula for ax in axioms], AtomF(voc.lupa))
+    formula = impl_chain([ax.formula for ax in axioms], nullary(voc.lupa))
     return AspTranslation(p, omega, voc, tuple(axioms), formula)
 
 

@@ -11,6 +11,7 @@ from aspsigma.proofs import prove, prove_sigma1
 from aspsigma.syntax import (
     Atom,
     AtomF,
+    Forall,
     Impl,
     MintsClass,
     classify,
@@ -97,6 +98,30 @@ def test_every_axiom_is_pi1_and_every_target_nullary():
         assert classify(ax.formula) in (MintsClass.PI1, MintsClass.BOTH)
         _assert_easy(ax.formula)
     assert classify(t.formula) in (MintsClass.SIGMA1, MintsClass.BOTH)
+
+
+def test_a_translation_shares_its_nullary_atoms_and_quantified_variables():
+    # a translation repeats a few nullary targets and quantified variables
+    # thousands of times; each name is built once.  The program's own
+    # variables x and y carry no digits, so every name below with one was
+    # made by the translation
+    p = parse_program("#domain c, d. p(x) :- q(x, y), not p(y). q(c, d).")
+    objects: dict[str, set[int]] = {}
+    stack = [translate(p, OMEGA).formula]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Impl):
+            stack += [g.lhs, g.rhs]
+        elif isinstance(g, Forall):
+            stack.append(g.body)
+        elif not g.args:
+            objects.setdefault(g.pred, set()).add(id(g))
+        else:
+            for t in g.args:
+                if t.var and t.name[-1].isdigit():
+                    objects.setdefault(t.name, set()).add(id(t))
+    assert {"lupa", "circ", "z1", "y1", "w1"} <= set(objects)
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def _assert_easy(f):

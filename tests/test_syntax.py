@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aspsigma.errors import FormulaError
+from aspsigma.proofs import _goal_spine
 from aspsigma.syntax import (
     Atom,
     AtomF,
@@ -321,6 +322,22 @@ def test_survey_agrees_with_the_single_walkers(f):
         assert pi1_spine(f) == decompose_pi1(f)
     if facts.sigma1:
         assert impl_spine(f) == peel_sigma1(f)
+
+
+@given(_ALPHA_FORMULAS)
+# a quantified target, with a variable free under it and one in a premise
+@example(Impl(P(_Y), Forall("y", P(_X))))
+@example(Impl(Forall("y", P(_Y)), Impl(P(_X), A)))
+def test_goal_spine_agrees_with_the_whole_survey(f):
+    # the prover surveys a goal's premises one by one and reads its class,
+    # constants and free variables off those surveys and the target
+    spine = _goal_spine(f)
+    facts = survey(f)
+    assert (spine.premises, spine.target) == impl_spine(f)
+    assert spine.keys == [alpha_key(p) for p in spine.premises]
+    assert spine.constants == facts.constants
+    assert spine.free == facts.free
+    assert spine.sigma1 == facts.sigma1
 
 
 # ---------------------------------------------------------------------------
