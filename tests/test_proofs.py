@@ -243,8 +243,8 @@ def test_prove_sigma1_rejects_pi1_only():
         prove_sigma1(parse_formula("forall x. P(x)"))
 
 
-# the messages as they read when the whole formula was surveyed at once;
-# the class comes from the premises' surveys now, the free variables too
+# the class and the free variables come from one survey per premise, but the
+# messages must name them as classify and free_vars of the whole goal do
 @pytest.mark.parametrize(
     "phi, sigma1_message, prove_message",
     [
