@@ -4,9 +4,26 @@ The search decides judgments ``ctx |- c`` with Pi1 contexts and atomic goals:
 pick a context member, instantiate its quantified variables from the constant
 pool, and recursively prove the target of every premise.  Contexts only grow
 along the recursion, so weakening holds and solved/failed results subsume by
-inclusion.  Positive results are found as a least fixpoint: depth-first passes
-that treat in-progress judgments as failed are repeated until the solved table
-stops growing, which is sound for negative answers as well.
+inclusion.  Positive results are found as a least fixpoint of depth-first
+passes.  A pass cuts a judgment that is already on its stack (reads it as
+failed) and records every judgment it expands and fails.  A member instance
+whose premise asks again the judgment being expanded, with no new hypothesis,
+is not tried: that premise could only be cut.  Passes repeat while the last
+one failed and solved some judgment it had cut.
+
+The rule is sound for negative answers.  Suppose a failing pass solved no
+judgment it cut, but some judgment it recorded failed (the root among them)
+is provable; take one with a minimal proof.  The pass tried the member
+instance that proof uses: a minimal proof has no self-loop, since a premise
+asking the same judgment would hold a smaller proof of it.  The first premise
+of that instance which did not succeed either failed when expanded, or hit the
+recorded failure of a judgment with a larger context (weakening keeps the
+premise's proof), or was cut.  A cut judgment was on the stack, so the pass
+finished it, and as it was not solved it failed.  Each case gives a provable
+failed judgment with a smaller proof, a contradiction.  The rule stops no later
+than repeating until the solved table stops growing (no cut judgment can be
+solved then), and it runs the same passes up to its stop, so verdicts and
+certificates are those of that loop.
 
 Context members are interned: each alpha-equivalence class gets a dense
 integer id the first time it is met, so a context is a set of ids added to
@@ -17,9 +34,13 @@ interned too, per search: each gets a dense integer id the first time the
 search meets it, once per member instance whose premise asks it, so a
 judgment is ``(frozenset of added ids, goal id)`` and no judgment hashes a
 formula.  The goal atom itself is read only to pick and match members.
-A context member is compiled from one walk (``syntax.survey``), which gives
-its key, its constants, its free variables and whether it is Pi1; its Pi1
-scheme then comes from the top-level quantifiers and premises alone.  The
+A context member is surveyed in one walk (``syntax.survey``), which gives its
+key, its constants, its free variables and whether it is Pi1.  Interning
+records only its key, id and target predicate, the ground atom index and
+``flexible_preds``.  Its Pi1 scheme, top variables and atomic premises come
+from the top-level quantifiers and premises alone, and are compiled the first
+time a search tries the member: a search reaches only some of a context's
+members (a quarter of them over acceptance 8's case queries).  The
 goal is not walked whole: each premise of its implication spine is surveyed
 once, the goal's class, constants and free variables follow from those
 surveys and its target, and the search interns the premises by their keys.
@@ -45,10 +66,12 @@ atoms is interned once into a base (``_Base``): frozen members, their
 constants, the entries and every table built from them.  A search copies the
 base's tables, then interns the trailing atoms and the goal's premises after
 it, in context order, so ids and certificates are those of interning the whole
-context afresh.  ``prove`` keeps the last base and reuses it while the leading
-members of the next context compare equal: the two instability cases of a
-model ask the same axioms, and so do all models of one program
-(``asp_to_logic``).  ``prove_sigma1`` has an empty context and so an empty base.
+context afresh.  It compiles a base entry in place when it first tries it, so
+later calls on the same base find it compiled.  ``prove`` keeps the last base
+and reuses it while the leading members of the next context compare equal:
+the two instability cases of a model ask the same axioms, and so do all
+models of one program (``asp_to_logic``).  ``prove_sigma1`` has an empty
+context and so an empty base.
 
 Every positive answer is returned as a long-normal-form certificate that the
 checker accepts.
@@ -396,14 +419,32 @@ def parse_term(text: str) -> ProofTerm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class _Entry:
-    formula: Formula
-    scheme: Pi1Scheme
-    top: frozenset[str]  # the scheme's top variables
-    # the premises that are atoms, in step order: the ones a search joins
-    # against the context's atom members when their predicate is rigid
-    atom_premises: tuple[AtomF, ...]
+    """An interned context member.
+
+    Interning records the formula and its target predicate; the Pi1 scheme,
+    its top variables and its atomic premises are compiled the first time a
+    search tries the member (``_Prover.instances``), since a search reaches
+    only some of a context's members.  ``compile`` stores the scheme last, so
+    a search that finds ``scheme`` set finds the other two set as well.
+    """
+
+    __slots__ = ("formula", "pred", "top", "atom_premises", "scheme")
+
+    def __init__(self, formula: Formula, pred: str):
+        self.formula = formula
+        self.pred = pred  # the target atom's predicate
+        self.scheme: Pi1Scheme | None = None
+
+    def compile(self) -> None:
+        scheme = pi1_spine(self.formula)
+        self.top: frozenset[str] = frozenset(scheme.top_vars)
+        # the premises that are atoms, in step order: the ones a search joins
+        # against the context's atom members when their predicate is rigid
+        self.atom_premises: tuple[AtomF, ...] = tuple(
+            s.sigma for s in scheme.steps if type(s.sigma) is AtomF
+        )
+        self.scheme = scheme
 
 
 class _Base:
@@ -411,8 +452,9 @@ class _Base:
 
     Holds the member tables a search starts from: the entries and their ids,
     the ground atom index, ``flexible_preds`` and the per-predicate member and
-    atom lists.  Nothing mutates a base once it is built; a search copies the
-    tables (``_Prover``) before it interns anything else.
+    atom lists.  No table changes once the base is built; a search copies the
+    tables (``_Prover``) before it interns anything else.  Only the entries
+    are written later, each compiled once in place (``_Entry.compile``).
     """
 
     def __init__(self, members: list[Formula]):
@@ -451,20 +493,15 @@ class _Base:
         """
         mid = self.ids.get(key)
         if mid is None:
-            scheme = pi1_spine(f)
+            target = f
+            while type(target) is not AtomF:
+                target = target.body if type(target) is Forall else target.rhs
             mid = self.ids[key] = len(self.entries)
-            self.entries.append(
-                _Entry(
-                    f,
-                    scheme,
-                    frozenset(scheme.top_vars),
-                    tuple(s.sigma for s in scheme.steps if isinstance(s.sigma, AtomF)),
-                )
-            )
-            if _is_ground_atom(f):
+            self.entries.append(_Entry(f, target.pred))
+            if type(f) is not AtomF:
+                self.flexible_preds.add(target.pred)
+            elif _is_ground_atom(f):
                 self.atom_ids[(f.pred, *(t.name for t in f.args))] = mid
-            if scheme.steps or scheme.top_vars:
-                self.flexible_preds.add(scheme.target.pred)
         return mid
 
     def _index(self, start: int, targets: dict, atoms: dict) -> None:
@@ -473,10 +510,9 @@ class _Base:
         extending it."""
         for mid in range(start, len(self.entries)):
             entry = self.entries[mid]
-            pred = entry.scheme.target.pred
-            _append(self.base_by_target, targets, pred, mid)
+            _append(self.base_by_target, targets, entry.pred, mid)
             if isinstance(entry.formula, AtomF):
-                _append(self.base_atoms, atoms, pred, entry.formula)
+                _append(self.base_atoms, atoms, entry.pred, entry.formula)
 
 
 def _append(table: dict[str, list], shared: dict[str, list], key: str, item) -> None:
@@ -541,6 +577,8 @@ class _Prover(_Base):
         # solved[goal id] -> list of (added_set, record); insertion order matters
         self.solved: dict[int, list[tuple[frozenset[int], tuple]]] = {}
         self.failed: dict[int, list[frozenset[int]]] = {}
+        # the judgments the current pass cut because they were on the stack
+        self.cuts: set[tuple[frozenset[int], int]] = set()
         self.judgments_seen: set[tuple[frozenset[int], int]] = set()
 
     def goal_id(self, goal: AtomF) -> int:
@@ -562,7 +600,7 @@ class _Prover(_Base):
             atoms: dict[str, list[AtomF]] = {}
             for mid in sorted(added):
                 entry = self.entries[mid]
-                by_target.setdefault(entry.scheme.target.pred, []).append(mid)
+                by_target.setdefault(entry.pred, []).append(mid)
                 if isinstance(entry.formula, AtomF):
                     atoms.setdefault(entry.formula.pred, []).append(entry.formula)
             for pred, more in atoms.items():
@@ -597,7 +635,10 @@ class _Prover(_Base):
         premises are bare membership tests and the answer is at most one
         assignment; otherwise the join and the pool product, which can grow
         exponentially in the member's top variables, are enumerated lazily.
+        The member is compiled here, the first time a search reaches it.
         """
+        if entry.scheme is None:
+            entry.compile()
         b = _match_atom(entry.scheme.target, goal, entry.top, {})
         if b is None:
             return ()
@@ -691,6 +732,7 @@ class _Prover(_Base):
             return False
         j = (added, gid)
         if j in stack:
+            self.cuts.add(j)
             return False
         self.judgments_seen.add(j)
         if len(self.judgments_seen) > MAX_JUDGMENTS:
@@ -707,7 +749,14 @@ class _Prover(_Base):
                     children = self.child_data(mid, t_assign)
                     child_added = []
                     for _, _, new, child_gid in children:
-                        sub = added if new <= added else added | new
+                        if new <= added:
+                            # a premise that asks this judgment again would
+                            # only be cut: the instance fails here
+                            if child_gid == gid:
+                                break
+                            sub = added
+                        else:
+                            sub = added | new
                         if not self.dfs(sub, child_gid, stack):
                             break
                         child_added.append(sub)
@@ -721,14 +770,14 @@ class _Prover(_Base):
             stack.discard(j)
 
     def run(self, goal: AtomF) -> bool:
-        added0: frozenset[int] = frozenset()
         gid = self.goal_id(goal)
         while True:
-            size_before = sum(len(v) for v in self.solved.values())
             self.failed = {}
-            if self.dfs(added0, gid, set()):
+            self.cuts = set()
+            if self.dfs(frozenset(), gid, set()):
                 return True
-            if sum(len(v) for v in self.solved.values()) == size_before:
+            # a failing pass is final unless it solved a judgment it had cut
+            if not any(self.solved_lookup(*j) is not None for j in self.cuts):
                 return False
 
     # -- certificate extraction --------------------------------------------
@@ -793,8 +842,12 @@ def _is_ground_atom(f: Formula) -> bool:
     return isinstance(f, AtomF) and not any(t.var for t in f.args)
 
 
-# the base of the last call; bases are never mutated, so calls from several
-# threads can share one, and a race at worst builds a base twice
+# the base of the last call.  Its tables are never changed, so calls from
+# several threads can share one, and a race at worst builds a base twice.  A
+# search writes only the base's entries, compiling each in place the first time
+# it tries it; a compile is a function of the entry's formula alone, and it
+# stores the scheme last, so a racing thread either compiles the entry again,
+# with an equal result, or reads a whole one.
 _last_base = _Base([])
 
 

@@ -22,6 +22,12 @@ before the search became one flat loop: a generator per judgment, one per
 member and one per joined premise.  At every judgment, ``proofs._Prover``'s
 ``members`` and ``instances`` must give what it yields, in the same order.
 
+``reference_run`` is the Sigma1 search's loop of passes as it was before the
+search stopped on an unfounded pass: every premise that asks the judgment being
+expanded is sent back into the search to be cut, and passes repeat until the
+solved table stops growing.  ``proofs._Prover.run`` must give its verdict and,
+through ``extract``, its certificate.
+
 ``reference_alpha_key`` is the key-only walk ``syntax.alpha_key`` made before
 the key was read from ``syntax.survey``; ``peel_sigma1`` and ``decompose_pi1``
 are the checked decompositions the prover used before ``survey`` decided the
@@ -37,8 +43,8 @@ yields, in the same order, and ``propagate`` is the per-node reference for
 
 import itertools
 
-from aspsigma import engine
-from aspsigma.errors import CapExceeded, FormulaError
+from aspsigma import engine, proofs
+from aspsigma.errors import CapExceeded, FormulaError, check_deadline
 from aspsigma.syntax import (
     Atom,
     AtomF,
@@ -439,7 +445,8 @@ def reference_instantiations(prover, scheme, goal, added, atoms_of):
 def reference_attempts(prover, added, goal):
     """The (member id, assignment) pairs the search tries at judgment
     ``(added, goal)``: members whose target is the goal's predicate, base
-    members first, then the added ones, each in id order."""
+    members first, then the added ones, each in id order.  Each member's
+    scheme is split here from its formula, not read from the prover."""
     entries = prover.entries
     extra = sorted(added)
     added_atoms = {}
@@ -456,9 +463,68 @@ def reference_attempts(prover, added, goal):
     pred = goal.pred
     members = itertools.chain(
         prover.base_by_target.get(pred, ()),
-        (mid for mid in extra if entries[mid].scheme.target.pred == pred),
+        (mid for mid in extra if pi1_spine(entries[mid].formula).target.pred == pred),
     )
     for mid in members:
-        scheme = entries[mid].scheme
+        scheme = pi1_spine(entries[mid].formula)
         for t_assign in reference_instantiations(prover, scheme, goal, added, atoms_of):
             yield mid, t_assign
+
+
+# ---------------------------------------------------------------------------
+# The Sigma1 search's passes, repeated until the solved table stops growing
+# ---------------------------------------------------------------------------
+
+
+def _reference_dfs(prover, added, gid, stack):
+    """One judgment of a pass that reads the judgments on ``stack`` as failed,
+    with the members tried as ``reference_attempts`` yields them."""
+    check_deadline(prover.deadline, "proof search")
+    if prover.solved_lookup(added, gid) is not None:
+        return True
+    if prover.failed_lookup(added, gid):
+        return False
+    j = (added, gid)
+    if j in stack:
+        return False
+    prover.judgments_seen.add(j)
+    if len(prover.judgments_seen) > proofs.MAX_JUDGMENTS:
+        raise CapExceeded(
+            f"judgment space exceeded {proofs.MAX_JUDGMENTS}",
+            feasible=proofs.MAX_JUDGMENTS,
+        )
+    stack.add(j)
+    try:
+        for mid, t_assign in reference_attempts(prover, added, prover.goals[gid]):
+            # ``child_data`` reads the scheme that ``instances`` compiles
+            entry = prover.entries[mid]
+            if entry.scheme is None:
+                entry.compile()
+            children = prover.child_data(mid, t_assign)
+            child_added = []
+            for _, _, new, child_gid in children:
+                sub = added if new <= added else added | new
+                if not _reference_dfs(prover, sub, child_gid, stack):
+                    break
+                child_added.append(sub)
+            else:
+                record = (mid, t_assign, children, child_added)
+                prover.solved.setdefault(gid, []).append((added, record))
+                return True
+        prover.failed.setdefault(gid, []).append(added)
+        return False
+    finally:
+        stack.discard(j)
+
+
+def reference_run(prover, goal):
+    """Whether ``goal`` is provable from the prover's context, filling its
+    solved table as ``proofs._Prover.run`` does; a drop-in for that method."""
+    gid = prover.goal_id(goal)
+    while True:
+        size_before = sum(len(v) for v in prover.solved.values())
+        prover.failed = {}
+        if _reference_dfs(prover, frozenset(), gid, set()):
+            return True
+        if sum(len(v) for v in prover.solved.values()) == size_before:
+            return False
