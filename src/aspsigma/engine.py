@@ -592,7 +592,7 @@ def _search(
         neg_atoms.sort(key=lambda a: (branch_priority(g.atom(a)), a))
     prop = _Propagator(comp, deadline)
     UNKNOWN, TRUE, FALSE = prop.UNKNOWN, prop.TRUE, prop.FALSE
-    val, lower = prop.val, prop.lower
+    val = prop.val
 
     def leaf_model() -> set[int] | None:
         derived = comp.lfp([nf == 0 for nf in prop.not_false])
@@ -602,20 +602,9 @@ def _search(
         return derived
 
     def choose() -> tuple[int, tuple[int, int]] | None:
-        # a true-assigned atom that is not yet derivable needs a support
-        # clause; decide one of the open literals in a candidate support first
-        for t in neg_atoms:
-            if val[t] != TRUE or lower[t]:
-                continue
-            for ci in prop.by_head[t]:
-                if prop.true_negs[ci] or prop.up_need[ci]:
-                    continue
-                for b in comp.pos[ci]:
-                    if val[b] == UNKNOWN:
-                        return b, (TRUE, FALSE)
-                for b in comp.neg_sets[ci]:
-                    if val[b] == UNKNOWN:
-                        return b, (FALSE, TRUE)
+        # no true atom waits for a support: ``propagate`` puts an atom it
+        # assigns true into ``lower`` in the same step, and ``undo`` takes
+        # both back together, so the first open negated atom is the choice
         pick = next((a for a in neg_atoms if val[a] == UNKNOWN), None)
         if pick is None:
             return None

@@ -35,22 +35,20 @@ from .syntax import (
     Forall,
     Formula,
     Impl,
-    MintsClass,
     Occurrence,
     Program,
-    alpha_canon,
     alpha_key,
     binder_names,
-    classify,
     const,
     fmt_atomf,
     fmt_formula,
-    formula_constants,
+    fmt_key,
     formula_length,
     formula_predicates,
     free_vars,
     occurrences,
     substitute,
+    survey,
 )
 
 DEFAULT_ADDR_LEN_CAP = 4
@@ -75,6 +73,7 @@ class SubgoalInfo:
 @dataclass(frozen=True)
 class QuestionSchema:
     occ: int
+    free: tuple[str, ...]  # the member's free variables, sorted
     top_vars: tuple[str, ...]
     head: AtomF
     steps: tuple[SubgoalInfo, ...]
@@ -94,14 +93,8 @@ class SoupSignature:
     schemas: dict[int, QuestionSchema]
 
 
-def _freeze(phi: Formula) -> Formula:
-    fv = free_vars(phi)
-    if fv:
-        phi = substitute(phi, {v: const(v) for v in fv})
-    return phi
-
-
 def _question_schema(occs: tuple[Occurrence, ...], idx: int) -> QuestionSchema:
+    free = tuple(sorted(free_vars(occs[idx].formula)))
     top_vars: list[str] = []
     steps: list[SubgoalInfo] = []
     cur = idx
@@ -111,7 +104,7 @@ def _question_schema(occs: tuple[Occurrence, ...], idx: int) -> QuestionSchema:
             top_vars.append(f.var)
             cur += 1
         elif isinstance(f, AtomF):
-            schema = QuestionSchema(idx, tuple(top_vars), f, tuple(steps))
+            schema = QuestionSchema(idx, free, tuple(top_vars), f, tuple(steps))
             _validate_schema(occs, schema)
             return schema
         else:
@@ -135,7 +128,7 @@ def _question_schema(occs: tuple[Occurrence, ...], idx: int) -> QuestionSchema:
 
 
 def _validate_schema(occs, schema: QuestionSchema) -> None:
-    psi_fv = free_vars(occs[schema.occ].formula)
+    psi_fv = set(schema.free)
     for step in schema.steps:
         visible = psi_fv | set(schema.top_vars[: step.vars_visible])
         assert free_vars(step.subgoal) <= visible
@@ -152,14 +145,17 @@ def _signature(phi: Formula) -> SoupSignature:
     environment: the top-level premises and, transitively, all their premise
     descendants.
     """
-    phi = _freeze(phi)
-    if classify(phi) not in (MintsClass.SIGMA1, MintsClass.BOTH):
+    facts = survey(phi)
+    if facts.free:
+        # free variables are read as constants
+        phi = substitute(phi, {v: const(v) for v in facts.free})
+    if not facts.sigma1:
         raise FormulaError(f"not a Sigma1 formula: {fmt_formula(phi)}")
     occs = occurrences(phi)
     n = formula_length(phi)
     preds = formula_predicates(phi)
     r = max(preds.values(), default=0)
-    pool = sorted(formula_constants(phi))
+    pool = sorted(facts.constants | facts.free)
     if not pool:
         fresh = "c0"
         pool = [fresh]
@@ -269,7 +265,7 @@ def analysis(phi: Formula) -> Analysis:
     key_formula: dict[AlphaKey, Formula] = {}
     key_text: dict[AlphaKey, str] = {}
     for occ in sig.env_occs:
-        fv = sorted(free_vars(occs[occ].formula))
+        fv = sig.schemas[occ].free
         if len(pool) ** len(fv) + len(instances) > INSTANCE_CAP:
             raise CapExceeded(
                 f"instance table would exceed {INSTANCE_CAP}", feasible=INSTANCE_CAP
@@ -286,7 +282,7 @@ def analysis(phi: Formula) -> Analysis:
             lookup[(occ, assign)] = p.index
             if p.key not in key_formula:
                 key_formula[p.key] = inst_formula
-                key_text[p.key] = fmt_formula(alpha_canon(inst_formula))
+                key_text[p.key] = fmt_key(p.key)
 
     questions: list[QuestionPattern] = []
     by_key_head: dict[tuple[AlphaKey, AtomF], list[QuestionPattern]] = {}
@@ -299,16 +295,15 @@ def analysis(phi: Formula) -> Analysis:
             full = dict(s_map)
             full.update({v: const(c) for v, c in t_assign})
             head = substitute(schema.head, full)
-            assert isinstance(head, AtomF) and not free_vars(head)
+            assert isinstance(head, AtomF) and not any(t.var for t in head.args)
             answers: list[AnswerOption] = []
             for step in schema.steps:
                 subgoal = substitute(step.subgoal, full)
-                assert isinstance(subgoal, AtomF) and not free_vars(subgoal)
+                assert isinstance(subgoal, AtomF) and not any(t.var for t in subgoal.args)
                 taus = []
                 for tau_occ in step.descendants:
-                    tau_fv = sorted(free_vars(occs[tau_occ].formula))
                     u_assign = tuple(
-                        (v, full[v].name) for v in tau_fv
+                        (v, full[v].name) for v in sig.schemas[tau_occ].free
                     )
                     taus.append(lookup[(tau_occ, u_assign)])
                 answers.append(

@@ -34,11 +34,10 @@ from .syntax import (
     AlphaKey,
     AtomF,
     Formula,
-    alpha_canon,
     alpha_key,
     fmt_atomf,
     fmt_formula,
-    free_vars,
+    fmt_key,
 )
 
 log = logging.getLogger(__name__)
@@ -127,8 +126,7 @@ def _entry_key(an: Analysis, e: AnswerEntry):
     t = dict(e.t_assign)
     t_key = tuple(t[v] for v in schema.top_vars)
     s = dict(e.s_assign)
-    fv = sorted(free_vars(an.sig.occs[e.occ].formula))
-    i = an.instance_index.get((e.occ, tuple((v, s.get(v)) for v in fv)))
+    i = an.instance_index.get((e.occ, tuple((v, s.get(v)) for v in schema.free)))
     return None if i is None else (an.instances[i].key, t_key)
 
 
@@ -162,10 +160,9 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
     for d, k in zip(z.judgments, keys):
         foreign = k.difference(an.key_formula)
         if foreign:
-            text = {alpha_key(f): fmt_formula(alpha_canon(f)) for f in d.context}
             diags.append(
                 "context member is not an instantiated subformula: "
-                + ", ".join(sorted(text[key] for key in foreign))
+                + ", ".join(sorted(fmt_key(key) for key in foreign))
             )
             return SoupReport(False, tuple(diags))
 
@@ -285,7 +282,6 @@ def _antichains(an: Analysis, options, deadline, schedule):
 
     changed = True
     while changed:
-        check_deadline(deadline, "soup search")
         changed = False
         goals = list(chains)
         if schedule == "reverse":
@@ -297,6 +293,7 @@ def _antichains(an: Analysis, options, deadline, schedule):
             for x in list(row):
                 if x not in chains[g]:
                     continue
+                check_deadline(deadline, "soup search")
                 if survives(x, g):
                     continue
                 chains[g].remove(x)

@@ -259,23 +259,6 @@ def free_vars(f: Formula) -> set[str]:
     return out
 
 
-def formula_constants(f: Formula) -> set[str]:
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, AtomF):
-            out |= {t.name for t in g.args if not t.var}
-        elif isinstance(g, Impl):
-            stack.append(g.lhs)
-            stack.append(g.rhs)
-        elif isinstance(g, Forall):
-            stack.append(g.body)
-        else:
-            raise TypeError(g)
-    return out
-
-
 def binder_names(f: Formula) -> list[str]:
     """All quantifier variable names, in preorder."""
     out: list[str] = []
@@ -327,7 +310,8 @@ def rectify(f: Formula) -> Formula:
     re-parsing stable.  Implication spines are walked iteratively so long
     premise chains do not exhaust the call stack.
     """
-    taken = free_vars(f) | formula_constants(f)
+    facts = survey(f)
+    taken = facts.free | facts.constants
     used_binders: set[str] = set()
 
     def walk(g: Formula, ren: dict[str, str]) -> Formula:
@@ -417,45 +401,6 @@ def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
     return walk(f, dict(mapping))
 
 
-def alpha_canon(f: Formula) -> Formula:
-    """Rename binders to a canonical sequence; alpha-equal formulas coincide."""
-    counter = [0]
-
-    def walk(g: Formula, ren: dict[str, str]) -> Formula:
-        premises: list[Formula] = []
-        binder_runs: list[list[str]] = [[]]
-        ren = dict(ren)
-        while True:
-            if isinstance(g, Forall):
-                counter[0] += 1
-                name = f"${counter[0]}"
-                ren[g.var] = name
-                binder_runs[-1].append(name)
-                g = g.body
-            elif isinstance(g, Impl):
-                premises.append(walk(g.lhs, ren))
-                binder_runs.append([])
-                g = g.rhs
-            elif isinstance(g, AtomF):
-                args = tuple(
-                    var(ren[t.name]) if t.var and t.name in ren else t
-                    for t in g.args
-                )
-                out: Formula = AtomF(g.pred, args)
-                break
-            else:
-                raise TypeError(g)
-        for run, prem in zip(
-            reversed(binder_runs), itertools.chain([None], reversed(premises))
-        ):
-            if prem is not None:
-                out = Impl(prem, out)
-            out = forall_chain(run, out)
-        return out
-
-    return walk(f, {})
-
-
 # An alpha key is a flat tuple of str, int and None; see ``alpha_key``.
 AlphaKey = tuple
 
@@ -466,14 +411,16 @@ _FORALL_TAG = 1
 def alpha_key(f: Formula) -> AlphaKey:
     """The identity of ``f`` up to alpha-equivalence, as one flat tuple.
 
-    Two formulas share a key exactly when ``alpha_canon`` makes them equal,
-    and hashing or comparing a key never calls back into Python.  The key
-    lists the nodes in preorder: an implication as 0, a quantifier as 1 (the
-    binders are numbered 1, 2, ... in that order, as ``alpha_canon`` names
-    them ``$1``, ``$2``, ...), and an atom as its predicate name and argument
-    count followed by its arguments.  A constant is its name, a bound
-    variable its binder's number, and a free variable None and its name.
-    The key comes from ``survey``, the one walk that emits it.
+    Two formulas share a key exactly when they are equal once their binders
+    are renamed to one canonical sequence (the tests check this against
+    ``reference_alpha_canon`` in ``tests/oracle.py``), and hashing or
+    comparing a key never calls back into Python.  The key lists the nodes
+    in preorder: an implication as 0, a quantifier as 1 (the binders are
+    numbered 1, 2, ... in that order, and ``fmt_key`` prints them as ``$1``,
+    ``$2``, ...), and an atom as its predicate name and argument count
+    followed by its arguments.  A constant is its name, a bound variable its
+    binder's number, and a free variable None and its name.  The key comes
+    from ``survey``, the one walk that emits it.
     """
     return survey(f).key
 
@@ -502,11 +449,13 @@ def survey(f: Formula) -> Survey:
     """The alpha key, constants, free variables and Mints class of ``f``, in
     one walk.
 
-    ``key`` is ``alpha_key(f)`` (the format is described there), ``constants``
-    and ``free`` equal
-    ``formula_constants(f)`` and ``free_vars(f)``, and ``sigma1`` and ``pi1``
-    say whether ``classify(f)`` is Sigma1 or Pi1 (Both is both).  The class
-    is decided top-down: every node carries the root questions ("is the root
+    ``key`` is ``alpha_key(f)`` (the format is described there), and
+    ``fmt_key`` prints it.  ``constants`` are the constant names, ``free``
+    equals ``free_vars(f)``, and ``sigma1`` and ``pi1`` say whether ``f`` is
+    in Mints' Sigma1 and Pi1 classes, which ``classify`` reads.  The tests
+    check these against separate walks, ``reference_constants`` and
+    ``reference_classify`` in ``tests/oracle.py``.  The class is decided
+    top-down: every node carries the root questions ("is the root
     Sigma1?", "is it Pi1?") that need the node in Sigma1 and those that need
     it in Pi1.  A quantifier fails the questions that need it in Sigma1; an
     implication passes its needs on to its conclusion as they are and to its
@@ -594,6 +543,45 @@ def fmt_formula(f: Formula) -> str:
             raise TypeError(f)
 
 
+def fmt_key(key: AlphaKey) -> str:
+    """The text ``fmt_formula`` prints for the formula with alpha key ``key``
+    once its binders are named ``$1``, ``$2``, ... in preorder, the order
+    ``survey`` numbers them in: one text per alpha-equivalence class."""
+    binders = 0
+
+    def walk(i: int) -> tuple[str, int]:
+        # the text of the node at key[i], and the index after it
+        nonlocal binders
+        parts: list[str] = []
+        while True:
+            tag = key[i]
+            if tag == _IMPL_TAG:
+                # an atom starts with its predicate name, any other node a tag
+                atom = type(key[i + 1]) is str
+                lhs, i = walk(i + 1)
+                parts.append(f"{lhs} -> " if atom else f"({lhs}) -> ")
+            elif tag == _FORALL_TAG:
+                binders += 1
+                parts.append(f"forall ${binders}. ")
+                i += 1
+            else:
+                break
+        n, i = key[i + 1], i + 2
+        args: list[str] = []
+        for _ in range(n):
+            t = key[i]
+            if t is None:
+                args.append(key[i + 1])
+                i += 2
+            else:
+                args.append(f"${t}" if type(t) is int else t)
+                i += 1
+        parts.append(tag + "(" + ",".join(args) + ")" if args else tag)
+        return "".join(parts), i
+
+    return walk(0)[0]
+
+
 # ---------------------------------------------------------------------------
 # Mints classification and structural decompositions
 # ---------------------------------------------------------------------------
@@ -606,30 +594,9 @@ class MintsClass(Enum):
     NEITHER = "Neither"
 
 
-def _in_sigma1(f: Formula) -> bool:
-    while isinstance(f, Impl):
-        if not _in_pi1(f.lhs):
-            return False
-        f = f.rhs
-    return isinstance(f, AtomF)
-
-
-def _in_pi1(f: Formula) -> bool:
-    while True:
-        if isinstance(f, AtomF):
-            return True
-        if isinstance(f, Forall):
-            f = f.body
-        elif isinstance(f, Impl):
-            if not _in_sigma1(f.lhs):
-                return False
-            f = f.rhs
-        else:
-            return False
-
-
 def classify(f: Formula) -> MintsClass:
-    s, p = _in_sigma1(f), _in_pi1(f)
+    facts = survey(f)
+    s, p = facts.sigma1, facts.pi1
     if s and p:
         return MintsClass.BOTH
     if s:

@@ -33,6 +33,15 @@ the key was read from ``syntax.survey``; ``peel_sigma1`` and ``decompose_pi1``
 are the checked decompositions the prover used before ``survey`` decided the
 class and ``impl_spine``/``pi1_spine`` split without checking.
 
+``reference_classify``, ``reference_constants`` and ``reference_alpha_canon``
+are the walks the library used before it read each fact off ``survey``: the
+two grammar recursions behind ``classify``, the walk that collected the
+constants ``rectify`` avoids and the soup signature pools, and the binder
+renaming whose printed text ``Analysis.key_text`` and the soup checker used.
+``survey`` must agree with the first two, two alpha keys must be equal exactly
+when ``reference_alpha_canon`` makes their formulas equal, and
+``syntax.fmt_key`` must print the text of that canonical formula.
+
 ``reference_search`` is the stable-model search as it was before the engine
 kept its bounds on a trail: every propagation round recomputes ``lower`` and
 ``upper`` with two full least-fixpoint passes (``lower_upper``), and every
@@ -53,13 +62,14 @@ from aspsigma.syntax import (
     Impl,
     MintsClass,
     alpha_key,
-    classify,
     const,
     fmt_formula,
+    forall_chain,
     free_vars,
     impl_spine,
     pi1_spine,
     substitute,
+    var,
 )
 
 
@@ -359,16 +369,105 @@ def reference_alpha_key(f):
         g, ren = stack.pop()
 
 
+def reference_constants(f):
+    out = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, AtomF):
+            out |= {t.name for t in g.args if not t.var}
+        elif isinstance(g, Impl):
+            stack.append(g.lhs)
+            stack.append(g.rhs)
+        elif isinstance(g, Forall):
+            stack.append(g.body)
+        else:
+            raise TypeError(g)
+    return out
+
+
+def reference_alpha_canon(f):
+    """Rename binders to a canonical sequence; alpha-equal formulas coincide."""
+    counter = [0]
+
+    def walk(g, ren):
+        premises = []
+        binder_runs = [[]]
+        ren = dict(ren)
+        while True:
+            if isinstance(g, Forall):
+                counter[0] += 1
+                name = f"${counter[0]}"
+                ren[g.var] = name
+                binder_runs[-1].append(name)
+                g = g.body
+            elif isinstance(g, Impl):
+                premises.append(walk(g.lhs, ren))
+                binder_runs.append([])
+                g = g.rhs
+            elif isinstance(g, AtomF):
+                args = tuple(
+                    var(ren[t.name]) if t.var and t.name in ren else t
+                    for t in g.args
+                )
+                out = AtomF(g.pred, args)
+                break
+            else:
+                raise TypeError(g)
+        for run, prem in zip(
+            reversed(binder_runs), itertools.chain([None], reversed(premises))
+        ):
+            if prem is not None:
+                out = Impl(prem, out)
+            out = forall_chain(run, out)
+        return out
+
+    return walk(f, {})
+
+
+def _in_sigma1(f):
+    while isinstance(f, Impl):
+        if not _in_pi1(f.lhs):
+            return False
+        f = f.rhs
+    return isinstance(f, AtomF)
+
+
+def _in_pi1(f):
+    while True:
+        if isinstance(f, AtomF):
+            return True
+        if isinstance(f, Forall):
+            f = f.body
+        elif isinstance(f, Impl):
+            if not _in_sigma1(f.lhs):
+                return False
+            f = f.rhs
+        else:
+            return False
+
+
+def reference_classify(f):
+    s, p = _in_sigma1(f), _in_pi1(f)
+    if s and p:
+        return MintsClass.BOTH
+    if s:
+        return MintsClass.SIGMA1
+    if p:
+        return MintsClass.PI1
+    return MintsClass.NEITHER
+
+
 def peel_sigma1(f):
     """Split ``t1 -> ... -> tq -> c`` into premises and the target atom."""
-    if classify(f) not in (MintsClass.SIGMA1, MintsClass.BOTH):
+    if reference_classify(f) not in (MintsClass.SIGMA1, MintsClass.BOTH):
         raise FormulaError(f"not a Sigma1 formula: {fmt_formula(f)}")
     return impl_spine(f)
 
 
 def decompose_pi1(f):
     """The Pi1 scheme of ``f``, after checking that it is Pi1."""
-    if classify(f) not in (MintsClass.PI1, MintsClass.BOTH):
+    if reference_classify(f) not in (MintsClass.PI1, MintsClass.BOTH):
         raise FormulaError(f"not a Pi1 formula: {fmt_formula(f)}")
     return pi1_spine(f)
 

@@ -279,3 +279,17 @@ def test_seed0_translation_text_is_pinned():
         t = translate(phi, addr_len=certified_addr_len(an), an=an)
         digest.update((t.header() + "\n" + str(t.program)).encode())
     assert digest.hexdigest()[:16] == "127fbabb6f0d2f0a"
+
+
+def test_seed0_key_text_is_pinned():
+    # SHA-256 over the 1242 alpha-canonical texts of the 600 seed-0 formulas,
+    # in key_text order, which sets the scan order of the soup search;
+    # computed when the texts were printed from renamed formula trees
+    digest = hashlib.sha256()
+    count = 0
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        for text in analysis(phi).key_text.values():
+            digest.update(text.encode() + b"\n")
+            count += 1
+    assert count == 1242
+    assert digest.hexdigest()[:16] == "bc0b9a7fb2943942"

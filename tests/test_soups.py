@@ -4,16 +4,17 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aspsigma
-from aspsigma import soups
-from aspsigma.corpus import CorpusSpec, gen_formulas
+from aspsigma import asp_to_logic, soups
+from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
 from aspsigma.engine import atom_key, has_stable_model, is_stable
-from aspsigma.errors import CapExceeded, CrossCheckError, FormulaError
+from aspsigma.errors import BudgetExceeded, CapExceeded, CrossCheckError, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
     analysis,
@@ -257,6 +258,19 @@ def test_find_soup_candidate_cap(monkeypatch):
     monkeypatch.setattr(soups, "SOUP_CANDIDATE_CAP", 0)
     with pytest.raises(CapExceeded, match="soup candidate space exceeded 0"):
         find_soup(parse_formula("((a -> b) -> a) -> a"))
+
+
+def test_find_soup_raises_soon_after_its_deadline():
+    # a deletion sweep over the translation of seed-0 corpus program 1 takes
+    # over half a second, and a deadline checked once per sweep raised after
+    # 2.5 s here; checked once per candidate, it raises within a slack that a
+    # 2-vCPU machine keeps under load
+    p = gen_programs(CorpusSpec(count=500, seed=0))[1]
+    phi = asp_to_logic.translate(p, fresh_goal_atom(p)).formula
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        find_soup(phi, deadline=start + 1.0)
+    assert time.monotonic() - start < 1.0 + 0.25
 
 
 def test_deletion_is_confluent():

@@ -13,13 +13,12 @@ from aspsigma.syntax import (
     Forall,
     Impl,
     MintsClass,
-    alpha_canon,
     alpha_key,
     binder_names,
     classify,
     const,
     fmt_formula,
-    formula_constants,
+    fmt_key,
     formula_length,
     free_vars,
     impl_spine,
@@ -31,7 +30,14 @@ from aspsigma.syntax import (
     survey,
     var,
 )
-from oracle import decompose_pi1, peel_sigma1, reference_alpha_key
+from oracle import (
+    decompose_pi1,
+    peel_sigma1,
+    reference_alpha_canon,
+    reference_alpha_key,
+    reference_classify,
+    reference_constants,
+)
 
 A = AtomF("A")
 B = AtomF("B")
@@ -190,13 +196,7 @@ def test_substitute_free_variable_accounting(f):
     got = substitute(f, mapping)
     assert free_vars(got) == free_vars(f) - set(mapping)
     for name in used:
-        assert mapping[name].name in _formula_constants(got)
-
-
-def _formula_constants(f):
-    from aspsigma.syntax import formula_constants
-
-    return formula_constants(f)
+        assert mapping[name].name in reference_constants(got)
 
 
 def test_rectify_renames_duplicate_binders():
@@ -296,7 +296,10 @@ _X, _Y = var("x"), var("y")
 @example((Forall("y", P(_X)), Forall("x", P(_X))))
 def test_alpha_key_agrees_with_alpha_canon(pair):
     f, g = pair
-    assert (alpha_key(f) == alpha_key(g)) == (alpha_canon(f) == alpha_canon(g))
+    assert (alpha_key(f) == alpha_key(g)) == (
+        reference_alpha_canon(f) == reference_alpha_canon(g)
+    )
+    assert fmt_key(alpha_key(f)) == fmt_formula(reference_alpha_canon(f))
 
 
 @given(_ALPHA_FORMULAS)
@@ -313,9 +316,9 @@ def test_alpha_key_agrees_with_alpha_canon(pair):
 def test_survey_agrees_with_the_single_walkers(f):
     facts = survey(f)
     assert facts.key == reference_alpha_key(f) == alpha_key(f)
-    assert facts.constants == formula_constants(f)
+    assert facts.constants == reference_constants(f)
     assert facts.free == free_vars(f)
-    cls = classify(f)
+    cls = reference_classify(f)
     assert facts.sigma1 == (cls in (MintsClass.SIGMA1, MintsClass.BOTH))
     assert facts.pi1 == (cls in (MintsClass.PI1, MintsClass.BOTH))
     if facts.pi1:
