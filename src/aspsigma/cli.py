@@ -133,11 +133,14 @@ def _logic_checks(report: RoundTripReport, phi, deadline: float | None) -> None:
             )
             report.agreement["certificate"] = bool(report.certificate_ok)
         t0 = time.monotonic()
-        soup = soups.find_soup(phi, deadline=deadline)
+        # one question table serves the soup search, the translation and, as
+        # the soups carry it, both soup checks
+        an = logic_to_asp.analysis(phi)
+        soup = soups.find_soup(phi, deadline=deadline, an=an)
         report.timings["soup"] = time.monotonic() - t0
         t0 = time.monotonic()
         verdict = logic_to_asp.decide_by_translation(
-            phi, deadline=deadline, cross_check=False
+            phi, deadline=deadline, cross_check=False, an=an
         )
         report.timings["translation"] = time.monotonic() - t0
         report.verdicts["provable"] = provable

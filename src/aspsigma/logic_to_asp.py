@@ -246,6 +246,9 @@ class Analysis:
     # questions per (member key, head), each list in table order
     by_key_head: dict[tuple[AlphaKey, AtomF], list[QuestionPattern]]
     active: tuple[QuestionPattern, ...]  # questions whose head is a goal
+    # the formula ``analysis`` was given, the object itself; ``sig.phi`` is a
+    # substituted copy when it has free variables
+    source: Formula
 
     def asked(self, keys, goal: AtomF) -> tuple[QuestionPattern, ...]:
         """The questions a context with member ``keys`` asks at ``goal``: its
@@ -332,6 +335,7 @@ def analysis(phi: Formula) -> Analysis:
         key_text,
         by_key_head,
         tuple(q for q in questions if q.head in goals),
+        phi,
     )
 
 
@@ -573,7 +577,8 @@ def translate(
     The program is emitted as integer rows ``(head, pos, neg)``: each clause
     gives its head, then its positive body, then its negated body an id on
     first sight (``AtomBuilder.ids``), and ``Atom`` objects are built only
-    when the program is read.
+    when the program is read.  ``an``, when given, must be ``analysis(phi)``,
+    which is then not built again.
     """
     if an is None:
         an = analysis(phi)
@@ -806,13 +811,16 @@ def decide_by_translation(
     phi: Formula,
     deadline: float | None = None,
     cross_check: bool = True,
+    an: Analysis | None = None,
 ) -> TranslationVerdict:
     """Refutability of ``phi`` via stable-model existence of its program.
 
     Uses the full (certified) address length, and asserts the verdict against
-    direct proof search unless ``cross_check`` is disabled.
+    direct proof search unless ``cross_check`` is disabled.  ``an``, when
+    given, must be ``analysis(phi)``, as for ``translate``.
     """
-    an = analysis(phi)
+    if an is None:
+        an = analysis(phi)
     addr_len = certified_addr_len(an, deadline=deadline)
     t = translate(phi, addr_len=addr_len, deadline=deadline, an=an)
     witness = has_stable_model(

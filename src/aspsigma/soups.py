@@ -12,12 +12,19 @@ challenged subgoal and the instances an answer adds) are tabulated there once
 per formula, together with its indexes by member key and head.  Checking,
 searching, both conversions and ``questions_at`` read that table and those
 indexes; none of them substitutes into the formula or re-indexes the table.
+
+A soup made here carries the table its answer entries index into:
+``find_soup`` attaches the one it searched, ``soup_from_model`` the one of its
+translation, and ``parse_soup`` none.  ``check_soup(z, phi)`` reads the carried
+table only when it was built from the very object ``phi``
+(``Analysis.source is phi``) and builds ``analysis(phi)`` otherwise.  The
+table lives as long as the soup does; there is no cache besides.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import AtomKey, Model
 from .errors import CapExceeded, CrossCheckError, FormulaError, check_deadline
@@ -72,9 +79,19 @@ class AnswerEntry:
 
 @dataclass(frozen=True)
 class Soup:
+    """Addressed disjudgments and an answer map, over addresses of
+    ``addr_len`` bits.
+
+    ``analysis`` is the question table of the formula the soup was made for,
+    when the soup was made from one; it takes no part in equality, hashing,
+    ``repr`` or ``write_soup``, and ``check_soup`` reuses it for that formula
+    object only.
+    """
+
     addr_len: int
     judgments: tuple[Disjudgment, ...]
     answers: tuple[AnswerEntry, ...]
+    analysis: Analysis | None = field(default=None, compare=False, repr=False)
 
     def by_address(self) -> dict[str, Disjudgment]:
         out: dict[str, Disjudgment] = {}
@@ -136,8 +153,14 @@ def _entry_key(an: Analysis, e: AnswerEntry):
 
 
 def check_soup(z: Soup, phi: Formula) -> SoupReport:
-    """Verify the three soup invariants; diagnostics name the first failure."""
-    return _check(z, analysis(phi))
+    """Verify the three soup invariants; diagnostics name the first failure.
+
+    The soup's own table is read when it was built from this ``phi`` object;
+    identity, not ``==``, which would walk both formulas."""
+    an = z.analysis
+    if an is None or an.source is not phi:
+        an = analysis(phi)
+    return _check(z, an)
 
 
 def _check(z: Soup, an: Analysis) -> SoupReport:
@@ -315,13 +338,16 @@ def find_soup(
     phi: Formula,
     addr_len: int | None = None,
     deadline: float | None = None,
+    an: Analysis | None = None,
 ) -> Soup | None:
     """A refutation soup for ``phi``, or None when the formula is provable.
 
     Deletes unsupportable candidate disjudgments until the survivors are
     self-supporting, then realizes the reachable part with minimal answers.
+    ``an``, when given, must be ``analysis(phi)``; the soup carries it.
     """
-    an = analysis(phi)
+    if an is None:
+        an = analysis(phi)
     sig = an.sig
     if addr_len is None:
         addr_len = certified_addr_len(an, deadline=deadline)
@@ -393,7 +419,7 @@ def find_soup(
         )
         for nid, q, index, to_id in edges
     )
-    return Soup(addr_len, judgments, answers)
+    return Soup(addr_len, judgments, answers, an)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +485,7 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
                                 a_to,
                             )
                         )
-    return Soup(t.addr_len, judgments, tuple(entries))
+    return Soup(t.addr_len, judgments, tuple(entries), an)
 
 
 def model_from_soup(

@@ -665,21 +665,31 @@ class Occurrence:
 
 
 def occurrences(f: Formula) -> tuple[Occurrence, ...]:
-    out: list[Occurrence] = []
+    """Every subformula occurrence of ``f``, in preorder.
 
-    def walk(g: Formula) -> int:
-        my = len(out)
-        out.append(None)  # type: ignore[arg-type]
-        if isinstance(g, AtomF):
-            size = 1
-        elif isinstance(g, Impl):
-            size = 1 + walk(g.lhs) + walk(g.rhs)
-        elif isinstance(g, Forall):
-            size = 1 + walk(g.body)
+    Walked with an explicit stack, so a long implication chain does not
+    exhaust the call stack (``reference_occurrences`` in ``tests/oracle.py``
+    is the recursive walk the tests compare it with).  A node's subtree
+    follows it in preorder, so its size is the count of occurrences listed
+    between the node and the index marker pushed below its children.
+    """
+    out: list = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        cls = type(g)
+        if cls is int:
+            out[g] = Occurrence(g, out[g], len(out) - g)
+        elif cls is AtomF:
+            out.append(Occurrence(len(out), g, 1))
         else:
-            raise TypeError(g)
-        out[my] = Occurrence(my, g, size)
-        return size
-
-    walk(f)
+            stack.append(len(out))
+            out.append(g)  # until its subtree is listed
+            if cls is Impl:
+                stack.append(g.rhs)
+                stack.append(g.lhs)
+            elif cls is Forall:
+                stack.append(g.body)
+            else:
+                raise TypeError(g)
     return tuple(out)

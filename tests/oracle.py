@@ -42,6 +42,10 @@ renaming whose printed text ``Analysis.key_text`` and the soup checker used.
 when ``reference_alpha_canon`` makes their formulas equal, and
 ``syntax.fmt_key`` must print the text of that canonical formula.
 
+``reference_occurrences`` is the recursive walk ``syntax.occurrences`` made
+before it kept its own stack; both must list the same occurrences, sizes
+included, in the same order.
+
 ``reference_search`` is the stable-model search as it was before the engine
 kept its bounds on a trail: every propagation round recomputes ``lower`` and
 ``upper`` with two full least-fixpoint passes (``lower_upper``), and every
@@ -61,6 +65,7 @@ from aspsigma.syntax import (
     Forall,
     Impl,
     MintsClass,
+    Occurrence,
     alpha_key,
     const,
     fmt_formula,
@@ -367,6 +372,28 @@ def reference_alpha_key(f):
         if not stack:
             return tuple(out)
         g, ren = stack.pop()
+
+
+def reference_occurrences(f):
+    """Every subformula occurrence of ``f``, in preorder, by recursion."""
+    out = []
+
+    def walk(g):
+        my = len(out)
+        out.append(None)
+        if isinstance(g, AtomF):
+            size = 1
+        elif isinstance(g, Impl):
+            size = 1 + walk(g.lhs) + walk(g.rhs)
+        elif isinstance(g, Forall):
+            size = 1 + walk(g.body)
+        else:
+            raise TypeError(g)
+        out[my] = Occurrence(my, g, size)
+        return size
+
+    walk(f)
+    return tuple(out)
 
 
 def reference_constants(f):

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from aspsigma import cli, soups
+from aspsigma import cli, logic_to_asp, soups
 from aspsigma.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -323,6 +323,31 @@ def test_roundtrip_cli_finishes_after_an_invalid_cooked_soup(
         assert r["soup_checks"] == {"found_soup_valid": True, "model_soup_valid": False}
         assert r["agreement"]["model_soup_valid"] is False
         assert "soup_model_stable" not in r["agreement"]
+
+
+def test_logic_checks_analyse_each_formula_once(monkeypatch):
+    """``_logic_checks`` builds one question table per formula, for the soup
+    search, the translation and both soup checks."""
+    calls = []
+    build = logic_to_asp.analysis
+
+    def counted(phi):
+        calls.append(phi)
+        return build(phi)
+
+    # soups calls the name it imported
+    monkeypatch.setattr(logic_to_asp, "analysis", counted)
+    monkeypatch.setattr(soups, "analysis", counted)
+    cooked = provable = 0
+    for i, phi in enumerate(gen_formulas(CorpusSpec(count=40, seed=0))):
+        calls.clear()
+        report = cli.RoundTripReport(i, "logic->asp", "")
+        cli._logic_checks(report, phi, None)
+        assert len(calls) == 1 and calls[0] is phi, i
+        assert report.agreed and not report.skipped, i
+        cooked += "model_soup_valid" in report.soup_checks
+        provable += report.verdicts["provable"]
+    assert cooked and provable
 
 
 def test_digest_reproducible():

@@ -18,7 +18,7 @@ from aspsigma.logic_to_asp import (
 )
 from aspsigma.parsing import parse_formula
 from aspsigma.proofs import prove_sigma1
-from aspsigma.syntax import Atom, AtomF, alpha_key, const, fmt_formula
+from aspsigma.syntax import Atom, AtomF, Impl, alpha_key, const, fmt_formula, impl_chain
 from lemmas import from_clauses
 
 
@@ -293,3 +293,16 @@ def test_seed0_key_text_is_pinned():
             count += 1
     assert count == 1242
     assert digest.hexdigest()[:16] == "bc0b9a7fb2943942"
+
+
+def test_analysis_builds_a_2000_step_chain():
+    # a0 -> (a0 -> a1) -> ... -> (a1999 -> a2000) -> a2000; a recursive
+    # occurrence walk ran out of stack from about 1000 steps
+    n = 2000
+    a = [AtomF(f"a{i}") for i in range(n + 1)]
+    phi = impl_chain([a[0]] + [Impl(a[i], a[i + 1]) for i in range(n)], a[n])
+    an = analysis(phi)
+    assert len(an.sig.occs) == 4 * n + 3
+    assert len(an.sig.premises) == n + 1
+    assert an.sig.target == a[n]
+    assert an.source is phi

@@ -543,6 +543,47 @@ def test_soup_layer_digest(corpus_soups):
     assert h.hexdigest()[:16] == "c750d23bfed81723"
 
 
+def _report(z, phi):
+    report = check_soup(z, phi)
+    return report.ok, report.diagnostics
+
+
+def test_a_carried_table_checks_as_a_parsed_soup(corpus_soups, monkeypatch):
+    """A soup's own question table gives the report a table built anew gives,
+    and is read only for the formula object it was built from."""
+    calls = []
+    build = soups.analysis
+
+    def counted(phi):
+        calls.append(phi)
+        return build(phi)
+
+    monkeypatch.setattr(soups, "analysis", counted)
+    compared = 0
+    for i, (phi, found, t, cooked) in enumerate(corpus_soups):
+        other = corpus_soups[(i + 1) % len(corpus_soups)][0]
+        for z in (found, cooked):
+            if z is None:
+                continue
+            assert z.analysis is not None and z.analysis.source is phi
+            parsed = parse_soup(write_soup(z))
+            assert parsed.analysis is None and parsed == z
+            calls.clear()
+            assert _report(z, phi) == _report(parsed, phi), fmt_formula(phi)
+            assert calls == [phi]  # the parsed soup's table alone is built
+            # an equal formula that is another object, and another formula
+            for psi in (parse_formula(fmt_formula(phi)), other):
+                calls.clear()
+                assert _report(z, psi) == _report(parsed, psi), fmt_formula(psi)
+                assert calls == [psi, psi]
+            # a soup stripped of its judgments keeps the table and fails
+            stripped = dataclasses.replace(z, judgments=())
+            assert stripped.analysis is z.analysis
+            assert not check_soup(stripped, phi).ok
+            compared += 1
+    assert compared == 956
+
+
 _SOUP_SCRIPT = """
 from aspsigma.corpus import CorpusSpec, gen_formulas
 from aspsigma.logic_to_asp import decide_by_translation, translate

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from aspsigma.corpus import CorpusSpec, gen_formulas
 from aspsigma.errors import FormulaError
 from aspsigma.proofs import _goal_spine
 from aspsigma.syntax import (
@@ -37,6 +38,7 @@ from oracle import (
     reference_alpha_key,
     reference_classify,
     reference_constants,
+    reference_occurrences,
 )
 
 A = AtomF("A")
@@ -401,3 +403,13 @@ def test_occurrences_indexing():
     occ = occurrences(f)
     assert [o.formula for o in occ] == [f, A, Forall("x", P(var("x"))), P(var("x"))]
     assert formula_length(f) == 1 + 1 + 1 + 2
+
+
+@given(_ALPHA_FORMULAS)
+def test_occurrences_match_the_recursive_walk(f):
+    assert occurrences(f) == reference_occurrences(f)
+
+
+def test_occurrences_match_the_recursive_walk_on_the_corpus():
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        assert occurrences(phi) == reference_occurrences(phi), fmt_formula(phi)
