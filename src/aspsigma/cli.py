@@ -10,7 +10,13 @@ from dataclasses import dataclass, field
 
 from . import asp_to_logic, engine, logic_to_asp, proofs, soups
 from .corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
-from .errors import AspSigmaError, BudgetExceeded, CapExceeded, CrossCheckError
+from .errors import (
+    AspSigmaError,
+    BudgetExceeded,
+    CapExceeded,
+    CrossCheckError,
+    FormulaError,
+)
 from .parsing import parse_formula, parse_ground_atom, parse_program
 from .syntax import fmt_formula
 
@@ -156,13 +162,18 @@ def _logic_checks(report: RoundTripReport, phi, deadline: float | None) -> None:
         if verdict.witness is not None:
             t = verdict.translation
             cooked = soups.soup_from_model(verdict.witness, t)
-            valid = soups.check_soup(cooked, phi).ok
-            report.soup_checks["model_soup_valid"] = valid
-            report.agreement["model_soup_valid"] = valid
-            # only a valid soup can be realized; an invalid one is already
-            # this instance's disagreement
-            if valid:
+            # realizing the soup checks it first and refuses an invalid one,
+            # which is already this instance's disagreement; a failed
+            # cross-check after a passed check leaves the soup valid
+            valid = True
+            try:
                 model = soups.model_from_soup(cooked, phi, translation=t)
+            except FormulaError:
+                valid = False
+            finally:
+                report.soup_checks["model_soup_valid"] = valid
+                report.agreement["model_soup_valid"] = valid
+            if valid:
                 stable = engine.is_stable(t.ground_program, model)
                 report.soup_checks["soup_model_stable"] = stable
                 report.agreement["soup_model_stable"] = stable

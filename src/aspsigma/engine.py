@@ -91,8 +91,14 @@ class GroundProgram:
         self._compiled: _Compiled | None = None
 
     def compiled(self) -> "_Compiled":
+        return self._compile(None)
+
+    def _compile(self, deadline: float | None) -> "_Compiled":
+        """``compiled``, with ``deadline`` bounding the first build."""
         if self._compiled is None:
-            self._compiled = _Compiled(len(self.ids), self.heads, self.pos, self.neg)
+            self._compiled = _Compiled(
+                len(self.ids), self.heads, self.pos, self.neg, deadline
+            )
         return self._compiled
 
     def atom(self, i: int) -> Atom:
@@ -258,6 +264,16 @@ def _as_ground(p: Program | GroundProgram) -> GroundProgram:
 # ---------------------------------------------------------------------------
 
 
+def _empty_lists(n: int, deadline: float | None) -> list[list[int]]:
+    """``n`` new lists, made under ``deadline``: on a large program they set
+    off the garbage collector's full passes."""
+    out: list[list[int]] = []
+    for start in range(0, n, 4096):
+        check_deadline(deadline, "wall-clock")
+        out += [[] for _ in range(min(4096, n - start))]
+    return out
+
+
 class _Compiled:
     """The clause rows with the indexes Dowling-Gallier style derivation
     needs."""
@@ -268,18 +284,27 @@ class _Compiled:
         heads: list[int],
         pos: list[tuple[int, ...]],
         neg: list[tuple[int, ...]],
+        deadline: float | None = None,
     ):
         self.n_atoms = n_atoms
         self.heads, self.pos, self.neg = heads, pos, neg
-        self.watch: list[list[int]] = [[] for _ in range(n_atoms)]
-        for ci, body in enumerate(pos):
-            for a in set(body):
-                self.watch[a].append(ci)
+        self.watch = _empty_lists(n_atoms, deadline)
         # positive-body counts use distinct atoms so the watch lists fire once
-        self.pos_need: list[int] = [len(set(b)) for b in pos]
-        self.neg_sets: list[frozenset[int]] = [frozenset(ns) for ns in neg]
+        self.pos_need: list[int] = []
+        self.neg_sets: list[frozenset[int]] = []
+        negated: set[int] = set()
+        for ci, body in enumerate(pos):
+            if not ci & 4095:
+                check_deadline(deadline, "wall-clock")
+            distinct = set(body)
+            for a in distinct:
+                self.watch[a].append(ci)
+            self.pos_need.append(len(distinct))
+            ns = frozenset(neg[ci])
+            self.neg_sets.append(ns)
+            negated.update(ns)
         # the atoms that occur negated, the only branch points of the search
-        self.negated: list[int] = sorted({a for ns in self.neg_sets for a in ns})
+        self.negated: list[int] = sorted(negated)
 
     def lfp(self, usable: list[bool]) -> set[int]:
         """Least model of the positive parts of the usable clauses."""
@@ -357,6 +382,10 @@ class _Propagator:
     an atom below a node is still active at the node, and in a cycle of
     sources the atom whose source was set last would have been derived from
     atoms already in ``upper`` that lead back to it.
+
+    The set-up and every loop of a propagation round check ``deadline`` once
+    every 4096 steps: on a large program one round, or the set-up alone, can
+    take seconds.
     """
 
     UNKNOWN, TRUE, FALSE = 0, 1, 2
@@ -367,9 +396,11 @@ class _Propagator:
         self.comp = comp
         self.deadline = deadline
         n, m = comp.n_atoms, len(comp.heads)
-        self.by_head: list[list[int]] = [[] for _ in range(n)]
-        self.neg_watch: list[list[int]] = [[] for _ in range(n)]
+        self.by_head = _empty_lists(n, deadline)
+        self.neg_watch = _empty_lists(n, deadline)
         for ci, h in enumerate(comp.heads):
+            if not ci & 4095:
+                check_deadline(deadline, "wall-clock")
             self.by_head[h].append(ci)
             for a in comp.neg_sets[ci]:
                 self.neg_watch[a].append(ci)
@@ -386,6 +417,8 @@ class _Propagator:
         self.trail: list[int] = []
         forced: list[tuple[int, int]] = []
         for ci, h in enumerate(comp.heads):
+            if not ci & 4095:
+                check_deadline(deadline, "wall-clock")
             if self.low_need[ci] == 0 and self.not_false[ci] == 0:
                 self._add_lower(h, forced)
             if self.up_need[ci] == 0:
@@ -407,7 +440,11 @@ class _Propagator:
         val, lower, low_need = self.val, self.lower, self.low_need
         not_false, trail = self.not_false, self.trail
         stack = [h]
+        steps = 0
         while stack:
+            steps += 1
+            if not steps & 4095:
+                check_deadline(self.deadline, "wall-clock")
             x = stack.pop()
             if lower[x]:
                 continue
@@ -434,7 +471,11 @@ class _Propagator:
         val, upper, source = self.val, self.upper, self.source
         up_need, true_negs, trail = self.up_need, self.true_negs, self.trail
         stack = [(h, ci)]
+        steps = 0
         while stack:
+            steps += 1
+            if not steps & 4095:
+                check_deadline(self.deadline, "wall-clock")
             x, c = stack.pop()
             if upper[x]:
                 continue
@@ -455,7 +496,11 @@ class _Propagator:
         heads, watch = self.comp.heads, self.comp.watch
         upper, source, up_need = self.upper, self.source, self.up_need
         dropped = []
+        steps = 0
         while lost:
+            steps += 1
+            if not steps & 4095:
+                check_deadline(self.deadline, "wall-clock")
             h = lost.pop()
             if not upper[h]:
                 continue
@@ -466,7 +511,9 @@ class _Propagator:
                 up_need[ci] += 1
                 if source[heads[ci]] == ci:
                     lost.append(heads[ci])
-        for h in dropped:
+        for i, h in enumerate(dropped):
+            if not i & 4095:
+                check_deadline(self.deadline, "wall-clock")
             if upper[h] or self.val[h] == self.FALSE:
                 continue
             for ci in self.by_head[h]:
@@ -487,7 +534,11 @@ class _Propagator:
         while True:
             check_deadline(self.deadline, "wall-clock")
             lost: list[int] = []
+            steps = 0
             while pending:
+                steps += 1
+                if not steps & 4095:
+                    check_deadline(self.deadline, "wall-clock")
                 a, v = pending.pop()
                 if val[a] == v:
                     continue
@@ -586,7 +637,7 @@ def _search(
     ``branch_priority`` optionally maps an Atom to a sort key deciding which
     unassigned atoms to branch on first.
     """
-    comp = g.compiled()
+    comp = g._compile(deadline)
     neg_atoms = list(comp.negated)
     if branch_priority is not None:
         neg_atoms.sort(key=lambda a: (branch_priority(g.atom(a)), a))
@@ -684,5 +735,13 @@ def has_stable_model(
     """
     g = _as_ground(p)
     m = next(_search(g, deadline, branch_priority), None)
-    return None if m is None else g.atoms_of(m)
+    if m is None:
+        return None
+    # a large model takes long to decode, so that runs under the deadline too
+    atoms = []
+    for i, a in enumerate(m):
+        if not i & 4095:
+            check_deadline(deadline, "wall-clock")
+        atoms.append(g.atom(a))
+    return frozenset(atoms)
 

@@ -243,8 +243,9 @@ class Analysis:
     key_formula: dict[AlphaKey, Formula]  # key -> its first instance formula
     # key -> its formula's alpha-canonical text, the order keys are listed in
     key_text: dict[AlphaKey, str]
-    # questions per (member key, head), each list in table order
-    by_key_head: dict[tuple[AlphaKey, AtomF], list[QuestionPattern]]
+    # head -> member key -> the key's questions with that head, in table
+    # order: a context's questions at a goal are those of its keys here
+    by_head: dict[AtomF, dict[AlphaKey, list[QuestionPattern]]]
     active: tuple[QuestionPattern, ...]  # questions whose head is a goal
     # the formula ``analysis`` was given, the object itself; ``sig.phi`` is a
     # substituted copy when it has free variables
@@ -253,7 +254,8 @@ class Analysis:
     def asked(self, keys, goal: AtomF) -> tuple[QuestionPattern, ...]:
         """The questions a context with member ``keys`` asks at ``goal``: its
         members' questions whose head is ``goal``, in ``questions`` order."""
-        found = [q for k in keys for q in self.by_key_head.get((k, goal), ())]
+        at_goal = self.by_head.get(goal, {}).items()
+        found = [q for k, qs in at_goal if k in keys for q in qs]
         found.sort(key=lambda q: q.index)
         return tuple(found)
 
@@ -288,7 +290,7 @@ def analysis(phi: Formula) -> Analysis:
                 key_text[p.key] = fmt_key(p.key)
 
     questions: list[QuestionPattern] = []
-    by_key_head: dict[tuple[AlphaKey, AtomF], list[QuestionPattern]] = {}
+    by_head: dict[AtomF, dict[AlphaKey, list[QuestionPattern]]] = {}
     goals: set[AtomF] = {sig.target}
     for p in instances:
         schema = sig.schemas[p.occ]
@@ -320,7 +322,7 @@ def analysis(phi: Formula) -> Analysis:
                 goals.add(subgoal)
             q = QuestionPattern(len(questions), p.index, t_assign, head, tuple(answers))
             questions.append(q)
-            by_key_head.setdefault((p.key, head), []).append(q)
+            by_head.setdefault(head, {}).setdefault(p.key, []).append(q)
 
     # top-level premises of a closed formula are closed: one instance each
     initial_keys = frozenset(instances[lookup[(occ, ())]].key for occ in sig.premises)
@@ -333,7 +335,7 @@ def analysis(phi: Formula) -> Analysis:
         lookup,
         key_formula,
         key_text,
-        by_key_head,
+        by_head,
         tuple(q for q in questions if q.head in goals),
         phi,
     )
@@ -355,17 +357,16 @@ def reachable_cone(
     while work:
         check_deadline(deadline, "translation")
         ctx, goal = work.pop()
-        for key in ctx:
-            for q in an.by_key_head.get((key, goal), ()):
-                for opt in q.answers:
-                    nxt = (ctx | opt.tau_keys, opt.subgoal)
-                    if nxt not in seen:
-                        if len(seen) >= CONE_CAP:
-                            raise CapExceeded(
-                                f"judgment cone exceeds {CONE_CAP}", feasible=CONE_CAP
-                            )
-                        seen.add(nxt)
-                        work.append(nxt)
+        for q in an.asked(ctx, goal):
+            for opt in q.answers:
+                nxt = (ctx | opt.tau_keys, opt.subgoal)
+                if nxt not in seen:
+                    if len(seen) >= CONE_CAP:
+                        raise CapExceeded(
+                            f"judgment cone exceeds {CONE_CAP}", feasible=CONE_CAP
+                        )
+                    seen.add(nxt)
+                    work.append(nxt)
     return seen
 
 

@@ -9,9 +9,12 @@ existence reading when map entries are missing or malformed.
 ``logic_to_asp.Analysis`` is the one question table: every question (a member
 instance psi[S] with a head instance under T) and its answer options (the
 challenged subgoal and the instances an answer adds) are tabulated there once
-per formula, together with its indexes by member key and head.  Checking,
-searching, both conversions and ``questions_at`` read that table and those
-indexes; none of them substitutes into the formula or re-indexes the table.
+per formula, with its index by head and then member key.  Checking,
+searching, both conversions and ``questions_at`` read that table and index;
+none of them substitutes into the formula or re-indexes the table.  The
+checker indexes a soup's judgments by goal and lists, per asked question and
+answer option, the judgments that answer it; the map, the existence reading
+and ``model_from_soup`` read those lists.
 
 A soup made here carries the table its answer entries index into:
 ``find_soup`` attaches the one it searched, ``soup_from_model`` the one of its
@@ -124,17 +127,6 @@ def questions_at(d: Disjudgment, an: Analysis) -> tuple[QuestionPattern, ...]:
     return an.asked(d.context_keys(), d.goal)
 
 
-def _requirements(q: QuestionPattern, keys: frozenset):
-    """Per answer option of ``q`` asked at context ``keys``: the subgoal and
-    the context keys an answer must contain."""
-    return [(opt.subgoal, keys | opt.tau_keys) for opt in q.answers]
-
-
-def _meets(need, target: Disjudgment, target_keys: frozenset) -> bool:
-    subgoal, keys = need
-    return target.goal == subgoal and keys <= target_keys
-
-
 def _entry_key(an: Analysis, e: AnswerEntry):
     """The question a map entry names, as ``QuestionPattern.semantic_key``
     reads it; None when ``S`` names no instance of the member.  Raises
@@ -160,10 +152,15 @@ def check_soup(z: Soup, phi: Formula) -> SoupReport:
     an = z.analysis
     if an is None or an.source is not phi:
         an = analysis(phi)
-    return _check(z, an)
+    return _check(z, an)[0]
 
 
-def _check(z: Soup, an: Analysis) -> SoupReport:
+def _check(z: Soup, an: Analysis) -> tuple[SoupReport, list, list]:
+    """The report of ``check_soup`` and, when it is ok, the judgments'
+    context keys and the answer relation: per judgment, the questions it
+    asks in table order, each with, per answer option ``opt``, the judgments
+    in soup order whose goal is ``opt.subgoal`` and whose context contains
+    the asking context and ``opt.tau_keys``."""
     sig = an.sig
     diags: list[str] = []
     seen_addr: set[str] = set()
@@ -177,21 +174,21 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
                 diags.append(f"address {a} used by two judgments")
             seen_addr.add(a)
     if diags:
-        return SoupReport(False, tuple(diags))
+        return _rejected(diags)
 
     keys = [d.context_keys() for d in z.judgments]
-    for d, k in zip(z.judgments, keys):
+    for k in keys:
         foreign = k.difference(an.key_formula)
         if foreign:
             diags.append(
                 "context member is not an instantiated subformula: "
                 + ", ".join(sorted(fmt_key(key) for key in foreign))
             )
-            return SoupReport(False, tuple(diags))
+            return _rejected(diags)
 
     initial = z.initial()
     if initial is None:
-        return SoupReport(False, ("no judgment at the initial address",))
+        return _rejected(["no judgment at the initial address"])
     if initial.goal != sig.target:
         diags.append(
             f"initial goal is {fmt_atomf(initial.goal)}, expected "
@@ -200,7 +197,7 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
     if initial.context_keys() != an.initial_keys:
         diags.append("initial context is not exactly the premise set")
     if diags:
-        return SoupReport(False, tuple(diags))
+        return _rejected(diags)
 
     entry_index: dict[tuple, list[AnswerEntry]] = {}
     for e in z.answers:
@@ -212,42 +209,39 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
         if key is not None:
             entry_index.setdefault((key, e.from_addr), []).append(e)
 
+    by_goal: dict[AtomF, list[int]] = {}
+    for j, d in enumerate(z.judgments):
+        by_goal.setdefault(d.goal, []).append(j)
     by_addr = {a: j for j, d in enumerate(z.judgments) for a in d.addresses}
+    relation: list[list[tuple[QuestionPattern, list[list[int]]]]] = []
     for d, d_keys in zip(z.judgments, keys):
+        row = []
+        relation.append(row)
         for q in an.asked(d_keys, d.goal):
-            needs = _requirements(q, d_keys)
+            needs = [(opt.subgoal, d_keys | opt.tau_keys) for opt in q.answers]
+            answerers = [[k for k in by_goal.get(g, ()) if n <= keys[k]] for g, n in needs]
+            row.append((q, answerers))
             key = q.semantic_key(an)
-            answered = False
-            for a in d.addresses:
-                for e in entry_index.get((key, a), ()):
-                    j = by_addr.get(e.to_addr)
-                    if (
-                        j is not None
-                        and 1 <= e.index <= len(needs)
-                        and _meets(needs[e.index - 1], z.judgments[j], keys[j])
-                    ):
-                        answered = True
-                        break
+            mapped = [e for a in d.addresses for e in entry_index.get((key, a), ())]
+            for e in mapped:
+                j = by_addr.get(e.to_addr)
+                if 1 <= e.index <= len(needs) and j in answerers[e.index - 1]:
+                    break  # the map answers the question
+                diags.append(f"map entry {e} is not a valid answer")
+            else:
+                if not any(answerers):  # nor does any judgment
+                    inst = an.instances[q.inst]
                     diags.append(
-                        f"map entry {e} is not a valid answer"
+                        f"unanswered question (psi{inst.occ}, "
+                        f"{_fmt_assign(inst.assign)}, {_fmt_assign(q.t_assign)}) "
+                        f"at goal {fmt_atomf(d.goal)}"
                     )
-                if answered:
-                    break
-            if not answered:
-                answered = any(
-                    _meets(need, other, other_keys)
-                    for other, other_keys in zip(z.judgments, keys)
-                    for need in needs
-                )
-            if not answered:
-                inst = an.instances[q.inst]
-                diags.append(
-                    f"unanswered question (psi{inst.occ}, "
-                    f"{_fmt_assign(inst.assign)}, {_fmt_assign(q.t_assign)}) "
-                    f"at goal {fmt_atomf(d.goal)}"
-                )
-                return SoupReport(False, tuple(diags))
-    return SoupReport(True, tuple(diags))
+                    return _rejected(diags)
+    return SoupReport(True, tuple(diags)), keys, relation
+
+
+def _rejected(diags: list[str]) -> tuple[SoupReport, list, list]:
+    return SoupReport(False, tuple(diags)), [], []
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +250,22 @@ def _check(z: Soup, an: Analysis) -> SoupReport:
 
 
 def _question_options(an: Analysis):
-    """Per (member key, head): the questions, one per semantic key, with
-    their answer data."""
-    out: dict[tuple[AlphaKey, AtomF], list[tuple[QuestionPattern, tuple]]] = {}
-    for key_head, qs in an.by_key_head.items():
-        sems: dict[tuple, QuestionPattern] = {}
-        for q in qs:
-            sems.setdefault(q.semantic_key(an), q)
-        entries = out[key_head] = []
-        for q in sems.values():
-            opts = tuple(
-                (opt.index, opt.subgoal, opt.tau_keys - an.initial_keys)
-                for opt in q.answers
-            )
-            entries.append((q, opts))
+    """Per head, then member key in ``key_text`` order: the questions, one per
+    semantic key, with their answer data."""
+    out: dict[AtomF, dict[AlphaKey, list[tuple[QuestionPattern, tuple]]]] = {}
+    for head, by_key in an.by_head.items():
+        at_head = out[head] = {}
+        for key in sorted(by_key, key=an.key_text.__getitem__):
+            sems: dict[tuple, QuestionPattern] = {}
+            for q in by_key[key]:
+                sems.setdefault(q.semantic_key(an), q)
+            entries = at_head[key] = []
+            for q in sems.values():
+                opts = tuple(
+                    (opt.index, opt.subgoal, opt.tau_keys - an.initial_keys)
+                    for opt in q.answers
+                )
+                entries.append((q, opts))
     return out
 
 
@@ -296,11 +292,11 @@ def _antichains(an: Analysis, options, deadline, schedule):
         return False
 
     def survives(x: frozenset, goal: AtomF) -> bool:
-        ctx = an.initial_keys | x
-        for key in ctx:
-            for q, opts in options.get((key, goal), ()):
-                if not answered(x, opts):
-                    return False
+        for key, entries in options.get(goal, {}).items():
+            if key in x or key in an.initial_keys:
+                for q, opts in entries:
+                    if not answered(x, opts):
+                        return False
         return True
 
     changed = True
@@ -382,9 +378,11 @@ def find_soup(
             continue
         processed.add(nid)
         x, goal = order[nid]
-        ctx = an.initial_keys | x
-        for key in sorted(ctx, key=an.key_text.__getitem__):
-            for q, opts in options.get((key, goal), ()):
+        # the context's keys that ask at the goal, in ``key_text`` order
+        for key, entries in options.get(goal, {}).items():
+            if key not in x and key not in an.initial_keys:
+                continue
+            for q, opts in entries:
                 chosen = None
                 for index, subgoal, tau_keys in opts:
                     need = x | tau_keys
@@ -508,12 +506,11 @@ def model_from_soup(
             f"has {t.addr_len}"
         )
     an = t.analysis
-    report = _check(z, an)
+    report, keys, relation = _check(z, an)
     if not report.ok:
         raise FormulaError(
             "not a valid soup: " + "; ".join(report.diagnostics)
         )
-    keys = [d.context_keys() for d in z.judgments]
 
     # trim to the judgments reachable from the initial one through answers;
     # ``answering`` collects the judgments that answer some kept question
@@ -522,15 +519,13 @@ def model_from_soup(
     answering: set[int] = set()
     work = [initial]
     while work:
-        j = work.pop()
-        for q in an.asked(keys[j], z.judgments[j].goal):
-            for need in _requirements(q, keys[j]):
-                for k, other in enumerate(z.judgments):
-                    if _meets(need, other, keys[k]):
-                        answering.add(k)
-                        if k not in kept:
-                            kept.add(k)
-                            work.append(k)
+        for q, answerers in relation[work.pop()]:
+            for ks in answerers:
+                answering.update(ks)
+                for k in ks:
+                    if k not in kept:
+                        kept.add(k)
+                        work.append(k)
     if len(kept) < len(z.judgments):
         log.warning(
             "soup has %d unreachable judgments; trimming them",
@@ -564,13 +559,12 @@ def model_from_soup(
                 true_keys.add(b.nenv(p.index, bits))
         # a kept judgment's goal is the target or a subgoal, so every
         # question asked here has a goal for its head
-        for q in an.asked(keys[j], z.judgments[j].goal):
+        for q, answerers in relation[j]:
             true_keys.add(b.q(q.index, bits))
             any_answer = False
-            for opt, need in zip(q.answers, _requirements(q, keys[j])):
+            for opt, ks in zip(q.answers, answerers):
                 for bits2 in all_addrs:
-                    k = by_addr.get(bits2)
-                    if k is not None and _meets(need, z.judgments[k], keys[k]):
+                    if by_addr.get(bits2) in ks:
                         true_keys.add(b.ans(opt.index, q.index, bits, bits2))
                         any_answer = True
                     else:

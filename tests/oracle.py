@@ -15,7 +15,10 @@ table: it substitutes every combination of pool constants into every member
 schema, once per judgment.
 
 ``scan_questions`` is the linear scan the soup layer ran over that table before
-``Analysis`` indexed it by member key and head.
+``Analysis`` indexed it by head and member key.  ``reference_answer_relation``
+is the scan the soup checker and realizer made before the checker indexed a
+soup's judgments by goal: every judgment against every answer option
+(``_meets``).
 
 ``reference_attempts`` is the Sigma1 search's member enumeration as it was
 before the search became one flat loop: a generator per judgment, one per
@@ -181,6 +184,31 @@ def scan_questions(an, keys, goal):
         for q in an.questions
         if q.head == goal and an.instances[q.inst].key in keys
     )
+
+
+def _meets(need, target, target_keys) -> bool:
+    subgoal, keys = need
+    return target.goal == subgoal and keys <= target_keys
+
+
+def reference_answer_relation(z, an):
+    """Per judgment of the soup ``z``, its questions (``scan_questions``) each
+    with, per answer option, the indices of the judgments that answer it: a
+    goal that is the option's subgoal and a context that contains the asking
+    context and the option's tau keys; by a scan of every judgment."""
+    keys = [d.context_keys() for d in z.judgments]
+    out = []
+    for d, d_keys in zip(z.judgments, keys):
+        row = []
+        for q in scan_questions(an, d_keys, d.goal):
+            needs = [(opt.subgoal, d_keys | opt.tau_keys) for opt in q.answers]
+            answerers = [
+                [k for k, other in enumerate(z.judgments) if _meets(need, other, keys[k])]
+                for need in needs
+            ]
+            row.append((q, answerers))
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,34 @@ def test_logic_checks_analyse_each_formula_once(monkeypatch):
     assert cooked and provable
 
 
+def test_logic_checks_check_each_soup_once(monkeypatch):
+    """A refutable formula's two soups are checked once each: the found soup
+    by ``check_soup`` and the cooked soup inside its realization."""
+    calls = []
+    check = soups._check
+
+    def counted(z, an):
+        calls.append(z)
+        return check(z, an)
+
+    monkeypatch.setattr(soups, "_check", counted)
+    refutable = 0
+    for i, phi in enumerate(gen_formulas(CorpusSpec(count=40, seed=0))):
+        calls.clear()
+        report = cli.RoundTripReport(i, "logic->asp", "")
+        cli._logic_checks(report, phi, None)
+        assert report.agreed and not report.skipped, i
+        if report.verdicts["provable"]:
+            assert calls == [], i
+        else:
+            assert len(calls) == 2, i
+            assert set(report.soup_checks) == {
+                "found_soup_valid", "model_soup_valid", "soup_model_stable"
+            }
+            refutable += 1
+    assert refutable
+
+
 def test_digest_reproducible():
     spec = CorpusSpec(count=10, seed=5)
     a = report_digest(roundtrip_asp(spec, timeout=10.0))

@@ -125,15 +125,9 @@ CALLS = [
     "sms_entails",
     "has_stable_model",
     # compiling the rows, setting up the propagator, one propagation round
-    # and decoding the model each run without a deadline check, in time
-    # that grows with the program
-    pytest.param(
-        "has_stable_model_large",
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="raised 0.90 s past a 0.05-s deadline on a 2-vCPU host",
-        ),
-    ),
+    # and decoding the model each take long here: they check the deadline
+    # as they go
+    "has_stable_model_large",
     "prove",
     "prove_sigma1",
     "case_b",

@@ -46,7 +46,7 @@ from aspsigma.syntax import (
     fmt_formula,
     impl_chain,
 )
-from oracle import naive_questions_at, scan_questions
+from oracle import naive_questions_at, reference_answer_relation, scan_questions
 
 
 def _an(text):
@@ -491,6 +491,65 @@ def test_question_table_matches_substitution_oracle(corpus_soups):
                 assert table == naive_questions_at(d, an.sig), fmt_formula(phi)
                 compared += 1
     assert compared == 1036
+
+
+def test_answer_relation_matches_the_scan(corpus_soups):
+    """The answer relation the checker reads off judgments indexed by goal is
+    the one a scan of every judgment for every answer option gives, and the
+    realizer reads it with the context keys the check computed."""
+    compared = 0
+    for phi, found, t, cooked in corpus_soups:
+        for z in (found, cooked):
+            if z is None:
+                continue
+            report, keys, relation = soups._check(z, z.analysis)
+            assert report.ok
+            assert keys == [d.context_keys() for d in z.judgments]
+            assert relation == reference_answer_relation(z, z.analysis), fmt_formula(phi)
+            compared += 1
+    assert compared == 956
+
+
+def test_soups_check_alike_without_their_answer_map(corpus_soups):
+    """Stripped of its answer map, a soup is checked by the existence reading
+    alone: each asked question needs some answering judgment.  The corpus
+    soups stay valid and realize the same model; without their last judgment
+    they are valid exactly when the scan finds an answer to every question."""
+    for phi, found, t, cooked in corpus_soups:
+        for z in (found, cooked):
+            if z is None:
+                continue
+            stripped = dataclasses.replace(z, answers=())
+            assert check_soup(stripped, phi).ok == check_soup(z, phi).ok, fmt_formula(phi)
+            if len(z.judgments) > 1:
+                cut = dataclasses.replace(stripped, judgments=z.judgments[:-1])
+                expected = all(
+                    any(answerers)
+                    for row in reference_answer_relation(cut, z.analysis)
+                    for q, answerers in row
+                )
+                assert check_soup(cut, phi).ok == expected, fmt_formula(phi)
+        if cooked is not None:
+            stripped = dataclasses.replace(cooked, answers=())
+            realized = model_from_soup(cooked, phi, translation=t)
+            assert model_from_soup(stripped, phi, translation=t) == realized
+
+
+def test_soup_search_scales_on_a_2000_step_chain():
+    # a0 -> (a0 -> a1) -> ... -> (a1999 -> a2000) -> a2000 is provable; the
+    # search looks up only the keys that ask at a goal, where it looked up
+    # every key of the context (5.2 s for find_soup and 1.1 s for
+    # certified_addr_len before; the bounds allow for a loaded 2-vCPU host)
+    n = 2000
+    a = [AtomF(f"a{i}") for i in range(n + 1)]
+    phi = impl_chain([a[0]] + [Impl(a[i], a[i + 1]) for i in range(n)], a[n])
+    an = analysis(phi)
+    start = time.monotonic()
+    certified_addr_len(an)
+    assert time.monotonic() - start < 2.0
+    start = time.monotonic()
+    assert find_soup(phi, an=an) is None
+    assert time.monotonic() - start < 2.0
 
 
 @functools.lru_cache(maxsize=None)
