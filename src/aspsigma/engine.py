@@ -264,14 +264,13 @@ def _as_ground(p: Program | GroundProgram) -> GroundProgram:
 # ---------------------------------------------------------------------------
 
 
-def _empty_lists(n: int, deadline: float | None) -> list[list[int]]:
-    """``n`` new lists, made under ``deadline``: on a large program they set
-    off the garbage collector's full passes."""
-    out: list[list[int]] = []
+def _chunks(n: int, deadline: float | None) -> Iterator[range]:
+    """``range(n)`` in pieces of 4096, with ``deadline`` checked before each:
+    on a large program a pass over its atoms or clauses takes long, and
+    making their lists sets off the garbage collector's full passes."""
     for start in range(0, n, 4096):
         check_deadline(deadline, "wall-clock")
-        out += [[] for _ in range(min(4096, n - start))]
-    return out
+        yield range(start, min(start + 4096, n))
 
 
 class _Compiled:
@@ -288,21 +287,22 @@ class _Compiled:
     ):
         self.n_atoms = n_atoms
         self.heads, self.pos, self.neg = heads, pos, neg
-        self.watch = _empty_lists(n_atoms, deadline)
+        self.watch: list[list[int]] = [
+            [] for part in _chunks(n_atoms, deadline) for _ in part
+        ]
         # positive-body counts use distinct atoms so the watch lists fire once
         self.pos_need: list[int] = []
         self.neg_sets: list[frozenset[int]] = []
         negated: set[int] = set()
-        for ci, body in enumerate(pos):
-            if not ci & 4095:
-                check_deadline(deadline, "wall-clock")
-            distinct = set(body)
-            for a in distinct:
-                self.watch[a].append(ci)
-            self.pos_need.append(len(distinct))
-            ns = frozenset(neg[ci])
-            self.neg_sets.append(ns)
-            negated.update(ns)
+        for part in _chunks(len(pos), deadline):
+            for ci in part:
+                distinct = set(pos[ci])
+                for a in distinct:
+                    self.watch[a].append(ci)
+                self.pos_need.append(len(distinct))
+                ns = frozenset(neg[ci])
+                self.neg_sets.append(ns)
+                negated.update(ns)
         # the atoms that occur negated, the only branch points of the search
         self.negated: list[int] = sorted(negated)
 
@@ -396,14 +396,14 @@ class _Propagator:
         self.comp = comp
         self.deadline = deadline
         n, m = comp.n_atoms, len(comp.heads)
-        self.by_head = _empty_lists(n, deadline)
-        self.neg_watch = _empty_lists(n, deadline)
-        for ci, h in enumerate(comp.heads):
-            if not ci & 4095:
-                check_deadline(deadline, "wall-clock")
-            self.by_head[h].append(ci)
-            for a in comp.neg_sets[ci]:
-                self.neg_watch[a].append(ci)
+        self.by_head = [[] for part in _chunks(n, deadline) for _ in part]
+        self.neg_watch = [[] for part in _chunks(n, deadline) for _ in part]
+        heads = comp.heads
+        for part in _chunks(m, deadline):
+            for ci in part:
+                self.by_head[heads[ci]].append(ci)
+                for a in comp.neg_sets[ci]:
+                    self.neg_watch[a].append(ci)
         self.val: list[int | None] = [None] * n
         for a in comp.negated:
             self.val[a] = self.UNKNOWN
@@ -416,13 +416,12 @@ class _Propagator:
         self.source = [-1] * n
         self.trail: list[int] = []
         forced: list[tuple[int, int]] = []
-        for ci, h in enumerate(comp.heads):
-            if not ci & 4095:
-                check_deadline(deadline, "wall-clock")
-            if self.low_need[ci] == 0 and self.not_false[ci] == 0:
-                self._add_lower(h, forced)
-            if self.up_need[ci] == 0:
-                self._regain(h, ci)
+        for part in _chunks(m, deadline):
+            for ci in part:
+                if self.low_need[ci] == 0 and self.not_false[ci] == 0:
+                    self._add_lower(heads[ci], forced)
+                if self.up_need[ci] == 0:
+                    self._regain(heads[ci], ci)
         self.trail.clear()
         # what the empty assignment forces, for the first ``propagate``
         self.initial = forced + [
@@ -738,10 +737,9 @@ def has_stable_model(
     if m is None:
         return None
     # a large model takes long to decode, so that runs under the deadline too
+    ids = list(m)
     atoms = []
-    for i, a in enumerate(m):
-        if not i & 4095:
-            check_deadline(deadline, "wall-clock")
-        atoms.append(g.atom(a))
+    for part in _chunks(len(ids), deadline):
+        atoms += [g.atom(ids[i]) for i in part]
     return frozenset(atoms)
 
