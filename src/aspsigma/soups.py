@@ -4,7 +4,9 @@ conversions between soups and stable models of the translated program.
 A soup stores addressed disjudgments plus an explicit answer map.  The map is
 a checkable witness; validity itself only requires that every asked question
 has some valid answer among the members, and the checker falls back to that
-existence reading when map entries are missing or malformed.
+existence reading when map entries are missing or malformed.  A context is a
+set of alpha keys (``syntax.alpha_key``), so alpha-equivalent members are one;
+formulas live only in ``Soup.members``, where a soup file is read or written.
 
 ``logic_to_asp.Analysis`` is the one question table: every question (a member
 instance psi[S] with a head instance under T) and its answer options (the
@@ -62,12 +64,9 @@ SOUP_CANDIDATE_CAP = 100_000  # candidate extensions the deletion search may add
 
 @dataclass(frozen=True)
 class Disjudgment:
-    context: frozenset[Formula]  # closed Pi1 instances
+    context: frozenset[AlphaKey]  # alpha keys of closed Pi1 instances
     goal: AtomF  # ground atom
     addresses: tuple[str, ...]  # bit strings, all of the soup's length
-
-    def context_keys(self) -> frozenset[AlphaKey]:
-        return frozenset(alpha_key(f) for f in self.context)
 
 
 @dataclass(frozen=True)
@@ -86,22 +85,22 @@ class Soup:
     ``addr_len`` bits.
 
     ``analysis`` is the question table of the formula the soup was made for,
-    when the soup was made from one; it takes no part in equality, hashing,
-    ``repr`` or ``write_soup``, and ``check_soup`` reuses it for that formula
-    object only.
+    when the soup was made from one, and ``members`` the formula
+    ``write_soup`` prints for each context key.  Neither takes part in
+    equality, hashing or ``repr``; ``check_soup`` reuses ``analysis`` for
+    that formula object only.
     """
 
     addr_len: int
     judgments: tuple[Disjudgment, ...]
     answers: tuple[AnswerEntry, ...]
     analysis: Analysis | None = field(default=None, compare=False, repr=False)
+    members: dict[AlphaKey, Formula] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def by_address(self) -> dict[str, Disjudgment]:
-        out: dict[str, Disjudgment] = {}
-        for d in self.judgments:
-            for a in d.addresses:
-                out[a] = d
-        return out
+        return {a: d for d in self.judgments for a in d.addresses}
 
     def initial(self) -> Disjudgment | None:
         return self.by_address().get("0" * self.addr_len)
@@ -124,7 +123,7 @@ class SoupReport:
 def questions_at(d: Disjudgment, an: Analysis) -> tuple[QuestionPattern, ...]:
     """The questions asked at ``d``, in ``an.questions`` order: context
     members whose instantiated head is the goal."""
-    return an.asked(d.context_keys(), d.goal)
+    return an.asked(d.context, d.goal)
 
 
 def _entry_key(an: Analysis, e: AnswerEntry):
@@ -155,12 +154,12 @@ def check_soup(z: Soup, phi: Formula) -> SoupReport:
     return _check(z, an)[0]
 
 
-def _check(z: Soup, an: Analysis) -> tuple[SoupReport, list, list]:
-    """The report of ``check_soup`` and, when it is ok, the judgments'
-    context keys and the answer relation: per judgment, the questions it
-    asks in table order, each with, per answer option ``opt``, the judgments
-    in soup order whose goal is ``opt.subgoal`` and whose context contains
-    the asking context and ``opt.tau_keys``."""
+def _check(z: Soup, an: Analysis) -> tuple[SoupReport, list]:
+    """The report of ``check_soup`` and, when it is ok, the answer relation:
+    per judgment, the questions it asks in table order, each with, per
+    answer option ``opt``, the judgments in soup order whose goal is
+    ``opt.subgoal`` and whose context contains the asking context and
+    ``opt.tau_keys``."""
     sig = an.sig
     diags: list[str] = []
     seen_addr: set[str] = set()
@@ -176,9 +175,8 @@ def _check(z: Soup, an: Analysis) -> tuple[SoupReport, list, list]:
     if diags:
         return _rejected(diags)
 
-    keys = [d.context_keys() for d in z.judgments]
-    for k in keys:
-        foreign = k.difference(an.key_formula)
+    for d in z.judgments:
+        foreign = d.context.difference(an.key_formula)
         if foreign:
             diags.append(
                 "context member is not an instantiated subformula: "
@@ -194,7 +192,7 @@ def _check(z: Soup, an: Analysis) -> tuple[SoupReport, list, list]:
             f"initial goal is {fmt_atomf(initial.goal)}, expected "
             f"{fmt_atomf(sig.target)}"
         )
-    if initial.context_keys() != an.initial_keys:
+    if initial.context != an.initial_keys:
         diags.append("initial context is not exactly the premise set")
     if diags:
         return _rejected(diags)
@@ -214,12 +212,15 @@ def _check(z: Soup, an: Analysis) -> tuple[SoupReport, list, list]:
         by_goal.setdefault(d.goal, []).append(j)
     by_addr = {a: j for j, d in enumerate(z.judgments) for a in d.addresses}
     relation: list[list[tuple[QuestionPattern, list[list[int]]]]] = []
-    for d, d_keys in zip(z.judgments, keys):
+    for d in z.judgments:
         row = []
         relation.append(row)
-        for q in an.asked(d_keys, d.goal):
-            needs = [(opt.subgoal, d_keys | opt.tau_keys) for opt in q.answers]
-            answerers = [[k for k in by_goal.get(g, ()) if n <= keys[k]] for g, n in needs]
+        for q in an.asked(d.context, d.goal):
+            needs = [(opt.subgoal, d.context | opt.tau_keys) for opt in q.answers]
+            answerers = [
+                [k for k in by_goal.get(g, ()) if n <= z.judgments[k].context]
+                for g, n in needs
+            ]
             row.append((q, answerers))
             key = q.semantic_key(an)
             mapped = [e for a in d.addresses for e in entry_index.get((key, a), ())]
@@ -237,11 +238,11 @@ def _check(z: Soup, an: Analysis) -> tuple[SoupReport, list, list]:
                         f"at goal {fmt_atomf(d.goal)}"
                     )
                     return _rejected(diags)
-    return SoupReport(True, tuple(diags)), keys, relation
+    return SoupReport(True, tuple(diags)), relation
 
 
-def _rejected(diags: list[str]) -> tuple[SoupReport, list, list]:
-    return SoupReport(False, tuple(diags)), [], []
+def _rejected(diags: list[str]) -> tuple[SoupReport, list]:
+    return SoupReport(False, tuple(diags)), []
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +400,7 @@ def find_soup(
         return format(i, f"0{addr_len}b")
 
     judgments = tuple(
-        Disjudgment(
-            frozenset(an.key_formula[k] for k in (an.initial_keys | x)),
-            goal,
-            (addr(i),),
-        )
+        Disjudgment(an.initial_keys | x, goal, (addr(i),))
         for i, (x, goal) in enumerate(order)
     )
     answers = tuple(
@@ -417,7 +414,7 @@ def find_soup(
         )
         for nid, q, index, to_id in edges
     )
-    return Soup(addr_len, judgments, answers, an)
+    return Soup(addr_len, judgments, answers, an, an.key_formula)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +434,8 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
     def holds(key) -> bool:
         return id_of(key) in mids
 
-    judgment_data: dict[str, tuple[frozenset, AtomF]] = {}
+    # judgments by (context, goal), with their addresses in ascending order
+    grouped: dict[tuple[frozenset, AtomF], list[str]] = {}
     for bits in b.all_addresses():
         goals = [g for g in an.goal_universe if holds(b.goal(g, bits))]
         if len(goals) > 1:
@@ -454,15 +452,9 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
             if e_in:
                 keys.add(p.key)
         if goals:
-            judgment_data[bits] = (frozenset(keys), goals[0])
-
-    grouped: dict[tuple[frozenset, AtomF], list[str]] = {}
-    for bits, jd in sorted(judgment_data.items()):
-        grouped.setdefault(jd, []).append(bits)
+            grouped.setdefault((frozenset(keys), goals[0]), []).append(bits)
     judgments = tuple(
-        Disjudgment(
-            frozenset(an.key_formula[k] for k in keys), goal, tuple(addresses)
-        )
+        Disjudgment(keys, goal, tuple(addresses))
         for (keys, goal), addresses in grouped.items()
     )
 
@@ -483,7 +475,7 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
                                 a_to,
                             )
                         )
-    return Soup(t.addr_len, judgments, tuple(entries), an)
+    return Soup(t.addr_len, judgments, tuple(entries), an, an.key_formula)
 
 
 def model_from_soup(
@@ -506,7 +498,7 @@ def model_from_soup(
             f"has {t.addr_len}"
         )
     an = t.analysis
-    report, keys, relation = _check(z, an)
+    report, relation = _check(z, an)
     if not report.ok:
         raise FormulaError(
             "not a valid soup: " + "; ".join(report.diagnostics)
@@ -553,7 +545,7 @@ def model_from_soup(
             continue
         true_keys.add(b.goal(z.judgments[j].goal, bits))
         for p in an.instances:
-            if p.key in keys[j]:
+            if p.key in z.judgments[j].context:
                 true_keys.add(b.env(p.index, bits))
             else:
                 true_keys.add(b.nenv(p.index, bits))
@@ -609,8 +601,8 @@ def write_soup(z: Soup) -> str:
         lines.append("  addresses: " + ", ".join(d.addresses))
         lines.append("  goal: " + fmt_atomf(d.goal))
         lines.append("  context:")
-        for f in sorted(d.context, key=fmt_formula):
-            lines.append("    " + fmt_formula(f))
+        for text in sorted(fmt_formula(z.members[k]) for k in d.context):
+            lines.append("    " + text)
     for e in z.answers:
         lines.append(
             f"answer: (psi{e.occ}, {_fmt_assign(e.s_assign)}, "
@@ -621,12 +613,15 @@ def write_soup(z: Soup) -> str:
 
 
 def parse_soup(text: str) -> Soup:
+    """Read a soup file; the first formula read for a context key is the
+    one ``write_soup`` prints for it."""
     addr_len: int | None = None
     judgments: list[Disjudgment] = []
     answers: list[AnswerEntry] = []
+    members: dict[AlphaKey, Formula] = {}
     cur_addrs: list[str] | None = None
     cur_goal: AtomF | None = None
-    cur_ctx: list[Formula] = []
+    cur_ctx: list[AlphaKey] = []
     in_context = False
 
     def flush() -> None:
@@ -640,59 +635,62 @@ def parse_soup(text: str) -> Soup:
         cur_addrs, cur_goal, cur_ctx, in_context = None, None, [], False
 
     for raw in text.splitlines():
-        line = raw.split("%", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw.split("%", 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
-        if stripped.startswith("addr-len:"):
-            addr_len = int(stripped.split(":", 1)[1])
-        elif stripped == "judgment:":
-            flush()
-            cur_addrs = []
-        elif stripped.startswith("addresses:"):
-            assert cur_addrs is not None
-            cur_addrs.extend(
-                a.strip() for a in stripped.split(":", 1)[1].split(",") if a.strip()
-            )
-        elif stripped.startswith("goal:"):
-            goal = parse_formula(stripped.split(":", 1)[1])
-            if not isinstance(goal, AtomF):
-                raise FormulaError(f"goal is not an atom: {stripped}")
-            cur_goal = goal
-        elif stripped == "context:":
-            in_context = True
-        elif stripped.startswith("answer:"):
-            flush()
-            body = stripped.split(":", 1)[1].strip()
-            left, _, right = body.partition("->")
-            left = left.strip()
-            right = right.strip()
-            if not (left.startswith("(") and left.endswith(")")):
-                raise FormulaError(f"bad answer entry: {stripped}")
-            psi, s_txt, t_txt, from_addr = _split_entry(left[1:-1])
-            if not psi.startswith("psi"):
-                raise FormulaError(f"bad member id {psi!r}")
-            if not (right.startswith("(") and right.endswith(")")):
-                raise FormulaError(f"bad answer entry: {stripped}")
-            idx_txt, to_addr = (s.strip() for s in right[1:-1].split(","))
-            answers.append(
-                AnswerEntry(
-                    int(psi[3:]),
-                    _parse_assign(s_txt),
-                    _parse_assign(t_txt),
-                    from_addr.strip(),
-                    int(idx_txt),
-                    to_addr.strip(),
+        try:
+            if stripped.startswith("addr-len:"):
+                addr_len = int(stripped.split(":", 1)[1])
+            elif stripped == "judgment:":
+                flush()
+                cur_addrs = []
+            elif stripped.startswith("addresses:"):
+                if cur_addrs is None:
+                    raise FormulaError(f"addresses outside a judgment: {stripped!r}")
+                cur_addrs.extend(
+                    a.strip() for a in stripped.split(":", 1)[1].split(",") if a.strip()
                 )
-            )
-        elif in_context:
-            cur_ctx.append(parse_formula(stripped))
-        else:
-            raise FormulaError(f"unexpected soup line: {stripped!r}")
+            elif stripped.startswith("goal:"):
+                goal = parse_formula(stripped.split(":", 1)[1])
+                if not isinstance(goal, AtomF):
+                    raise FormulaError(f"goal is not an atom: {stripped}")
+                cur_goal = goal
+            elif stripped == "context:":
+                in_context = True
+            elif stripped.startswith("answer:"):
+                flush()
+                body = stripped.split(":", 1)[1]
+                left, _, right = (part.strip() for part in body.partition("->"))
+                if not (left.startswith("(") and left.endswith(")")):
+                    raise FormulaError(f"bad answer entry: {stripped}")
+                psi, s_txt, t_txt, from_addr = _split_entry(left[1:-1])
+                if not psi.startswith("psi"):
+                    raise FormulaError(f"bad member id {psi!r}")
+                if not (right.startswith("(") and right.endswith(")")):
+                    raise FormulaError(f"bad answer entry: {stripped}")
+                idx_txt, to_addr = (s.strip() for s in right[1:-1].split(","))
+                answers.append(
+                    AnswerEntry(
+                        int(psi[3:]),
+                        _parse_assign(s_txt),
+                        _parse_assign(t_txt),
+                        from_addr.strip(),
+                        int(idx_txt),
+                        to_addr.strip(),
+                    )
+                )
+            elif in_context:
+                member = parse_formula(stripped)
+                cur_ctx.append(alpha_key(member))
+                members.setdefault(cur_ctx[-1], member)
+            else:
+                raise FormulaError(f"unexpected soup line: {stripped!r}")
+        except ValueError as e:  # a number or a tuple that does not read
+            raise FormulaError(f"bad soup line {stripped!r}: {e}") from None
     flush()
     if addr_len is None:
         raise FormulaError("soup file lacks an addr-len header")
-    return Soup(addr_len, tuple(judgments), tuple(answers))
+    return Soup(addr_len, tuple(judgments), tuple(answers), members=members)
 
 
 def _split_entry(inner: str) -> tuple[str, str, str, str]:

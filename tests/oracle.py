@@ -157,7 +157,7 @@ def naive_questions_at(d, sig):
     member instance psi[S] is in the context (up to alpha-equivalence) and its
     head under S and T is the goal.
     """
-    keys = d.context_keys()
+    keys = d.context
     out = []
     for occ in sig.env_occs:
         schema = sig.schemas[occ]
@@ -196,7 +196,7 @@ def reference_answer_relation(z, an):
     with, per answer option, the indices of the judgments that answer it: a
     goal that is the option's subgoal and a context that contains the asking
     context and the option's tau keys; by a scan of every judgment."""
-    keys = [d.context_keys() for d in z.judgments]
+    keys = [d.context for d in z.judgments]
     out = []
     for d, d_keys in zip(z.judgments, keys):
         row = []

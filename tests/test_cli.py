@@ -223,6 +223,36 @@ def test_soup_check_non_sigma1_is_input_error(files):
     assert run(["soup-check", f, soup]) == EXIT_INPUT
 
 
+_JUDGMENT = "judgment:\n  addresses: 0\n  goal: a\n  context:\n    (a -> b) -> a\n"
+# (text before the bad line, the bad line)
+MALFORMED_SOUPS = {
+    "addresses-outside-a-judgment": ("addr-len: 1\n", "addresses: 0"),
+    "addr-len-not-a-number": ("", "addr-len: x"),
+    "answer-with-three-targets": (
+        "addr-len: 1\n" + _JUDGMENT,
+        "answer: (psi1, [], [], 0) -> (1, 0, 0)",
+    ),
+    "member-id-not-a-number": (
+        "addr-len: 1\n" + _JUDGMENT,
+        "answer: (psiX, [], [], 0) -> (1, 0)",
+    ),
+    "premise-index-not-a-number": (
+        "addr-len: 1\n" + _JUDGMENT,
+        "answer: (psi1, [], [], 0) -> (x, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["soup-check", "soup-to-model"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SOUPS))
+def test_malformed_soup_files_are_input_errors(files, capsys, command, case):
+    before, bad_line = MALFORMED_SOUPS[case]
+    f = files("f.sig1", "((a -> b) -> a) -> a\n")
+    soup = files("z.soup", before + bad_line + "\n")
+    assert run([command, f, soup]) == EXIT_INPUT
+    assert bad_line in capsys.readouterr().err
+
+
 def test_soup_find_provable(files):
     f = files("f.sig1", "a -> a\n")
     assert run(["soup-find", f]) == EXIT_NEGATIVE
