@@ -84,7 +84,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import CapExceeded, FormulaError, ParseError, check_deadline
+from .errors import CapExceeded, FormulaError, check_deadline
+from .parsing import SYMBOLS, Fault, expect, formula_at, ident, parse_tokens
 from .syntax import (
     AtomF,
     Forall,
@@ -340,78 +341,60 @@ def fmt_term(t: ProofTerm) -> str:
 
 
 def parse_term(text: str) -> ProofTerm:
-    from .parsing import _Cursor, tokenize
+    """Parse a certificate in the syntax ``fmt_term`` prints."""
+    return parse_tokens(text, _whole_term)
 
-    cur = _Cursor(tokenize(text))
 
-    def parse_abs(bound_obj: tuple[str, ...]) -> ProofTerm:
-        if cur.at("\\"):
-            cur.next()
-            name = cur.expect_ident("binder")
-            if cur.at(":"):
-                if not name.value[0].isupper():
-                    raise ParseError(
-                        "proof variables start uppercase", name.line, name.col
-                    )
-                cur.next()
-                annot = _parse_annot(bound_obj)
-                cur.expect(".")
-                return PAbs(name.value, annot, parse_abs(bound_obj))
-            if name.value[0].isupper():
-                raise ParseError(
-                    "object variables start lowercase", name.line, name.col
-                )
-            cur.expect(".")
-            return OAbs(name.value, parse_abs(bound_obj + (name.value,)))
-        return parse_app(bound_obj)
-
-    def _parse_annot(bound_obj: tuple[str, ...]) -> Formula:
-        from .parsing import _parse_formula, _parse_formula_unit
-
-        if cur.at("("):
-            cur.next()
-            f = _parse_formula(cur, bound_obj, {})
-            cur.expect(")")
-            return f
-        return _parse_formula_unit(cur, bound_obj, {})
-
-    def parse_app(bound_obj: tuple[str, ...]) -> ProofTerm:
-        out = parse_atom(bound_obj)
-        while True:
-            if cur.at("("):
-                cur.next()
-                arg = parse_abs(bound_obj)
-                cur.expect(")")
-                out = PApp(out, arg)
-            elif cur.at_ident():
-                tok = cur.next()
-                if tok.value[0].isupper():
-                    out = PApp(out, PVar(tok.value))
-                elif tok.value in bound_obj:
-                    out = OApp(out, var(tok.value))
-                else:
-                    out = OApp(out, const(tok.value))
-            else:
-                return out
-
-    def parse_atom(bound_obj: tuple[str, ...]) -> ProofTerm:
-        if cur.at("("):
-            cur.next()
-            t = parse_abs(bound_obj)
-            cur.expect(")")
-            return t
-        tok = cur.expect_ident("proof variable")
-        if not tok.value[0].isupper():
-            raise ParseError(
-                f"expected a proof variable, found {tok.value!r}", tok.line, tok.col
-            )
-        return PVar(tok.value)
-
-    t = parse_abs(())
-    tail = cur.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"trailing input after term: {tail.value!r}", tail.line, tail.col)
+def _whole_term(toks: list[str]) -> ProofTerm:
+    t, i = _term_at(toks, 0, ())
+    if toks[i]:
+        raise Fault(f"trailing input after term: {toks[i]!r}", i)
     return t
+
+
+def _term_at(toks: list[str], i: int, bound: tuple[str, ...]) -> tuple[ProofTerm, int]:
+    """Read the term at ``toks[i]``, with the object variables ``bound`` in
+    scope; return it and the index after it."""
+    if toks[i] != "\\":
+        return _application_at(toks, i, bound)
+    name = ident(toks, i + 1, "binder")
+    if toks[i + 2] == ":":
+        if not name[0].isupper():
+            raise Fault("proof variables start uppercase", i + 1)
+        annot, i = formula_at(toks, i + 3, dict.fromkeys(bound, 1), {}, {}, [], unit=True)
+        body, i = _term_at(toks, expect(toks, i, "."), bound)
+        return PAbs(name, annot, body), i
+    if name[0].isupper():
+        raise Fault("object variables start lowercase", i + 1)
+    body, i = _term_at(toks, expect(toks, i + 2, "."), bound + (name,))
+    return OAbs(name, body), i
+
+
+def _application_at(
+    toks: list[str], i: int, bound: tuple[str, ...]
+) -> tuple[ProofTerm, int]:
+    if toks[i] == "(":
+        out, i = _term_at(toks, i + 1, bound)
+        i = expect(toks, i, ")")
+    else:
+        name = ident(toks, i, "proof variable")
+        if not name[0].isupper():
+            raise Fault(f"expected a proof variable, found {name!r}", i)
+        out, i = PVar(name), i + 1
+    while True:
+        t = toks[i]
+        if t == "(":
+            arg, i = _term_at(toks, i + 1, bound)
+            out = PApp(out, arg)
+            i = expect(toks, i, ")")
+        elif t in SYMBOLS:
+            return out, i
+        else:
+            i += 1
+            if t[0].isupper():
+                out = PApp(out, PVar(t))
+            else:
+                out = OApp(out, var(t) if t in bound else const(t))
 
 
 # ---------------------------------------------------------------------------

@@ -595,13 +595,17 @@ def _parse_assign(text: str) -> tuple[tuple[str, str], ...]:
 
 
 def write_soup(z: Soup) -> str:
+    texts: dict[AlphaKey, str] = {}  # each member's, formatted once
     lines = [f"addr-len: {z.addr_len}"]
     for d in z.judgments:
         lines.append("judgment:")
         lines.append("  addresses: " + ", ".join(d.addresses))
         lines.append("  goal: " + fmt_atomf(d.goal))
         lines.append("  context:")
-        for text in sorted(fmt_formula(z.members[k]) for k in d.context):
+        for k in d.context:
+            if k not in texts:
+                texts[k] = fmt_formula(z.members[k])
+        for text in sorted(texts[k] for k in d.context):
             lines.append("    " + text)
     for e in z.answers:
         lines.append(
@@ -614,11 +618,17 @@ def write_soup(z: Soup) -> str:
 
 def parse_soup(text: str) -> Soup:
     """Read a soup file; the first formula read for a context key is the
-    one ``write_soup`` prints for it."""
+    one ``write_soup`` prints for it.  Each distinct context line is parsed
+    once per call."""
     addr_len: int | None = None
     judgments: list[Disjudgment] = []
     answers: list[AnswerEntry] = []
     members: dict[AlphaKey, Formula] = {}
+    # each context line is parsed once, and each alpha class has one key
+    # object, so the checker's subset tests between contexts meet the same
+    # objects and compare them by identity
+    line_keys: dict[str, AlphaKey] = {}
+    classes: dict[AlphaKey, AlphaKey] = {}
     cur_addrs: list[str] | None = None
     cur_goal: AtomF | None = None
     cur_ctx: list[AlphaKey] = []
@@ -680,9 +690,17 @@ def parse_soup(text: str) -> Soup:
                     )
                 )
             elif in_context:
-                member = parse_formula(stripped)
-                cur_ctx.append(alpha_key(member))
-                members.setdefault(cur_ctx[-1], member)
+                key = line_keys.get(stripped)
+                if key is None:
+                    member = parse_formula(stripped)
+                    key = alpha_key(member)
+                    if key in members:
+                        key = classes[key]
+                    else:
+                        members[key] = member
+                        classes[key] = key
+                    line_keys[stripped] = key
+                cur_ctx.append(key)
             else:
                 raise FormulaError(f"unexpected soup line: {stripped!r}")
         except ValueError as e:  # a number or a tuple that does not read

@@ -128,7 +128,11 @@ class Program:
         if not self.domain:
             raise FormulaError("program domain must be nonempty")
         used = {
-            t.name for c in self.clauses for a in c.atoms() for t in a.args if not t.var
+            t.name
+            for c in self.clauses
+            for a in (c.head, *c.body)
+            for t in a.args
+            if not t.var
         }
         missing = used - self.domain
         if missing:
@@ -155,26 +159,33 @@ class Program:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def make_program(clauses: Iterable[Clause], extra_constants: Iterable[str] = ()) -> Program:
-    """Build a program whose domain is the used constants plus ``extra_constants``.
+def program_domain(
+    used: Iterable[str], extra: Iterable[str], has_vars: bool
+) -> frozenset[str]:
+    """The domain of a program that uses the constants ``used``, declares
+    ``extra`` and has variables when ``has_vars``.
 
     Variable-free programs with no constants at all get a default one-element
     domain, since the domain is irrelevant to them but must be nonempty.
     """
+    dom = frozenset(used).union(extra)
+    if dom:
+        return dom
+    if has_vars:
+        raise FormulaError(
+            "program has variables but no constants; declare some with #domain"
+        )
+    return frozenset({"d0"})
+
+
+def make_program(clauses: Iterable[Clause], extra_constants: Iterable[str] = ()) -> Program:
+    """Build a program whose domain is the used constants plus ``extra_constants``
+    (see ``program_domain``)."""
     cl = tuple(clauses)
-    used: set[str] = set()
-    has_vars = False
-    for c in cl:
-        used |= c.constants()
-        has_vars = has_vars or bool(c.variables())
-    dom = used | set(extra_constants)
-    if not dom:
-        if has_vars:
-            raise FormulaError(
-                "program has variables but no constants; declare some with #domain"
-            )
-        dom = {"d0"}
-    return Program(cl, frozenset(dom))
+    terms = {t for c in cl for a in (c.head, *c.body) for t in a.args}
+    used = [t.name for t in terms if not t.var]
+    has_vars = len(used) < len(terms)
+    return Program(cl, program_domain(used, extra_constants, has_vars))
 
 
 # ---------------------------------------------------------------------------

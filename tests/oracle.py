@@ -55,27 +55,44 @@ kept its bounds on a trail: every propagation round recomputes ``lower`` and
 child copies the whole assignment dict.  ``engine._search`` must yield what it
 yields, in the same order, and ``propagate`` is the per-node reference for
 ``engine._Propagator``.
+
+``reference_tokenize``, ``reference_parse_program``,
+``reference_parse_ground_atom``, ``reference_parse_formula`` and
+``reference_parse_term`` are the parsers as they were before ``parsing.scan``
+read a text with one regular expression: a character loop that builds a
+``ReferenceToken`` per token, a cursor object over them and a recursive
+descent, with every parsed formula rectified and every program built through
+``make_program``.  The one-pass parsers must give what they give: the same
+result, or a ``ParseError`` with the same message, line and column.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from aspsigma import engine, proofs
-from aspsigma.errors import CapExceeded, FormulaError, check_deadline
+from aspsigma.errors import CapExceeded, FormulaError, ParseError, check_deadline
+from aspsigma.proofs import OAbs, OApp, PAbs, PApp, ProofTerm, PVar
 from aspsigma.syntax import (
     Atom,
     AtomF,
     Clause,
     Forall,
+    Formula,
     Impl,
     MintsClass,
     Occurrence,
+    Program,
+    Term,
     alpha_key,
     const,
     fmt_formula,
     forall_chain,
     free_vars,
     impl_spine,
+    is_program_variable_name,
+    make_program,
     pi1_spine,
+    rectify,
     substitute,
     var,
 )
@@ -682,3 +699,359 @@ def reference_run(prover, goal):
             return True
         if sum(len(v) for v in prover.solved.values()) == size_before:
             return False
+
+
+# ---------------------------------------------------------------------------
+# The parsers before the one-pass scanner
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class ReferenceToken:
+    kind: str  # 'ident' | 'symbol' | 'eof'
+    value: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str) -> list[ReferenceToken]:
+    toks: list[ReferenceToken] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(ReferenceToken("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        two = text[i : i + 2]
+        if two in (":-", "->"):
+            toks.append(ReferenceToken("symbol", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "(),.:\\#":
+            toks.append(ReferenceToken("symbol", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(ReferenceToken("eof", "", line, col))
+    return toks
+
+
+class _ReferenceCursor:
+    def __init__(self, tokens: list[ReferenceToken]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> ReferenceToken:
+        return self.tokens[self.pos]
+
+    def next(self) -> ReferenceToken:
+        t = self.tokens[self.pos]
+        if t.kind != "eof":
+            self.pos += 1
+        return t
+
+    def expect(self, value: str) -> ReferenceToken:
+        t = self.peek()
+        if t.value != value or t.kind == "eof":
+            raise ParseError(f"expected {value!r} but found {t.value!r}", t.line, t.col)
+        return self.next()
+
+    def expect_ident(self, what: str = "identifier") -> ReferenceToken:
+        t = self.peek()
+        if t.kind != "ident":
+            raise ParseError(f"expected {what} but found {t.value!r}", t.line, t.col)
+        return self.next()
+
+    def at(self, value: str) -> bool:
+        t = self.peek()
+        return t.kind == "symbol" and t.value == value
+
+    def at_ident(self, value: str | None = None) -> bool:
+        t = self.peek()
+        return t.kind == "ident" and (value is None or t.value == value)
+
+
+# ---------------------------------------------------------------------------
+# Programs
+# ---------------------------------------------------------------------------
+
+
+def _parse_term(cur: _ReferenceCursor) -> Term:
+    t = cur.expect_ident("term")
+    if t.value[0].isupper():
+        raise ParseError(
+            f"uppercase identifier {t.value!r} cannot appear in term position",
+            t.line,
+            t.col,
+        )
+    return var(t.value) if is_program_variable_name(t.value) else const(t.value)
+
+
+def _parse_program_atom(cur: _ReferenceCursor, arities: dict[str, int]) -> Atom:
+    negated = False
+    if cur.at_ident("not"):
+        cur.next()
+        negated = True
+    t = cur.expect_ident("predicate")
+    name = t.value
+    if name[0].isupper():
+        raise ParseError(f"program predicates are lowercase: {name!r}", t.line, t.col)
+    args: list[Term] = []
+    if cur.at("("):
+        cur.next()
+        args.append(_parse_term(cur))
+        while cur.at(","):
+            cur.next()
+            args.append(_parse_term(cur))
+        cur.expect(")")
+    old = arities.setdefault(name, len(args))
+    if old != len(args):
+        raise ParseError(
+            f"predicate {name} used with arities {old} and {len(args)}", t.line, t.col
+        )
+    return Atom(name, tuple(args), negated)
+
+
+def reference_parse_program(text: str, safe: bool = False) -> Program:
+    """Parse program text; ``safe`` rejects head variables absent from the body."""
+    cur = _ReferenceCursor(reference_tokenize(text))
+    clauses: list[Clause] = []
+    declared: set[str] = set()
+    arities: dict[str, int] = {}
+    while not cur.peek().kind == "eof":
+        if cur.at("#"):
+            t = cur.next()
+            d = cur.expect_ident("directive name")
+            if d.value != "domain":
+                raise ParseError(f"unknown directive #{d.value}", d.line, d.col)
+            c = cur.expect_ident("constant")
+            _reject_variable_constant(c)
+            declared.add(c.value)
+            while cur.at(","):
+                cur.next()
+                c = cur.expect_ident("constant")
+                _reject_variable_constant(c)
+                declared.add(c.value)
+            cur.expect(".")
+            continue
+        head_tok = cur.peek()
+        head = _parse_program_atom(cur, arities)
+        if head.negated:
+            raise ParseError("clause head must be positive", head_tok.line, head_tok.col)
+        body: list[Atom] = []
+        if cur.at(":-"):
+            cur.next()
+            if not cur.at("."):
+                body.append(_parse_program_atom(cur, arities))
+                while cur.at(","):
+                    cur.next()
+                    body.append(_parse_program_atom(cur, arities))
+        cur.expect(".")
+        clause = Clause(head, tuple(body))
+        if safe:
+            body_vars = set()
+            for a in body:
+                body_vars |= a.variables()
+            loose = head.variables() - body_vars
+            if loose:
+                raise ParseError(
+                    f"unsafe clause: head variables {sorted(loose)} do not occur "
+                    f"in the body",
+                    head_tok.line,
+                    head_tok.col,
+                )
+        clauses.append(clause)
+    try:
+        return make_program(clauses, declared)
+    except FormulaError as e:
+        raise ParseError(str(e)) from e
+
+
+def _reject_variable_constant(tok: ReferenceToken) -> None:
+    if is_program_variable_name(tok.value):
+        raise ParseError(
+            f"{tok.value!r} is in the variable lexical space and cannot be "
+            f"declared as a constant",
+            tok.line,
+            tok.col,
+        )
+
+
+def reference_parse_ground_atom(text: str) -> Atom:
+    """Parse a single ground atom, e.g. for entailment queries."""
+    cur = _ReferenceCursor(reference_tokenize(text))
+    atom = _parse_program_atom(cur, {})
+    t = cur.peek()
+    if cur.at("."):
+        cur.next()
+        t = cur.peek()
+    if t.kind != "eof":
+        raise ParseError(f"trailing input after atom: {t.value!r}", t.line, t.col)
+    if atom.negated or not atom.is_ground():
+        raise ParseError("expected a positive ground atom")
+    return atom
+
+
+# ---------------------------------------------------------------------------
+# Formulas
+# ---------------------------------------------------------------------------
+
+
+def _parse_formula(cur: _ReferenceCursor, bound: tuple[str, ...], arities: dict[str, int]) -> Formula:
+    units = [_parse_formula_unit(cur, bound, arities)]
+    while cur.at("->"):
+        cur.next()
+        units.append(_parse_formula_unit(cur, bound, arities))
+    out = units[-1]
+    for u in reversed(units[:-1]):
+        out = Impl(u, out)
+    return out
+
+
+def _parse_formula_unit(
+    cur: _ReferenceCursor, bound: tuple[str, ...], arities: dict[str, int]
+) -> Formula:
+    if cur.at("("):
+        cur.next()
+        inner = _parse_formula(cur, bound, arities)
+        cur.expect(")")
+        return inner
+    if cur.at_ident("forall"):
+        cur.next()
+        v = cur.expect_ident("quantified variable")
+        if v.value[0].isupper():
+            raise ParseError(
+                f"quantified variables are lowercase: {v.value!r}", v.line, v.col
+            )
+        cur.expect(".")
+        body = _parse_formula(cur, bound + (v.value,), arities)
+        return Forall(v.value, body)
+    t = cur.expect_ident("predicate")
+    name = t.value
+    args: list[Term] = []
+    if cur.at("("):
+        cur.next()
+        args.append(_parse_formula_term(cur, bound))
+        while cur.at(","):
+            cur.next()
+            args.append(_parse_formula_term(cur, bound))
+        cur.expect(")")
+    old = arities.setdefault(name, len(args))
+    if old != len(args):
+        raise ParseError(
+            f"predicate {name} used with arities {old} and {len(args)}", t.line, t.col
+        )
+    return AtomF(name, tuple(args))
+
+
+def _parse_formula_term(cur: _ReferenceCursor, bound: tuple[str, ...]) -> Term:
+    t = cur.expect_ident("term")
+    if t.value[0].isupper():
+        raise ParseError(
+            f"uppercase identifier {t.value!r} cannot appear in term position",
+            t.line,
+            t.col,
+        )
+    return var(t.value) if t.value in bound else const(t.value)
+
+
+def reference_parse_formula(text: str) -> Formula:
+    """Parse and rectify a formula; free identifiers are treated as constants."""
+    cur = _ReferenceCursor(reference_tokenize(text))
+    arities: dict[str, int] = {}
+    f = _parse_formula(cur, (), arities)
+    t = cur.peek()
+    if t.kind != "eof":
+        raise ParseError(f"trailing input after formula: {t.value!r}", t.line, t.col)
+    return rectify(f)
+
+
+def reference_parse_term(text: str) -> ProofTerm:
+    cur = _ReferenceCursor(reference_tokenize(text))
+
+    def parse_abs(bound_obj: tuple[str, ...]) -> ProofTerm:
+        if cur.at("\\"):
+            cur.next()
+            name = cur.expect_ident("binder")
+            if cur.at(":"):
+                if not name.value[0].isupper():
+                    raise ParseError(
+                        "proof variables start uppercase", name.line, name.col
+                    )
+                cur.next()
+                annot = _parse_annot(bound_obj)
+                cur.expect(".")
+                return PAbs(name.value, annot, parse_abs(bound_obj))
+            if name.value[0].isupper():
+                raise ParseError(
+                    "object variables start lowercase", name.line, name.col
+                )
+            cur.expect(".")
+            return OAbs(name.value, parse_abs(bound_obj + (name.value,)))
+        return parse_app(bound_obj)
+
+    def _parse_annot(bound_obj: tuple[str, ...]) -> Formula:
+        if cur.at("("):
+            cur.next()
+            f = _parse_formula(cur, bound_obj, {})
+            cur.expect(")")
+            return f
+        return _parse_formula_unit(cur, bound_obj, {})
+
+    def parse_app(bound_obj: tuple[str, ...]) -> ProofTerm:
+        out = parse_atom(bound_obj)
+        while True:
+            if cur.at("("):
+                cur.next()
+                arg = parse_abs(bound_obj)
+                cur.expect(")")
+                out = PApp(out, arg)
+            elif cur.at_ident():
+                tok = cur.next()
+                if tok.value[0].isupper():
+                    out = PApp(out, PVar(tok.value))
+                elif tok.value in bound_obj:
+                    out = OApp(out, var(tok.value))
+                else:
+                    out = OApp(out, const(tok.value))
+            else:
+                return out
+
+    def parse_atom(bound_obj: tuple[str, ...]) -> ProofTerm:
+        if cur.at("("):
+            cur.next()
+            t = parse_abs(bound_obj)
+            cur.expect(")")
+            return t
+        tok = cur.expect_ident("proof variable")
+        if not tok.value[0].isupper():
+            raise ParseError(
+                f"expected a proof variable, found {tok.value!r}", tok.line, tok.col
+            )
+        return PVar(tok.value)
+
+    t = parse_abs(())
+    tail = cur.peek()
+    if tail.kind != "eof":
+        raise ParseError(f"trailing input after term: {tail.value!r}", tail.line, tail.col)
+    return t

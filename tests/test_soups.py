@@ -346,6 +346,61 @@ def test_alpha_equivalent_members_are_read_as_one():
         assert write_soup(z) == _soup_listing(first)
 
 
+def _refutable_chain(n):
+    """(a1 -> a0) -> ... -> (an -> a(n-1)) -> a0, refuted by a soup of n + 1
+    judgments whose contexts share their members."""
+    a = [AtomF(f"a{i}") for i in range(n + 1)]
+    return impl_chain([Impl(a[i + 1], a[i]) for i in range(n)], a[0])
+
+
+def test_parse_soup_reads_each_context_line_once(monkeypatch):
+    phi = _refutable_chain(20)
+    text = write_soup(find_soup(phi))
+    lines = [ln.strip() for ln in text.splitlines()]
+    goals = {ln.split(":", 1)[1] for ln in lines if ln.startswith("goal:")}
+    context_lines = {
+        ln for ln in lines if ln and not ln.endswith(":") and ":" not in ln
+    }
+    assert len(context_lines) == 20 and len(goals) == 21
+    calls = []
+    read = soups.parse_formula
+    monkeypatch.setattr(soups, "parse_formula", lambda t: calls.append(t) or read(t))
+    z = parse_soup(text)
+    # a context line is parsed the first time it is read; each goal line
+    # is parsed where it stands
+    assert sorted(calls) == sorted(context_lines | goals)
+    assert check_soup(z, phi).ok
+    assert write_soup(z) == text
+
+
+def test_parse_soup_keeps_one_key_object_per_alpha_class():
+    x_text, y_text = "forall x. P(x) -> g", "forall y. P(y) -> g"
+    z = parse_soup(_soup_listing(x_text, "g", y_text))
+    first, second = z.judgments
+    assert len(z.members) == 2
+    kept = {k: k for k in z.members}
+    for d in z.judgments:
+        assert all(k is kept[k] for k in d.context)
+    assert {id(k) for k in first.context} == {id(k) for k in second.context}
+
+
+def test_parse_soup_rejects_a_bad_context_line():
+    text = _soup_listing("forall x. P(x) -> g", "P(x) ->")
+    with pytest.raises(aspsigma.ParseError, match="expected predicate"):
+        parse_soup(text)
+
+
+def test_write_soup_formats_each_member_once(monkeypatch):
+    z = find_soup(_refutable_chain(20))
+    text = write_soup(z)
+    calls = []
+    fmt = soups.fmt_formula
+    monkeypatch.setattr(soups, "fmt_formula", lambda f: calls.append(f) or fmt(f))
+    assert write_soup(z) == text
+    used = set().union(*(d.context for d in z.judgments))
+    assert len(calls) == len(used) == 20
+
+
 # ---------------------------------------------------------------------------
 # Conversions
 # ---------------------------------------------------------------------------
