@@ -694,12 +694,8 @@ def parse_soup(text: str) -> Soup:
                 if key is None:
                     member = parse_formula(stripped)
                     key = alpha_key(member)
-                    if key in members:
-                        key = classes[key]
-                    else:
-                        members[key] = member
-                        classes[key] = key
-                    line_keys[stripped] = key
+                    key = line_keys[stripped] = classes.setdefault(key, key)
+                    members.setdefault(key, member)
                 cur_ctx.append(key)
             else:
                 raise FormulaError(f"unexpected soup line: {stripped!r}")
