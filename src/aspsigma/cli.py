@@ -373,7 +373,7 @@ def _cmd_translate_formula(args) -> int:
             json.dumps(
                 {
                     "addr_len": t.addr_len,
-                    "clauses": len(t.program.clauses),
+                    "clauses": len(t.ground_program.heads),
                     "per_family": dict(sorted(t.counts.items())),
                 },
                 indent=2,

@@ -3,13 +3,15 @@
 A ``GroundProgram`` is a table of ground atoms numbered from 0, each known
 by its key ``(pred, arg name, ...)``, and one integer row ``(head, pos,
 neg)`` per clause.  Both routes into it emit rows directly: the formula
-translation, and ``ground``, which compiles each source clause once into one
-key getter per atom and instantiates it by picking each substitution's keys
-and interning them, so no ``Atom`` or ``Clause`` is built per instance.  The
-search, the fixpoints and the stability check run on the rows alone, through
-the one ``_Compiled`` constructor.  ``Atom`` and ``Clause`` objects are built
-only for what a caller reads: a returned model, a printed clause, the atoms a
-branching priority looks at.
+translation, and ``ground``.  ``ground`` interns a source clause without
+variables from its atoms' own keys, and compiles a clause with variables once
+into one key getter per atom, which picks each substitution's keys; no
+``Atom`` or ``Clause`` is built per instance.  The search, the fixpoints and
+the stability check run on the rows alone, through the one ``_Compiled``
+constructor.  ``Atom`` and ``Clause`` objects are built only for what a
+caller reads: a returned model, a printed clause, the atoms a branching
+priority looks at.  Decoding the whole program builds each atom, and each
+negated atom, once.
 
 One search core, ``_search``, enumerates the stable models: it propagates
 bounds over the atoms that occur negated and branches only where forced, which
@@ -27,7 +29,7 @@ import itertools
 import operator
 from collections.abc import Iterator
 
-from .errors import CapExceeded, FormulaError, check_deadline
+from .errors import ArityError, CapExceeded, FormulaError, check_deadline
 from .syntax import Atom, Clause, Program, Term, const
 
 Model = frozenset[Atom]
@@ -45,6 +47,14 @@ ENUM_CAP = 22
 def atom_key(a: Atom) -> AtomKey:
     """The key of a ground atom: its predicate and argument names."""
     return (a.pred, *[t.name for t in a.args])
+
+
+class _TermTable(dict[str, Term]):
+    """The constant of each name, built the first time it is looked up."""
+
+    def __missing__(self, name: str) -> Term:
+        t = self[name] = const(name)
+        return t
 
 
 class GroundProgram:
@@ -68,7 +78,7 @@ class GroundProgram:
     """
 
     __slots__ = (
-        "ids", "heads", "pos", "neg", "_source", "_keys", "_atoms", "_terms",
+        "ids", "heads", "pos", "neg", "_source", "_keys", "_atoms", "_term",
         "_clauses", "_base", "_compiled",
     )
 
@@ -85,7 +95,7 @@ class GroundProgram:
         self._source = source
         self._keys: list[AtomKey] | None = None
         self._atoms: list[Atom | None] = [None] * len(ids)
-        self._terms: dict[str, Term] = {}
+        self._term = _TermTable().__getitem__
         self._clauses: tuple[Clause, ...] | None = None
         self._base: frozenset[Atom] | None = None
         self._compiled: _Compiled | None = None
@@ -106,15 +116,8 @@ class GroundProgram:
         if a is None:
             if self._keys is None:
                 self._keys = list(self.ids)
-            pred, *names = self._keys[i]
-            terms = self._terms
-            args = []
-            for n in names:
-                t = terms.get(n)
-                if t is None:
-                    t = terms[n] = const(n)
-                args.append(t)
-            a = self._atoms[i] = Atom(pred, tuple(args))
+            key = self._keys[i]
+            a = self._atoms[i] = Atom(key[0], tuple(map(self._term, key[1:])))
         return a
 
     def atoms_of(self, atom_ids) -> frozenset[Atom]:
@@ -141,20 +144,34 @@ class GroundProgram:
             return None
         return mids
 
+    def _all_atoms(self) -> list[Atom]:
+        """Every atom of the table, decoded once, indexed by id."""
+        atoms = self._atoms
+        if None in atoms:
+            term = self._term
+            for i, key in enumerate(self.ids):
+                if atoms[i] is None:
+                    atoms[i] = Atom(key[0], tuple(map(term, key[1:])))
+        return atoms
+
     @property
     def clauses(self) -> tuple[Clause, ...]:
         if self._clauses is None:
-            atoms = [self.atom(i) for i in range(len(self.ids))]
-            nots = {i: atoms[i].negate() for ns in self.neg for i in ns}
+            atoms = self._all_atoms()
+            # each atom that occurs negated is negated once
+            nots: list[Atom | None] = [None] * len(atoms)
+            for i in set().union(*self.neg):
+                nots[i] = atoms[i].negate()
+            atom_at, not_at = atoms.__getitem__, nots.__getitem__
             rows = zip(self.heads, self.pos, self.neg)
             out = []
             if self._source is None:
                 for h, ps, ns in rows:
-                    last = ns[-1:] if ns and ns[-1] == h else ()
-                    body = [nots[b] for b in ns[: len(ns) - len(last)]]
-                    body += [atoms[b] for b in ps]
-                    body += [nots[b] for b in last]
-                    out.append(Clause(atoms[h], tuple(body)))
+                    if ns and ns[-1] == h:
+                        body = (*map(not_at, ns[:-1]), *map(atom_at, ps), nots[h])
+                    else:
+                        body = (*map(not_at, ns), *map(atom_at, ps))
+                    out.append(Clause(atoms[h], body))
             else:
                 start = 0
                 for end, signs in self._source[1]:
@@ -170,7 +187,7 @@ class GroundProgram:
     def base(self) -> frozenset[Atom]:
         if self._base is None:
             if self._source is None:
-                self._base = self.atoms_of(range(len(self.ids)))
+                self._base = frozenset(self._all_atoms())
             else:
                 self._base = program_base(self._source[0])
         return self._base
@@ -185,11 +202,11 @@ def program_base(p: Program) -> frozenset[Atom]:
     return frozenset(atoms)
 
 
-def _key_getters(clause: Clause, cvars: list[str]) -> tuple[list, tuple[str, ...]]:
-    """One getter per atom of ``clause`` (the head, the positive body, then
-    the negated body) that picks the atom's key from the values of a
-    substitution: the constants it gives ``cvars``, in order, followed by the
-    returned names, which are the clause's predicates and constants."""
+def _key_getters(atoms: list[Atom], cvars: list[str]) -> tuple[list, tuple[str, ...]]:
+    """One getter per atom of ``atoms`` that picks the atom's key from the
+    values of a substitution: the constants it gives ``cvars``, in order,
+    followed by the returned names, which are the atoms' predicates and
+    constants."""
     slot = {v: i for i, v in enumerate(cvars)}
     where: dict[str, int] = {}
 
@@ -197,11 +214,7 @@ def _key_getters(clause: Clause, cvars: list[str]) -> tuple[list, tuple[str, ...
         return where.setdefault(name, len(cvars) + len(where))
 
     getters = []
-    for a in itertools.chain(
-        (clause.head,),
-        (b for b in clause.body if not b.negated),
-        (b for b in clause.body if b.negated),
-    ):
+    for a in atoms:
         idx = [at(a.pred)] + [slot[t.name] if t.var else at(t.name) for t in a.args]
         # itemgetter of one index gives the value, of a slice a tuple
         getters.append(
@@ -212,14 +225,22 @@ def _key_getters(clause: Clause, cvars: list[str]) -> tuple[list, tuple[str, ...
     return getters, tuple(where)
 
 
+_negated = operator.attrgetter("negated")
+_name = operator.attrgetter("name")
+
+
 def ground(p: Program) -> GroundProgram:
     """All substitution instances of the clauses over the program domain, as
-    rows; more than ``GROUND_CAP`` of them raise ``CapExceeded``.
+    rows; more than ``GROUND_CAP`` of them raise ``CapExceeded``, and a
+    predicate used with two arities raises ``ArityError`` once the whole
+    program is within the cap.
 
     An instance interns the keys of its head, its positive body and its
     negated body in that order, as the clauses of the formula translation do,
     and is dropped when an earlier one has the same head and signed body in
-    source order: the same sign pattern and the same row.
+    source order: the same sign pattern and the same row.  A clause with
+    variables compiles one key getter per atom (``_key_getters``); a clause
+    without them has one instance, whose keys are its atoms' own.
     """
     dom = sorted(p.domain)
     ids: dict[AtomKey, int] = {}
@@ -229,20 +250,46 @@ def ground(p: Program) -> GroundProgram:
     neg: list[tuple[int, ...]] = []
     spans: list[tuple[int, tuple[bool, ...]]] = []
     seen: set[tuple[tuple[bool, ...], tuple[int, ...]]] = set()
+    arity: dict[str, int] = {}
+    clash: ArityError | None = None
     count = 0
     for clause in p.clauses:
-        cvars = sorted(clause.variables())
+        head, body = clause.head, clause.body
+        signs = tuple(map(_negated, body))
+        ordered = [head]
+        ordered += itertools.compress(body, map(operator.not_, signs))
+        ordered += itertools.compress(body, signs)
+        cvars = sorted({t.name for a in ordered for t in a.args if t.var})
         count += len(dom) ** len(cvars)
         if count > GROUND_CAP:
             raise CapExceeded(
                 f"grounding would exceed {GROUND_CAP} clauses", feasible=GROUND_CAP
             )
-        signs = tuple([a.negated for a in clause.body])
+        # the first clash in source order, as ``Program.predicates`` finds it
+        if clash is None:
+            for a in (head, *body):
+                n = len(a.args)
+                if arity.setdefault(a.pred, n) != n:
+                    clash = ArityError(
+                        f"predicate {a.pred} used with arities {arity[a.pred]} and {n}"
+                    )
+                    break
         split = len(signs) - sum(signs) + 1
-        getters, names = _key_getters(clause, cvars)
-        for combo in itertools.product(dom, repeat=len(cvars)):
-            vals = combo + names
-            row = tuple([setdefault(get(vals), len(ids)) for get in getters])
+        if cvars:
+            getters, names = _key_getters(ordered, cvars)
+            combos = itertools.product(dom, repeat=len(cvars))
+            rows = (
+                tuple([setdefault(get(vals), len(ids)) for get in getters])
+                for vals in map(operator.add, combos, itertools.repeat(names))
+            )
+        else:
+            rows = (
+                tuple([
+                    setdefault((a.pred, *map(_name, a.args)), len(ids))
+                    for a in ordered
+                ]),
+            )
+        for row in rows:
             key = (signs, row)
             if key not in seen:
                 seen.add(key)
@@ -250,8 +297,8 @@ def ground(p: Program) -> GroundProgram:
                 pos.append(row[1:split])
                 neg.append(row[split:])
         spans.append((len(heads), signs))
-    # a predicate used with two arities raises here, as program_base would
-    p.predicates()
+    if clash is not None:
+        raise clash
     return GroundProgram(ids, heads, pos, neg, (p, spans))
 
 

@@ -768,6 +768,10 @@ class _Prover(_Base):
     def extract(
         self, added: frozenset[int], gid: int, names: dict[int, str], counter
     ) -> ProofTerm:
+        """The proof term of a solved judgment, with ``names`` naming the
+        members in scope.  A step's taus name their ids in ``names`` itself,
+        the later of two taus with one id winning, and the entries they
+        shadow are put back once the step's subproof is extracted."""
         record = self.solved_lookup(added, gid)
         assert record is not None, "extraction requires a solved judgment"
         mid, t_assign, children, child_added = record
@@ -780,13 +784,20 @@ class _Prover(_Base):
             seen_vars = step.vars_visible
             # the taus are instantiated already
             taus, tau_ids, _, child_gid = children[i]
-            sub_names = dict(names)
             abs_info: list[tuple[str, Formula]] = []
+            shadowed: list[tuple[int, str | None]] = []
             for tau, tid in zip(taus, tau_ids):
                 name = f"X{next(counter)}"
                 abs_info.append((name, tau))
-                sub_names[tid] = name
-            body = self.extract(child_added[i], child_gid, sub_names, counter)
+                shadowed.append((tid, names.get(tid)))
+                names[tid] = name
+            body = self.extract(child_added[i], child_gid, names, counter)
+            # in reverse, so an id two taus share gets its first entry back
+            for tid, old in reversed(shadowed):
+                if old is None:
+                    del names[tid]
+                else:
+                    names[tid] = old
             for name, annot in reversed(abs_info):
                 body = PAbs(name, annot, body)
             term = PApp(term, body)

@@ -318,12 +318,21 @@ def rectify(f: Formula) -> Formula:
     """Rename binders so no free name is bound and no name is bound twice.
 
     Already-rectified formulas come back unchanged, which keeps printing and
-    re-parsing stable.  Implication spines are walked iteratively so long
-    premise chains do not exhaust the call stack.
+    re-parsing stable.  A renamed binder gets the first ``x<i>`` that is
+    neither taken nor bound yet; those names only accumulate, so the count
+    ``i`` resumes where the last rename stopped.  Implication spines are
+    walked iteratively so long premise chains do not exhaust the call stack.
     """
     facts = survey(f)
     taken = facts.free | facts.constants
     used_binders: set[str] = set()
+    next_x = 1
+
+    def fresh() -> str:
+        nonlocal next_x
+        while f"x{next_x}" in taken or f"x{next_x}" in used_binders:
+            next_x += 1
+        return f"x{next_x}"
 
     def walk(g: Formula, ren: dict[str, str]) -> Formula:
         premises: list[Formula] = []
@@ -333,7 +342,7 @@ def rectify(f: Formula) -> Formula:
             if isinstance(g, Forall):
                 name = g.var
                 if name in taken or name in used_binders:
-                    name = _fresh_name("x", taken | used_binders)
+                    name = fresh()
                 used_binders.add(name)
                 if name != g.var:
                     ren[g.var] = name

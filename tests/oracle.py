@@ -36,6 +36,15 @@ the key was read from ``syntax.survey``; ``peel_sigma1`` and ``decompose_pi1``
 are the checked decompositions the prover used before ``survey`` decided the
 class and ``impl_spine``/``pi1_spine`` split without checking.
 
+``reference_rectify`` is ``syntax.rectify`` as it was before it counted its
+fresh names: every rename searched for a free ``x<i>`` from ``x1`` again.
+``rectify`` must give what it gives.
+
+``reference_clauses`` is ``engine.GroundProgram.clauses`` as it was before it
+decoded in bulk: one ``negate`` per negated occurrence and, for a program
+without a source (the formula translation), three lists per row.  The bulk
+decode must give the same clauses, in the same order.
+
 ``reference_classify``, ``reference_constants`` and ``reference_alpha_canon``
 are the walks the library used before it read each fact off ``survey``: the
 two grammar recursions behind ``classify``, the walk that collected the
@@ -142,6 +151,30 @@ def naive_ground(p):
         for combo in itertools.product(dom, repeat=arity)
     )
     return tuple(out), base
+
+
+def reference_clauses(g):
+    """The clauses of the ground program ``g``, decoded from its atom keys."""
+    atoms = [Atom(key[0], tuple(const(n) for n in key[1:])) for key in g.ids]
+    nots = {i: atoms[i].negate() for ns in g.neg for i in ns}
+    rows = zip(g.heads, g.pos, g.neg)
+    out = []
+    if g._source is None:
+        for h, ps, ns in rows:
+            last = ns[-1:] if ns and ns[-1] == h else ()
+            body = [nots[b] for b in ns[: len(ns) - len(last)]]
+            body += [atoms[b] for b in ps]
+            body += [nots[b] for b in last]
+            out.append(Clause(atoms[h], tuple(body)))
+    else:
+        start = 0
+        for end, signs in g._source[1]:
+            for h, ps, ns in itertools.islice(rows, end - start):
+                ps, ns = iter(ps), iter(ns)
+                body = [nots[next(ns)] if s else atoms[next(ps)] for s in signs]
+                out.append(Clause(atoms[h], tuple(body)))
+            start = end
+    return tuple(out)
 
 
 def naive_stable_models(p):
@@ -456,6 +489,59 @@ def reference_constants(f):
         else:
             raise TypeError(g)
     return out
+
+
+def reference_rectify(f):
+    """``rectify`` as it was before it kept a count of the fresh names: each
+    rename takes the first ``x<i>``, counting from ``x1``, outside the taken
+    names and the binders so far, so a formula with ``n`` renames costs
+    ``n`` squared."""
+    taken = free_vars(f) | reference_constants(f)
+    used_binders = set()
+
+    def fresh_name(avoid):
+        i = 1
+        while f"x{i}" in avoid:
+            i += 1
+        return f"x{i}"
+
+    def walk(g, ren):
+        premises = []
+        binder_runs = [[]]
+        ren = dict(ren)
+        while True:
+            if isinstance(g, Forall):
+                name = g.var
+                if name in taken or name in used_binders:
+                    name = fresh_name(taken | used_binders)
+                used_binders.add(name)
+                if name != g.var:
+                    ren[g.var] = name
+                else:
+                    ren.pop(g.var, None)
+                binder_runs[-1].append(name)
+                g = g.body
+            elif isinstance(g, Impl):
+                premises.append(walk(g.lhs, ren))
+                binder_runs.append([])
+                g = g.rhs
+            elif isinstance(g, AtomF):
+                args = tuple(
+                    var(ren[t.name]) if t.var and t.name in ren else t
+                    for t in g.args
+                )
+                out = AtomF(g.pred, args)
+                for run, prem in zip(
+                    reversed(binder_runs), itertools.chain([None], reversed(premises))
+                ):
+                    if prem is not None:
+                        out = Impl(prem, out)
+                    out = forall_chain(run, out)
+                return out
+            else:
+                raise TypeError(g)
+
+    return walk(f, {})
 
 
 def reference_alpha_canon(f):

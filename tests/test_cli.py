@@ -18,6 +18,8 @@ from aspsigma.cli import (
 )
 from aspsigma.corpus import CorpusSpec, gen_formulas
 from aspsigma.errors import CrossCheckError
+from aspsigma.parsing import parse_formula
+from aspsigma.syntax import fmt_formula
 
 
 @pytest.fixture
@@ -154,6 +156,18 @@ def test_translate_formula_header(files, capsys, tmp_path):
     text = open(out).read()
     assert text.startswith("% source formula: b -> a")
     assert "addresses of length" in text
+
+
+def test_translate_formula_json_counts_the_clauses(files, capsys):
+    # the count is read off the rows, with no clause decoded
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        f = files("f.sig1", fmt_formula(phi) + "\n")
+        assert run(["--json", "translate-formula", f]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        t = logic_to_asp.translate(
+            parse_formula(fmt_formula(phi)), addr_len=data["addr_len"]
+        )
+        assert data["clauses"] == len(t.program.clauses)
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

@@ -41,6 +41,7 @@ from oracle import (
     naive_ground,
     naive_stable_models,
     propagate,
+    reference_clauses,
     reference_search,
     subsets,
 )
@@ -91,6 +92,27 @@ def test_ground_rejects_a_predicate_of_two_arities():
         ground(p)
 
 
+def test_ground_reports_the_first_clash_once_within_the_cap(monkeypatch):
+    # two clashes, the first in a clause without variables and the second
+    # in one with them: ground names the first, as Program.predicates does
+    x = var("x")
+    p = make_program([
+        Clause(ga("q", "c"), (Atom("p"), Atom("q", (), True))),
+        Clause(Atom("p", (x,)), (Atom("r", (x,)), Atom("r"))),
+        Clause(Atom("s", (x, var("y"))), (Atom("s", (x,)),)),
+    ])
+    with pytest.raises(ArityError) as by_program:
+        p.predicates()
+    with pytest.raises(ArityError) as by_ground:
+        ground(p)
+    assert str(by_ground.value) == str(by_program.value)
+    assert str(by_ground.value) == "predicate q used with arities 1 and 0"
+    # a later clause past the cap raises CapExceeded instead
+    monkeypatch.setattr(engine, "GROUND_CAP", len(p.domain) ** 2)
+    with pytest.raises(CapExceeded):
+        ground(p)
+
+
 def _cap_outcome(grounder, p, cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "GROUND_CAP", cap)
@@ -103,15 +125,16 @@ def _cap_outcome(grounder, p, cap):
 
 def _assert_ground_matches_the_oracle_route(p):
     """``ground`` gives the atom table, rows, clauses and base of the clause
-    route (``naive_ground`` and ``from_clauses``), and raises ``CapExceeded``
-    at the same clause: on a cap just below and at each clause's running
-    instance count."""
+    route (``naive_ground`` and ``from_clauses``), decodes its rows as
+    ``reference_clauses`` does, and raises ``CapExceeded`` at the same
+    clause: on a cap just below and at each clause's running instance
+    count."""
     g = ground(p)
     clauses, base = naive_ground(p)
     h = from_clauses(clauses)
     assert list(g.ids.items()) == list(h.ids.items())
     assert (g.heads, g.pos, g.neg) == (h.heads, h.pos, h.neg)
-    assert g.clauses == clauses
+    assert g.clauses == clauses == reference_clauses(g)
     assert g.base == base
     total = 0
     for c in p.clauses:
@@ -144,6 +167,29 @@ _CLAUSES = st.lists(
 @given(_CLAUSES, st.sets(st.sampled_from(["c", "d", "e"])))
 def test_ground_matches_the_oracle_route(clauses, extra):
     _assert_ground_matches_the_oracle_route(make_program(clauses, extra | {"c"}))
+
+
+def _cycle_text(n):
+    """p0 :- not p1. ... p<n-1> :- not p0: no stable model when n is odd."""
+    return "\n".join(f"p{i} :- not p{(i + 1) % n}." for i in range(n))
+
+
+def _loops_text(k):
+    """k/2 even loops, a :- not b. b :- not a., over k atoms."""
+    return "\n".join(
+        f"p{2 * i} :- not p{2 * i + 1}. p{2 * i + 1} :- not p{2 * i}."
+        for i in range(k // 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_cycle_text(n) for n in (1, 2, 3, 100, 101)] + [_loops_text(k) for k in (2, 14)],
+    ids=["cycle1", "cycle2", "cycle3", "cycle100", "cycle101", "loops2", "loops14"],
+)
+def test_negation_cycles_and_loops_ground_as_the_oracle_route(text):
+    # variable-free clauses take their rows straight from their atoms' keys
+    _assert_ground_matches_the_oracle_route(parse_program(text))
 
 
 @pytest.mark.parametrize(

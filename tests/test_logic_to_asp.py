@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from aspsigma.parsing import parse_formula
 from aspsigma.proofs import prove_sigma1
 from aspsigma.syntax import Atom, AtomF, Impl, alpha_key, const, fmt_formula, impl_chain
 from lemmas import from_clauses
+from oracle import reference_clauses
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +269,27 @@ def test_seed0_rows_match_the_clause_route():
         an = analysis(phi)
         t = translate(phi, addr_len=certified_addr_len(an), an=an)
         _assert_rows_match_the_clause_route(t)
+
+
+def _chain_text(n):
+    """The chain P(c) -> a0 -> ... -> g of formula length n."""
+    return " -> ".join(["P(c)"] + [f"a{i}" for i in range((n - 4) // 2)] + ["g"])
+
+
+def test_decoded_clauses_match_the_reference():
+    # the seed-0 formulas at their certified address length, and chains of
+    # length 50 to 500 at address length 2
+    translations = (
+        translate(phi, addr_len=certified_addr_len(an), an=an)
+        for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20))
+        for an in [analysis(phi)]
+    )
+    chains = (
+        translate(parse_formula(_chain_text(n)), addr_len=2) for n in range(50, 501, 50)
+    )
+    for t in itertools.chain(translations, chains):
+        g = t.ground_program
+        assert g.clauses == reference_clauses(g)
 
 
 def test_seed0_translation_text_is_pinned():

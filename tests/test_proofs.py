@@ -244,6 +244,18 @@ def test_prove_sigma1_examples():
     assert t is not None
 
 
+def test_taus_of_one_id_name_it_only_for_their_own_subproof():
+    # the first step's two taus share the id of the premise a: the later
+    # name (X5) serves the subproof, and the second step is back to X1
+    phi = parse_formula("a -> (a -> c) -> ((a -> a -> c) -> a -> b) -> b")
+    t = prove_sigma1(phi)
+    assert fmt_term(t) == (
+        "\\X1:a. \\X2:(a -> c). \\X3:((a -> a -> c) -> a -> b). "
+        "X3 (\\X4:a. \\X5:a. X2 X5) X1"
+    )
+    assert check(Environment(), t, phi)
+
+
 def test_prove_sigma1_rejects_pi1_only():
     with pytest.raises(FormulaError):
         prove_sigma1(parse_formula("forall x. P(x)"))

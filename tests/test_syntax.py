@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from aspsigma.corpus import CorpusSpec, gen_formulas
 from aspsigma.errors import FormulaError
+from aspsigma.parsing import parse_formula
 from aspsigma.proofs import _goal_spine
 from aspsigma.syntax import (
     Atom,
@@ -39,6 +40,7 @@ from oracle import (
     reference_classify,
     reference_constants,
     reference_occurrences,
+    reference_rectify,
 )
 
 A = AtomF("A")
@@ -213,6 +215,47 @@ def test_rectify_renames_duplicate_binders():
 def test_rectify_keeps_clean_formulas():
     f = Forall("x", Impl(P(var("x")), Qa(var("x"))))
     assert rectify(f) == f
+
+
+# binders and names that collide with the fresh names x1, x2, ...
+_RECTIFY_NAMES = ["x", "x1", "x2", "y"]
+_RECTIFY_TERMS = [var(n) for n in _RECTIFY_NAMES] + [const("x1"), const("x3"), const("c")]
+_RECTIFY_FORMULAS = st.recursive(
+    st.one_of(
+        st.just(A),
+        st.builds(P, st.sampled_from(_RECTIFY_TERMS)),
+        st.builds(
+            lambda t, u: AtomF("R", (t, u)),
+            st.sampled_from(_RECTIFY_TERMS),
+            st.sampled_from(_RECTIFY_TERMS),
+        ),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Impl, sub, sub),
+        st.builds(Forall, st.sampled_from(_RECTIFY_NAMES), sub),
+    ),
+    max_leaves=10,
+)
+
+
+@given(_RECTIFY_FORMULAS)
+@example(Forall("x", Forall("x", Forall("x1", Forall("x", P(var("x")))))))
+@example(Impl(Forall("x", P(const("x1"))), Forall("x", Forall("x", P(var("x2"))))))
+def test_rectify_matches_the_reference(f):
+    assert rectify(f) == reference_rectify(f)
+
+
+def test_rectify_renames_a_long_binder_prefix():
+    # forall x. forall x. ... P(x): every binder after the first is renamed,
+    # and the search for a fresh name resumes where the last one stopped
+    n = 10**4
+    f = parse_formula("forall x. " * n + "P(x)")
+    names = []
+    while isinstance(f, Forall):
+        names.append(f.var)
+        f = f.body
+    assert names == ["x"] + [f"x{i}" for i in range(1, n)]
+    assert f == P(var(f"x{n - 1}"))
 
 
 # ---------------------------------------------------------------------------
