@@ -44,9 +44,12 @@ ENUM_CAP = 22
 # ---------------------------------------------------------------------------
 
 
+_name = operator.attrgetter("name")
+
+
 def atom_key(a: Atom) -> AtomKey:
     """The key of a ground atom: its predicate and argument names."""
-    return (a.pred, *[t.name for t in a.args])
+    return (a.pred, *map(_name, a.args))
 
 
 class _TermTable(dict[str, Term]):
@@ -226,7 +229,6 @@ def _key_getters(atoms: list[Atom], cvars: list[str]) -> tuple[list, tuple[str, 
 
 
 _negated = operator.attrgetter("negated")
-_name = operator.attrgetter("name")
 
 
 def ground(p: Program) -> GroundProgram:
@@ -283,12 +285,7 @@ def ground(p: Program) -> GroundProgram:
                 for vals in map(operator.add, combos, itertools.repeat(names))
             )
         else:
-            rows = (
-                tuple([
-                    setdefault((a.pred, *map(_name, a.args)), len(ids))
-                    for a in ordered
-                ]),
-            )
+            rows = (tuple([setdefault(atom_key(a), len(ids)) for a in ordered]),)
         for row in rows:
             key = (signs, row)
             if key not in seen:

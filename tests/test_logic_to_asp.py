@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -279,16 +278,12 @@ def _chain_text(n):
 def test_decoded_clauses_match_the_reference():
     # the seed-0 formulas at their certified address length, and chains of
     # length 50 to 500 at address length 2
-    translations = (
-        translate(phi, addr_len=certified_addr_len(an), an=an)
-        for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20))
-        for an in [analysis(phi)]
-    )
-    chains = (
-        translate(parse_formula(_chain_text(n)), addr_len=2) for n in range(50, 501, 50)
-    )
-    for t in itertools.chain(translations, chains):
-        g = t.ground_program
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        an = analysis(phi)
+        g = translate(phi, addr_len=certified_addr_len(an), an=an).ground_program
+        assert g.clauses == reference_clauses(g)
+    for n in range(50, 501, 50):
+        g = translate(parse_formula(_chain_text(n)), addr_len=2).ground_program
         assert g.clauses == reference_clauses(g)
 
 
