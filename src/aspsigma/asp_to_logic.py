@@ -174,10 +174,6 @@ def _build_vocabulary(p: Program, omega: Atom) -> Vocabulary:
     )
 
 
-def _terms_of(atom: Atom) -> tuple[Term, ...]:
-    return atom.args
-
-
 def _zvars(
     count: int, avoid: set[str], terms: dict[str, Term], prefix: str = "z"
 ) -> list[Term]:
@@ -261,15 +257,15 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
     # schema 5: clause simulation under bang
     for nc in clauses:
         c = nc.clause
-        premises: list[Formula] = [AtomF(voc.preds[c.head.pred].bang, _terms_of(c.head))]
+        premises: list[Formula] = [AtomF(voc.preds[c.head.pred].bang, c.head.args)]
         for a in c.body:
             if not a.negated:
                 premises.append(
-                    bracket(AtomF(voc.preds[a.pred].bang, _terms_of(a)), voc.bullet)
+                    bracket(AtomF(voc.preds[a.pred].bang, a.args), voc.bullet)
                 )
         for a in c.body:
             if a.negated:
-                premises.append(AtomF(voc.preds[a.pred].bar, _terms_of(a)))
+                premises.append(AtomF(voc.preds[a.pred].bar, a.args))
         body = impl_chain(premises, nullary(voc.bullet))
         qvars = nc.head_vars + nc.body_only_vars
         axioms.append(Axiom(forall_chain(qvars, body), 5, f"clause {nc.index}"))
@@ -362,14 +358,14 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
         c = nc.clause
         m = len(nc.body_only_vars)
         k_m, kbar_m = voc.clause_syms[(nc.index, m)]
-        head_terms = _terms_of(c.head) + tuple(var(v) for v in nc.body_only_vars)
+        head_terms = c.head.args + tuple(var(v) for v in nc.body_only_vars)
         qvars = nc.head_vars + nc.body_only_vars
         for a in c.body:
             if not a.negated:
                 inner = Impl(
-                    AtomF(voc.preds[a.pred].query, _terms_of(a)),
+                    AtomF(voc.preds[a.pred].query, a.args),
                     Impl(
-                        AtomF(voc.pairs[(c.head.pred, a.pred)], _terms_of(c.head) + _terms_of(a)),
+                        AtomF(voc.pairs[(c.head.pred, a.pred)], c.head.args + a.args),
                         nullary(voc.circ),
                     ),
                 )
@@ -380,7 +376,7 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
             else:
                 body = Impl(
                     AtomF(k_m, head_terms),
-                    Impl(AtomF(a.pred, _terms_of(a)), nullary(kbar_m)),
+                    Impl(AtomF(a.pred, a.args), nullary(kbar_m)),
                 )
                 axioms.append(
                     Axiom(forall_chain(qvars, body), 10, f"clause {nc.index} not {a.pred}")

@@ -548,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("formula")
     c.add_argument("soup")
 
-    c = cmd("soup-find", _cmd_soup_find, help="search for a refutation soup")
+    c = cmd("soup-find", _cmd_soup_find, help="refute a formula, print the prover's soup")
     c.add_argument("formula")
     c.add_argument("-o", "--output", default=None)
 

@@ -695,31 +695,27 @@ def _search(
                 return None
         return derived
 
-    def choose() -> tuple[int, tuple[int, int]] | None:
+    def choose() -> int | None:
         # no true atom waits for a support: ``propagate`` puts an atom it
         # assigns true into ``lower`` in the same step, and ``undo`` takes
         # both back together, so the first open negated atom is the choice
-        pick = next((a for a in neg_atoms if val[a] == UNKNOWN), None)
-        if pick is None:
-            return None
-        return pick, (FALSE, TRUE)
+        return next((a for a in neg_atoms if val[a] == UNKNOWN), None)
 
-    # the first value of a choice is pushed last, so it is explored first,
-    # as a recursive search would
+    # a choice tries FALSE, then TRUE: FALSE is pushed last, so it is
+    # explored first, as a recursive search would
     stack: list[tuple[int, int, int]] = []
     ok = prop.propagate(prop.initial)
     while True:
         if ok:
-            choice = choose()
-            if choice is None:
+            pick = choose()
+            if pick is None:
                 m = leaf_model()
                 if m is not None:
                     yield m
             else:
-                pick, values = choice
                 mark = len(prop.trail)
-                for value in reversed(values):
-                    stack.append((mark, pick, value))
+                stack.append((mark, pick, TRUE))
+                stack.append((mark, pick, FALSE))
         if not stack:
             return
         mark, pick, value = stack.pop()

@@ -5,11 +5,13 @@ pick a context member, instantiate its quantified variables from the constant
 pool, and recursively prove the target of every premise.  Contexts only grow
 along the recursion, so weakening holds and solved/failed results subsume by
 inclusion.  Positive results are found as a least fixpoint of depth-first
-passes.  A pass cuts a judgment that is already on its stack (reads it as
-failed) and records every judgment it expands and fails.  A member instance
-whose premise asks again the judgment being expanded, with no new hypothesis,
-is not tried: that premise could only be cut.  Passes repeat while the last
-one failed and solved some judgment it had cut.
+passes.  A pass keeps the judgments it is expanding as frames on a list of
+its own, not on Python's stack, so its depth meets no recursion limit.  It
+cuts a judgment that is already on its stack (reads it as failed) and records
+every judgment it expands and fails.  A member instance whose premise asks
+again the judgment being expanded, with no new hypothesis, is not tried: that
+premise could only be cut.  Passes repeat while the last one failed and
+solved some judgment it had cut.
 
 The rule is sound for negative answers.  Suppose a failing pass solved no
 judgment it cut, but some judgment it recorded failed (the root among them)
@@ -23,7 +25,9 @@ finished it, and as it was not solved it failed.  Each case gives a provable
 failed judgment with a smaller proof, a contradiction.  The rule stops no later
 than repeating until the solved table stops growing (no cut judgment can be
 solved then), and it runs the same passes up to its stop, so verdicts and
-certificates are those of that loop.
+certificates are those of that loop.  The failed judgments of the last pass
+are thus a refutation (``failed_judgments``), and ``soups.find_soup`` builds
+its soup from them.
 
 Context members are interned: each alpha-equivalence class gets a dense
 integer id the first time it is met, so a context is a set of ids added to
@@ -45,10 +49,10 @@ goal is not walked whole: each premise of its implication spine is surveyed
 once, the goal's class, constants and free variables follow from those
 surveys and its target, and the search interns the premises by their keys.
 
-The search is one loop per judgment.  It tries the members whose target
-predicate is the goal's, initial members first, then the added ones, each in
-id order, and for each member its instantiations, enumerated from the moment
-the loop reaches it: the target matched against the goal, then, depth first,
+At each judgment the search tries the members whose target predicate is the
+goal's, initial members first, then the added ones, each in id order, and
+for each member its instantiations, enumerated from the moment the loop
+reaches it: the target matched against the goal, then, depth first,
 the atomic premises over membership-only predicates joined against the
 context's atom members, then the remaining top variables drawn from the
 constant pool.  Only the target match and the bare membership tests it
@@ -573,10 +577,13 @@ class _Prover(_Base):
 
     # -- matching ----------------------------------------------------------
 
-    def members(self, added: frozenset[int], goal: AtomF) -> tuple:
-        """The members whose target predicate is the goal's, base members
-        first, then the added ones, each in id order; and the context's atom
-        members by predicate where they differ from the base's."""
+    def attempts(self, added: frozenset[int], goal: AtomF) -> Iterator[tuple]:
+        """The (member id, assignment) pairs the search tries at a judgment:
+        the members whose target predicate is the goal's, base members first,
+        then the added ones, each in id order, and each member's ``instances``,
+        enumerated when the loop reaches it.  The added members by target
+        predicate, and the context's atom members by predicate where they
+        differ from the base's, are built once per added set."""
         tables = self.added_tables.get(added)
         if tables is None:
             by_target: dict[str, list[int]] = {}
@@ -591,12 +598,10 @@ class _Prover(_Base):
             tables = self.added_tables[added] = (by_target, atoms)
         by_target, atoms = tables
         pred = goal.pred
-        return (
-            itertools.chain(
-                self.base_by_target.get(pred, ()), by_target.get(pred, ())
-            ),
-            atoms,
-        )
+        base = self.base_by_target.get(pred, ())
+        for mid in itertools.chain(base, by_target.get(pred, ())):
+            for t_assign in self.instances(self.entries[mid], goal, added, atoms):
+                yield mid, t_assign
 
     def instances(
         self,
@@ -704,60 +709,102 @@ class _Prover(_Base):
                 return record
         return None
 
-    def failed_lookup(self, added: frozenset[int], gid: int) -> bool:
-        return any(added <= added2 for added2 in self.failed.get(gid, ()))
-
-    def dfs(self, added: frozenset[int], gid: int, stack: set) -> bool:
+    def known(self, added: frozenset[int], gid: int, stack: set) -> bool | None:
+        """The answer this pass gives the judgment without expanding it:
+        solved, recorded failed, or cut because it is on ``stack``; None when
+        the search must expand it."""
         check_deadline(self.deadline, "proof search")
-        if self.solved_lookup(added, gid) is not None:
-            return True
-        if self.failed_lookup(added, gid):
-            return False
+        for added2, _ in self.solved.get(gid, ()):
+            if added2 <= added:
+                return True
+        for added2 in self.failed.get(gid, ()):
+            if added <= added2:
+                return False
         j = (added, gid)
         if j in stack:
             self.cuts.add(j)
             return False
-        self.judgments_seen.add(j)
-        if len(self.judgments_seen) > MAX_JUDGMENTS:
-            raise CapExceeded(
-                f"judgment space exceeded {MAX_JUDGMENTS}",
-                feasible=MAX_JUDGMENTS,
-            )
-        stack.add(j)
-        try:
-            goal = self.goals[gid]
-            members, atoms = self.members(added, goal)
-            for mid in members:
-                for t_assign in self.instances(self.entries[mid], goal, added, atoms):
-                    children = self.child_data(mid, t_assign)
-                    child_added = []
-                    for _, _, new, child_gid in children:
+        return None
+
+    def dfs(self, root: int) -> bool:
+        """One pass: whether the judgment with nothing added and goal ``root``
+        is solved.  The judgment being expanded lives in locals, and each one
+        waiting for a premise lives on ``frames`` with its attempts, the
+        record of its current attempt and the rest of that attempt's
+        premises.  A premise that ``known`` answers is decided in place; only
+        one it leaves open is expanded."""
+        known, child_data = self.known, self.child_data
+        stack: set[tuple[frozenset[int], int]] = set()
+        frames: list[tuple] = []
+        added, gid = frozenset(), root
+        ok = known(added, gid, stack)
+        if ok is not None:
+            return ok
+        while True:
+            j = (added, gid)
+            self.judgments_seen.add(j)
+            if len(self.judgments_seen) > MAX_JUDGMENTS:
+                raise CapExceeded(
+                    f"judgment space exceeded {MAX_JUDGMENTS}",
+                    feasible=MAX_JUDGMENTS,
+                )
+            stack.add(j)
+            attempts = self.attempts(added, self.goals[gid])
+            premises = None
+            while True:
+                if premises is None:
+                    for mid, t_assign in attempts:
+                        children = child_data(mid, t_assign)
+                        child_added: list[frozenset[int]] = []
+                        record = (mid, t_assign, children, child_added)
+                        premises = iter(children)
+                        break
+                    else:
+                        self.failed.setdefault(gid, []).append(added)
+                        ok = False
+                if premises is not None:
+                    ok = True
+                    for _, _, new, child_gid in premises:
                         if new <= added:
                             # a premise that asks this judgment again would
                             # only be cut: the instance fails here
                             if child_gid == gid:
+                                ok = False
                                 break
                             sub = added
                         else:
                             sub = added | new
-                        if not self.dfs(sub, child_gid, stack):
+                        ok = known(sub, child_gid, stack)
+                        if not ok:
                             break
                         child_added.append(sub)
-                    else:
-                        record = (mid, t_assign, children, child_added)
-                        self.solved.setdefault(gid, []).append((added, record))
-                        return True
-            self.failed.setdefault(gid, []).append(added)
-            return False
-        finally:
-            stack.discard(j)
+                    if ok is None:
+                        frames.append(
+                            (added, gid, attempts, record, child_added, premises)
+                        )
+                        added, gid = sub, child_gid
+                        break
+                    if not ok:
+                        premises = None
+                        continue
+                    self.solved.setdefault(gid, []).append((added, record))
+                # the judgment is decided: hand ``ok`` to the one that asked it
+                stack.discard((added, gid))
+                if not frames:
+                    return ok
+                sub = added
+                added, gid, attempts, record, child_added, premises = frames.pop()
+                if ok:
+                    child_added.append(sub)
+                else:
+                    premises = None
 
     def run(self, goal: AtomF) -> bool:
         gid = self.goal_id(goal)
         while True:
             self.failed = {}
             self.cuts = set()
-            if self.dfs(frozenset(), gid, set()):
+            if self.dfs(gid):
                 return True
             # a failing pass is final unless it solved a judgment it had cut
             if not any(self.solved_lookup(*j) is not None for j in self.cuts):
@@ -901,10 +948,10 @@ def prove(
     return _prove(list(ctx), goal, _goal_spine(goal), deadline)
 
 
-def _prove(
+def _run(
     ctx: list[Formula], goal: Formula, spine: _GoalSpine, deadline: float | None
-) -> ProofTerm | None:
-    """``prove``, with ``spine`` the goal's ``_goal_spine``."""
+) -> tuple[_Prover, bool]:
+    """``_prove``'s search after its run, and whether it proved the goal."""
     if spine.free:
         raise FormulaError(
             f"goal has free variables {', '.join(sorted(spine.free))}: "
@@ -912,7 +959,6 @@ def _prove(
         )
     if not spine.sigma1:
         raise FormulaError(f"goal must be a Sigma1 formula: {fmt_formula(goal)}")
-    premises, target = spine.premises, spine.target
     k = len(ctx)
     while k and _is_ground_atom(ctx[k - 1]):
         k -= 1
@@ -921,25 +967,49 @@ def _prove(
     constants = base.constants | spine.constants
     for f in atoms:
         constants.update(t.name for t in f.args)
-    counter = itertools.count(1)
-    peeled_names = [(f"X{next(counter)}", p) for p in premises]
     prover = _Prover(
         base,
-        [(f, alpha_key(f)) for f in atoms] + list(zip(premises, spine.keys)),
+        [(f, alpha_key(f)) for f in atoms] + list(zip(spine.premises, spine.keys)),
         [const(n) for n in sorted(constants or {"c0"})],
         deadline,
     )
-    if not prover.run(target):
+    return prover, prover.run(spine.target)
+
+
+def _prove(
+    ctx: list[Formula], goal: Formula, spine: _GoalSpine, deadline: float | None
+) -> ProofTerm | None:
+    """``prove``, with ``spine`` the goal's ``_goal_spine``."""
+    prover, proved = _run(ctx, goal, spine, deadline)
+    if not proved:
         return None
+    counter = itertools.count(1)
+    peeled_names = [(f"X{next(counter)}", p) for p in spine.premises]
     # the prover numbers distinct context members in order, from 0, just as
     # context_environment names them H1, H2, ...
     names = {mid: f"H{mid + 1}" for mid in prover.base_ids[: len(ctx)]}
     for (name, _), mid in zip(peeled_names, prover.base_ids[len(ctx) :]):
         names[mid] = name
-    term = prover.extract(frozenset(), prover.goal_id(target), names, counter)
+    term = prover.extract(frozenset(), prover.goal_id(spine.target), names, counter)
     for name, annot in reversed(peeled_names):
         term = PAbs(name, annot, term)
     return term
+
+
+def failed_judgments(
+    phi: Formula, deadline: float | None = None
+) -> dict[AtomF, list[frozenset[AlphaKey]]] | None:
+    """Per goal atom, the contexts at which the last pass of the search for
+    the closed Sigma1 formula ``phi`` failed it, each as the alpha keys added
+    to ``phi``'s premises; None when ``phi`` is provable."""
+    prover, proved = _run([], phi, _goal_spine(phi), deadline)
+    if proved:
+        return None
+    keys = list(prover.ids)  # ids are dense and follow interning order
+    return {
+        prover.goals[gid]: [frozenset(keys[mid] for mid in added) for added in fails]
+        for gid, fails in prover.failed.items()
+    }
 
 
 def prove_sigma1(

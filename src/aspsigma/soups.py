@@ -1,5 +1,7 @@
 """Refutation soups as first-class objects: checking, searching, and the two
-conversions between soups and stable models of the translated program.
+conversions between soups and stable models of the translated program.  The
+search is the Sigma1 prover's: a soup is read off the judgments its last,
+failing pass recorded as failed (``proofs.failed_judgments``).
 
 A soup stores addressed disjudgments plus an explicit answer map.  The map is
 a checkable witness; validity itself only requires that every asked question
@@ -32,7 +34,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .engine import AtomKey, Model
-from .errors import CapExceeded, CrossCheckError, FormulaError, check_deadline
+from .errors import CapExceeded, CrossCheckError, FormulaError
 from .logic_to_asp import (
     Analysis,
     FormulaTranslation,
@@ -42,6 +44,7 @@ from .logic_to_asp import (
     translate,
 )
 from .parsing import parse_formula
+from .proofs import failed_judgments
 from .syntax import (
     AlphaKey,
     AtomF,
@@ -53,9 +56,6 @@ from .syntax import (
 )
 
 log = logging.getLogger(__name__)
-
-SOUP_CANDIDATE_CAP = 100_000  # candidate extensions the deletion search may add
-
 
 # ---------------------------------------------------------------------------
 # Data model
@@ -246,7 +246,7 @@ def _rejected(diags: list[str]) -> tuple[SoupReport, list]:
 
 
 # ---------------------------------------------------------------------------
-# Searching: a greatest fixpoint over candidate disjudgments
+# Searching: the disjudgments the prover's last pass failed
 # ---------------------------------------------------------------------------
 
 
@@ -270,67 +270,6 @@ def _question_options(an: Analysis):
     return out
 
 
-def _antichains(an: Analysis, options, deadline, schedule):
-    """Maximal surviving context extensions per goal.
-
-    Candidates are (initial context + X, goal); a candidate survives while all
-    its questions (``options``, from ``_question_options``) have surviving
-    answers.  Survivors are downward closed in X, so each goal keeps an
-    antichain of maximal extension sets.  The deletion order must not matter;
-    ``schedule`` ("forward" or "reverse") picks a scan order for tests.
-    """
-    added_universe = frozenset(an.key_formula) - an.initial_keys
-    chains: dict[AtomF, list[frozenset]] = {
-        g: [added_universe] for g in an.goal_universe
-    }
-    work = 0
-
-    def answered(x: frozenset, opts) -> bool:
-        for index, subgoal, tau_keys in opts:
-            need = x | tau_keys
-            if any(need <= m for m in chains.get(subgoal, ())):
-                return True
-        return False
-
-    def survives(x: frozenset, goal: AtomF) -> bool:
-        for key, entries in options.get(goal, {}).items():
-            if key in x or key in an.initial_keys:
-                for q, opts in entries:
-                    if not answered(x, opts):
-                        return False
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        goals = list(chains)
-        if schedule == "reverse":
-            goals.reverse()
-        for g in goals:
-            row = chains[g]
-            if schedule == "reverse":
-                row = list(reversed(row))
-            for x in list(row):
-                if x not in chains[g]:
-                    continue
-                check_deadline(deadline, "soup search")
-                if survives(x, g):
-                    continue
-                chains[g].remove(x)
-                changed = True
-                for e in sorted(x, key=an.key_text.__getitem__):
-                    sub = x - {e}
-                    if not any(sub <= m for m in chains[g]):
-                        chains[g].append(sub)
-                        work += 1
-                        if work > SOUP_CANDIDATE_CAP:
-                            raise CapExceeded(
-                                f"soup candidate space exceeded {SOUP_CANDIDATE_CAP}",
-                                feasible=SOUP_CANDIDATE_CAP,
-                            )
-    return chains
-
-
 def find_soup(
     phi: Formula,
     addr_len: int | None = None,
@@ -339,8 +278,9 @@ def find_soup(
 ) -> Soup | None:
     """A refutation soup for ``phi``, or None when the formula is provable.
 
-    Deletes unsupportable candidate disjudgments until the survivors are
-    self-supporting, then realizes the reachable part with minimal answers.
+    The judgments the prover failed, and those at which the context asks
+    no question (the atoms its join prunes), answer the questions; the part
+    reachable from the initial judgment is realized with minimal answers.
     ``an``, when given, must be ``analysis(phi)``; the soup carries it.
     """
     if an is None:
@@ -349,9 +289,14 @@ def find_soup(
     if addr_len is None:
         addr_len = certified_addr_len(an, deadline=deadline)
     options = _question_options(an)
-    chains = _antichains(an, options, deadline, "forward")
-    if not any(frozenset() <= m for m in chains.get(sig.target, ())):
+    failed = failed_judgments(sig.phi, deadline)
+    if failed is None:
         return None
+
+    def refuted(need: frozenset, goal: AtomF) -> bool:
+        if any(need <= m for m in failed.get(goal, ())):
+            return True
+        return not an.asked(an.initial_keys | need, goal)
 
     # realize reachable judgments with minimal answers
     nodes: dict[tuple[frozenset, AtomF], int] = {}
@@ -370,15 +315,10 @@ def find_soup(
             order.append(j)
         return nodes[j]
 
-    root = node_id(frozenset(), sig.target)
-    queue = [root]
-    processed: set[int] = set()
-    while queue:
-        nid = queue.pop(0)
-        if nid in processed:
-            continue
-        processed.add(nid)
-        x, goal = order[nid]
+    node_id(frozenset(), sig.target)
+    # breadth first: a judgment is numbered when first reached, and ``order``
+    # grows while it is read
+    for nid, (x, goal) in enumerate(order):
         # the context's keys that ask at the goal, in ``key_text`` order
         for key, entries in options.get(goal, {}).items():
             if key not in x and key not in an.initial_keys:
@@ -387,14 +327,12 @@ def find_soup(
                 chosen = None
                 for index, subgoal, tau_keys in opts:
                     need = x | tau_keys
-                    if any(need <= m for m in chains.get(subgoal, ())):
+                    if refuted(need, subgoal):
                         chosen = (index, subgoal, need)
                         break
-                assert chosen is not None, "survivor question lost its answer"
+                assert chosen is not None, "a failed judgment lost its answer"
                 index, subgoal, need = chosen
-                to_id = node_id(need, subgoal)
-                queue.append(to_id)
-                edges.append((nid, q, index, to_id))
+                edges.append((nid, q, index, node_id(need, subgoal)))
 
     def addr(i: int) -> str:
         return format(i, f"0{addr_len}b")

@@ -20,10 +20,17 @@ is the scan the soup checker and realizer made before the checker indexed a
 soup's judgments by goal: every judgment against every answer option
 (``_meets``).
 
+``reference_find_soup`` is the soup search as it was before ``find_soup``
+read its survivors off the prover's last failing pass: a greatest fixpoint
+that deletes unsupportable candidate disjudgments from the whole candidate
+space (``reference_antichains``), with its own candidate cap, then realizes
+the reachable part with minimal answers.  Where it finishes, ``find_soup``
+must give the same soup.
+
 ``reference_attempts`` is the Sigma1 search's member enumeration as it was
 before the search became one flat loop: a generator per judgment, one per
 member and one per joined premise.  At every judgment, ``proofs._Prover``'s
-``members`` and ``instances`` must give what it yields, in the same order.
+``attempts`` must give what it yields, in the same order.
 
 ``reference_run`` is the Sigma1 search's loop of passes as it was before the
 search stopped on an unfounded pass: every premise that asks the judgment being
@@ -80,7 +87,9 @@ from dataclasses import dataclass
 
 from aspsigma import engine, proofs
 from aspsigma.errors import CapExceeded, FormulaError, ParseError, check_deadline
+from aspsigma.logic_to_asp import analysis, certified_addr_len
 from aspsigma.proofs import OAbs, OApp, PAbs, PApp, ProofTerm, PVar
+from aspsigma.soups import AnswerEntry, Disjudgment, Soup, _question_options
 from aspsigma.syntax import (
     Atom,
     AtomF,
@@ -259,6 +268,149 @@ def reference_answer_relation(z, an):
             row.append((q, answerers))
         out.append(row)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The soup search as a greatest fixpoint over candidate disjudgments
+# ---------------------------------------------------------------------------
+
+REFERENCE_CANDIDATE_CAP = 100_000  # candidate extensions the deletion may add
+
+
+def reference_antichains(an, options, deadline=None, schedule="forward"):
+    """Maximal surviving context extensions per goal.
+
+    Candidates are (initial context + X, goal); a candidate survives while all
+    its questions (``options``, from ``soups._question_options``) have
+    surviving answers.  Survivors are downward closed in X, so each goal keeps
+    an antichain of maximal extension sets.  The deletion order must not
+    matter; ``schedule`` ("forward" or "reverse") picks a scan order.
+    """
+    added_universe = frozenset(an.key_formula) - an.initial_keys
+    chains = {g: [added_universe] for g in an.goal_universe}
+    work = 0
+
+    def answered(x, opts):
+        for index, subgoal, tau_keys in opts:
+            need = x | tau_keys
+            if any(need <= m for m in chains.get(subgoal, ())):
+                return True
+        return False
+
+    def survives(x, goal):
+        for key, entries in options.get(goal, {}).items():
+            if key in x or key in an.initial_keys:
+                for q, opts in entries:
+                    if not answered(x, opts):
+                        return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        goals = list(chains)
+        if schedule == "reverse":
+            goals.reverse()
+        for g in goals:
+            row = chains[g]
+            if schedule == "reverse":
+                row = list(reversed(row))
+            for x in list(row):
+                if x not in chains[g]:
+                    continue
+                check_deadline(deadline, "soup search")
+                if survives(x, g):
+                    continue
+                chains[g].remove(x)
+                changed = True
+                for e in sorted(x, key=an.key_text.__getitem__):
+                    sub = x - {e}
+                    if not any(sub <= m for m in chains[g]):
+                        chains[g].append(sub)
+                        work += 1
+                        if work > REFERENCE_CANDIDATE_CAP:
+                            raise CapExceeded(
+                                f"soup candidate space exceeded {REFERENCE_CANDIDATE_CAP}",
+                                feasible=REFERENCE_CANDIDATE_CAP,
+                            )
+    return chains
+
+
+def reference_find_soup(phi, addr_len=None, deadline=None, an=None):
+    """A refutation soup for ``phi``, or None when the formula is provable:
+    unsupportable candidate disjudgments are deleted until the survivors are
+    self-supporting (``reference_antichains``), and the reachable part is
+    realized with minimal answers."""
+    if an is None:
+        an = analysis(phi)
+    sig = an.sig
+    if addr_len is None:
+        addr_len = certified_addr_len(an, deadline=deadline)
+    options = _question_options(an)
+    chains = reference_antichains(an, options, deadline)
+    if not any(frozenset() <= m for m in chains.get(sig.target, ())):
+        return None
+
+    nodes = {}
+    order = []
+    edges = []  # from, q, index, to
+
+    def node_id(x, goal):
+        j = (x, goal)
+        if j not in nodes:
+            if len(nodes) >= 2**addr_len:
+                raise CapExceeded(
+                    f"soup needs more than 2^{addr_len} addresses",
+                    feasible=addr_len,
+                )
+            nodes[j] = len(order)
+            order.append(j)
+        return nodes[j]
+
+    root = node_id(frozenset(), sig.target)
+    queue = [root]
+    processed = set()
+    while queue:
+        nid = queue.pop(0)
+        if nid in processed:
+            continue
+        processed.add(nid)
+        x, goal = order[nid]
+        for key, entries in options.get(goal, {}).items():
+            if key not in x and key not in an.initial_keys:
+                continue
+            for q, opts in entries:
+                chosen = None
+                for index, subgoal, tau_keys in opts:
+                    need = x | tau_keys
+                    if any(need <= m for m in chains.get(subgoal, ())):
+                        chosen = (index, subgoal, need)
+                        break
+                assert chosen is not None, "survivor question lost its answer"
+                index, subgoal, need = chosen
+                to_id = node_id(need, subgoal)
+                queue.append(to_id)
+                edges.append((nid, q, index, to_id))
+
+    def addr(i):
+        return format(i, f"0{addr_len}b")
+
+    judgments = tuple(
+        Disjudgment(an.initial_keys | x, goal, (addr(i),))
+        for i, (x, goal) in enumerate(order)
+    )
+    answers = tuple(
+        AnswerEntry(
+            an.instances[q.inst].occ,
+            an.instances[q.inst].assign,
+            q.t_assign,
+            addr(nid),
+            index,
+            addr(to_id),
+        )
+        for nid, q, index, to_id in edges
+    )
+    return Soup(addr_len, judgments, answers, an, an.key_formula)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +891,7 @@ def _reference_dfs(prover, added, gid, stack):
     check_deadline(prover.deadline, "proof search")
     if prover.solved_lookup(added, gid) is not None:
         return True
-    if prover.failed_lookup(added, gid):
+    if any(added <= added2 for added2 in prover.failed.get(gid, ())):
         return False
     j = (added, gid)
     if j in stack:

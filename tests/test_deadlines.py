@@ -90,11 +90,13 @@ def _call(name):
     if name == "has_stable_model_large":
         g = _large_program()
         return lambda deadline: engine.has_stable_model(g, deadline=deadline)
-    if name in ("prove", "prove_sigma1"):
+    if name in ("prove", "prove_sigma1", "find_soup"):
         # arity-2 instance 65, which the prover does not decide
         phi = _arity2(65).formula
         if name == "prove_sigma1":
             return lambda deadline: proofs.prove_sigma1(phi, deadline=deadline)
+        if name == "find_soup":
+            return lambda deadline: soups.find_soup(phi, deadline=deadline)
         premises, target = impl_spine(phi)
         return lambda deadline: proofs.prove(list(premises), target, deadline=deadline)
     if name == "case_b":
@@ -110,9 +112,6 @@ def _call(name):
         an = logic_to_asp.analysis(_seed0_translation(0))
         fn = getattr(logic_to_asp, name)
         return lambda deadline: fn(an, deadline=deadline)
-    if name == "find_soup":
-        phi = _seed0_translation(1)
-        return lambda deadline: soups.find_soup(phi, deadline=deadline)
     assert name == "decide_by_translation"
     phi = parse_formula(_NO_MODEL)
     return lambda deadline: logic_to_asp.decide_by_translation(

@@ -47,6 +47,7 @@ from aspsigma.syntax import (
     const,
     fmt_formula,
     free_vars,
+    impl_chain,
     make_program,
     pi1_spine,
     var,
@@ -533,6 +534,16 @@ def test_a_join_that_finds_nothing_stops_at_the_deadline():
     assert time.monotonic() - t0 < 2
 
 
+def test_a_refutable_2000_step_chain_is_refuted():
+    # (a1 -> a0) -> ... -> (a2000 -> a1999) -> a0 fails along one path of
+    # 2001 nested judgments; the search keeps them on its own frame stack,
+    # not on Python's, so the depth meets no recursion limit
+    n = 2000
+    atoms = [AtomF(f"a{i}") for i in range(n + 1)]
+    phi = impl_chain([Impl(atoms[i + 1], atoms[i]) for i in range(n)], atoms[0])
+    assert prove_sigma1(phi) is None
+
+
 _CERT_SCRIPT = """
 from aspsigma import asp_to_logic, proofs
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
@@ -783,32 +794,23 @@ def test_certificates_do_not_depend_on_the_base_in_use(clauses, bits, case_b, ki
 # ---------------------------------------------------------------------------
 
 
-def _flat_attempts(prover, added, goal):
-    out = []
-    members, atoms = prover.members(added, goal)
-    for mid in members:
-        entry = prover.entries[mid]
-        out.extend((mid, t) for t in prover.instances(entry, goal, added, atoms))
-    return out
-
-
 @contextlib.contextmanager
 def _attempt_spy():
     """While active, every judgment the search reaches first checks that the
     flat loop would try the (member id, assignment) sequence that the
     generator enumeration yields; neither side interns anything."""
     seen = {"judgments": 0, "attempts": 0}
-    search = proofs._Prover.dfs
+    known = proofs._Prover.known
 
-    def dfs(prover, added, gid, stack):
+    def spied(prover, added, gid, stack):
         goal = prover.goals[gid]
-        flat = _flat_attempts(prover, added, goal)
+        flat = list(prover.attempts(added, goal))
         assert flat == list(reference_attempts(prover, added, goal))
         seen["judgments"] += 1
         seen["attempts"] += len(flat)
-        return search(prover, added, gid, stack)
+        return known(prover, added, gid, stack)
 
-    with mock.patch.object(proofs._Prover, "dfs", dfs):
+    with mock.patch.object(proofs._Prover, "known", spied):
         yield seen
 
 
@@ -916,14 +918,13 @@ def test_the_stopping_rule_keeps_the_verdicts_and_certificates(
 
 @contextlib.contextmanager
 def _pass_counter():
-    """While active, counts the search's passes: the judgments it asks with
-    an empty stack."""
+    """While active, counts the search's passes."""
     seen = {"passes": 0}
     search = proofs._Prover.dfs
 
-    def dfs(prover, added, gid, stack):
-        seen["passes"] += not stack
-        return search(prover, added, gid, stack)
+    def dfs(prover, root):
+        seen["passes"] += 1
+        return search(prover, root)
 
     with mock.patch.object(proofs._Prover, "dfs", dfs):
         yield seen

@@ -7,14 +7,14 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aspsigma
 from aspsigma import asp_to_logic, soups
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
 from aspsigma.engine import atom_key, has_stable_model, is_stable
-from aspsigma.errors import BudgetExceeded, CapExceeded, CrossCheckError, FormulaError
+from aspsigma.errors import BudgetExceeded, CrossCheckError, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
     analysis,
@@ -27,7 +27,6 @@ from aspsigma.proofs import prove_sigma1
 from aspsigma.soups import (
     Disjudgment,
     Soup,
-    _antichains,
     _question_options,
     check_soup,
     find_soup,
@@ -46,8 +45,15 @@ from aspsigma.syntax import (
     const,
     fmt_formula,
     impl_chain,
+    var,
 )
-from oracle import naive_questions_at, reference_answer_relation, scan_questions
+from oracle import (
+    naive_questions_at,
+    reference_answer_relation,
+    reference_antichains,
+    reference_find_soup,
+    scan_questions,
+)
 
 
 def _an(text):
@@ -251,19 +257,17 @@ def test_find_soup_duality_with_prover():
             assert check_soup(z, phi).ok, text
 
 
-def test_find_soup_candidate_cap(monkeypatch):
-    monkeypatch.setattr(soups, "SOUP_CANDIDATE_CAP", 0)
-    with pytest.raises(CapExceeded, match="soup candidate space exceeded 0"):
-        find_soup(parse_formula("((a -> b) -> a) -> a"))
+def _arity2_formula(i):
+    spec = CorpusSpec(count=150, max_arity=2, max_domain=3, max_clauses=5, max_body=3, seed=5)
+    p = gen_programs(spec)[i]
+    return asp_to_logic.translate(p, fresh_goal_atom(p)).formula
 
 
 def test_find_soup_raises_soon_after_its_deadline():
-    # a deletion sweep over the translation of seed-0 corpus program 1 takes
-    # over half a second, and a deadline checked once per sweep raised after
-    # 2.5 s here; checked once per candidate, it raises within a slack that a
-    # 2-vCPU machine keeps under load
-    p = gen_programs(CorpusSpec(count=500, seed=0))[1]
-    phi = asp_to_logic.translate(p, fresh_goal_atom(p)).formula
+    # the prover does not decide the translation of arity-2 instance 65; it
+    # checks the deadline once per judgment, so the search raises within a
+    # slack that a 2-vCPU machine keeps under load
+    phi = _arity2_formula(65)
     start = time.monotonic()
     with pytest.raises(BudgetExceeded):
         find_soup(phi, deadline=start + 1.0)
@@ -274,8 +278,8 @@ def test_deletion_is_confluent():
     for text in ["a -> a", "((a -> b) -> a) -> a", "(a -> b) -> a -> b"]:
         an = analysis(parse_formula(text))
         options = _question_options(an)
-        fwd = _antichains(an, options, None, "forward")
-        rev = _antichains(an, options, None, "reverse")
+        fwd = reference_antichains(an, options, None, "forward")
+        rev = reference_antichains(an, options, None, "reverse")
         for g in set(fwd) | set(rev):
             assert {frozenset(x) for x in fwd.get(g, [])} == {
                 frozenset(x) for x in rev.get(g, [])
@@ -695,6 +699,82 @@ def test_soup_layer_digest(corpus_soups):
             feed(*sorted(str(a) for a in model))
     assert cross_check_failures == NON_STABLE_REALIZATIONS
     assert h.hexdigest()[:16] == "c750d23bfed81723"
+
+
+def _same_soup(z, ref):
+    return (z is None) == (ref is None) and (
+        z is None or write_soup(z) == write_soup(ref)
+    )
+
+
+def test_find_soup_matches_the_reference_on_the_corpus(corpus_soups):
+    """The soup read off the prover's last pass is the one the deletion
+    search finds, text for text, and both find none for the same formulas."""
+    for phi, found, t, cooked in corpus_soups:
+        assert _same_soup(found, reference_find_soup(phi)), fmt_formula(phi)
+
+
+# the seed-0 translations among the first 60 on which the deletion search
+# finishes; on the other 28 it runs past 2 s (translations 1 and 3 past 5 s)
+_REFERENCE_TRANSLATIONS = (
+    4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 20, 23, 24,
+    25, 26, 28, 29, 30, 35, 36, 40, 46, 47, 50, 51, 55, 57, 58, 59,
+)
+
+
+def test_find_soup_matches_the_reference_on_asp_translations():
+    programs = gen_programs(CorpusSpec(count=500, seed=0))
+    refuted = 0
+    for i in _REFERENCE_TRANSLATIONS:
+        phi = asp_to_logic.translate(programs[i], fresh_goal_atom(programs[i])).formula
+        an = analysis(phi)
+        z = find_soup(phi, an=an)
+        assert _same_soup(z, reference_find_soup(phi, an=an)), i
+        refuted += z is not None
+    assert refuted == 26
+
+
+_TERMS = ["c", "d", "x"]
+# Pi1 premises over the nullary a, b and the unary P, Q, some quantified and
+# some with the free variable x, which both searches read as a constant
+_QUANTIFIED_PREMISES = st.sampled_from(
+    [
+        parse_formula(text)
+        for text in (
+            "a",
+            "b",
+            "(a -> b) -> a",
+            "forall y. P(y) -> Q(y)",
+            "forall y. (P(y) -> a) -> Q(y)",
+            "forall y. Q(y) -> b",
+            "forall y. (Q(y) -> b) -> P(y)",
+        )
+    ]
+    + [AtomF(pred, (const(c) if c != "x" else var("x"),)) for pred in "PQ" for c in _TERMS]
+    + [parse_formula(f"P({c}) -> a") for c in _TERMS]
+)
+_TARGETS = st.sampled_from(
+    [AtomF("a"), AtomF("b")]
+    + [AtomF(pred, (const(c) if c != "x" else var("x"),)) for pred in "PQ" for c in _TERMS]
+)
+_QUANTIFIED_FORMULAS = st.builds(
+    impl_chain, st.lists(_QUANTIFIED_PREMISES, max_size=3), _TARGETS
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_QUANTIFIED_FORMULAS)
+@example(parse_formula("P(x) -> Q(x)"))
+@example(parse_formula("(forall y. P(y) -> Q(y)) -> P(x) -> Q(x)"))
+def test_find_soup_refutes_exactly_what_the_prover_does_not_prove(phi):
+    an = analysis(phi)
+    z = find_soup(phi, an=an)
+    # ``prove_sigma1`` rejects free variables; the soup signature's formula
+    # reads them as constants
+    assert (z is None) == (prove_sigma1(an.sig.phi) is not None), fmt_formula(phi)
+    if z is not None:
+        assert check_soup(z, phi).ok, fmt_formula(phi)
+    assert _same_soup(z, reference_find_soup(phi, an=an)), fmt_formula(phi)
 
 
 def _report(z, phi):
