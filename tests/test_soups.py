@@ -734,7 +734,8 @@ def test_find_soup_matches_the_reference_on_asp_translations():
     assert refuted == 26
 
 
-_TERMS = ["c", "d", "x"]
+_X = var("x")
+_TERMS = [const("c"), const("d"), _X]
 # Pi1 premises over the nullary a, b and the unary P, Q, some quantified and
 # some with the free variable x, which both searches read as a constant
 _QUANTIFIED_PREMISES = st.sampled_from(
@@ -750,12 +751,11 @@ _QUANTIFIED_PREMISES = st.sampled_from(
             "forall y. (Q(y) -> b) -> P(y)",
         )
     ]
-    + [AtomF(pred, (const(c) if c != "x" else var("x"),)) for pred in "PQ" for c in _TERMS]
-    + [parse_formula(f"P({c}) -> a") for c in _TERMS]
+    + [AtomF(pred, (t,)) for pred in "PQ" for t in _TERMS]
+    + [Impl(AtomF("P", (t,)), AtomF("a")) for t in _TERMS]
 )
 _TARGETS = st.sampled_from(
-    [AtomF("a"), AtomF("b")]
-    + [AtomF(pred, (const(c) if c != "x" else var("x"),)) for pred in "PQ" for c in _TERMS]
+    [AtomF("a"), AtomF("b")] + [AtomF(pred, (t,)) for pred in "PQ" for t in _TERMS]
 )
 _QUANTIFIED_FORMULAS = st.builds(
     impl_chain, st.lists(_QUANTIFIED_PREMISES, max_size=3), _TARGETS
@@ -764,8 +764,11 @@ _QUANTIFIED_FORMULAS = st.builds(
 
 @settings(max_examples=200, deadline=None)
 @given(_QUANTIFIED_FORMULAS)
-@example(parse_formula("P(x) -> Q(x)"))
-@example(parse_formula("(forall y. P(y) -> Q(y)) -> P(x) -> Q(x)"))
+# P(x) -> Q(x) with x free (``parse_formula`` would read x as a constant)
+@example(Impl(AtomF("P", (_X,)), AtomF("Q", (_X,))))
+@example(
+    impl_chain([parse_formula("forall y. P(y) -> Q(y)"), AtomF("P", (_X,))], AtomF("Q", (_X,)))
+)
 def test_find_soup_refutes_exactly_what_the_prover_does_not_prove(phi):
     an = analysis(phi)
     z = find_soup(phi, an=an)
