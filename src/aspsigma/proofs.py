@@ -78,7 +78,13 @@ models of one program (``asp_to_logic``).  ``prove_sigma1`` has an empty
 context and so an empty base.
 
 Every positive answer is returned as a long-normal-form certificate that the
-checker accepts.
+checker accepts.  The certificate path (``_Prover.extract``, ``infer`` and
+``check_explain``, ``is_lnf``, ``fmt_term`` and ``parse_term``) keeps its own
+stacks and visits the nodes in the order a recursion would, so a proof of any
+depth is extracted, checked, printed and read back in time linear in its size,
+and meets no recursion limit.  The checker binds proof variables in one scope
+per call (``_Scope``), undoing a binding when its binder's frame pops, where a
+copy of the scope per binder made deep proofs quadratic.
 """
 
 from __future__ import annotations
@@ -160,7 +166,9 @@ class Environment:
     The declarations are kept as one name -> formula dict in declaration
     order, so ``lookup`` is a hash probe and ``bind`` a dict copy, not a pass
     over the declarations in Python.  ``bind`` shadows: the name's old
-    declaration goes and the new one comes last.
+    declaration goes and the new one comes last.  The checker makes no such
+    copy per binder: ``infer`` and ``is_lnf`` read the declarations into one
+    ``_Scope`` per call and bind in it in place.
     """
 
     __slots__ = ("_index",)
@@ -210,50 +218,168 @@ class _CheckFailure(Exception):
         super().__init__("; ".join(trail))
 
 
+class _Scope:
+    """The declarations in scope at one node of a checker's walk.
+
+    ``types`` is one name -> formula dict that a binder updates in place and
+    logs; when the binder's frame pops, ``pop`` undoes the entry and the
+    shadowed declaration comes back.  In an ``Environment``'s declaration
+    order, where a binder's declaration comes last, the visible declarations
+    are the given ones not rebound on the log, then the logged names in the
+    order of their last binding (``order``).
+
+    The eigenvariable check of an ``OAbs`` reads ``counts``: per object
+    variable, how many visible declarations it is free in.  The first
+    ``OAbs`` a walk meets builds it, and binders keep it from then on, with
+    ``free_vars`` computed once per declaration it counts.
+    """
+
+    __slots__ = ("env", "types", "log", "free", "counts")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.types = dict(env._index)
+        # (name, the declaration it shadows or None, that one's free
+        # variables if they were counted)
+        self.log: list[tuple[str, Formula | None, set[str] | None]] = []
+        # once counted: name -> the free variables of its visible declaration
+        self.free: dict[str, set[str]] = {}
+        self.counts: dict[str, int] | None = None
+
+    def bind(self, name: str, f: Formula) -> None:
+        old = self.types.get(name)
+        self.types[name] = f
+        old_free = None
+        if self.counts is not None:
+            old_free = self.free.get(name)
+            if old_free:
+                self._count(old_free, -1)
+            new_free = self.free[name] = free_vars(f)
+            self._count(new_free, 1)
+        self.log.append((name, old, old_free))
+
+    def pop(self) -> None:
+        """Undo the last binding."""
+        name, old, old_free = self.log.pop()
+        if self.counts is not None:
+            self._count(self.free.pop(name), -1)
+            if old is not None:
+                if old_free is None:
+                    old_free = free_vars(old)
+                self.free[name] = old_free
+                self._count(old_free, 1)
+        if old is None:
+            del self.types[name]
+        else:
+            self.types[name] = old
+
+    def undo(self, mark: int) -> None:
+        """Undo the bindings logged from ``mark`` on, the last first."""
+        while len(self.log) > mark:
+            self.pop()
+
+    def _count(self, names: set[str], step: int) -> None:
+        counts = self.counts
+        for x in names:
+            counts[x] = counts.get(x, 0) + step
+
+    def check_eigenvariable(self, x: str) -> None:
+        """Raise unless the object variable ``x`` is free in no visible
+        declaration; the trail names the first one in declaration order."""
+        if self.counts is None:
+            self.free = {name: free_vars(f) for name, f in self.types.items()}
+            self.counts = {}
+            for names in self.free.values():
+                self._count(names, 1)
+        if self.counts.get(x):
+            for name in self.order():
+                if x in self.free[name]:
+                    raise _CheckFailure(
+                        [
+                            f"eigenvariable violation: {x} is free in the "
+                            f"declaration of {name}"
+                        ]
+                    )
+
+    def order(self) -> list[str]:
+        """The visible names in declaration order."""
+        rebound: dict[str, None] = {}
+        for name, _, _ in self.log:
+            rebound.pop(name, None)
+            rebound[name] = None
+        return [n for n in self.env._index if n not in rebound] + list(rebound)
+
+
 def infer(env: Environment, term: ProofTerm) -> Formula:
-    """Type of ``term`` under ``env``; raises with a diagnostic trail."""
-    if isinstance(term, PVar):
-        f = env.lookup(term.name)
-        if f is None:
-            raise _CheckFailure([f"unbound proof variable {term.name}"])
-        return f
-    if isinstance(term, PAbs):
-        body = infer(env.bind(term.var, term.annot), term.body)
-        return Impl(term.annot, body)
-    if isinstance(term, OAbs):
-        for name, f in env.decls:
-            if term.var in free_vars(f):
-                raise _CheckFailure(
-                    [
-                        f"eigenvariable violation: {term.var} is free in the "
-                        f"declaration of {name}"
-                    ]
-                )
-        body = infer(env, term.body)
-        return Forall(term.var, body)
-    if isinstance(term, PApp):
-        fn = infer(env, term.fn)
-        if not isinstance(fn, Impl):
-            raise _CheckFailure(
-                [f"applied a term of non-implication type {fmt_formula(fn)}"]
-            )
-        arg = infer(env, term.arg)
-        if not alpha_eq(arg, fn.lhs):
-            raise _CheckFailure(
-                [
-                    f"argument type {fmt_formula(arg)} does not match the "
-                    f"expected premise {fmt_formula(fn.lhs)}"
-                ]
-            )
-        return fn.rhs
-    if isinstance(term, OApp):
-        fn = infer(env, term.fn)
-        if not isinstance(fn, Forall):
-            raise _CheckFailure(
-                [f"object-applied a term of non-universal type {fmt_formula(fn)}"]
-            )
-        return substitute(fn.body, {fn.var: term.arg})
-    raise TypeError(term)
+    """Type of ``term`` under ``env``; raises with a diagnostic trail.
+
+    The walk keeps its own stack, so a term of any depth meets no recursion
+    limit, and it takes the rules in the recursive order: an application's
+    function, then its argument, so the first rule to fail is the one the
+    recursion reports.  The stack holds each node that waits for a child's
+    type, and for an application whose argument is being typed, the
+    function's type in its place.
+    """
+    scope = _Scope(env)
+    types = scope.types
+    stack: list = []
+    while True:
+        # down the leftmost path, to the head variable of a spine
+        while True:
+            cls = type(term)
+            if cls is PApp or cls is OApp:
+                stack.append(term)
+                term = term.fn
+            elif cls is PAbs:
+                scope.bind(term.var, term.annot)
+                stack.append(term)
+                term = term.body
+            elif cls is OAbs:
+                scope.check_eigenvariable(term.var)
+                stack.append(term)
+                term = term.body
+            elif cls is PVar:
+                typ = types.get(term.name)
+                if typ is None:
+                    raise _CheckFailure([f"unbound proof variable {term.name}"])
+                break
+            else:
+                raise TypeError(term)
+        # hand the type up until a node asks for its argument's
+        while stack:
+            node = stack.pop()
+            cls = type(node)
+            if cls is PApp:
+                if type(typ) is not Impl:
+                    raise _CheckFailure(
+                        [f"applied a term of non-implication type {fmt_formula(typ)}"]
+                    )
+                stack.append(typ)
+                term = node.arg
+                break
+            if cls is Impl:
+                # ``typ`` is the argument's, ``node`` the function's type
+                if not alpha_eq(typ, node.lhs):
+                    raise _CheckFailure(
+                        [
+                            f"argument type {fmt_formula(typ)} does not match the "
+                            f"expected premise {fmt_formula(node.lhs)}"
+                        ]
+                    )
+                typ = node.rhs
+            elif cls is PAbs:
+                scope.pop()
+                typ = Impl(node.annot, typ)
+            elif cls is OAbs:
+                typ = Forall(node.var, typ)
+            else:
+                if type(typ) is not Forall:
+                    raise _CheckFailure(
+                        [f"object-applied a term of non-universal type {fmt_formula(typ)}"]
+                    )
+                typ = substitute(typ.body, {typ.var: node.arg})
+        else:
+            return typ
 
 
 def check_explain(
@@ -275,39 +401,72 @@ def check(env: Environment, term: ProofTerm, goal: Formula) -> bool:
 
 
 def is_lnf(env: Environment, term: ProofTerm, typ: Formula) -> bool:
-    """The long-normal-form predicate, evaluated structurally against ``typ``."""
-    if isinstance(typ, Forall):
-        if not isinstance(term, OAbs):
+    """The long-normal-form predicate, evaluated structurally against ``typ``.
+
+    Against a quantifier the term must be an object abstraction, against an
+    implication a proof abstraction, and against an atom a head variable
+    applied to arguments that fit its declared type, each proof argument in
+    long normal form against its premise.  The walk keeps its own stack: per
+    spine whose arguments are being checked, its arguments, the index of the
+    one being checked, the head type after it and the scope's mark to undo
+    to before the next.  The arguments are taken in order, as the recursion
+    takes them.
+    """
+    scope = _Scope(env)
+    types = scope.types
+    frames: list[tuple[list, int, Formula, int]] = []
+    while True:
+        while True:
+            cls = type(typ)
+            if cls is Forall:
+                if type(term) is not OAbs:
+                    return False
+                typ = substitute(typ.body, {typ.var: var(term.var)})
+                term = term.body
+            elif cls is Impl:
+                if type(term) is not PAbs:
+                    return False
+                scope.bind(term.var, term.annot)
+                typ = typ.rhs
+                term = term.body
+            else:
+                break
+        # an atom type: the term must be a head variable applied to lnf
+        # arguments; ``spine`` holds them last first
+        spine: list[ProofTerm | Term] = []
+        head = term
+        while type(head) is PApp or type(head) is OApp:
+            spine.append(head.arg)
+            head = head.fn
+        if type(head) is not PVar:
             return False
-        body_typ = substitute(typ.body, {typ.var: var(term.var)})
-        return is_lnf(env, term.body, body_typ)
-    if isinstance(typ, Impl):
-        if not isinstance(term, PAbs):
+        head_typ = types.get(head.name)
+        if head_typ is None:
             return False
-        return is_lnf(env.bind(term.var, term.annot), term.body, typ.rhs)
-    # atom type: the term must be a head variable applied to lnf arguments
-    spine: list[ProofTerm | Term] = []
-    head = term
-    while isinstance(head, (PApp, OApp)):
-        spine.append(head.arg)
-        head = head.fn
-    if not isinstance(head, PVar):
-        return False
-    head_typ = env.lookup(head.name)
-    if head_typ is None:
-        return False
-    for arg in reversed(spine):
-        if isinstance(arg, Term):
-            if not isinstance(head_typ, Forall):
-                return False
-            head_typ = substitute(head_typ.body, {head_typ.var: arg})
-        else:
-            if not isinstance(head_typ, Impl):
-                return False
-            if not is_lnf(env, arg, head_typ.lhs):
-                return False
-            head_typ = head_typ.rhs
-    return isinstance(head_typ, AtomF)
+        i = len(spine)
+        while True:
+            while i:
+                i -= 1
+                arg = spine[i]
+                if type(arg) is Term:
+                    if type(head_typ) is not Forall:
+                        return False
+                    head_typ = substitute(head_typ.body, {head_typ.var: arg})
+                    continue
+                if type(head_typ) is not Impl:
+                    return False
+                frames.append((spine, i, head_typ.rhs, len(scope.log)))
+                term, typ = arg, head_typ.lhs
+                break
+            else:
+                if type(head_typ) is not AtomF:
+                    return False
+                if not frames:
+                    return True
+                spine, i, head_typ, mark = frames.pop()
+                scope.undo(mark)
+                continue
+            break
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +475,54 @@ def is_lnf(env: Environment, term: ProofTerm, typ: Formula) -> bool:
 
 
 def fmt_term(t: ProofTerm) -> str:
-    if isinstance(t, PVar):
-        return t.name
-    if isinstance(t, PAbs):
-        annot = fmt_formula(t.annot)
-        if not isinstance(t.annot, AtomF):
-            annot = f"({annot})"
-        return f"\\{t.var}:{annot}. {fmt_term(t.body)}"
-    if isinstance(t, OAbs):
-        return f"\\{t.var}. {fmt_term(t.body)}"
-    # application spine, left associated
+    """The certificate text of ``t``: abstractions as ``\\X:annot. body`` and
+    ``\\x. body``, applications left associated, with an argument or a head
+    that is not a variable in parentheses.
+
+    The text is one list of parts, built on a stack of the parts and terms
+    still to print, so a term of any depth meets no recursion limit.
+    """
     parts: list[str] = []
-    head = t
-    while isinstance(head, (PApp, OApp)):
-        arg = head.arg
-        if isinstance(arg, Term):
-            parts.append(arg.name)
-        elif isinstance(arg, PVar):
-            parts.append(arg.name)
-        else:
-            parts.append(f"({fmt_term(arg)})")
-        head = head.fn
-    if isinstance(head, PVar):
-        parts.append(head.name)
-    else:
-        parts.append(f"({fmt_term(head)})")
-    return " ".join(reversed(parts))
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is str:
+            parts.append(t)
+            continue
+        while True:
+            cls = type(t)
+            if cls is PAbs:
+                annot = fmt_formula(t.annot)
+                if type(t.annot) is AtomF:
+                    parts.append(f"\\{t.var}:{annot}. ")
+                else:
+                    parts.append(f"\\{t.var}:({annot}). ")
+                t = t.body
+            elif cls is OAbs:
+                parts.append(f"\\{t.var}. ")
+                t = t.body
+            elif cls is PVar:
+                parts.append(t.name)
+                break
+            else:
+                # an application spine: the arguments, last first, go on the
+                # stack after the head's closing parenthesis, if it has one
+                head = t
+                while type(head) is PApp or type(head) is OApp:
+                    arg = head.arg
+                    if type(arg) is Term or type(arg) is PVar:
+                        todo.append(arg.name)
+                    else:
+                        todo += (")", arg, "(")
+                    todo.append(" ")
+                    head = head.fn
+                if type(head) is PVar:
+                    parts.append(head.name)
+                    break
+                parts.append("(")
+                todo.append(")")
+                t = head
+    return "".join(parts)
 
 
 def parse_term(text: str) -> ProofTerm:
@@ -350,55 +531,74 @@ def parse_term(text: str) -> ProofTerm:
 
 
 def _whole_term(toks: list[str]) -> ProofTerm:
-    t, i = _term_at(toks, 0, ())
-    if toks[i]:
-        raise Fault(f"trailing input after term: {toks[i]!r}", i)
-    return t
-
-
-def _term_at(toks: list[str], i: int, bound: tuple[str, ...]) -> tuple[ProofTerm, int]:
-    """Read the term at ``toks[i]``, with the object variables ``bound`` in
-    scope; return it and the index after it."""
-    if toks[i] != "\\":
-        return _application_at(toks, i, bound)
-    name = ident(toks, i + 1, "binder")
-    if toks[i + 2] == ":":
-        if not name[0].isupper():
-            raise Fault("proof variables start uppercase", i + 1)
-        annot, i = formula_at(toks, i + 3, dict.fromkeys(bound, 1), {}, {}, [], unit=True)
-        body, i = _term_at(toks, expect(toks, i, "."), bound)
-        return PAbs(name, annot, body), i
-    if name[0].isupper():
-        raise Fault("object variables start lowercase", i + 1)
-    body, i = _term_at(toks, expect(toks, i + 2, "."), bound + (name,))
-    return OAbs(name, body), i
-
-
-def _application_at(
-    toks: list[str], i: int, bound: tuple[str, ...]
-) -> tuple[ProofTerm, int]:
-    if toks[i] == "(":
-        out, i = _term_at(toks, i + 1, bound)
-        i = expect(toks, i, ")")
-    else:
+    """Read the term that ``toks`` hold, left to right, keeping on a stack
+    what waits for the term being read: a binder for its body, or an
+    application for a parenthesized head or argument.  ``bound`` counts the
+    object binders in scope per name."""
+    bound: dict[str, int] = {}
+    # (PAbs, name, annotation), (OAbs, name, None), or (PApp, the
+    # application so far, or None for a parenthesized head)
+    frames: list[tuple] = []
+    i = 0
+    while True:
+        # a term: binders, then an application
+        while toks[i] == "\\":
+            name = ident(toks, i + 1, "binder")
+            if toks[i + 2] == ":":
+                if not name[0].isupper():
+                    raise Fault("proof variables start uppercase", i + 1)
+                annot, i = formula_at(toks, i + 3, bound, {}, {}, [], unit=True)
+                i = expect(toks, i, ".")
+                frames.append((PAbs, name, annot))
+            else:
+                if name[0].isupper():
+                    raise Fault("object variables start lowercase", i + 1)
+                i = expect(toks, i + 2, ".")
+                bound[name] = bound.get(name, 0) + 1
+                frames.append((OAbs, name, None))
+        if toks[i] == "(":
+            frames.append((PApp, None, None))
+            i += 1
+            continue
         name = ident(toks, i, "proof variable")
         if not name[0].isupper():
             raise Fault(f"expected a proof variable, found {name!r}", i)
-        out, i = PVar(name), i + 1
-    while True:
-        t = toks[i]
-        if t == "(":
-            arg, i = _term_at(toks, i + 1, bound)
-            out = PApp(out, arg)
-            i = expect(toks, i, ")")
-        elif t in SYMBOLS:
-            return out, i
-        else:
-            i += 1
-            if t[0].isupper():
-                out = PApp(out, PVar(t))
+        out: ProofTerm = PVar(name)
+        i += 1
+        # the application's arguments; a parenthesized one is read as a term
+        # of its own, and the term that ends at a symbol closes the binders
+        # and parentheses around it
+        while True:
+            t = toks[i]
+            if t == "(":
+                frames.append((PApp, out, None))
+                i += 1
+                break
+            if t not in SYMBOLS:
+                i += 1
+                if t[0].isupper():
+                    out = PApp(out, PVar(t))
+                else:
+                    out = OApp(out, var(t) if t in bound else const(t))
+                continue
+            while frames:
+                kind, x, annot = frames.pop()
+                if kind is PAbs:
+                    out = PAbs(x, annot, out)
+                elif kind is OAbs:
+                    bound[x] -= 1
+                    if not bound[x]:
+                        del bound[x]
+                    out = OAbs(x, out)
+                else:
+                    i = expect(toks, i, ")")
+                    if x is not None:
+                        out = PApp(x, out)
+                    break
             else:
-                out = OApp(out, var(t) if t in bound else const(t))
+                if t:
+                    raise Fault(f"trailing input after term: {t!r}", i)
+                return out
 
 
 # ---------------------------------------------------------------------------
@@ -818,39 +1018,58 @@ class _Prover(_Base):
         """The proof term of a solved judgment, with ``names`` naming the
         members in scope.  A step's taus name their ids in ``names`` itself,
         the later of two taus with one id winning, and the entries they
-        shadow are put back once the step's subproof is extracted."""
-        record = self.solved_lookup(added, gid)
-        assert record is not None, "extraction requires a solved judgment"
-        mid, t_assign, children, child_added = record
-        scheme = self.entries[mid].scheme
-        term: ProofTerm = PVar(names[mid])
-        seen_vars = 0
-        for i, step in enumerate(scheme.steps):
-            for v in scheme.top_vars[seen_vars : step.vars_visible]:
-                term = OApp(term, t_assign[v])
-            seen_vars = step.vars_visible
-            # the taus are instantiated already
-            taus, tau_ids, _, child_gid = children[i]
-            abs_info: list[tuple[str, Formula]] = []
-            shadowed: list[tuple[int, str | None]] = []
-            for tau, tid in zip(taus, tau_ids):
-                name = f"X{next(counter)}"
-                abs_info.append((name, tau))
-                shadowed.append((tid, names.get(tid)))
-                names[tid] = name
-            body = self.extract(child_added[i], child_gid, names, counter)
-            # in reverse, so an id two taus share gets its first entry back
-            for tid, old in reversed(shadowed):
-                if old is None:
-                    del names[tid]
-                else:
-                    names[tid] = old
-            for name, annot in reversed(abs_info):
-                body = PAbs(name, annot, body)
-            term = PApp(term, body)
-        for v in scheme.top_vars[seen_vars:]:
-            term = OApp(term, t_assign[v])
-        return term
+        shadow are put back once the step's subproof is extracted.
+
+        Subproofs are extracted in step order, as a recursion would, with a
+        frame per member instance waiting for a step's subproof: its record,
+        the step, its term so far and the names its taus took and shadowed.
+        """
+        frames: list[tuple] = []
+        while True:
+            record = self.solved_lookup(added, gid)
+            assert record is not None, "extraction requires a solved judgment"
+            mid, t_assign, children, child_added = record
+            scheme = self.entries[mid].scheme
+            term: ProofTerm = PVar(names[mid])
+            i = 0
+            while True:
+                steps = scheme.steps
+                seen_vars = steps[i - 1].vars_visible if i else 0
+                if i < len(steps):
+                    for v in scheme.top_vars[seen_vars : steps[i].vars_visible]:
+                        term = OApp(term, t_assign[v])
+                    # the taus are instantiated already
+                    taus, tau_ids, _, child_gid = children[i]
+                    abs_info: list[tuple[str, Formula]] = []
+                    shadowed: list[tuple[int, str | None]] = []
+                    for tau, tid in zip(taus, tau_ids):
+                        name = f"X{next(counter)}"
+                        abs_info.append((name, tau))
+                        shadowed.append((tid, names.get(tid)))
+                        names[tid] = name
+                    frames.append(
+                        (scheme, t_assign, children, child_added, i, term, abs_info, shadowed)
+                    )
+                    added, gid = child_added[i], child_gid
+                    break
+                for v in scheme.top_vars[seen_vars:]:
+                    term = OApp(term, t_assign[v])
+                if not frames:
+                    return term
+                body = term
+                scheme, t_assign, children, child_added, i, term, abs_info, shadowed = (
+                    frames.pop()
+                )
+                # in reverse, so an id two taus share gets its first entry back
+                for tid, old in reversed(shadowed):
+                    if old is None:
+                        del names[tid]
+                    else:
+                        names[tid] = old
+                for name, annot in reversed(abs_info):
+                    body = PAbs(name, annot, body)
+                term = PApp(term, body)
+                i += 1
 
 
 def _freeze(f: Formula) -> tuple[Formula, AlphaKey, Survey]:

@@ -286,12 +286,13 @@ def find_soup(
     if an is None:
         an = analysis(phi)
     sig = an.sig
-    if addr_len is None:
-        addr_len = certified_addr_len(an, deadline=deadline)
-    options = _question_options(an)
+    # decide first: a provable formula needs no address space and no options
     failed = failed_judgments(sig.phi, deadline)
     if failed is None:
         return None
+    if addr_len is None:
+        addr_len = certified_addr_len(an, deadline=deadline)
+    options = _question_options(an)
 
     def refuted(need: frozenset, goal: AtomF) -> bool:
         if any(need <= m for m in failed.get(goal, ())):

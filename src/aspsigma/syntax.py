@@ -446,8 +446,36 @@ def alpha_key(f: Formula) -> AlphaKey:
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
-    # syntactic equality implies alpha-equivalence, and is cheaper to test
-    return f is g or f == g or alpha_key(f) == alpha_key(g)
+    """Whether ``f`` and ``g`` are alpha-equivalent.
+
+    Syntactic equality implies it and is cheaper to test, so the two trees
+    are compared first, pair by pair on a stack of their own (``==`` on them
+    would recurse once per level), and a shared subtree is passed over.  An
+    atom binds nothing, so it is alpha-equivalent only to an equal atom; any
+    other pair that differs compares its flat keys.
+    """
+    stack = [(f, g)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        cls = type(x)
+        if cls is not type(y):
+            break
+        if cls is Impl:
+            stack.append((x.rhs, y.rhs))
+            stack.append((x.lhs, y.lhs))
+        elif cls is Forall:
+            if x.var != y.var:
+                break
+            stack.append((x.body, y.body))
+        elif x != y:
+            break
+    else:
+        return True
+    if type(f) is AtomF or type(g) is AtomF:
+        return False
+    return alpha_key(f) == alpha_key(g)
 
 
 class Survey(NamedTuple):

@@ -38,6 +38,14 @@ expanded is sent back into the search to be cut, and passes repeat until the
 solved table stops growing.  ``proofs._Prover.run`` must give its verdict and,
 through ``extract``, its certificate.
 
+``reference_extract``, ``reference_infer`` with ``reference_check_explain``,
+``reference_is_lnf`` and ``reference_fmt_term`` are the certificate path as
+it was before it kept its own stacks: one call per proof level or node, and
+one ``Environment.bind`` copy of the scope per proof abstraction.
+``proofs._Prover.extract``, ``check_explain``, ``is_lnf`` and ``fmt_term``
+must give what they give, trail texts included.  ``reference_parse_term``
+below is the recursive descent that ``parse_term`` is compared with.
+
 ``reference_alpha_key`` is the key-only walk ``syntax.alpha_key`` made before
 the key was read from ``syntax.survey``; ``peel_sigma1`` and ``decompose_pi1``
 are the checked decompositions the prover used before ``survey`` decided the
@@ -937,6 +945,177 @@ def reference_run(prover, goal):
             return True
         if sum(len(v) for v in prover.solved.values()) == size_before:
             return False
+
+
+# ---------------------------------------------------------------------------
+# The certificate path as recursions
+# ---------------------------------------------------------------------------
+
+
+def reference_extract(prover, added, gid, names, counter):
+    """The proof term of a solved judgment, one call per proof level; a
+    drop-in for ``proofs._Prover.extract``."""
+    record = prover.solved_lookup(added, gid)
+    assert record is not None, "extraction requires a solved judgment"
+    mid, t_assign, children, child_added = record
+    scheme = prover.entries[mid].scheme
+    term = PVar(names[mid])
+    seen_vars = 0
+    for i, step in enumerate(scheme.steps):
+        for v in scheme.top_vars[seen_vars : step.vars_visible]:
+            term = OApp(term, t_assign[v])
+        seen_vars = step.vars_visible
+        taus, tau_ids, _, child_gid = children[i]
+        abs_info = []
+        shadowed = []
+        for tau, tid in zip(taus, tau_ids):
+            name = f"X{next(counter)}"
+            abs_info.append((name, tau))
+            shadowed.append((tid, names.get(tid)))
+            names[tid] = name
+        body = reference_extract(prover, child_added[i], child_gid, names, counter)
+        for tid, old in reversed(shadowed):
+            if old is None:
+                del names[tid]
+            else:
+                names[tid] = old
+        for name, annot in reversed(abs_info):
+            body = PAbs(name, annot, body)
+        term = PApp(term, body)
+    for v in scheme.top_vars[seen_vars:]:
+        term = OApp(term, t_assign[v])
+    return term
+
+
+class ReferenceCheckFailure(Exception):
+    def __init__(self, trail):
+        self.trail = trail
+        super().__init__("; ".join(trail))
+
+
+def _reference_alpha_eq(f, g):
+    return f is g or f == g or alpha_key(f) == alpha_key(g)
+
+
+def reference_infer(env, term):
+    """The type of ``term`` under ``env``, one call per node and one
+    ``Environment.bind`` copy per proof abstraction."""
+    if isinstance(term, PVar):
+        f = env.lookup(term.name)
+        if f is None:
+            raise ReferenceCheckFailure([f"unbound proof variable {term.name}"])
+        return f
+    if isinstance(term, PAbs):
+        body = reference_infer(env.bind(term.var, term.annot), term.body)
+        return Impl(term.annot, body)
+    if isinstance(term, OAbs):
+        for name, f in env.decls:
+            if term.var in free_vars(f):
+                raise ReferenceCheckFailure(
+                    [
+                        f"eigenvariable violation: {term.var} is free in the "
+                        f"declaration of {name}"
+                    ]
+                )
+        return Forall(term.var, reference_infer(env, term.body))
+    if isinstance(term, PApp):
+        fn = reference_infer(env, term.fn)
+        if not isinstance(fn, Impl):
+            raise ReferenceCheckFailure(
+                [f"applied a term of non-implication type {fmt_formula(fn)}"]
+            )
+        arg = reference_infer(env, term.arg)
+        if not _reference_alpha_eq(arg, fn.lhs):
+            raise ReferenceCheckFailure(
+                [
+                    f"argument type {fmt_formula(arg)} does not match the "
+                    f"expected premise {fmt_formula(fn.lhs)}"
+                ]
+            )
+        return fn.rhs
+    if isinstance(term, OApp):
+        fn = reference_infer(env, term.fn)
+        if not isinstance(fn, Forall):
+            raise ReferenceCheckFailure(
+                [f"object-applied a term of non-universal type {fmt_formula(fn)}"]
+            )
+        return substitute(fn.body, {fn.var: term.arg})
+    raise TypeError(term)
+
+
+def reference_check_explain(env, term, goal):
+    try:
+        got = reference_infer(env, term)
+    except ReferenceCheckFailure as e:
+        return False, e.trail
+    if _reference_alpha_eq(got, goal):
+        return True, []
+    return False, [
+        f"term has type {fmt_formula(got)} but the goal is {fmt_formula(goal)}"
+    ]
+
+
+def reference_is_lnf(env, term, typ):
+    """The long-normal-form predicate, one call per abstraction and per
+    proof argument of a spine."""
+    if isinstance(typ, Forall):
+        if not isinstance(term, OAbs):
+            return False
+        body_typ = substitute(typ.body, {typ.var: var(term.var)})
+        return reference_is_lnf(env, term.body, body_typ)
+    if isinstance(typ, Impl):
+        if not isinstance(term, PAbs):
+            return False
+        return reference_is_lnf(env.bind(term.var, term.annot), term.body, typ.rhs)
+    spine = []
+    head = term
+    while isinstance(head, (PApp, OApp)):
+        spine.append(head.arg)
+        head = head.fn
+    if not isinstance(head, PVar):
+        return False
+    head_typ = env.lookup(head.name)
+    if head_typ is None:
+        return False
+    for arg in reversed(spine):
+        if isinstance(arg, Term):
+            if not isinstance(head_typ, Forall):
+                return False
+            head_typ = substitute(head_typ.body, {head_typ.var: arg})
+        else:
+            if not isinstance(head_typ, Impl):
+                return False
+            if not reference_is_lnf(env, arg, head_typ.lhs):
+                return False
+            head_typ = head_typ.rhs
+    return isinstance(head_typ, AtomF)
+
+
+def reference_fmt_term(t):
+    """The certificate text of ``t``, one nested f-string per node."""
+    if isinstance(t, PVar):
+        return t.name
+    if isinstance(t, PAbs):
+        annot = fmt_formula(t.annot)
+        if not isinstance(t.annot, AtomF):
+            annot = f"({annot})"
+        return f"\\{t.var}:{annot}. {reference_fmt_term(t.body)}"
+    if isinstance(t, OAbs):
+        return f"\\{t.var}. {reference_fmt_term(t.body)}"
+    parts = []
+    head = t
+    while isinstance(head, (PApp, OApp)):
+        arg = head.arg
+        if isinstance(arg, (Term, PVar)):
+            parts.append(arg.name)
+        else:
+            parts.append(f"({reference_fmt_term(arg)})")
+        head = head.fn
+    if isinstance(head, PVar):
+        parts.append(head.name)
+    else:
+        parts.append(f"({reference_fmt_term(head)})")
+    return " ".join(reversed(parts))
 
 
 # ---------------------------------------------------------------------------

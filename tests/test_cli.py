@@ -115,10 +115,23 @@ def test_entail_wide_negation_free_program(files):
     assert run(["entail", path, "e(c5, c1)"]) == EXIT_NEGATIVE
 
 
-def test_prove_too_deep_is_budget_not_negative(files, capsys):
-    # provable: a0 -> (a0 -> a1) -> ... -> (a999 -> a1000) -> a1000
+def test_prove_too_deep_is_budget_not_negative(files, capsys, monkeypatch):
+    # provable: a0 -> (a0 -> a1) -> ... -> (a999 -> a1000) -> a1000; its proof
+    # is 1000 levels deep, and is found, printed and checked all the same
     steps = [f"(a{i} -> a{i + 1})" for i in range(1000)]
     f = files("chain.sig1", " -> ".join(["a0"] + steps + ["a1000"]) + "\n")
+    assert run(["prove", f]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("PROVABLE\n")
+    cert = files("chain.cert", out.split("\n", 1)[1])
+    assert run(["check", cert, f]) == EXIT_OK
+    assert capsys.readouterr().out == "ACCEPTED (long normal form)\n"
+
+    # a command that runs out of stack gives no verdict: exit 3, not 1
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_prove", too_deep)
     assert run(["prove", f]) == EXIT_BUDGET
     assert capsys.readouterr().err.startswith("error: input too deep")
 

@@ -632,6 +632,27 @@ def test_soup_search_scales_on_a_2000_step_chain():
     assert time.monotonic() - start < 2.0
 
 
+def test_a_provable_formula_never_sizes_the_address_space(monkeypatch):
+    # find_soup decides first, so a provable formula returns None before
+    # certified_addr_len and _question_options run
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("certified_addr_len", "_question_options"):
+        monkeypatch.setattr(soups, name, spy(name, getattr(soups, name)))
+    assert find_soup(parse_formula("q -> (q -> a) -> (a -> b) -> b")) is None
+    assert calls == []
+    # a refutable formula still sizes it, once
+    assert find_soup(parse_formula("b -> a")) is not None
+    assert calls == ["certified_addr_len", "_question_options"]
+
+
 def test_soup_check_scales_on_a_refutable_1000_step_chain():
     # (a1 -> a0) -> ... -> (a1000 -> a999) -> a0 is refuted by a soup of
     # 1001 judgments, each context holding up to 1000 members; the check
