@@ -83,8 +83,8 @@ checker accepts.  The certificate path (``_Prover.extract``, ``infer`` and
 stacks and visits the nodes in the order a recursion would, so a proof of any
 depth is extracted, checked, printed and read back in time linear in its size,
 and meets no recursion limit.  The checker binds proof variables in one scope
-per call (``_Scope``), undoing a binding when its binder's frame pops, where a
-copy of the scope per binder made deep proofs quadratic.
+per call (``_Scope``) and undoes a binding when its binder's frame pops, so no
+binder copies the scope.
 """
 
 from __future__ import annotations
