@@ -504,7 +504,7 @@ def fmt_term(t: ProofTerm) -> str:
             elif cls is PVar:
                 parts.append(t.name)
                 break
-            else:
+            elif cls is PApp or cls is OApp:
                 # an application spine: the arguments, last first, go on the
                 # stack after the head's closing parenthesis, if it has one
                 head = t
@@ -522,6 +522,8 @@ def fmt_term(t: ProofTerm) -> str:
                 parts.append("(")
                 todo.append(")")
                 t = head
+            else:
+                raise TypeError(t)
     return "".join(parts)
 
 

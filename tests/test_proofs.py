@@ -180,6 +180,12 @@ def test_term_print_parse_round_trip():
     assert parse_term(fmt_term(t)) == t
 
 
+def test_fmt_term_rejects_what_is_not_a_term():
+    for bad in (None, a, PApp(a, PVar("X")), OAbs("x", None)):
+        with pytest.raises(TypeError):
+            fmt_term(bad)
+
+
 def test_term_parse_nested():
     t = parse_term("\\X:(a -> b). \\Y:a. X Y")
     assert t == PAbs("X", Impl(a, b), PAbs("Y", a, PApp(PVar("X"), PVar("Y"))))
