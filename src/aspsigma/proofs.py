@@ -29,6 +29,27 @@ certificates are those of that loop.  The failed judgments of the last pass
 are thus a refutation (``failed_judgments``), and ``soups.find_soup`` builds
 its soup from them.
 
+A solved judgment is filed under the members its proof uses, not under its
+whole context.  That used set is the record's own member, unless it is a base
+member, joined with each premise's used set minus the premise's new taus,
+which the step discharges.  A premise's used set is the one of the record
+that answered it, the one ``known`` matched or the one the premise's own
+expansion filed, so no solved list is scanned twice.  By weakening, a proof
+from the members U proves its goal from any context that contains U, so the
+record answers every judgment on its goal whose added set includes U:
+``known``, ``solved_lookup``, ``extract`` and the stopping rule read the
+table with the same inclusion test as for whole contexts.  This is what
+lets a refutation of a program's translation reuse a lemma across case
+splits: each axiom ``forall z. (q(z) -> lupa) -> (bar_q(z) -> lupa) ->
+lupa`` adds a split atom per branch, and a sub-proof that uses none of them
+is found once and answers under every split assignment, where a record filed
+under its whole context answered only the extensions of that assignment.
+The soundness argument above is unchanged: failures are still recorded under
+whole contexts, and a solved lookup only ever answers True, for a judgment
+that is provable.  ``extract`` looks each premise up by its used set, which
+the names in scope there cover, and finds the record the search used or one
+filed before it, so the walk ends.
+
 Context members are interned: each alpha-equivalence class gets a dense
 integer id the first time it is met, so a context is a set of ids added to
 the initial context.  A class is looked up by its ``syntax.alpha_key``, a
@@ -763,7 +784,8 @@ class _Prover(_Base):
         # the tables below and the dfs stack key a goal by its id
         self.goals: list[AtomF] = []
         self.goal_ids: dict[AtomF, int] = {}
-        # solved[goal id] -> list of (added_set, record); insertion order matters
+        # solved[goal id] -> list of (used set, record), the used set being
+        # the added members the record's proof uses; insertion order matters
         self.solved: dict[int, list[tuple[frozenset[int], tuple]]] = {}
         self.failed: dict[int, list[frozenset[int]]] = {}
         # the judgments the current pass cut because they were on the stack
@@ -906,19 +928,23 @@ class _Prover(_Base):
     # -- search ------------------------------------------------------------
 
     def solved_lookup(self, added: frozenset[int], gid: int):
-        for added2, record in self.solved.get(gid, ()):
-            if added2 <= added:
+        for used, record in self.solved.get(gid, ()):
+            if used <= added:
                 return record
         return None
 
-    def known(self, added: frozenset[int], gid: int, stack: set) -> bool | None:
-        """The answer this pass gives the judgment without expanding it:
-        solved, recorded failed, or cut because it is on ``stack``; None when
-        the search must expand it."""
+    def known(
+        self, added: frozenset[int], gid: int, stack: set
+    ) -> frozenset[int] | bool | None:
+        """The answer this pass gives the judgment without expanding it: the
+        used set of a solved record that answers it, False when it is
+        recorded failed or cut because it is on ``stack``, and None when the
+        search must expand it.  An empty used set is falsy: callers test for
+        False and None."""
         check_deadline(self.deadline, "proof search")
-        for added2, _ in self.solved.get(gid, ()):
-            if added2 <= added:
-                return True
+        for used, _ in self.solved.get(gid, ()):
+            if used <= added:
+                return used
         for added2 in self.failed.get(gid, ()):
             if added <= added2:
                 return False
@@ -934,14 +960,16 @@ class _Prover(_Base):
         waiting for a premise lives on ``frames`` with its attempts, the
         record of its current attempt and the rest of that attempt's
         premises.  A premise that ``known`` answers is decided in place; only
-        one it leaves open is expanded."""
-        known, child_data = self.known, self.child_data
+        one it leaves open is expanded.  ``used`` carries the answer of the
+        last judgment decided, as ``known`` gives it: a used set when it is
+        solved, else False."""
+        known, child_data, base_set = self.known, self.child_data, self.base_set
         stack: set[tuple[frozenset[int], int]] = set()
         frames: list[tuple] = []
-        added, gid = frozenset(), root
-        ok = known(added, gid, stack)
-        if ok is not None:
-            return ok
+        added, gid = _NO_IDS, root
+        used = known(added, gid, stack)
+        if used is not None:
+            return used is not False
         while True:
             j = (added, gid)
             self.judgments_seen.add(j)
@@ -957,49 +985,52 @@ class _Prover(_Base):
                 if premises is None:
                     for mid, t_assign in attempts:
                         children = child_data(mid, t_assign)
-                        child_added: list[frozenset[int]] = []
-                        record = (mid, t_assign, children, child_added)
+                        # per premise proved, the used set of its proof
+                        child_used: list[frozenset[int]] = []
+                        record = (mid, t_assign, children, child_used)
                         premises = iter(children)
                         break
                     else:
                         self.failed.setdefault(gid, []).append(added)
-                        ok = False
+                        used = False
                 if premises is not None:
-                    ok = True
                     for _, _, new, child_gid in premises:
                         if new <= added:
                             # a premise that asks this judgment again would
                             # only be cut: the instance fails here
                             if child_gid == gid:
-                                ok = False
+                                used = False
                                 break
                             sub = added
                         else:
                             sub = added | new
-                        ok = known(sub, child_gid, stack)
-                        if not ok:
+                        used = known(sub, child_gid, stack)
+                        if used is None or used is False:
                             break
-                        child_added.append(sub)
-                    if ok is None:
+                        child_used.append(used)
+                    else:
+                        mid, _, children, _ = record
+                        own = _NO_IDS if mid in base_set else frozenset((mid,))
+                        used = _uses(own, children, child_used)
+                        self.solved.setdefault(gid, []).append((used, record))
+                    if used is None:
                         frames.append(
-                            (added, gid, attempts, record, child_added, premises)
+                            (added, gid, attempts, record, child_used, premises)
                         )
                         added, gid = sub, child_gid
                         break
-                    if not ok:
+                    if used is False:
                         premises = None
                         continue
-                    self.solved.setdefault(gid, []).append((added, record))
-                # the judgment is decided: hand ``ok`` to the one that asked it
+                # the judgment is decided: hand ``used`` to the one that asked it
                 stack.discard((added, gid))
                 if not frames:
-                    return ok
-                sub = added
-                added, gid, attempts, record, child_added, premises = frames.pop()
-                if ok:
-                    child_added.append(sub)
-                else:
+                    return used is not False
+                added, gid, attempts, record, child_used, premises = frames.pop()
+                if used is False:
                     premises = None
+                else:
+                    child_used.append(used)
 
     def run(self, goal: AtomF) -> bool:
         gid = self.goal_id(goal)
@@ -1030,7 +1061,7 @@ class _Prover(_Base):
         while True:
             record = self.solved_lookup(added, gid)
             assert record is not None, "extraction requires a solved judgment"
-            mid, t_assign, children, child_added = record
+            mid, t_assign, children, child_used = record
             scheme = self.entries[mid].scheme
             term: ProofTerm = PVar(names[mid])
             i = 0
@@ -1050,16 +1081,16 @@ class _Prover(_Base):
                         shadowed.append((tid, names.get(tid)))
                         names[tid] = name
                     frames.append(
-                        (scheme, t_assign, children, child_added, i, term, abs_info, shadowed)
+                        (scheme, t_assign, children, child_used, i, term, abs_info, shadowed)
                     )
-                    added, gid = child_added[i], child_gid
+                    added, gid = child_used[i], child_gid
                     break
                 for v in scheme.top_vars[seen_vars:]:
                     term = OApp(term, t_assign[v])
                 if not frames:
                     return term
                 body = term
-                scheme, t_assign, children, child_added, i, term, abs_info, shadowed = (
+                scheme, t_assign, children, child_used, i, term, abs_info, shadowed = (
                     frames.pop()
                 )
                 # in reverse, so an id two taus share gets its first entry back
@@ -1072,6 +1103,24 @@ class _Prover(_Base):
                     body = PAbs(name, annot, body)
                 term = PApp(term, body)
                 i += 1
+
+
+_NO_IDS: frozenset[int] = frozenset()
+
+
+def _uses(
+    used: frozenset[int], children: tuple, child_used: list[frozenset[int]]
+) -> frozenset[int]:
+    """The used set of a record: ``used``, the record's own member unless it
+    is a base member, joined with each premise's used set minus the taus that
+    premise discharges.  No set is built where one side is empty."""
+    for (_, _, new, _), u in zip(children, child_used):
+        if u:
+            if new and not new.isdisjoint(u):
+                u = u - new
+            if u and not u <= used:
+                used = used | u if used else u
+    return used
 
 
 def _freeze(f: Formula) -> tuple[Formula, AlphaKey, Survey]:

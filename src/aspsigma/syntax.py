@@ -573,61 +573,93 @@ def fmt_atomf(f: AtomF) -> str:
 
 
 def fmt_formula(f: Formula) -> str:
+    """The text of ``f``: implications right associated, with a premise that
+    is not an atom in parentheses, and quantifiers as ``forall x. body``.
+
+    The text is one list of parts.  A parenthesized premise is printed
+    before its implication's conclusion, which waits on ``rests``; each
+    premise closes where its own chain of conclusions ends, at an atom, so
+    ``) -> `` is all that goes between the two.  No level is a call, so a
+    formula of any depth meets no recursion limit.
+    """
     parts: list[str] = []
+    rests: list[Formula] = []
     while True:
-        if isinstance(f, AtomF):
-            parts.append(fmt_atomf(f))
-            return "".join(parts)
-        if isinstance(f, Impl):
-            lhs = fmt_formula(f.lhs)
-            if not isinstance(f.lhs, AtomF):
-                lhs = f"({lhs})"
-            parts.append(f"{lhs} -> ")
-            f = f.rhs
-        elif isinstance(f, Forall):
+        cls = type(f)
+        if cls is Impl:
+            lhs = f.lhs
+            if type(lhs) is AtomF:
+                parts.append(fmt_atomf(lhs) + " -> ")
+                f = f.rhs
+            else:
+                parts.append("(")
+                rests.append(f.rhs)
+                f = lhs
+        elif cls is Forall:
             parts.append(f"forall {f.var}. ")
             f = f.body
+        elif cls is AtomF:
+            parts.append(fmt_atomf(f))
+            if not rests:
+                return "".join(parts)
+            parts.append(") -> ")
+            f = rests.pop()
         else:
             raise TypeError(f)
+
+
+def _fmt_key_atom(key: AlphaKey, i: int) -> tuple[str, int]:
+    """The text of the atom at ``key[i]``, and the index after it."""
+    pred, n = key[i], key[i + 1]
+    i += 2
+    args: list[str] = []
+    for _ in range(n):
+        t = key[i]
+        if t is None:
+            args.append(key[i + 1])
+            i += 2
+        else:
+            args.append(f"${t}" if type(t) is int else t)
+            i += 1
+    return (pred + "(" + ",".join(args) + ")" if args else pred), i
 
 
 def fmt_key(key: AlphaKey) -> str:
     """The text ``fmt_formula`` prints for the formula with alpha key ``key``
     once its binders are named ``$1``, ``$2``, ... in preorder, the order
-    ``survey`` numbers them in: one text per alpha-equivalence class."""
+    ``survey`` numbers them in: one text per alpha-equivalence class.
+
+    The key lists the nodes in the order they are printed, so one pass
+    prints it: as in ``fmt_formula``, a parenthesized premise closes at the
+    atom that ends its chain of conclusions, and a count of the premises
+    still open is all the pass keeps.
+    """
+    parts: list[str] = []
     binders = 0
-
-    def walk(i: int) -> tuple[str, int]:
-        # the text of the node at key[i], and the index after it
-        nonlocal binders
-        parts: list[str] = []
-        while True:
-            tag = key[i]
-            if tag == _IMPL_TAG:
-                # an atom starts with its predicate name, any other node a tag
-                atom = type(key[i + 1]) is str
-                lhs, i = walk(i + 1)
-                parts.append(f"{lhs} -> " if atom else f"({lhs}) -> ")
-            elif tag == _FORALL_TAG:
-                binders += 1
-                parts.append(f"forall ${binders}. ")
-                i += 1
+    opened = 0
+    i = 0
+    while True:
+        tag = key[i]
+        if tag == _IMPL_TAG:
+            # an atom starts with its predicate name, any other node a tag
+            if type(key[i + 1]) is str:
+                lhs, i = _fmt_key_atom(key, i + 1)
+                parts.append(lhs + " -> ")
             else:
-                break
-        n, i = key[i + 1], i + 2
-        args: list[str] = []
-        for _ in range(n):
-            t = key[i]
-            if t is None:
-                args.append(key[i + 1])
-                i += 2
-            else:
-                args.append(f"${t}" if type(t) is int else t)
+                parts.append("(")
+                opened += 1
                 i += 1
-        parts.append(tag + "(" + ",".join(args) + ")" if args else tag)
-        return "".join(parts), i
-
-    return walk(0)[0]
+        elif tag == _FORALL_TAG:
+            binders += 1
+            parts.append(f"forall ${binders}. ")
+            i += 1
+        else:
+            atom, i = _fmt_key_atom(key, i)
+            parts.append(atom)
+            if not opened:
+                return "".join(parts)
+            parts.append(") -> ")
+            opened -= 1
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,11 @@ when ``reference_alpha_canon`` makes their formulas equal, and
 before it kept its own stack; both must list the same occurrences, sizes
 included, in the same order.
 
+``reference_fmt_formula`` and ``reference_fmt_key`` are the two printers as
+they were before they kept their own stacks: one call per parenthesized
+premise.  ``syntax.fmt_formula`` and ``syntax.fmt_key`` must print the same
+text.
+
 ``reference_search`` is the stable-model search as it was before the engine
 kept its bounds on a trail: every propagation round recomputes ``lower`` and
 ``upper`` with two full least-fixpoint passes (``lower_upper``), and every
@@ -634,6 +639,63 @@ def reference_occurrences(f):
     return tuple(out)
 
 
+def reference_fmt_formula(f):
+    """``syntax.fmt_formula`` as it was before it kept its own stack: a loop
+    down the conclusions, and a call per parenthesized premise."""
+    parts = []
+    while True:
+        if isinstance(f, AtomF):
+            parts.append(f.pred + "(" + ",".join(t.name for t in f.args) + ")" if f.args else f.pred)
+            return "".join(parts)
+        if isinstance(f, Impl):
+            lhs = reference_fmt_formula(f.lhs)
+            if not isinstance(f.lhs, AtomF):
+                lhs = f"({lhs})"
+            parts.append(f"{lhs} -> ")
+            f = f.rhs
+        elif isinstance(f, Forall):
+            parts.append(f"forall {f.var}. ")
+            f = f.body
+        else:
+            raise TypeError(f)
+
+
+def reference_fmt_key(key):
+    """``syntax.fmt_key`` as it was before it printed in one pass: a call per
+    premise, each returning its text and the index after it."""
+    binders = 0
+
+    def walk(i):
+        nonlocal binders
+        parts = []
+        while True:
+            tag = key[i]
+            if tag == 0:  # an implication
+                atom = type(key[i + 1]) is str
+                lhs, i = walk(i + 1)
+                parts.append(f"{lhs} -> " if atom else f"({lhs}) -> ")
+            elif tag == 1:  # a quantifier
+                binders += 1
+                parts.append(f"forall ${binders}. ")
+                i += 1
+            else:
+                break
+        n, i = key[i + 1], i + 2
+        args = []
+        for _ in range(n):
+            t = key[i]
+            if t is None:
+                args.append(key[i + 1])
+                i += 2
+            else:
+                args.append(f"${t}" if type(t) is int else t)
+                i += 1
+        parts.append(tag + "(" + ",".join(args) + ")" if args else tag)
+        return "".join(parts), i
+
+    return walk(0)[0]
+
+
 def reference_constants(f):
     out = set()
     stack = [f]
@@ -895,15 +957,17 @@ def reference_attempts(prover, added, goal):
 
 def _reference_dfs(prover, added, gid, stack):
     """One judgment of a pass that reads the judgments on ``stack`` as failed,
-    with the members tried as ``reference_attempts`` yields them."""
+    with the members tried as ``reference_attempts`` yields them: the used set
+    of the record that answers it, or None when it fails."""
     check_deadline(prover.deadline, "proof search")
-    if prover.solved_lookup(added, gid) is not None:
-        return True
+    for used, _ in prover.solved.get(gid, ()):
+        if used <= added:
+            return used
     if any(added <= added2 for added2 in prover.failed.get(gid, ())):
-        return False
+        return None
     j = (added, gid)
     if j in stack:
-        return False
+        return None
     prover.judgments_seen.add(j)
     if len(prover.judgments_seen) > proofs.MAX_JUDGMENTS:
         raise CapExceeded(
@@ -918,18 +982,24 @@ def _reference_dfs(prover, added, gid, stack):
             if entry.scheme is None:
                 entry.compile()
             children = prover.child_data(mid, t_assign)
-            child_added = []
+            child_used = []
             for _, _, new, child_gid in children:
                 sub = added if new <= added else added | new
-                if not _reference_dfs(prover, sub, child_gid, stack):
+                used = _reference_dfs(prover, sub, child_gid, stack)
+                if used is None:
                     break
-                child_added.append(sub)
+                child_used.append(used)
             else:
-                record = (mid, t_assign, children, child_added)
-                prover.solved.setdefault(gid, []).append((added, record))
-                return True
+                # the record's own member, unless a base member, and what
+                # each premise's proof uses beyond the taus it discharges
+                used = frozenset({mid}) - prover.base_set
+                for (_, _, new, _), u in zip(children, child_used):
+                    used |= u - new
+                record = (mid, t_assign, children, child_used)
+                prover.solved.setdefault(gid, []).append((used, record))
+                return used
         prover.failed.setdefault(gid, []).append(added)
-        return False
+        return None
     finally:
         stack.discard(j)
 
@@ -941,7 +1011,7 @@ def reference_run(prover, goal):
     while True:
         size_before = sum(len(v) for v in prover.solved.values())
         prover.failed = {}
-        if _reference_dfs(prover, frozenset(), gid, set()):
+        if _reference_dfs(prover, frozenset(), gid, set()) is not None:
             return True
         if sum(len(v) for v in prover.solved.values()) == size_before:
             return False

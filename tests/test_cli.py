@@ -285,6 +285,17 @@ def test_soup_find_provable(files):
     assert run(["soup-find", f]) == EXIT_NEGATIVE
 
 
+def test_soup_find_refutes_a_2000_deep_left_nested_formula(files, capsys):
+    # ((...((a0 -> a1) -> a2) ...) -> a2000) -> b nests its premises 2000
+    # deep: the key texts of the analysis and the written soup print them
+    # on the printers' own stacks
+    text = "(" * 2000 + "a0 -> a1" + "".join(f") -> a{i}" for i in range(2, 2001))
+    f = files("deep.sig1", text + ") -> b\n")
+    assert run(["soup-find", f]) == EXIT_OK
+    soup = files("deep.soup", capsys.readouterr().out)
+    assert run(["soup-check", f, soup]) == EXIT_OK
+
+
 def test_roundtrip_asp_driver():
     spec = CorpusSpec(count=25, seed=3)
     reports = roundtrip_asp(spec, timeout=10.0)

@@ -264,9 +264,10 @@ def _arity2_formula(i):
 
 
 def test_find_soup_raises_soon_after_its_deadline():
-    # the prover does not decide the translation of arity-2 instance 65; it
-    # checks the deadline once per judgment, so the search raises within a
-    # slack that a 2-vCPU machine keeps under load
+    # the prover refutes the translation of arity-2 instance 65 at once, but
+    # the reachable cone that bounds its soup's addresses does not finish in
+    # 3 s; the cone checks the deadline as it grows, so the search raises
+    # within a slack that a 2-vCPU machine keeps under load
     phi = _arity2_formula(65)
     start = time.monotonic()
     with pytest.raises(BudgetExceeded):

@@ -39,6 +39,8 @@ from oracle import (
     reference_alpha_key,
     reference_classify,
     reference_constants,
+    reference_fmt_formula,
+    reference_fmt_key,
     reference_occurrences,
     reference_rectify,
 )
@@ -345,6 +347,28 @@ def test_alpha_key_agrees_with_alpha_canon(pair):
         reference_alpha_canon(f) == reference_alpha_canon(g)
     )
     assert fmt_key(alpha_key(f)) == fmt_formula(reference_alpha_canon(f))
+
+
+@given(_ALPHA_FORMULAS)
+# a premise nested in a premise, and one under a quantifier
+@example(Impl(Impl(Impl(A, B), Forall("x", Impl(P(_X), A))), Q))
+def test_the_printers_match_their_recursive_references(f):
+    assert fmt_formula(f) == reference_fmt_formula(f)
+    key = alpha_key(f)
+    assert fmt_key(key) == reference_fmt_key(key)
+
+
+def test_a_2000_deep_left_nested_formula_prints():
+    # ((...((a0 -> a1) -> a2) ...) -> a2000) -> b nests its premises 2000
+    # deep; the recursive printers exceed Python's default recursion limit
+    f = AtomF("a0")
+    for i in range(1, 2001):
+        f = Impl(f, AtomF(f"a{i}"))
+    f = Impl(f, AtomF("b"))
+    text = "(" * 2000 + "a0 -> a1" + "".join(f") -> a{i}" for i in range(2, 2001)) + ") -> b"
+    assert fmt_formula(f) == text
+    assert fmt_key(alpha_key(f)) == text
+    assert alpha_key(parse_formula(text)) == alpha_key(f)
 
 
 @given(_ALPHA_FORMULAS)
