@@ -1009,9 +1009,10 @@ class _Prover(_Base):
                             break
                         child_used.append(used)
                     else:
-                        mid, _, children, _ = record
-                        own = _NO_IDS if mid in base_set else frozenset((mid,))
-                        used = _uses(own, children, child_used)
+                        mid = record[0]
+                        used = _NO_IDS if mid in base_set else frozenset((mid,))
+                        if any(child_used):
+                            used = _uses(used, record[2], child_used)
                         self.solved.setdefault(gid, []).append((used, record))
                     if used is None:
                         frames.append(
@@ -1113,7 +1114,8 @@ def _uses(
 ) -> frozenset[int]:
     """The used set of a record: ``used``, the record's own member unless it
     is a base member, joined with each premise's used set minus the taus that
-    premise discharges.  No set is built where one side is empty."""
+    premise discharges.  No set is built where one side is empty, and the
+    search calls this only when some premise's used set is not."""
     for (_, _, new, _), u in zip(children, child_used):
         if u:
             if new and not new.isdisjoint(u):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import aspsigma
 from aspsigma.asp_to_logic import model_context, translate
 from aspsigma import proofs
-from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_programs
+from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
 from aspsigma.engine import program_base, sms_entails
 from aspsigma.errors import BudgetExceeded, CapExceeded, FormulaError
 from aspsigma.parsing import parse_formula
@@ -679,6 +679,7 @@ def test_case_certificates_are_pinned():
     # proved in acceptance 8's order, so one base serves all of a program's
     # models; every call building its own prover gives the same digest
     h = hashlib.sha256()
+    provable = 0
     for p in gen_programs(CorpusSpec(count=500, seed=0)):
         base = sorted(program_base(p))
         if len(base) > 4:
@@ -688,17 +689,36 @@ def test_case_certificates_are_pinned():
             m = frozenset(a for a, keep in zip(base, bits) if keep)
             ctx = list(model_context(t, m).formulas)
             for goal in (t.vocabulary.case_a, t.vocabulary.case_b):
-                h.update((_text(prove(ctx, AtomF(goal))) + "\n").encode())
+                cert = prove(ctx, AtomF(goal))
+                provable += cert is not None
+                h.update((_text(cert) + "\n").encode())
+    assert provable == 1638
     assert h.hexdigest()[:16] == "7ae067c0e0d63f72"
 
 
 def test_sigma1_certificates_are_pinned():
     # the proof terms of the 500 seed-0 translations, not only their verdicts
+    # and the verdicts, 127 of them provable
     h = hashlib.sha256()
+    provable = 0
     for p in gen_programs(CorpusSpec(count=500, seed=0)):
         phi = translate(p, fresh_goal_atom(p)).formula
-        h.update((_text(prove_sigma1(phi)) + "\n").encode())
+        cert = prove_sigma1(phi)
+        provable += cert is not None
+        h.update((_text(cert) + "\n").encode())
+    assert provable == 127
     assert h.hexdigest()[:16] == "396d9318e4b66c69"
+
+
+def test_logic_corpus_verdicts_are_pinned():
+    # the provable ones among the 600 formulas of the logic_corpus benchmark
+    # workload, up to size 20
+    spec = CorpusSpec(count=600, seed=0, formula_max_size=20)
+    bits = "".join(
+        "0" if prove_sigma1(phi) is None else "1" for phi in gen_formulas(spec)
+    )
+    assert bits.count("1") == 122
+    assert hashlib.sha256(bits.encode()).hexdigest()[:16] == "adbeaf29fc231b46"
 
 
 def test_case_certificates_do_not_depend_on_the_call_order():
