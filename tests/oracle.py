@@ -35,8 +35,9 @@ member and one per joined premise.  At every judgment, ``proofs._Prover``'s
 ``reference_run`` is the Sigma1 search's loop of passes as it was before the
 search stopped on an unfounded pass: every premise that asks the judgment being
 expanded is sent back into the search to be cut, and passes repeat until the
-solved table stops growing.  ``proofs._Prover.run`` must give its verdict and,
-through ``extract``, its certificate.
+solved table stops growing.  It files each solved judgment under the members
+its proof uses, as the library does.  ``proofs._Prover.run`` must give its
+verdict and, through ``extract``, its certificate.
 
 ``reference_extract``, ``reference_infer`` with ``reference_check_explain``,
 ``reference_is_lnf`` and ``reference_fmt_term`` are the certificate path as

@@ -644,9 +644,8 @@ def _decide_arity2(i: int):
 
 
 def test_every_arity2_program_is_decided_within_the_cli_budget():
-    # each search takes under 0.1 s; filed under whole contexts, the solved
-    # records left 13 of these undecided at 3 s.  The certificates are
-    # pinned, and must not follow the hash seed.
+    # each search takes under 0.1 s; the certificates are pinned, and must
+    # not follow the hash seed
     h = hashlib.sha256()
     provable = 0
     for i in range(_ARITY2.count):
@@ -697,8 +696,8 @@ def test_case_certificates_are_pinned():
 
 
 def test_sigma1_certificates_are_pinned():
-    # the proof terms of the 500 seed-0 translations, not only their verdicts
-    # and the verdicts, 127 of them provable
+    # the proof terms of the 500 seed-0 translations, not only their verdicts;
+    # 127 of them are provable
     h = hashlib.sha256()
     provable = 0
     for p in gen_programs(CorpusSpec(count=500, seed=0)):
