@@ -9,24 +9,41 @@ per (subformula instance, address), questions are recognized from goals and
 heads, answer choices propagate environments and goals, and a self-blocking
 false atom forces every question to receive an answer.
 
+``analysis`` reads the formula's length, predicate arities, binder names and
+the free variables of every subformula occurrence off one pass over its
+occurrences, and builds the instance and question tables from them.
+
 ``translate`` names each atom by a plain key ``(pred, arg name, ...)`` and
 emits each clause as an integer row ``(head, pos, neg)`` into an
 ``engine.GroundProgram``; an atom gets its id the first time a clause meets
-it, head first, then the positive body, then the negated body.  The engine
-solves those rows as they are, and the soup conversions look atoms up by
-key.  ``FormulaTranslation.program`` builds ``Atom`` and ``Clause`` objects
-and checks their domain only when it is read.
+it, head first, then the positive body, then the negated body.  The emitter
+looks ids up in tables by (symbol, instance or question, address) that it
+fills on first sight, so a key is built once per atom, not once per
+occurrence; it appends rows without building a clause, counts each family
+from the sizes of its loops, and checks the deadline once per block of at
+most 4096 rows.  The engine solves the rows as they are, and the soup
+conversions look atoms up by key (``AtomBuilder``).
+``FormulaTranslation.program`` builds ``Atom`` and ``Clause`` objects only
+when it is read, and checks their domain once per atom of the table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .engine import AtomKey, GroundProgram, Model, has_stable_model
-from .errors import CapExceeded, CrossCheckError, FormulaError, check_deadline
+from .errors import (
+    ArityError,
+    CapExceeded,
+    CrossCheckError,
+    FormulaError,
+    check_deadline,
+)
 from .proofs import prove_sigma1
 from .syntax import (
     AlphaKey,
@@ -38,14 +55,10 @@ from .syntax import (
     Occurrence,
     Program,
     alpha_key,
-    binder_names,
     const,
     fmt_atomf,
     fmt_formula,
     fmt_key,
-    formula_length,
-    formula_predicates,
-    free_vars,
     occurrences,
     substitute,
     survey,
@@ -93,8 +106,56 @@ class SoupSignature:
     schemas: dict[int, QuestionSchema]
 
 
-def _question_schema(occs: tuple[Occurrence, ...], idx: int) -> QuestionSchema:
-    free = tuple(sorted(free_vars(occs[idx].formula)))
+_CLOSED: frozenset[str] = frozenset()
+
+
+def _occurrence_facts(
+    occs: tuple[Occurrence, ...],
+) -> tuple[int, dict[str, int], list[str], list[frozenset[str]]]:
+    """The formula length, the predicate arities, the binder names in
+    preorder and each occurrence's free variables, in one pass over the
+    occurrences from the last: a node's children come after it in preorder,
+    so their free variables are known when it is reached.
+
+    The pass meets the atoms from right to left, in the order of a walk that
+    visits an implication's conclusion before its premise, so a predicate
+    used with two arities raises the ``ArityError`` that walk raises."""
+    length = 0
+    arities: dict[str, int] = {}
+    binders: list[str] = []
+    free: list[frozenset[str]] = [_CLOSED] * len(occs)
+    for i in range(len(occs) - 1, -1, -1):
+        f = occs[i].formula
+        cls = type(f)
+        if cls is AtomF:
+            length += 1 + len(f.args)
+            old = arities.setdefault(f.pred, len(f.args))
+            if old != len(f.args):
+                raise ArityError(
+                    f"predicate {f.pred} used with arities {old} and {len(f.args)}"
+                )
+            names = [t.name for t in f.args if t.var]
+            if names:
+                free[i] = frozenset(names)
+        elif cls is Impl:
+            length += 1
+            lhs, rhs = free[i + 1], free[i + 1 + occs[i + 1].size]
+            free[i] = lhs | rhs if lhs and rhs else lhs or rhs
+        else:
+            length += 1
+            binders.append(f.var)
+            body = free[i + 1]
+            free[i] = body - {f.var} if f.var in body else body
+    binders.reverse()
+    return length, arities, binders, free
+
+
+def _question_schema(
+    occs: tuple[Occurrence, ...], free: list[frozenset[str]], idx: int
+) -> QuestionSchema:
+    """The question schema of the member at occurrence ``idx``; ``free`` gives
+    each occurrence's free variables, which the schema's scopes must hold."""
+    psi_fv = free[idx]
     top_vars: list[str] = []
     steps: list[SubgoalInfo] = []
     cur = idx
@@ -104,37 +165,31 @@ def _question_schema(occs: tuple[Occurrence, ...], idx: int) -> QuestionSchema:
             top_vars.append(f.var)
             cur += 1
         elif isinstance(f, AtomF):
-            schema = QuestionSchema(idx, free, tuple(top_vars), f, tuple(steps))
-            _validate_schema(occs, schema)
-            return schema
+            assert free[cur] <= psi_fv.union(top_vars)
+            return QuestionSchema(
+                idx, tuple(sorted(psi_fv)), tuple(top_vars), f, tuple(steps)
+            )
         else:
             assert isinstance(f, Impl)
+            visible = psi_fv.union(top_vars) if top_vars else psi_fv
             sigma = cur + 1
             rhs = sigma + occs[sigma].size
             taus: list[int] = []
             s = sigma
             while isinstance(occs[s].formula, Impl):
                 taus.append(s + 1)
+                assert free[s + 1] <= visible
                 s = s + 1 + occs[s + 1].size
             subgoal = occs[s].formula
             if not isinstance(subgoal, AtomF):
                 raise FormulaError(
                     f"premise is not Sigma1: {fmt_formula(occs[sigma].formula)}"
                 )
+            assert free[s] <= visible
             steps.append(
                 SubgoalInfo(len(steps) + 1, subgoal, tuple(taus), len(top_vars))
             )
             cur = rhs
-
-
-def _validate_schema(occs, schema: QuestionSchema) -> None:
-    psi_fv = set(schema.free)
-    for step in schema.steps:
-        visible = psi_fv | set(schema.top_vars[: step.vars_visible])
-        assert free_vars(step.subgoal) <= visible
-        for tau in step.descendants:
-            assert free_vars(occs[tau].formula) <= visible
-    assert free_vars(schema.head) <= psi_fv | set(schema.top_vars)
 
 
 def _signature(phi: Formula) -> SoupSignature:
@@ -143,7 +198,8 @@ def _signature(phi: Formula) -> SoupSignature:
     The signature holds the domain data, constant pool and sizes, and the
     question schema of every subformula occurrence that can appear in an
     environment: the top-level premises and, transitively, all their premise
-    descendants.
+    descendants.  One pass over the occurrences gives the sizes, the binder
+    names and the free variables the schemas read.
     """
     facts = survey(phi)
     if facts.free:
@@ -152,9 +208,8 @@ def _signature(phi: Formula) -> SoupSignature:
     if not facts.sigma1:
         raise FormulaError(f"not a Sigma1 formula: {fmt_formula(phi)}")
     occs = occurrences(phi)
-    n = formula_length(phi)
-    preds = formula_predicates(phi)
-    r = max(preds.values(), default=0)
+    n, arities, binders, free = _occurrence_facts(occs)
+    r = max(arities.values(), default=0)
     pool = sorted(facts.constants | facts.free)
     if not pool:
         fresh = "c0"
@@ -173,7 +228,7 @@ def _signature(phi: Formula) -> SoupSignature:
         idx = worklist.pop(0)
         if idx in schemas:
             continue
-        schema = _question_schema(occs, idx)
+        schema = _question_schema(occs, free, idx)
         schemas[idx] = schema
         env_occs.append(idx)
         for step in schema.steps:
@@ -184,7 +239,7 @@ def _signature(phi: Formula) -> SoupSignature:
         tuple(pool),
         n,
         r,
-        tuple(binder_names(phi)),
+        tuple(binders),
         tuple(premises),
         target,
         tuple(env_occs),
@@ -411,10 +466,7 @@ class AtomBuilder:
             (names.occ_name(p.occ),) + block(dict(p.assign)) for p in an.instances
         ]
         self.q_args = [
-            (names.occ_name(an.instances[q.inst].occ),)
-            + block(dict(an.instances[q.inst].assign))
-            + block(dict(q.t_assign))
-            for q in an.questions
+            self.inst_args[q.inst] + block(dict(q.t_assign)) for q in an.questions
         ]
         self.addr = {
             bits: tuple([names.bits[int(c)] for c in bits])
@@ -450,6 +502,34 @@ class AtomBuilder:
         return (self.names.goal_pred(g),) + self.addr[bits]
 
 
+class _Ids(dict):
+    """The ids of the atoms ``prefixes[i] + tail`` by ``i``, each read from the
+    atom table ``table`` the first time it is asked for: the key is built
+    only then, and an atom new to the table gets the next id there."""
+
+    __slots__ = ("table", "prefixes", "tail")
+
+    def __init__(self, table: dict[AtomKey, int], prefixes: list[tuple], tail: tuple):
+        self.table, self.prefixes, self.tail = table, prefixes, tail
+
+    def __missing__(self, i: int) -> int:
+        table = self.table
+        n = self[i] = table.setdefault(self.prefixes[i] + self.tail, len(table))
+        return n
+
+
+# the most items one emission block walks; a block writes at most three rows
+# an item, so no more than 4096 rows pass between two deadline checks
+_RUN = 1024
+
+
+def _runs(items):
+    """``items`` cut into consecutive slices of at most ``_RUN``."""
+    if len(items) <= _RUN:
+        return [items] if items else []
+    return [items[i : i + _RUN] for i in range(0, len(items), _RUN)]
+
+
 @dataclass(frozen=True)
 class FormulaTranslation:
     phi: Formula
@@ -468,11 +548,19 @@ class FormulaTranslation:
 
     @cached_property
     def program(self) -> Program:
-        """The emitted clauses over their constant domain, which checks them."""
+        """The emitted clauses over their constant domain.
+
+        Every argument of a clause is an argument of an atom of the table, so
+        the domain is checked once per atom there, not per clause as
+        ``Program`` would check it."""
         names = self.names
         domain = {*names.bits, *self.sig.pool}
         domain.update(names.occ_name(occ) for occ in range(len(self.sig.occs)))
-        return Program(self.ground_program.clauses, frozenset(domain))
+        args = map(operator.itemgetter(slice(1, None)), self.ground_program.ids)
+        missing = set(itertools.chain.from_iterable(args)) - domain
+        if missing:
+            raise FormulaError(f"constants outside the domain: {sorted(missing)}")
+        return Program.unchecked(self.ground_program.clauses, frozenset(domain))
 
     def header(self) -> str:
         sig = self.sig
@@ -601,176 +689,243 @@ def translate(
         )
     names = _Names(an)
     sig = an.sig
-    pool = sig.pool
-    bvars = sig.bound_vars
     b = AtomBuilder(an, names, addr_len)
+    q_args, inst_args = b.q_args, b.inst_args
+    n_addr = 2**addr_len
+    n_inst = len(an.instances)
+    tails = list(b.addr.values())
+    ids = b.ids
+    tick = functools.partial(check_deadline, deadline, "translation")
 
-    addresses = b.all_addresses()
-    zero_bits = addresses[0]
+    # the id tables: an atom's key is built the first time a clause meets it
+    def per_address(prefixes: list[tuple]) -> list[_Ids]:
+        """Per address ``a``, the ids of the atoms ``prefixes[i] + a`` by ``i``."""
+        return [_Ids(ids, prefixes, tail) for tail in tails]
 
-    env, nenv = b.env, b.nenv
-    q_atom, y_atom = b.q, b.y
-    ans, nans = b.ans, b.nans
-    goal_atom = b.goal
-    q_args = b.q_args
-    block = b.block
-
-    f_atom = ("f",)
+    env_at = per_address([("env",) + args for args in inst_args])
+    nenv_at = per_address([("nenv",) + args for args in inst_args])
+    goal_at = per_address([(names.goal_pred(g),) for g in an.goal_universe])
+    goal_no = {g: i for i, g in enumerate(an.goal_universe)}
+    false = _Ids(ids, [("f",)], ())
+    # per active question: the question and, per answer option, the option and
+    # per target address the ids of its ans and nans atoms by source address;
+    # the q and y atoms go by the question's place in this list
+    asked = []
+    n_options = n_taus = 0
+    for q in an.active:
+        args = q_args[q.index]
+        options = [
+            (
+                opt,
+                per_address([(f"ans{opt.index}",) + args + t for t in tails]),
+                per_address([(f"nans{opt.index}",) + args + t for t in tails]),
+            )
+            for opt in q.answers
+        ]
+        asked.append((q, options))
+        n_options += len(options)
+        n_taus += sum(len(opt.taus) for opt in q.answers)
+    q_at = per_address([("q",) + q_args[q.index] for q in an.active])
+    y_at = per_address([("y",) + q_args[q.index] for q in an.active])
+    inst_runs = _runs(range(n_inst))
+    addr_runs = _runs(range(n_addr))
 
     heads: list[int] = []
     pos: list[tuple[int, ...]] = []
     neg: list[tuple[int, ...]] = []
-    counts: dict[str, int] = {}
-
-    # the next id for a key met the first time
-    ids = b.ids
-    sd = ids.setdefault
-
-    def emit(family: str, head: AtomKey, body=(), negated=()) -> None:
-        heads.append(sd(head, len(ids)))
-        pos.append(tuple([sd(a, len(ids)) for a in body]))
-        neg.append(tuple([sd(a, len(ids)) for a in negated]))
-        counts[family] = counts.get(family, 0) + 1
-        if len(heads) % 4096 == 0:
-            check_deadline(deadline, "translation")
+    put_h, put_p, put_n = heads.append, pos.append, neg.append
 
     # families 1-3: syntax facts (descendants, subgoals, heads)
-    def filled_blocks(p: InstancePattern, t_assign) -> list[tuple[dict, dict]]:
+    def filled_blocks(q: QuestionPattern) -> list[tuple[str, ...]]:
+        """The substitution blocks of ``q``'s facts: its own, or under
+        ``full_facts`` each filling of the positions it leaves free."""
         if not full_facts:
-            return [(dict(p.assign), dict(t_assign))]
+            return [q_args[q.index][1:]]
+        p = an.instances[q.inst]
         schema = sig.schemas[p.occ]
         s_rel = {v for v, _ in p.assign}
         t_rel = set(schema.top_vars)
-        s_free = [v for v in bvars if v not in s_rel]
-        t_free = [v for v in bvars if v not in t_rel]
+        s_free = [v for v in sig.bound_vars if v not in s_rel]
+        t_free = [v for v in sig.bound_vars if v not in t_rel]
         out = []
-        for s_fill in itertools.product(pool, repeat=len(s_free)):
-            for t_fill in itertools.product(pool, repeat=len(t_free)):
+        for s_fill in itertools.product(sig.pool, repeat=len(s_free)):
+            for t_fill in itertools.product(sig.pool, repeat=len(t_free)):
                 s = dict(p.assign)
                 s.update(zip(s_free, s_fill))
-                t = dict(t_assign)
+                t = dict(q.t_assign)
                 t.update(zip(t_free, t_fill))
-                out.append((s, t))
+                out.append(b.block(s) + b.block(t))
         return out
 
+    n_facts = n_subgoals = n_heads = 0
     for q in an.questions:
-        p = an.instances[q.inst]
-        for s_map, t_map in filled_blocks(p, q.t_assign):
-            s_blk, t_blk = block(s_map), block(t_map)
-            base_args = (names.occ_name(p.occ),) + s_blk + t_blk
+        occ = inst_args[q.inst][0]
+        blocks = filled_blocks(q)
+        for st_blk in blocks:
+            keys = []
             for opt in q.answers:
-                for tau_idx in opt.taus:
-                    tau = an.instances[tau_idx]
-                    u_blk = block(dict(tau.assign))
-                    emit(
-                        "01_descendant",
-                        (f"di{opt.index}", names.occ_name(tau.occ), names.occ_name(p.occ))
-                        + s_blk
-                        + t_blk
-                        + u_blk,
-                    )
-                emit(
-                    "02_subgoal",
-                    (names.subgoal_pred(opt.index, opt.subgoal),) + base_args,
-                )
-            emit("03_head", (names.head_pred(q.head),) + base_args)
+                di = f"di{opt.index}"
+                for tau in opt.taus:
+                    keys.append((di, inst_args[tau][0], occ) + st_blk + inst_args[tau][1:])
+                keys.append((names.subgoal_pred(opt.index, opt.subgoal), occ) + st_blk)
+            keys.append((names.head_pred(q.head), occ) + st_blk)
+            for run in _runs(keys):
+                for key in run:
+                    put_h(ids.setdefault(key, len(ids)))
+                    put_p(())
+                    put_n(())
+                tick()
+            n_facts += len(keys)
+        n_subgoals += len(blocks) * len(q.answers)
+        n_heads += len(blocks)
     syntax_facts = frozenset(heads)
 
     # families 4-6: the initial judgment at address 0...0
     # an instance is in the initial context when its key is, as in the soup
     # layer, so a repeated premise key also puts its other occurrences there
-    emit("04_initial_goal", goal_atom(sig.target, zero_bits))
-    for p in an.instances:
-        if p.key in an.initial_keys:
-            emit("05_initial_env", env(p.index, zero_bits))
-    for p in an.instances:
-        if p.key not in an.initial_keys:
-            emit("06_initial_nenv", nenv(p.index, zero_bits))
+    put_h(goal_at[0][goal_no[sig.target]])
+    put_p(())
+    put_n(())
+    initial = [p.key in an.initial_keys for p in an.instances]
+    for at, wanted in ((env_at[0], True), (nenv_at[0], False)):
+        for run in inst_runs:
+            for i in run:
+                if initial[i] is wanted:
+                    put_h(at[i])
+                    put_p(())
+                    put_n(())
+            tick()
 
     # families 7-9: answers propagate environments and set goals
-    for q in an.active:
-        qi = q.index
-        for opt in q.answers:
-            sg_atom = (names.subgoal_pred(opt.index, opt.subgoal),) + q_args[qi]
-            for a_from in addresses:
-                for a_to in addresses:
-                    a_atom = ans(opt.index, qi, a_from, a_to)
-                    for p in an.instances:
-                        emit(
-                            "07_env_propagation",
-                            env(p.index, a_to),
-                            (a_atom, env(p.index, a_from)),
-                        )
-                    for tau_idx in opt.taus:
-                        tau = an.instances[tau_idx]
-                        d_atom = (
-                            f"di{opt.index}",
-                            names.occ_name(tau.occ),
-                            names.occ_name(an.instances[q.inst].occ),
-                        ) + q_args[qi][1:] + block(dict(tau.assign))
-                        emit(
-                            "08_env_descendants",
-                            env(tau_idx, a_to),
-                            (a_atom, d_atom),
-                        )
-                    emit(
-                        "09_goal_of_answer",
-                        goal_atom(opt.subgoal, a_to),
-                        (a_atom, sg_atom),
-                    )
+    for q, options in asked:
+        occ, st_blk = q_args[q.index][0], q_args[q.index][1:]
+        for opt, ans_at, _ in options:
+            # the subgoal and descendant atoms are heads of families 2 and 1
+            sg = ids[(names.subgoal_pred(opt.index, opt.subgoal),) + q_args[q.index]]
+            di = f"di{opt.index}"
+            descendants = _runs(
+                [
+                    (tau, ids[(di, inst_args[tau][0], occ) + st_blk + inst_args[tau][1:]])
+                    for tau in opt.taus
+                ]
+            )
+            subgoal = goal_no[opt.subgoal]
+            for a_from in range(n_addr):
+                env_from = env_at[a_from]
+                for a_to in range(n_addr):
+                    ans_to = ans_at[a_to]
+                    env_to = env_at[a_to]
+                    # the asking member is an instance, so this ends a block
+                    for run in inst_runs:
+                        for i in run:
+                            put_h(env_to[i])
+                            put_p((ans_to[a_from], env_from[i]))
+                            put_n(())
+                        tick()
+                    for run in descendants:
+                        for tau, d in run:
+                            put_h(env_to[tau])
+                            put_p((ans_to[a_from], d))
+                            put_n(())
+                        tick()
+                    put_h(goal_at[a_to][subgoal])
+                    put_p((ans_to[a_from], sg))
+                    put_n(())
 
     # families 10-11: environment choice and its exclusivity
-    for p in an.instances:
-        for addr in addresses:
-            e, ne = env(p.index, addr), nenv(p.index, addr)
-            emit("10_env_choice", e, (), (ne,))
-            emit("10_env_choice", ne, (), (e,))
-            emit("11_env_conflict", f_atom, (e, ne), (f_atom,))
+    for i in range(n_inst):
+        for run in addr_runs:
+            for a in run:
+                e, ne = env_at[a][i], nenv_at[a][i]
+                put_h(e)
+                put_p(())
+                put_n((ne,))
+                put_h(ne)
+                put_p(())
+                put_n((e,))
+                f = false[0]
+                put_h(f)
+                put_p((e, ne))
+                put_n((f,))
+            tick()
 
-    # family 12: answer choice, guarded by the question
-    for q in an.active:
-        for opt in q.answers:
-            for a_from in addresses:
-                guard = q_atom(q.index, a_from)
-                for a_to in addresses:
-                    a_atom = ans(opt.index, q.index, a_from, a_to)
-                    na_atom = nans(opt.index, q.index, a_from, a_to)
-                    emit("12_answer_choice", a_atom, (guard,), (na_atom,))
-                    emit("12_answer_choice", na_atom, (guard,), (a_atom,))
+    # family 12: answer choice, guarded by the question; the guard is looked
+    # up before the clause's head, which has its id from family 9 on
+    for qn, (q, options) in enumerate(asked):
+        for _, ans_at, nans_at in options:
+            for a_from in range(n_addr):
+                guard = q_at[a_from][qn]
+                for run in addr_runs:
+                    for a_to in run:
+                        yes, no = ans_at[a_to][a_from], nans_at[a_to][a_from]
+                        put_h(yes)
+                        put_p((guard,))
+                        put_n((no,))
+                        put_h(no)
+                        put_p((guard,))
+                        put_n((yes,))
+                    tick()
 
     # families 13-15: question recognition and the everything-answered rule
-    for q in an.active:
-        hd_atom = (names.head_pred(q.head),) + q_args[q.index]
-        for addr in addresses:
-            emit(
-                "13_question",
-                q_atom(q.index, addr),
-                (env(q.inst, addr), hd_atom, goal_atom(q.head, addr)),
-            )
-            emit(
-                "14_must_answer",
-                f_atom,
-                (q_atom(q.index, addr),),
-                (y_atom(q.index, addr), f_atom),
-            )
-        for opt in q.answers:
-            for a_from in addresses:
-                for a_to in addresses:
-                    emit(
-                        "15_answered",
-                        y_atom(q.index, a_from),
-                        (ans(opt.index, q.index, a_from, a_to),),
-                    )
+    for qn, (q, options) in enumerate(asked):
+        # a head atom of family 3
+        hd = ids[(names.head_pred(q.head),) + q_args[q.index]]
+        head = goal_no[q.head]
+        for run in addr_runs:
+            for a in run:
+                qa = q_at[a][qn]
+                put_h(qa)
+                put_p((env_at[a][q.inst], hd, goal_at[a][head]))
+                put_n(())
+                f = false[0]
+                put_h(f)
+                put_p((qa,))
+                put_n((y_at[a][qn], f))
+            tick()
+        for _, ans_at, _ in options:
+            for a_from in range(n_addr):
+                y = y_at[a_from][qn]
+                for run in addr_runs:
+                    for a_to in run:
+                        put_h(y)
+                        put_p((ans_at[a_to][a_from],))
+                        put_n(())
+                    tick()
 
     # family 16: at most one goal per address
-    for g1, g2 in itertools.combinations(an.goal_universe, 2):
-        for addr in addresses:
-            emit(
-                "16_unique_goal",
-                f_atom,
-                (goal_atom(g1, addr), goal_atom(g2, addr)),
-                (f_atom,),
-            )
+    n_goals = len(an.goal_universe)
+    for g1, g2 in itertools.combinations(range(n_goals), 2):
+        for run in addr_runs:
+            for a in run:
+                f = false[0]
+                put_h(f)
+                put_p((goal_at[a][g1], goal_at[a][g2]))
+                put_n((f,))
+            tick()
+
+    # the rows of each family, from the sizes of the loops above
+    pairs = n_addr * n_addr
+    n_initial = initial.count(True)
+    family_rows = {
+        "01_descendant": n_facts - n_subgoals - n_heads,
+        "02_subgoal": n_subgoals,
+        "03_head": n_heads,
+        "04_initial_goal": 1,
+        "05_initial_env": n_initial,
+        "06_initial_nenv": n_inst - n_initial,
+        "07_env_propagation": pairs * n_options * n_inst,
+        "08_env_descendants": pairs * n_taus,
+        "09_goal_of_answer": pairs * n_options,
+        "10_env_choice": 2 * n_inst * n_addr,
+        "11_env_conflict": n_inst * n_addr,
+        "12_answer_choice": 2 * pairs * n_options,
+        "13_question": len(an.active) * n_addr,
+        "14_must_answer": len(an.active) * n_addr,
+        "15_answered": pairs * n_options,
+        "16_unique_goal": n_goals * (n_goals - 1) // 2 * n_addr,
+    }
+    counts = {family: rows for family, rows in family_rows.items() if rows}
+    assert sum(counts.values()) == len(heads)
 
     gp = GroundProgram(b.ids, heads, pos, neg)
     return FormulaTranslation(

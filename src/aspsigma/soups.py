@@ -175,14 +175,18 @@ def _check(z: Soup, an: Analysis) -> tuple[SoupReport, list]:
     if diags:
         return _rejected(diags)
 
-    for d in z.judgments:
-        foreign = d.context.difference(an.key_formula)
-        if foreign:
-            diags.append(
-                "context member is not an instantiated subformula: "
-                + ", ".join(sorted(fmt_key(key) for key in foreign))
-            )
-            return _rejected(diags)
+    # each distinct member is looked up in the table once: the members of a
+    # parsed soup are equal to the table's keys but not the same objects, so
+    # each lookup compares a whole key
+    members = frozenset().union(*(d.context for d in z.judgments))
+    foreign = members.difference(an.key_formula)
+    if foreign:
+        d = next(d for d in z.judgments if not foreign.isdisjoint(d.context))
+        diags.append(
+            "context member is not an instantiated subformula: "
+            + ", ".join(sorted(fmt_key(key) for key in d.context & foreign))
+        )
+        return _rejected(diags)
 
     initial = z.initial()
     if initial is None:

@@ -138,6 +138,16 @@ class Program:
         if missing:
             raise FormulaError(f"constants outside the domain: {sorted(missing)}")
 
+    @classmethod
+    def unchecked(cls, clauses: tuple[Clause, ...], domain: frozenset[str]) -> "Program":
+        """The program of ``clauses`` over ``domain``, whose caller has
+        checked that the domain is nonempty and holds every constant of the
+        clauses; ``Program(...)`` walks the clauses to check that itself."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "clauses", clauses)
+        object.__setattr__(p, "domain", domain)
+        return p
+
     def predicates(self) -> dict[str, int]:
         """Predicate -> arity symbol table; raises on conflicting arities."""
         table: dict[str, int] = {}
@@ -283,28 +293,6 @@ def binder_names(f: Formula) -> list[str]:
             out.append(g.var)
             stack.append(g.body)
     return out
-
-
-def formula_predicates(f: Formula, table: dict[str, int] | None = None) -> dict[str, int]:
-    if table is None:
-        table = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, AtomF):
-            old = table.setdefault(g.pred, g.arity)
-            if old != g.arity:
-                raise ArityError(
-                    f"predicate {g.pred} used with arities {old} and {g.arity}"
-                )
-        elif isinstance(g, Impl):
-            stack.append(g.lhs)
-            stack.append(g.rhs)
-        elif isinstance(g, Forall):
-            stack.append(g.body)
-        else:
-            raise TypeError(g)
-    return table
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:

@@ -86,6 +86,18 @@ child copies the whole assignment dict.  ``engine._search`` must yield what it
 yields, in the same order, and ``propagate`` is the per-node reference for
 ``engine._Propagator``.
 
+``reference_translate`` is ``logic_to_asp.translate`` as it was before it
+numbered atoms through id tables: one ``emit`` call per clause, which builds
+the key of every atom occurrence, looks it up in the atom table, counts the
+clause's family and checks the deadline.  ``translate`` must give the same
+atom table, rows, family counts and syntax facts.  ``reference_signature_facts``
+reads the formula length, the predicate arities
+(``reference_formula_predicates``, whose ``ArityError`` the library must
+raise), the binder names and each occurrence's free variables with a walk
+each, as ``_signature`` did before one pass over the occurrences gave them;
+``reference_validate_schema`` is the scope check it ran on each schema with
+``free_vars``.
+
 ``reference_tokenize``, ``reference_parse_program``,
 ``reference_parse_ground_atom``, ``reference_parse_formula`` and
 ``reference_parse_term`` are the parsers as they were before ``parsing.scan``
@@ -99,8 +111,14 @@ result, or a ``ParseError`` with the same message, line and column.
 import itertools
 from dataclasses import dataclass
 
-from aspsigma import engine, proofs
-from aspsigma.errors import CapExceeded, FormulaError, ParseError, check_deadline
+from aspsigma import engine, logic_to_asp, proofs
+from aspsigma.errors import (
+    ArityError,
+    CapExceeded,
+    FormulaError,
+    ParseError,
+    check_deadline,
+)
 from aspsigma.logic_to_asp import analysis, certified_addr_len
 from aspsigma.proofs import OAbs, OApp, PAbs, PApp, ProofTerm, PVar
 from aspsigma.soups import AnswerEntry, Disjudgment, Soup, _question_options
@@ -116,13 +134,16 @@ from aspsigma.syntax import (
     Program,
     Term,
     alpha_key,
+    binder_names,
     const,
     fmt_formula,
     forall_chain,
+    formula_length,
     free_vars,
     impl_spine,
     is_program_variable_name,
     make_program,
+    occurrences,
     pi1_spine,
     rectify,
     substitute,
@@ -1543,3 +1564,242 @@ def reference_parse_term(text: str) -> ProofTerm:
     if tail.kind != "eof":
         raise ParseError(f"trailing input after term: {tail.value!r}", tail.line, tail.col)
     return t
+
+
+# ---------------------------------------------------------------------------
+# The formula translation's signature walks and emitter, one walk per fact
+# ---------------------------------------------------------------------------
+
+
+def reference_formula_predicates(f, table=None):
+    """Predicate -> arity over ``f``, raising ``ArityError`` at the first
+    clash met walking the conclusion before the premise."""
+    if table is None:
+        table = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, AtomF):
+            old = table.setdefault(g.pred, g.arity)
+            if old != g.arity:
+                raise ArityError(
+                    f"predicate {g.pred} used with arities {old} and {g.arity}"
+                )
+        elif isinstance(g, Impl):
+            stack.append(g.lhs)
+            stack.append(g.rhs)
+        elif isinstance(g, Forall):
+            stack.append(g.body)
+        else:
+            raise TypeError(g)
+    return table
+
+
+def reference_signature_facts(phi):
+    """The formula length, the predicate arities (raising as the library
+    does), the binder names in preorder and each occurrence's free
+    variables, each from a walk of its own."""
+    occs = occurrences(phi)
+    return (
+        formula_length(phi),
+        reference_formula_predicates(phi),
+        binder_names(phi),
+        [frozenset(free_vars(o.formula)) for o in occs],
+    )
+
+
+def reference_validate_schema(occs, schema) -> None:
+    """The scope assertions ``_question_schema`` makes, from ``free_vars``."""
+    psi_fv = set(schema.free)
+    for step in schema.steps:
+        visible = psi_fv | set(schema.top_vars[: step.vars_visible])
+        assert free_vars(step.subgoal) <= visible
+        for tau in step.descendants:
+            assert free_vars(occs[tau].formula) <= visible
+    assert free_vars(schema.head) <= psi_fv | set(schema.top_vars)
+
+
+def reference_translate(phi, addr_len, full_facts=False, deadline=None, an=None):
+    """``logic_to_asp.translate`` at a given address length as it was before
+    it numbered atoms through id tables: every atom occurrence builds its key
+    and looks it up in the atom table, and every clause is one ``emit`` call
+    that counts its family and checks the deadline."""
+    if an is None:
+        an = analysis(phi)
+    names = logic_to_asp._Names(an)
+    sig = an.sig
+    pool = sig.pool
+    bvars = sig.bound_vars
+    b = logic_to_asp.AtomBuilder(an, names, addr_len)
+
+    addresses = b.all_addresses()
+    zero_bits = addresses[0]
+
+    env, nenv = b.env, b.nenv
+    q_atom, y_atom = b.q, b.y
+    ans, nans = b.ans, b.nans
+    goal_atom = b.goal
+    q_args = b.q_args
+    block = b.block
+
+    f_atom = ("f",)
+
+    heads: list[int] = []
+    pos: list[tuple[int, ...]] = []
+    neg: list[tuple[int, ...]] = []
+    counts: dict[str, int] = {}
+
+    # the next id for a key met the first time
+    ids = b.ids
+    sd = ids.setdefault
+
+    def emit(family, head, body=(), negated=()):
+        heads.append(sd(head, len(ids)))
+        pos.append(tuple([sd(a, len(ids)) for a in body]))
+        neg.append(tuple([sd(a, len(ids)) for a in negated]))
+        counts[family] = counts.get(family, 0) + 1
+        if len(heads) % 4096 == 0:
+            check_deadline(deadline, "translation")
+
+    # families 1-3: syntax facts (descendants, subgoals, heads)
+    def filled_blocks(p, t_assign):
+        if not full_facts:
+            return [(dict(p.assign), dict(t_assign))]
+        schema = sig.schemas[p.occ]
+        s_rel = {v for v, _ in p.assign}
+        t_rel = set(schema.top_vars)
+        s_free = [v for v in bvars if v not in s_rel]
+        t_free = [v for v in bvars if v not in t_rel]
+        out = []
+        for s_fill in itertools.product(pool, repeat=len(s_free)):
+            for t_fill in itertools.product(pool, repeat=len(t_free)):
+                s = dict(p.assign)
+                s.update(zip(s_free, s_fill))
+                t = dict(t_assign)
+                t.update(zip(t_free, t_fill))
+                out.append((s, t))
+        return out
+
+    for q in an.questions:
+        p = an.instances[q.inst]
+        for s_map, t_map in filled_blocks(p, q.t_assign):
+            s_blk, t_blk = block(s_map), block(t_map)
+            base_args = (names.occ_name(p.occ),) + s_blk + t_blk
+            for opt in q.answers:
+                for tau_idx in opt.taus:
+                    tau = an.instances[tau_idx]
+                    u_blk = block(dict(tau.assign))
+                    emit(
+                        "01_descendant",
+                        (f"di{opt.index}", names.occ_name(tau.occ), names.occ_name(p.occ))
+                        + s_blk
+                        + t_blk
+                        + u_blk,
+                    )
+                emit(
+                    "02_subgoal",
+                    (names.subgoal_pred(opt.index, opt.subgoal),) + base_args,
+                )
+            emit("03_head", (names.head_pred(q.head),) + base_args)
+    syntax_facts = frozenset(heads)
+
+    # families 4-6: the initial judgment at address 0...0
+    # an instance is in the initial context when its key is, as in the soup
+    # layer, so a repeated premise key also puts its other occurrences there
+    emit("04_initial_goal", goal_atom(sig.target, zero_bits))
+    for p in an.instances:
+        if p.key in an.initial_keys:
+            emit("05_initial_env", env(p.index, zero_bits))
+    for p in an.instances:
+        if p.key not in an.initial_keys:
+            emit("06_initial_nenv", nenv(p.index, zero_bits))
+
+    # families 7-9: answers propagate environments and set goals
+    for q in an.active:
+        qi = q.index
+        for opt in q.answers:
+            sg_atom = (names.subgoal_pred(opt.index, opt.subgoal),) + q_args[qi]
+            for a_from in addresses:
+                for a_to in addresses:
+                    a_atom = ans(opt.index, qi, a_from, a_to)
+                    for p in an.instances:
+                        emit(
+                            "07_env_propagation",
+                            env(p.index, a_to),
+                            (a_atom, env(p.index, a_from)),
+                        )
+                    for tau_idx in opt.taus:
+                        tau = an.instances[tau_idx]
+                        d_atom = (
+                            f"di{opt.index}",
+                            names.occ_name(tau.occ),
+                            names.occ_name(an.instances[q.inst].occ),
+                        ) + q_args[qi][1:] + block(dict(tau.assign))
+                        emit(
+                            "08_env_descendants",
+                            env(tau_idx, a_to),
+                            (a_atom, d_atom),
+                        )
+                    emit(
+                        "09_goal_of_answer",
+                        goal_atom(opt.subgoal, a_to),
+                        (a_atom, sg_atom),
+                    )
+
+    # families 10-11: environment choice and its exclusivity
+    for p in an.instances:
+        for addr in addresses:
+            e, ne = env(p.index, addr), nenv(p.index, addr)
+            emit("10_env_choice", e, (), (ne,))
+            emit("10_env_choice", ne, (), (e,))
+            emit("11_env_conflict", f_atom, (e, ne), (f_atom,))
+
+    # family 12: answer choice, guarded by the question
+    for q in an.active:
+        for opt in q.answers:
+            for a_from in addresses:
+                guard = q_atom(q.index, a_from)
+                for a_to in addresses:
+                    a_atom = ans(opt.index, q.index, a_from, a_to)
+                    na_atom = nans(opt.index, q.index, a_from, a_to)
+                    emit("12_answer_choice", a_atom, (guard,), (na_atom,))
+                    emit("12_answer_choice", na_atom, (guard,), (a_atom,))
+
+    # families 13-15: question recognition and the everything-answered rule
+    for q in an.active:
+        hd_atom = (names.head_pred(q.head),) + q_args[q.index]
+        for addr in addresses:
+            emit(
+                "13_question",
+                q_atom(q.index, addr),
+                (env(q.inst, addr), hd_atom, goal_atom(q.head, addr)),
+            )
+            emit(
+                "14_must_answer",
+                f_atom,
+                (q_atom(q.index, addr),),
+                (y_atom(q.index, addr), f_atom),
+            )
+        for opt in q.answers:
+            for a_from in addresses:
+                for a_to in addresses:
+                    emit(
+                        "15_answered",
+                        y_atom(q.index, a_from),
+                        (ans(opt.index, q.index, a_from, a_to),),
+                    )
+
+    # family 16: at most one goal per address
+    for g1, g2 in itertools.combinations(an.goal_universe, 2):
+        for addr in addresses:
+            emit(
+                "16_unique_goal",
+                f_atom,
+                (goal_atom(g1, addr), goal_atom(g2, addr)),
+                (f_atom,),
+            )
+
+    gp = engine.GroundProgram(b.ids, heads, pos, neg)
+    return logic_to_asp.FormulaTranslation(
+        sig.phi, an, addr_len, full_facts, gp, counts, names, b, syntax_facts
+    )

@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspsigma import logic_to_asp
+from aspsigma import logic_to_asp, syntax
 from aspsigma.corpus import CorpusSpec, gen_formulas
-from aspsigma.engine import atom_key, has_stable_model, is_stable
-from aspsigma.errors import CapExceeded, FormulaError
+from aspsigma.engine import GroundProgram, atom_key, has_stable_model, is_stable
+from aspsigma.errors import ArityError, CapExceeded, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
     analysis,
@@ -18,9 +20,26 @@ from aspsigma.logic_to_asp import (
 )
 from aspsigma.parsing import parse_formula
 from aspsigma.proofs import prove_sigma1
-from aspsigma.syntax import Atom, AtomF, Impl, alpha_key, const, fmt_formula, impl_chain
+from aspsigma.syntax import (
+    Atom,
+    AtomF,
+    Forall,
+    Impl,
+    Program,
+    alpha_key,
+    const,
+    fmt_formula,
+    impl_chain,
+    occurrences,
+    var,
+)
 from lemmas import from_clauses
-from oracle import reference_clauses
+from oracle import (
+    reference_clauses,
+    reference_signature_facts,
+    reference_translate,
+    reference_validate_schema,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +343,156 @@ def test_analysis_builds_a_2000_step_chain():
     assert len(an.sig.premises) == n + 1
     assert an.sig.target == a[n]
     assert an.source is phi
+
+
+# ---------------------------------------------------------------------------
+# the id-table emitter and the one-pass signature against their references
+# ---------------------------------------------------------------------------
+
+
+def _assert_emission_matches_the_reference(phi, addr_len, full_facts, an=None):
+    """``translate`` numbers and writes the rows the reference emitter, which
+    builds and looks up a key per atom occurrence, numbers and writes."""
+    t = translate(phi, addr_len=addr_len, full_facts=full_facts, an=an)
+    ref = reference_translate(phi, addr_len, full_facts, an=t.analysis)
+    g, h = t.ground_program, ref.ground_program
+    assert list(g.ids.items()) == list(h.ids.items())
+    assert (g.heads, g.pos, g.neg) == (h.heads, h.pos, h.neg)
+    assert t.counts == ref.counts
+    assert t.syntax_facts == ref.syntax_facts
+
+
+def test_seed0_emission_matches_the_reference_emitter():
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        an = analysis(phi)
+        for addr_len in (1, 2, 3):
+            for full_facts in (False, True):
+                _assert_emission_matches_the_reference(phi, addr_len, full_facts, an)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_PREMISES, min_size=1, max_size=3),
+    _TARGETS,
+    st.integers(1, 2),
+    st.booleans(),
+)
+def test_emission_matches_the_reference_emitter(premises, target, addr_len, full_facts):
+    text = " -> ".join([f"({p})" for p in premises] + [target])
+    _assert_emission_matches_the_reference(parse_formula(text), addr_len, full_facts)
+
+
+def _facts(walk, phi):
+    """What ``walk`` finds in ``phi``, or the text of the ``ArityError`` it
+    raises."""
+    try:
+        return walk(phi)
+    except ArityError as e:
+        return str(e)
+
+
+def _one_pass(phi):
+    return logic_to_asp._occurrence_facts(occurrences(phi))
+
+
+# atoms whose predicates clash in arity, with free and bound variables
+_ANY_FORMULAS = st.recursive(
+    st.sampled_from(
+        [
+            AtomF("a"),
+            AtomF("a", (const("c"),)),
+            AtomF("P", (var("x"),)),
+            AtomF("P", (const("c"),)),
+            AtomF("P", (var("x"), var("y"))),
+            AtomF("Q", (var("y"),)),
+        ]
+    ),
+    lambda sub: st.one_of(
+        st.builds(Impl, sub, sub), st.builds(Forall, st.sampled_from("xyz"), sub)
+    ),
+    max_leaves=10,
+)
+
+
+@given(_ANY_FORMULAS)
+def test_occurrence_facts_match_the_reference_walks(phi):
+    # the length, the arities (or the clash), the binders in preorder and
+    # each occurrence's free variables, against a walk and free_vars each
+    assert _facts(_one_pass, phi) == _facts(reference_signature_facts, phi)
+
+
+def test_seed0_occurrence_facts_match_the_reference_walks():
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        assert _one_pass(phi) == reference_signature_facts(phi), fmt_formula(phi)
+        # the schemas read off that pass pass the scope check free_vars made
+        sig = analysis(phi).sig
+        for occ in sig.env_occs:
+            reference_validate_schema(sig.occs, sig.schemas[occ])
+
+
+def test_analysis_of_a_deep_formula_calls_no_free_vars(monkeypatch):
+    # ((...((a0 -> a1) -> a2) ...) -> a300) -> b nests its members 300 deep:
+    # free_vars walked each nested member again, once for its schema and
+    # again for each of the schema's scope assertions
+    calls = []
+    walk = syntax.free_vars
+
+    def counted(f):
+        calls.append(f)
+        return walk(f)
+
+    monkeypatch.setattr(syntax, "free_vars", counted)
+    monkeypatch.setattr(logic_to_asp, "free_vars", counted, raising=False)
+    f = AtomF("a0")
+    for i in range(1, 301):
+        f = Impl(f, AtomF(f"a{i}"))
+    an = analysis(Impl(f, AtomF("b")))
+    assert an.sig.target == AtomF("b") and an.sig.n == 603
+    assert not calls, f"{len(calls)} free_vars calls"
+
+
+def test_program_checks_its_domain_per_atom_of_the_table():
+    t = translate(parse_formula("(forall x. P(x) -> Q(d)) -> P(c) -> g"), addr_len=1)
+    assert t.program == Program(t.program.clauses, t.program.domain)
+    # one more atom over a constant the translation never names
+    g = t.ground_program
+    ids = dict(g.ids)
+    ids[("env", "f1", "e", "0")] = len(ids)
+    bad = dataclasses.replace(
+        t,
+        ground_program=GroundProgram(
+            ids, g.heads + [len(ids) - 1], g.pos + [()], g.neg + [()]
+        ),
+    )
+    with pytest.raises(FormulaError, match=r"constants outside the domain: \['e'\]"):
+        bad.program
+
+
+@pytest.mark.parametrize(
+    "text, addr_len",
+    [
+        # 2048 addresses: 6144 rows of families 10 and 11 per instance
+        ("b -> a", 11),
+        # 3000 instances of families 5, 7 and 10
+        (" -> ".join(["P(c)"] + [f"a{i}" for i in range(3000)] + ["g"]), 1),
+        # one premise with 1500 descendants (families 1, 7 and 8)
+        ("((" + " -> ".join(f"b{i}" for i in range(1500)) + " -> a) -> c) -> c", 1),
+        # one member with 40 subgoals over 16 addresses (families 7 to 16)
+        ("(" + " -> ".join(f"a{i}" for i in range(40)) + " -> b) -> b", 4),
+        # answer choice over 128 by 128 address pairs (families 12 and 15)
+        ("(b -> a) -> a", 7),
+    ],
+    ids=["addresses", "instances", "descendants", "subgoals", "pairs"],
+)
+def test_no_more_than_4096_rows_pass_between_deadline_checks(monkeypatch, text, addr_len):
+    rows = []
+
+    def spy(deadline, stage):
+        # the rows translate has written when it checks
+        rows.append(len(sys._getframe(1).f_locals["heads"]))
+
+    monkeypatch.setattr(logic_to_asp, "check_deadline", spy)
+    t = translate(parse_formula(text), addr_len=addr_len)
+    marks = [0] + rows + [len(t.ground_program.heads)]
+    assert max(b - a for a, b in zip(marks, marks[1:])) <= 4096
+    assert len(t.ground_program.heads) > 4096
