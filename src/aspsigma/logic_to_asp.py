@@ -815,7 +815,9 @@ def translate(
                 for a_to in range(n_addr):
                     ans_to = ans_at[a_to]
                     env_to = env_at[a_to]
-                    # the asking member is an instance, so this ends a block
+                    # inst_runs is never empty (the asking member is an
+                    # instance), so the deadline is checked after the
+                    # family-9 row of the previous pass
                     for run in inst_runs:
                         for i in run:
                             put_h(env_to[i])
