@@ -589,7 +589,9 @@ def run(argv: list[str]) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError as e:
-        # a recursive search ran out of stack: no verdict, so not exit 1
+        # every formula and proof walk keeps its own stack, so this is a
+        # walk that met the recursion limit all the same: no verdict, so
+        # exit 3, not 1
         print(
             f"error: input too deep for the recursive search ({e})", file=sys.stderr
         )

@@ -7,10 +7,9 @@ all operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ArityError, FormulaError
 
@@ -280,133 +279,113 @@ def free_vars(f: Formula) -> set[str]:
     return out
 
 
-def binder_names(f: Formula) -> list[str]:
-    """All quantifier variable names, in preorder."""
-    out: list[str] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Impl):
-            stack.append(g.rhs)
-            stack.append(g.lhs)
-        elif isinstance(g, Forall):
-            out.append(g.var)
-            stack.append(g.body)
-    return out
+def _rebuild(
+    f: Formula,
+    mapping: Mapping[str, Term],
+    name: Callable[[Forall, Mapping[str, Term]], str],
+) -> Formula:
+    """``f`` with the free occurrences of ``mapping``'s variables replaced
+    by their images, all at once, and each quantifier ``g`` binding
+    ``name(g, m)``, where ``m`` is the mapping under ``g`` less ``g.var``.
 
-
-def _fresh_name(base: str, taken: set[str]) -> str:
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
+    A binder renamed from ``v`` to ``w`` joins that mapping as
+    ``v -> var(w)``, so its occurrences are renamed in the same pass and
+    never replaced again.  Nodes are visited in preorder, premise before
+    conclusion, as a recursive walk visits them; ``todo`` holds the nodes to
+    visit, each with its mapping, above the node to build once its children
+    are on ``done``.  A node whose children come back unchanged comes back
+    itself, so a subtree in which nothing changes is shared.
+    """
+    done: list[Formula] = []
+    todo: list = [(f, mapping)]
+    while todo:
+        item = todo.pop()
+        cls = type(item)
+        if cls is Impl:
+            rhs = done.pop()
+            lhs = done.pop()
+            done.append(
+                item if lhs is item.lhs and rhs is item.rhs else Impl(lhs, rhs)
+            )
+            continue
+        if cls is Forall:
+            body = done.pop()
+            done.append(item if body is item.body else Forall(item.var, body))
+            continue
+        g, m = item
+        cls = type(g)
+        if cls is AtomF:
+            if m:
+                args = tuple(m[t.name] if t.var and t.name in m else t for t in g.args)
+                if args != g.args:
+                    g = AtomF(g.pred, args)
+            done.append(g)
+        elif cls is Impl:
+            todo.append(g)
+            todo.append((g.rhs, m))
+            todo.append((g.lhs, m))
+        elif cls is Forall:
+            v = g.var
+            if v in m:
+                m = {k: t for k, t in m.items() if k != v}
+            w = name(g, m)
+            if w != v:
+                m = {**m, v: var(w)}
+                g = Forall(w, g.body)
+            todo.append(g)
+            todo.append((g.body, m))
+        else:
+            raise TypeError(g)
+    return done[0]
 
 
 def rectify(f: Formula) -> Formula:
     """Rename binders so no free name is bound and no name is bound twice.
 
-    Already-rectified formulas come back unchanged, which keeps printing and
-    re-parsing stable.  A renamed binder gets the first ``x<i>`` that is
+    Already-rectified formulas come back as they are, which keeps printing
+    and re-parsing stable.  A renamed binder gets the first ``x<i>`` that is
     neither taken nor bound yet; those names only accumulate, so the count
-    ``i`` resumes where the last rename stopped.  Implication spines are
-    walked iteratively so long premise chains do not exhaust the call stack.
+    ``i`` resumes where the last rename stopped.  The walk is ``_rebuild``'s,
+    on its own stack, so no depth meets the recursion limit.
     """
     facts = survey(f)
     taken = facts.free | facts.constants
     used_binders: set[str] = set()
     next_x = 1
 
-    def fresh() -> str:
+    def fresh(g: Forall, m: Mapping[str, Term]) -> str:
         nonlocal next_x
-        while f"x{next_x}" in taken or f"x{next_x}" in used_binders:
-            next_x += 1
-        return f"x{next_x}"
+        name = g.var
+        if name in taken or name in used_binders:
+            while f"x{next_x}" in taken or f"x{next_x}" in used_binders:
+                next_x += 1
+            name = f"x{next_x}"
+        used_binders.add(name)
+        return name
 
-    def walk(g: Formula, ren: dict[str, str]) -> Formula:
-        premises: list[Formula] = []
-        binder_runs: list[list[str]] = [[]]
-        ren = dict(ren)
-        while True:
-            if isinstance(g, Forall):
-                name = g.var
-                if name in taken or name in used_binders:
-                    name = fresh()
-                used_binders.add(name)
-                if name != g.var:
-                    ren[g.var] = name
-                else:
-                    ren.pop(g.var, None)
-                binder_runs[-1].append(name)
-                g = g.body
-            elif isinstance(g, Impl):
-                premises.append(walk(g.lhs, ren))
-                binder_runs.append([])
-                g = g.rhs
-            elif isinstance(g, AtomF):
-                args = tuple(
-                    var(ren[t.name]) if t.var and t.name in ren else t
-                    for t in g.args
-                )
-                out: Formula = AtomF(g.pred, args)
-                for run, prem in zip(
-                    reversed(binder_runs), itertools.chain([None], reversed(premises))
-                ):
-                    if prem is not None:
-                        out = Impl(prem, out)
-                    out = forall_chain(run, out)
-                return out
-            else:
-                raise TypeError(g)
-
-    return walk(f, {})
+    return _rebuild(f, {}, fresh)
 
 
 def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
-    """Simultaneous capture-avoiding substitution of free variable occurrences."""
+    """Simultaneous capture-avoiding substitution of free variable occurrences.
 
-    def walk(g: Formula, m: dict[str, Term]) -> Formula:
-        premises: list[Formula] = []
-        binder_runs: list[list[str]] = [[]]
-        while True:
-            if not m:
-                out = g
-                break
-            if isinstance(g, Forall):
-                m = {k: v for k, v in m.items() if k != g.var}
-                name = g.var
-                if any(v.var and v.name == name for v in m.values()):
-                    fresh = _fresh_name(
-                        "x",
-                        free_vars(g.body)
-                        | {v.name for v in m.values()}
-                        | set(binder_names(g.body)),
-                    )
-                    g = walk(g.body, {name: var(fresh)})
-                    name = fresh
-                else:
-                    g = g.body
-                binder_runs[-1].append(name)
-            elif isinstance(g, Impl):
-                premises.append(walk(g.lhs, m))
-                binder_runs.append([])
-                g = g.rhs
-            elif isinstance(g, AtomF):
-                args = tuple(
-                    m[t.name] if t.var and t.name in m else t for t in g.args
-                )
-                out = AtomF(g.pred, args)
-                break
-            else:
-                raise TypeError(g)
-        for run, prem in zip(
-            reversed(binder_runs), itertools.chain([None], reversed(premises))
-        ):
-            if prem is not None:
-                out = Impl(prem, out)
-            out = forall_chain(run, out)
-        return out
+    A quantifier ``v`` under which some image is a variable named ``v`` is
+    renamed to the first ``x<i>`` that is neither free in its body nor an
+    image's name, and ``_rebuild`` renames its occurrences in the same pass.
+    A subtree with nothing to replace comes back as it is.
+    """
 
-    return walk(f, dict(mapping))
+    def capture(g: Forall, m: Mapping[str, Term]) -> str:
+        name = g.var
+        if not any(t.var and t.name == name for t in m.values()):
+            return name
+        taken = free_vars(g.body) | {t.name for t in m.values()}
+        i = 1
+        while f"x{i}" in taken:
+            i += 1
+        return f"x{i}"
+
+    return _rebuild(f, mapping, capture)
 
 
 # An alpha key is a flat tuple of str, int and None; see ``alpha_key``.

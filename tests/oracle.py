@@ -54,7 +54,12 @@ class and ``impl_spine``/``pi1_spine`` split without checking.
 
 ``reference_rectify`` is ``syntax.rectify`` as it was before it counted its
 fresh names: every rename searched for a free ``x<i>`` from ``x1`` again.
-``rectify`` must give what it gives.
+``rectify`` must give what it gives.  ``reference_substitute`` is
+``syntax.substitute`` as it was before it shared one rebuild walk with
+``rectify``: one call per premise, and a second walk to rename a binder that
+would capture.  That walk then substituted into the renamed body again, so it
+is the reference for constant-valued mappings only, which are all the
+library makes; ``binder_names`` lists a formula's binders, which it avoided.
 
 ``reference_clauses`` is ``engine.GroundProgram.clauses`` as it was before it
 decoded in bulk: one ``negate`` per negated occurrence and, for a program
@@ -134,7 +139,6 @@ from aspsigma.syntax import (
     Program,
     Term,
     alpha_key,
-    binder_names,
     const,
     fmt_formula,
     forall_chain,
@@ -733,6 +737,75 @@ def reference_constants(f):
         else:
             raise TypeError(g)
     return out
+
+
+def binder_names(f):
+    """All quantifier variable names, in preorder."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Impl):
+            stack.append(g.rhs)
+            stack.append(g.lhs)
+        elif isinstance(g, Forall):
+            out.append(g.var)
+            stack.append(g.body)
+    return out
+
+
+def reference_substitute(f, mapping):
+    """``substitute`` as it was before it shared a walk with ``rectify``: a
+    call per premise, and a binder that would capture renamed by a walk of
+    its own before the mapping goes on into the renamed body (which is
+    wrong when the mapping has a key named like the fresh binder)."""
+
+    def fresh_name(taken):
+        i = 1
+        while f"x{i}" in taken:
+            i += 1
+        return f"x{i}"
+
+    def walk(g, m):
+        premises = []
+        binder_runs = [[]]
+        while True:
+            if not m:
+                out = g
+                break
+            if isinstance(g, Forall):
+                m = {k: v for k, v in m.items() if k != g.var}
+                name = g.var
+                if any(v.var and v.name == name for v in m.values()):
+                    fresh = fresh_name(
+                        free_vars(g.body)
+                        | {v.name for v in m.values()}
+                        | set(binder_names(g.body))
+                    )
+                    g = walk(g.body, {name: var(fresh)})
+                    name = fresh
+                else:
+                    g = g.body
+                binder_runs[-1].append(name)
+            elif isinstance(g, Impl):
+                premises.append(walk(g.lhs, m))
+                binder_runs.append([])
+                g = g.rhs
+            elif isinstance(g, AtomF):
+                args = tuple(m[t.name] if t.var and t.name in m else t for t in g.args)
+                out = AtomF(g.pred, args)
+                break
+            else:
+                raise TypeError(g)
+        for run, prem in zip(
+            reversed(binder_runs), itertools.chain([None], reversed(premises))
+        ):
+            if prem is not None:
+                out = Impl(prem, out)
+            out = forall_chain(run, out)
+        return out
+
+    return walk(f, dict(mapping))
 
 
 def reference_rectify(f):

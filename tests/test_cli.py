@@ -285,15 +285,56 @@ def test_soup_find_provable(files):
     assert run(["soup-find", f]) == EXIT_NEGATIVE
 
 
-def test_soup_find_refutes_a_2000_deep_left_nested_formula(files, capsys):
+def test_soup_find_refutes_a_2000_deep_left_nested_formula(
+    files, capsys, default_recursion_limit
+):
     # ((...((a0 -> a1) -> a2) ...) -> a2000) -> b nests its premises 2000
     # deep: the key texts of the analysis and the written soup print them
     # on the printers' own stacks
     text = "(" * 2000 + "a0 -> a1" + "".join(f") -> a{i}" for i in range(2, 2001))
     f = files("deep.sig1", text + ") -> b\n")
-    assert run(["soup-find", f]) == EXIT_OK
-    soup = files("deep.soup", capsys.readouterr().out)
-    assert run(["soup-check", f, soup]) == EXIT_OK
+    with default_recursion_limit():
+        assert run(["soup-find", f]) == EXIT_OK
+        soup = files("deep.soup", capsys.readouterr().out)
+        assert run(["soup-check", f, soup]) == EXIT_OK
+
+
+def _quantified_chain(n, every_level):
+    """((...(forall x. (a0(c) -> a1(c)) -> a2(x)) ...) -> an(x)) -> b, with
+    ``forall x.`` on the even levels, or on every level from 2."""
+    text = "a0(c) -> a1(c)"
+    for i in range(2, n + 1):
+        text = f"({text}) -> a{i}(x)"
+        if every_level or i % 2 == 0:
+            text = "forall x. " + text
+    return f"({text}) -> b\n"
+
+
+def test_deep_quantified_chains_get_verdicts(files, capsys, default_recursion_limit):
+    # parsing renames the repeated binders x, and the prover instantiates
+    # them, on stacks of their own: each gives its verdict, not exit 3
+    sigma1 = files("deep.sig1", _quantified_chain(2000, every_level=False))
+    neither = files("neither.sig1", _quantified_chain(2000, every_level=True))
+    smaller = files("smaller.sig1", _quantified_chain(1200, every_level=False))
+    with default_recursion_limit():
+        assert run(["prove", sigma1]) == EXIT_NEGATIVE
+        assert capsys.readouterr().out == "NOT PROVABLE\n"
+        # forall x. on an odd level is a quantifier in a Sigma1 position
+        assert run(["prove", neither]) == EXIT_INPUT
+        assert "got Neither" in capsys.readouterr().err
+        assert run(["soup-find", smaller]) == EXIT_OK
+        soup = files("smaller.soup", capsys.readouterr().out)
+        assert run(["soup-check", smaller, soup]) == EXIT_OK
+
+
+def test_check_rejects_an_instance_that_would_capture(files, capsys):
+    # H y instantiates forall x1. forall y. s(y) -> r(y) at y, so the inner
+    # binder is renamed apart from y, and H y c needs s(c), not s(y)
+    member = "forall x1. forall y. s(y) -> r(y)"
+    goal = files("capture.sig1", f"({member}) -> forall y. s(y) -> r(y)\n")
+    cert = files("capture.cert", f"\\H:({member}). \\y. \\S:s(y). H y c S\n")
+    assert run(["check", cert, goal]) == EXIT_NEGATIVE
+    assert "does not match the expected premise s(c)" in capsys.readouterr().out
 
 
 def test_roundtrip_asp_driver():

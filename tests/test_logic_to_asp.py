@@ -332,13 +332,14 @@ def test_seed0_key_text_is_pinned():
     assert digest.hexdigest()[:16] == "bc0b9a7fb2943942"
 
 
-def test_analysis_builds_a_2000_step_chain():
+def test_analysis_builds_a_2000_step_chain(default_recursion_limit):
     # a0 -> (a0 -> a1) -> ... -> (a1999 -> a2000) -> a2000; a recursive
     # occurrence walk ran out of stack from about 1000 steps
     n = 2000
     a = [AtomF(f"a{i}") for i in range(n + 1)]
     phi = impl_chain([a[0]] + [Impl(a[i], a[i + 1]) for i in range(n)], a[n])
-    an = analysis(phi)
+    with default_recursion_limit():
+        an = analysis(phi)
     assert len(an.sig.occs) == 4 * n + 3
     assert len(an.sig.premises) == n + 1
     assert an.sig.target == a[n]

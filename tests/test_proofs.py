@@ -105,6 +105,20 @@ def test_check_eigenvariable_violation():
     assert not ok and any("eigenvariable" in line for line in trail)
 
 
+def test_check_instantiates_without_capture():
+    # H y instantiates forall x1. forall y. s(y) -> r(y) at y: the inner
+    # binder must be renamed apart from y and stay apart when H y is applied
+    # to c, so S : s(y) does not fit the premise s(c).  Substituting into
+    # the renamed body a second time once gave s(y) -> r(y) and accepted
+    member = "forall x1. forall y. s(y) -> r(y)"
+    goal = parse_formula(f"({member}) -> forall y. s(y) -> r(y)")
+    term = parse_term(f"\\H:({member}). \\y. \\S:s(y). H y c S")
+    assert check_explain(Environment(), term, goal) == (
+        False,
+        ["argument type s(y) does not match the expected premise s(c)"],
+    )
+
+
 def test_check_application():
     env = Environment((("F", Impl(a, b)), ("X", a)))
     assert check(env, PApp(PVar("F"), PVar("X")), b)
@@ -547,14 +561,15 @@ def test_a_join_that_finds_nothing_stops_at_the_deadline():
     assert time.monotonic() - t0 < 2
 
 
-def test_a_refutable_2000_step_chain_is_refuted():
+def test_a_refutable_2000_step_chain_is_refuted(default_recursion_limit):
     # (a1 -> a0) -> ... -> (a2000 -> a1999) -> a0 fails along one path of
     # 2001 nested judgments; the search keeps them on its own frame stack,
     # not on Python's, so the depth meets no recursion limit
     n = 2000
     atoms = [AtomF(f"a{i}") for i in range(n + 1)]
     phi = impl_chain([Impl(atoms[i + 1], atoms[i]) for i in range(n)], atoms[0])
-    assert prove_sigma1(phi) is None
+    with default_recursion_limit():
+        assert prove_sigma1(phi) is None
 
 
 _CERT_SCRIPT = """
@@ -1151,18 +1166,6 @@ def test_extract_matches_the_recursive_reference_on_the_seed0_certificates():
     assert ours == theirs
 
 
-@contextlib.contextmanager
-def _default_recursion_limit():
-    # pytest and Hypothesis raise the limit while a test runs; the walks must
-    # not need that, so the deep chains run under the interpreter's default
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def _provable_chain(n: int):
     # a0 -> (a0 -> a1) -> ... -> (a{n-1} -> an) -> an
     atoms = [AtomF(f"a{i}") for i in range(n + 1)]
@@ -1179,12 +1182,14 @@ def _refutable_chain(n: int):
 @given(st.integers(1000, 10_000))
 @example(1000)
 @example(10_000)
-def test_deep_chains_are_proved_checked_printed_and_read_back(n):
+def test_deep_chains_are_proved_checked_printed_and_read_back(
+    default_recursion_limit, n
+):
     # a proof of depth n: prove, check, is_lnf, fmt_term, parse_term and
     # check again, and the mirror refuted, none of them on Python's stack
     phi = _provable_chain(n)
     env = Environment()
-    with _default_recursion_limit():
+    with default_recursion_limit():
         cert = prove_sigma1(phi)
         assert cert is not None
         assert check(env, cert, phi) and is_lnf(env, cert, phi)

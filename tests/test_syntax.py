@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aspsigma.corpus import CorpusSpec, gen_formulas
+from aspsigma import asp_to_logic, logic_to_asp, proofs
+from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
 from aspsigma.errors import FormulaError
 from aspsigma.parsing import parse_formula
 from aspsigma.proofs import _goal_spine
@@ -15,8 +16,8 @@ from aspsigma.syntax import (
     Forall,
     Impl,
     MintsClass,
+    alpha_eq,
     alpha_key,
-    binder_names,
     classify,
     const,
     fmt_formula,
@@ -33,6 +34,7 @@ from aspsigma.syntax import (
     var,
 )
 from oracle import (
+    binder_names,
     decompose_pi1,
     peel_sigma1,
     reference_alpha_canon,
@@ -43,6 +45,7 @@ from oracle import (
     reference_fmt_key,
     reference_occurrences,
     reference_rectify,
+    reference_substitute,
 )
 
 A = AtomF("A")
@@ -158,6 +161,27 @@ def test_classify_matches_grammar_enumeration_up_to_size_12():
 # ---------------------------------------------------------------------------
 
 
+# binders and names that collide with the fresh names x1, x2, ...
+_RECTIFY_NAMES = ["x", "x1", "x2", "y"]
+_RECTIFY_TERMS = [var(n) for n in _RECTIFY_NAMES] + [const("x1"), const("x3"), const("c")]
+_RECTIFY_FORMULAS = st.recursive(
+    st.one_of(
+        st.just(A),
+        st.builds(P, st.sampled_from(_RECTIFY_TERMS)),
+        st.builds(
+            lambda t, u: AtomF("R", (t, u)),
+            st.sampled_from(_RECTIFY_TERMS),
+            st.sampled_from(_RECTIFY_TERMS),
+        ),
+    ),
+    lambda sub: st.one_of(
+        st.builds(Impl, sub, sub),
+        st.builds(Forall, st.sampled_from(_RECTIFY_NAMES), sub),
+    ),
+    max_leaves=10,
+)
+
+
 def test_substitute_simple():
     assert substitute(P(var("x")), {"x": const("c")}) == P(const("c"))
 
@@ -181,28 +205,77 @@ def test_substitute_capture_avoidance():
     assert got.body == AtomF("P", (var(got.var), var("x")))
 
 
-@given(
-    st.recursive(
-        st.sampled_from(
-            [P(var("x")), P(var("y")), P(const("c")), Qa(var("x")), A]
-        ),
-        lambda sub: st.one_of(
-            st.tuples(sub, sub).map(lambda t: Impl(*t)),
-            st.tuples(st.sampled_from(["x", "y", "z"]), sub).map(
-                lambda t: Forall(t[0], t[1])
-            ),
-        ),
-        max_leaves=8,
-    )
+def test_substitute_renames_a_binder_its_image_would_capture():
+    # x1 does not occur in the body, but its image y would be bound by the
+    # quantifier; renamed apart, the formula stays what it was
+    s, r = AtomF("s", (var("y"),)), AtomF("r", (var("y"),))
+    f = Forall("y", Impl(s, r))
+    assert alpha_eq(substitute(f, {"x1": var("y")}), f)
+
+
+def test_substitute_never_replaces_a_renamed_binder():
+    # x is renamed to x1, which the mapping also sends to c; the renamed
+    # occurrence must stay bound, not become c
+    f = Forall("x", AtomF("p", (var("x"), var("z"))))
+    got = substitute(f, {"z": var("x"), "x1": const("c")})
+    assert alpha_eq(got, Forall("w", AtomF("p", (var("w"), var("x")))))
+
+
+_SUBSTITUTIONS = st.dictionaries(
+    st.sampled_from(_RECTIFY_NAMES), st.sampled_from(_RECTIFY_TERMS), max_size=3
 )
-def test_substitute_free_variable_accounting(f):
-    f = rectify(f)
-    mapping = {"x": const("c"), "y": const("d")}
-    used = free_vars(f) & set(mapping)
+
+
+@given(_RECTIFY_FORMULAS, _SUBSTITUTIONS)
+@example(Forall("y", Impl(P(var("y")), Qa(var("y")))), {"x1": var("y")})
+@example(
+    Forall("x", AtomF("R", (var("x"), var("y")))), {"y": var("x"), "x1": const("c")}
+)
+@example(Forall("x", Forall("x1", AtomF("R", (var("x"), var("y"))))), {"y": var("x")})
+def test_substitute_free_variable_accounting(f, mapping):
+    # unrectified formulas and images that clash with the binders and with
+    # the fresh names x1, x2, ...
+    fv = free_vars(f)
     got = substitute(f, mapping)
-    assert free_vars(got) == free_vars(f) - set(mapping)
-    for name in used:
-        assert mapping[name].name in reference_constants(got)
+    images = {mapping[v].name for v in fv & mapping.keys() if mapping[v].var}
+    assert free_vars(got) == (fv - mapping.keys()) | images
+    for v in fv & mapping.keys():
+        if not mapping[v].var:
+            assert mapping[v].name in reference_constants(got)
+    # the same substitution where no binder can capture: with the binders
+    # renamed apart first, the reference's capture path never runs
+    apart = _rename_binders(f, [f"v{i}" for i in range(len(binder_names(f)))])
+    assert alpha_eq(got, reference_substitute(apart, mapping))
+    for v in _RECTIFY_NAMES:
+        assert alpha_eq(substitute(f, {v: var(v)}), f)
+
+
+def test_substitute_matches_the_reference_on_the_library_traffic(monkeypatch):
+    # every mapping the library substitutes while it proves, checks,
+    # analyses and translates the seed-0 corpora (prover instances,
+    # question schemas and frozen free variables) maps to constants; on
+    # those the walk must give what the reference gives
+    calls = []
+
+    def recording(f, mapping):
+        calls.append((f, dict(mapping)))
+        return substitute(f, mapping)
+
+    monkeypatch.setattr(proofs, "substitute", recording)
+    monkeypatch.setattr(logic_to_asp, "substitute", recording)
+    for p in gen_programs(CorpusSpec(count=500, seed=0)):
+        phi = asp_to_logic.translate(p, fresh_goal_atom(p)).formula
+        cert = proofs.prove_sigma1(phi)
+        if cert is not None:
+            assert proofs.check(proofs.Environment(), cert, phi)
+    for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
+        an = logic_to_asp.analysis(phi)
+        proofs.prove_sigma1(phi)
+        logic_to_asp.translate(phi, addr_len=1, an=an)
+    assert len(calls) > 10_000
+    for f, mapping in calls:
+        assert not any(t.var for t in mapping.values())
+        assert substitute(f, mapping) == reference_substitute(f, mapping)
 
 
 def test_rectify_renames_duplicate_binders():
@@ -217,27 +290,6 @@ def test_rectify_renames_duplicate_binders():
 def test_rectify_keeps_clean_formulas():
     f = Forall("x", Impl(P(var("x")), Qa(var("x"))))
     assert rectify(f) == f
-
-
-# binders and names that collide with the fresh names x1, x2, ...
-_RECTIFY_NAMES = ["x", "x1", "x2", "y"]
-_RECTIFY_TERMS = [var(n) for n in _RECTIFY_NAMES] + [const("x1"), const("x3"), const("c")]
-_RECTIFY_FORMULAS = st.recursive(
-    st.one_of(
-        st.just(A),
-        st.builds(P, st.sampled_from(_RECTIFY_TERMS)),
-        st.builds(
-            lambda t, u: AtomF("R", (t, u)),
-            st.sampled_from(_RECTIFY_TERMS),
-            st.sampled_from(_RECTIFY_TERMS),
-        ),
-    ),
-    lambda sub: st.one_of(
-        st.builds(Impl, sub, sub),
-        st.builds(Forall, st.sampled_from(_RECTIFY_NAMES), sub),
-    ),
-    max_leaves=10,
-)
 
 
 @given(_RECTIFY_FORMULAS)
@@ -258,6 +310,40 @@ def test_rectify_renames_a_long_binder_prefix():
         f = f.body
     assert names == ["x"] + [f"x{i}" for i in range(1, n)]
     assert f == P(var(f"x{n - 1}"))
+
+
+def _left_nested(n, bottom, names):
+    """((...(forall x. (bottom -> a1(c)) -> a2(x)) ...) -> an(x)) -> b, whose
+    quantifiers, outermost first, bind ``names``; each binds the atoms of
+    its even level and of the odd level below it."""
+    names = reversed(names)
+    f = Impl(bottom, AtomF("a1", (const("c"),)))
+    for i in range(2, n + 1, 2):
+        x = var(next(names))
+        if i > 2:
+            f = Impl(f, AtomF(f"a{i - 1}", (x,)))
+        f = Forall(x.name, Impl(f, AtomF(f"a{i}", (x,))))
+    return Impl(f, B)
+
+
+def test_a_2000_deep_left_nested_quantified_formula_is_rebuilt(default_recursion_limit):
+    # nested 2000 premises deep, with x bound on every even level: rectify
+    # renames the binders in preorder, outermost first, and substitute walks
+    # to the free y at the bottom, neither on Python's stack
+    n = 2000
+    y, c = AtomF("a0", (var("y"),)), AtomF("a0", (const("c"),))
+    f = _left_nested(n, y, ["x"] * (n // 2))
+    renamed = ["x"] + [f"x{i}" for i in range(1, n // 2)]
+    with default_recursion_limit():
+        # == on the dataclasses would recurse; the text names the binders
+        # and the key tells variables from constants
+        for got, want in [
+            (rectify(f), _left_nested(n, y, renamed)),
+            (substitute(f, {"y": const("c")}), _left_nested(n, c, ["x"] * (n // 2))),
+        ]:
+            assert fmt_formula(got) == fmt_formula(want)
+            assert alpha_key(got) == alpha_key(want)
+        assert substitute(f, {"x": const("d")}) is f
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +444,7 @@ def test_the_printers_match_their_recursive_references(f):
     assert fmt_key(key) == reference_fmt_key(key)
 
 
-def test_a_2000_deep_left_nested_formula_prints():
+def test_a_2000_deep_left_nested_formula_prints(default_recursion_limit):
     # ((...((a0 -> a1) -> a2) ...) -> a2000) -> b nests its premises 2000
     # deep; the recursive printers exceed Python's default recursion limit
     f = AtomF("a0")
@@ -366,9 +452,10 @@ def test_a_2000_deep_left_nested_formula_prints():
         f = Impl(f, AtomF(f"a{i}"))
     f = Impl(f, AtomF("b"))
     text = "(" * 2000 + "a0 -> a1" + "".join(f") -> a{i}" for i in range(2, 2001)) + ") -> b"
-    assert fmt_formula(f) == text
-    assert fmt_key(alpha_key(f)) == text
-    assert alpha_key(parse_formula(text)) == alpha_key(f)
+    with default_recursion_limit():
+        assert fmt_formula(f) == text
+        assert fmt_key(alpha_key(f)) == text
+        assert alpha_key(parse_formula(text)) == alpha_key(f)
 
 
 @given(_ALPHA_FORMULAS)
