@@ -145,9 +145,7 @@ def _logic_checks(report: RoundTripReport, phi, deadline: float | None) -> None:
         soup = soups.find_soup(phi, deadline=deadline, an=an)
         report.timings["soup"] = time.monotonic() - t0
         t0 = time.monotonic()
-        verdict = logic_to_asp.decide_by_translation(
-            phi, deadline=deadline, cross_check=False, an=an
-        )
+        verdict = logic_to_asp.decide_by_translation(phi, deadline=deadline, an=an)
         report.timings["translation"] = time.monotonic() - t0
         report.verdicts["provable"] = provable
         report.verdicts["soup_exists"] = soup is not None
@@ -415,7 +413,8 @@ def _cmd_soup_find(args) -> int:
 def _cmd_soup_to_model(args) -> int:
     phi = parse_formula(_read(args.formula))
     z = soups.parse_soup(_read(args.soup))
-    model = soups.model_from_soup(z, phi, addr_len=args.addr_len or z.addr_len)
+    t = logic_to_asp.translate(phi, addr_len=args.addr_len or z.addr_len)
+    model = soups.model_from_soup(z, phi, translation=t)
     atoms = sorted(str(a) for a in model)
     if args.json:
         print(json.dumps({"model": atoms}, indent=2))

@@ -19,10 +19,12 @@ emits each clause as an integer row ``(head, pos, neg)`` into an
 it, head first, then the positive body, then the negated body.  The emitter
 looks ids up in tables by (symbol, instance or question, address) that it
 fills on first sight, so a key is built once per atom, not once per
-occurrence; it appends rows without building a clause, counts each family
-from the sizes of its loops, and checks the deadline once per block of at
-most 4096 rows.  The engine solves the rows as they are, and the soup
-conversions look atoms up by key (``AtomBuilder``).
+occurrence; it appends rows without building a clause and checks the
+deadline once per block of at most 4096 rows.  ``_family_rows`` counts the
+rows of each clause family from the analysis tables before any is written:
+one law gives both ``counts`` and the ``EMISSION_CAP`` test.  The engine
+solves the rows as they are, and the soup conversions look atoms up by key
+(``AtomBuilder``).
 ``FormulaTranslation.program`` builds ``Atom`` and ``Clause`` objects only
 when it is read, and checks their domain once per atom of the table.
 """
@@ -37,14 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .engine import AtomKey, GroundProgram, Model, has_stable_model
-from .errors import (
-    ArityError,
-    CapExceeded,
-    CrossCheckError,
-    FormulaError,
-    check_deadline,
-)
-from .proofs import prove_sigma1
+from .errors import ArityError, CapExceeded, FormulaError, check_deadline
 from .syntax import (
     AlphaKey,
     Atom,
@@ -532,13 +527,10 @@ def _runs(items):
 
 @dataclass(frozen=True)
 class FormulaTranslation:
-    phi: Formula
     analysis: Analysis
     addr_len: int
-    full_facts: bool
     ground_program: GroundProgram
-    counts: dict[str, int]
-    names: "_Names"
+    counts: dict[str, int]  # the rows of each clause family that has any
     builder: AtomBuilder
     syntax_facts: frozenset[int]  # ids of the heads of families 1-3
 
@@ -553,7 +545,7 @@ class FormulaTranslation:
         Every argument of a clause is an argument of an atom of the table, so
         the domain is checked once per atom there, not per clause as
         ``Program`` would check it."""
-        names = self.names
+        names = self.builder.names
         domain = {*names.bits, *self.sig.pool}
         domain.update(names.occ_name(occ) for occ in range(len(self.sig.occs)))
         args = map(operator.itemgetter(slice(1, None)), self.ground_program.ids)
@@ -620,33 +612,56 @@ def _fresh_bits(pool: set[str]) -> tuple[str, str]:
     return (b + "0", b + "1")
 
 
-def estimate_emission(an: Analysis, addr_len: int, full_facts: bool = False) -> int:
-    a = 2**addr_len
-    n_inst = len(an.instances)
-    ans_pairs = sum(len(q.answers) for q in an.active) * a * a
-    total = 0
-    # facts 1-3
+def _unpinned(an: Analysis, q: QuestionPattern) -> tuple[list[str], list[str]]:
+    """The binder positions of ``q``'s substitution blocks that its member and
+    its question leave free: ``full_facts`` fills them with every constant."""
+    p = an.instances[q.inst]
+    s_rel = {v for v, _ in p.assign}
+    t_rel = set(an.sig.schemas[p.occ].top_vars)
+    bvars = an.sig.bound_vars
+    s_free = [v for v in bvars if v not in s_rel]
+    return s_free, [v for v in bvars if v not in t_rel]
+
+
+def _family_rows(an: Analysis, addr_len: int, full_facts: bool) -> dict[str, int]:
+    """The rows ``translate`` writes of each clause family at ``addr_len``,
+    read off the analysis tables before any row is written; a family without
+    rows is left out."""
+    n_blocks = n_subgoals = n_descendants = 0
     for q in an.questions:
-        k = len(q.answers)
-        taus = sum(len(opt.taus) for opt in q.answers)
-        mult = 1
+        blocks = 1
         if full_facts:
-            inst = an.instances[q.inst]
-            schema = an.sig.schemas[inst.occ]
-            irrelevant = (
-                2 * len(an.sig.bound_vars)
-                - len(inst.assign)
-                - len(schema.top_vars)
-            )
-            mult = len(an.sig.pool) ** irrelevant
-        total += (taus + k + 1) * mult
-    total += 1 + n_inst  # families 4-6: the goal, and env or nenv per instance
-    total += ans_pairs * (n_inst + 1 + 1 + 2 + 1)  # families 7, 8-ish, 9, 12, 15
-    total += n_inst * a * 3  # families 10, 11
-    total += len(an.active) * a * 2  # families 13, 14
-    g = len(an.goal_universe)
-    total += (g * (g - 1) // 2) * a  # family 16
-    return total
+            s_free, t_free = _unpinned(an, q)
+            blocks = len(an.sig.pool) ** (len(s_free) + len(t_free))
+        n_blocks += blocks
+        n_subgoals += blocks * len(q.answers)
+        n_descendants += blocks * sum(len(opt.taus) for opt in q.answers)
+    n_addr = 2**addr_len
+    pairs = n_addr * n_addr
+    n_inst = len(an.instances)
+    n_initial = sum(p.key in an.initial_keys for p in an.instances)
+    n_options = sum(len(q.answers) for q in an.active)
+    n_taus = sum(len(opt.taus) for q in an.active for opt in q.answers)
+    n_goals = len(an.goal_universe)
+    rows = {
+        "01_descendant": n_descendants,
+        "02_subgoal": n_subgoals,
+        "03_head": n_blocks,
+        "04_initial_goal": 1,
+        "05_initial_env": n_initial,
+        "06_initial_nenv": n_inst - n_initial,
+        "07_env_propagation": pairs * n_options * n_inst,
+        "08_env_descendants": pairs * n_taus,
+        "09_goal_of_answer": pairs * n_options,
+        "10_env_choice": 2 * n_inst * n_addr,
+        "11_env_conflict": n_inst * n_addr,
+        "12_answer_choice": 2 * pairs * n_options,
+        "13_question": len(an.active) * n_addr,
+        "14_must_answer": len(an.active) * n_addr,
+        "15_answered": pairs * n_options,
+        "16_unique_goal": n_goals * (n_goals - 1) // 2 * n_addr,
+    }
+    return {family: n for family, n in rows.items() if n}
 
 
 def translate(
@@ -660,8 +675,10 @@ def translate(
 
     Any address length is sound (a stable model yields a soup); completeness
     holds from ``certified_addr_len`` up.  The default is the capped length
-    ``min(certified, 4)``.  An estimate above ``EMISSION_CAP`` clauses raises
-    ``CapExceeded`` with the longest feasible address length.
+    ``min(certified, 4)``.  The rows of each clause family (``counts``) are
+    counted by ``_family_rows`` before emission; more than ``EMISSION_CAP``
+    of them in all raises ``CapExceeded`` with the longest address length
+    whose count is within the cap.
 
     The program is emitted as integer rows ``(head, pos, neg)``: each clause
     gives its head, then its positive body, then its negated body an id on
@@ -675,15 +692,16 @@ def translate(
         addr_len = min(certified_addr_len(an), DEFAULT_ADDR_LEN_CAP)
     if addr_len < 1:
         raise FormulaError("address length must be at least 1")
-    est = estimate_emission(an, addr_len, full_facts)
-    if est > EMISSION_CAP:
+    counts = _family_rows(an, addr_len, full_facts)
+    total = sum(counts.values())
+    if total > EMISSION_CAP:
         feasible = None
         for l in range(addr_len - 1, 0, -1):
-            if estimate_emission(an, l, full_facts) <= EMISSION_CAP:
+            if sum(_family_rows(an, l, full_facts).values()) <= EMISSION_CAP:
                 feasible = l
                 break
         raise CapExceeded(
-            f"emission of ~{est} clauses exceeds the cap {EMISSION_CAP} "
+            f"emission of {total} clauses exceeds the cap {EMISSION_CAP} "
             f"at address length {addr_len}",
             feasible=feasible,
         )
@@ -711,7 +729,6 @@ def translate(
     # per target address the ids of its ans and nans atoms by source address;
     # the q and y atoms go by the question's place in this list
     asked = []
-    n_options = n_taus = 0
     for q in an.active:
         args = q_args[q.index]
         options = [
@@ -723,8 +740,6 @@ def translate(
             for opt in q.answers
         ]
         asked.append((q, options))
-        n_options += len(options)
-        n_taus += sum(len(opt.taus) for opt in q.answers)
     q_at = per_address([("q",) + q_args[q.index] for q in an.active])
     y_at = per_address([("y",) + q_args[q.index] for q in an.active])
     inst_runs = _runs(range(n_inst))
@@ -742,11 +757,7 @@ def translate(
         if not full_facts:
             return [q_args[q.index][1:]]
         p = an.instances[q.inst]
-        schema = sig.schemas[p.occ]
-        s_rel = {v for v, _ in p.assign}
-        t_rel = set(schema.top_vars)
-        s_free = [v for v in sig.bound_vars if v not in s_rel]
-        t_free = [v for v in sig.bound_vars if v not in t_rel]
+        s_free, t_free = _unpinned(an, q)
         out = []
         for s_fill in itertools.product(sig.pool, repeat=len(s_free)):
             for t_fill in itertools.product(sig.pool, repeat=len(t_free)):
@@ -757,11 +768,9 @@ def translate(
                 out.append(b.block(s) + b.block(t))
         return out
 
-    n_facts = n_subgoals = n_heads = 0
     for q in an.questions:
         occ = inst_args[q.inst][0]
-        blocks = filled_blocks(q)
-        for st_blk in blocks:
+        for st_blk in filled_blocks(q):
             keys = []
             for opt in q.answers:
                 di = f"di{opt.index}"
@@ -775,9 +784,6 @@ def translate(
                     put_p(())
                     put_n(())
                 tick()
-            n_facts += len(keys)
-        n_subgoals += len(blocks) * len(q.answers)
-        n_heads += len(blocks)
     syntax_facts = frozenset(heads)
 
     # families 4-6: the initial judgment at address 0...0
@@ -905,34 +911,10 @@ def translate(
                 put_n((f,))
             tick()
 
-    # the rows of each family, from the sizes of the loops above
-    pairs = n_addr * n_addr
-    n_initial = initial.count(True)
-    family_rows = {
-        "01_descendant": n_facts - n_subgoals - n_heads,
-        "02_subgoal": n_subgoals,
-        "03_head": n_heads,
-        "04_initial_goal": 1,
-        "05_initial_env": n_initial,
-        "06_initial_nenv": n_inst - n_initial,
-        "07_env_propagation": pairs * n_options * n_inst,
-        "08_env_descendants": pairs * n_taus,
-        "09_goal_of_answer": pairs * n_options,
-        "10_env_choice": 2 * n_inst * n_addr,
-        "11_env_conflict": n_inst * n_addr,
-        "12_answer_choice": 2 * pairs * n_options,
-        "13_question": len(an.active) * n_addr,
-        "14_must_answer": len(an.active) * n_addr,
-        "15_answered": pairs * n_options,
-        "16_unique_goal": n_goals * (n_goals - 1) // 2 * n_addr,
-    }
-    counts = {family: rows for family, rows in family_rows.items() if rows}
-    assert sum(counts.values()) == len(heads)
+    assert total == len(heads)
 
     gp = GroundProgram(b.ids, heads, pos, neg)
-    return FormulaTranslation(
-        sig.phi, an, addr_len, full_facts, gp, counts, names, b, syntax_facts
-    )
+    return FormulaTranslation(an, addr_len, gp, counts, b, syntax_facts)
 
 
 # ---------------------------------------------------------------------------
@@ -960,22 +942,15 @@ class TranslationVerdict:
     def addr_len(self) -> int:
         return self.translation.addr_len
 
-    @property
-    def provable(self) -> bool:
-        return not self.refutable
-
 
 def decide_by_translation(
     phi: Formula,
     deadline: float | None = None,
-    cross_check: bool = True,
     an: Analysis | None = None,
 ) -> TranslationVerdict:
-    """Refutability of ``phi`` via stable-model existence of its program.
-
-    Uses the full (certified) address length, and asserts the verdict against
-    direct proof search unless ``cross_check`` is disabled.  ``an``, when
-    given, must be ``analysis(phi)``, as for ``translate``.
+    """Refutability of ``phi`` via stable-model existence of its program at
+    the full (certified) address length.  ``an``, when given, must be
+    ``analysis(phi)``, as for ``translate``.
     """
     if an is None:
         an = analysis(phi)
@@ -984,12 +959,4 @@ def decide_by_translation(
     witness = has_stable_model(
         t.ground_program, deadline=deadline, branch_priority=_answers_first
     )
-    refutable = witness is not None
-    if cross_check:
-        cert = prove_sigma1(phi, deadline=deadline)
-        if (cert is None) != refutable:
-            raise CrossCheckError(
-                f"translation says refutable={refutable} but proof search "
-                f"says provable={cert is not None} for {fmt_formula(phi)}"
-            )
-    return TranslationVerdict(refutable, t, witness)
+    return TranslationVerdict(witness is not None, t, witness)

@@ -424,16 +424,16 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
 def model_from_soup(
     z: Soup,
     phi: Formula,
-    addr_len: int | None = None,
     translation: FormulaTranslation | None = None,
 ) -> Model:
     """Realize a soup as a stable model of the translated program.
 
     Untrimmed soups are trimmed to the part reachable from the initial
     judgment (with a notice); unused addresses repeat the last judgment.
+    ``translation`` defaults to ``phi``'s at the soup's address length.
     """
     if translation is None:
-        translation = translate(phi, addr_len=addr_len or z.addr_len)
+        translation = translate(phi, addr_len=z.addr_len)
     t = translation
     if t.addr_len != z.addr_len:
         raise FormulaError(

@@ -1873,6 +1873,4 @@ def reference_translate(phi, addr_len, full_facts=False, deadline=None, an=None)
             )
 
     gp = engine.GroundProgram(b.ids, heads, pos, neg)
-    return logic_to_asp.FormulaTranslation(
-        sig.phi, an, addr_len, full_facts, gp, counts, names, b, syntax_facts
-    )
+    return logic_to_asp.FormulaTranslation(an, addr_len, gp, counts, b, syntax_facts)

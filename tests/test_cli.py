@@ -166,7 +166,7 @@ def test_translate_formula_header(files, capsys, tmp_path):
     f = files("f.sig1", "b -> a\n")
     out = str(tmp_path / "out.lp")
     assert run(["translate-formula", f, "-o", out]) == EXIT_OK
-    text = open(out).read()
+    text = pathlib.Path(out).read_text()
     assert text.startswith("% source formula: b -> a")
     assert "addresses of length" in text
 
@@ -242,6 +242,15 @@ def test_soup_pipeline(files, capsys, tmp_path):
     soup2 = str(tmp_path / "z2.soup")
     assert run(["--addr-len", "1", "model-to-soup", f, model, "-o", soup2]) == EXIT_OK
     assert run(["soup-check", f, soup2]) == EXIT_OK
+
+
+def test_soup_to_model_at_another_address_length_is_input_error(files, capsys, tmp_path):
+    f = files("f.sig1", "b -> a\n")
+    soup = str(tmp_path / "z.soup")
+    assert run(["--addr-len", "1", "soup-find", f, "-o", soup]) == EXIT_OK
+    assert run(["--addr-len", "2", "soup-to-model", f, soup]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "soup uses addresses of length 1 but the translation has 2" in err
 
 
 def test_soup_check_non_sigma1_is_input_error(files):

@@ -60,7 +60,7 @@ def test_exhaustive_propositional_three_way():
             assert check(env, cert, phi) and is_lnf(env, cert, phi)
         soup = find_soup(phi)
         assert (soup is None) == provable, fmt_formula(phi)
-        verdict = decide_by_translation(phi, cross_check=False)
+        verdict = decide_by_translation(phi)
         assert verdict.refutable == (not provable), fmt_formula(phi)
         if soup is not None:
             assert check_soup(soup, phi).ok, fmt_formula(phi)
@@ -106,7 +106,7 @@ def test_exhaustive_unary_three_way():
         provable = prove_sigma1(phi) is not None
         soup = find_soup(phi)
         assert (soup is None) == provable, fmt_formula(phi)
-        verdict = decide_by_translation(phi, cross_check=False)
+        verdict = decide_by_translation(phi)
         assert verdict.refutable == (not provable), fmt_formula(phi)
         if verdict.witness is not None:
             from aspsigma.logic_to_asp import translate

@@ -138,9 +138,7 @@ def _call(name):
         return lambda deadline: fn(an, deadline=deadline)
     assert name == "decide_by_translation"
     phi = parse_formula(_NO_MODEL)
-    return lambda deadline: logic_to_asp.decide_by_translation(
-        phi, deadline=deadline, cross_check=False
-    )
+    return lambda deadline: logic_to_asp.decide_by_translation(phi, deadline=deadline)
 
 
 CALLS = [

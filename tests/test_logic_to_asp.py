@@ -159,6 +159,19 @@ def test_emission_cap_reports_feasible_length(monkeypatch):
     assert e.value.feasible is not None and e.value.feasible < 8
 
 
+def test_emission_cap_bounds_the_rows_exactly(monkeypatch):
+    # 837 rows at address length 3: one row over the cap raises, and a cap
+    # of exactly the rows lets them all through
+    phi = parse_formula("((a -> b -> c -> d) -> e) -> e")
+    monkeypatch.setattr(logic_to_asp, "EMISSION_CAP", 836)
+    with pytest.raises(CapExceeded) as e:
+        translate(phi, addr_len=3)
+    assert str(e.value) == "emission of 837 clauses exceeds the cap 836 at address length 3"
+    assert e.value.feasible == 2
+    monkeypatch.setattr(logic_to_asp, "EMISSION_CAP", 837)
+    assert len(translate(phi, addr_len=3).ground_program.heads) == 837
+
+
 def test_header_records_sizes():
     t = translate(parse_formula("b -> a"), addr_len=1)
     header = t.header()
@@ -171,9 +184,11 @@ def test_header_records_sizes():
 
 
 def test_decide_examples():
-    assert decide_by_translation(parse_formula("b -> a")).refutable
-    assert not decide_by_translation(parse_formula("a -> a")).refutable
-    assert decide_by_translation(parse_formula("a")).refutable
+    # each verdict is the one direct proof search reaches
+    for text, refutable in (("b -> a", True), ("a -> a", False), ("a", True)):
+        phi = parse_formula(text)
+        assert decide_by_translation(phi).refutable is refutable
+        assert (prove_sigma1(phi) is None) is refutable
 
 
 def test_soundness_at_any_addr_len():

@@ -552,7 +552,7 @@ def corpus_soups():
     out = []
     for phi in gen_formulas(CORPUS):
         found = find_soup(phi)
-        verdict = decide_by_translation(phi, cross_check=False)
+        verdict = decide_by_translation(phi)
         t = cooked = None
         if verdict.witness is not None:
             t = translate(phi, addr_len=verdict.addr_len)
@@ -887,7 +887,7 @@ wrapped = [Impl(formulas[i], h) for i in (0, 35, 123)]
 print(write_soup(find_soup(impl_chain(wrapped, h))))
 for w in wrapped:
     phi = Impl(w, h)
-    verdict = decide_by_translation(phi, cross_check=False)
+    verdict = decide_by_translation(phi)
     print(write_soup(find_soup(phi)))
     t = translate(phi, addr_len=verdict.addr_len)
     print(write_soup(soup_from_model(verdict.witness, t)))
