@@ -26,6 +26,7 @@ from .syntax import (
     const,
     forall_chain,
     impl_chain,
+    slot_init,
     var,
 )
 
@@ -34,7 +35,8 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class PredSymbols:
     plain: str
     bar: str
@@ -42,7 +44,8 @@ class PredSymbols:
     query: str
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Vocabulary:
     preds: dict[str, PredSymbols]
     arities: dict[str, int]
@@ -56,14 +59,16 @@ class Vocabulary:
     bullet: str
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Axiom:
     formula: Formula
     schema: int
     source: str
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class NormalClause:
     """A clause with its head/positive/negative parts and variable vectors."""
 
@@ -73,7 +78,8 @@ class NormalClause:
     body_only_vars: tuple[str, ...]  # distinct, first occurrence scanning the body
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class AspTranslation:
     program: Program
     omega: Atom
@@ -94,7 +100,8 @@ class AspTranslation:
         return _check_case(self, m, self.vocabulary.case_b, _incomplete, deadline)
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class ModelContext:
     """Axioms plus the model facts, usable as a proof context."""
 

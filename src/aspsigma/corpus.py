@@ -21,11 +21,13 @@ from .syntax import (
     fmt_formula,
     formula_length,
     make_program,
+    slot_init,
     var,
 )
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class CorpusSpec:
     count: int = 500
     max_predicates: int = 2

@@ -164,7 +164,8 @@ class GroundProgram:
             # each atom that occurs negated is negated once
             nots: list[Atom | None] = [None] * len(atoms)
             for i in set().union(*self.neg):
-                nots[i] = atoms[i].negate()
+                a = atoms[i]
+                nots[i] = Atom(a.pred, a.args, True)
             atom_at, not_at = atoms.__getitem__, nots.__getitem__
             rows = zip(self.heads, self.pos, self.neg)
             out = []

@@ -55,6 +55,7 @@ from .syntax import (
     fmt_formula,
     fmt_key,
     occurrences,
+    slot_init,
     substitute,
     survey,
 )
@@ -70,7 +71,8 @@ CONE_CAP = 200_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class SubgoalInfo:
     index: int  # 1-based premise position
     subgoal: AtomF
@@ -78,7 +80,8 @@ class SubgoalInfo:
     vars_visible: int
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class QuestionSchema:
     occ: int
     free: tuple[str, ...]  # the member's free variables, sorted
@@ -87,7 +90,8 @@ class QuestionSchema:
     steps: tuple[SubgoalInfo, ...]
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class SoupSignature:
     phi: Formula
     occs: tuple[Occurrence, ...]
@@ -247,7 +251,8 @@ def _signature(phi: Formula) -> SoupSignature:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class InstancePattern:
     index: int
     occ: int
@@ -256,7 +261,8 @@ class InstancePattern:
     key: AlphaKey  # alpha_key(formula), the semantic identity
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class AnswerOption:
     index: int  # 1-based premise position
     subgoal: AtomF  # ground subgoal instance
@@ -264,7 +270,8 @@ class AnswerOption:
     tau_keys: frozenset[AlphaKey]  # their alpha keys
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class QuestionPattern:
     index: int
     inst: int  # instance index of the member psi[S]
@@ -279,7 +286,8 @@ class QuestionPattern:
         return (inst.key, tuple(t[v] for v in schema.top_vars))
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Analysis:
     """The instance and question tables of a formula, with the indexes their
     readers share; all of it is built once by ``analysis`` and never mutated."""
@@ -401,22 +409,58 @@ def reachable_cone(
     premise and moves to its target.  Every soup can be reshaped to live
     inside this cone, so its size certifies a sufficient address space.
     """
-    initial = (an.initial_keys, an.sig.target)
-    seen: set[tuple[frozenset, AtomF]] = {initial}
-    work = [initial]
+    by_goal = _cone_contexts(an, deadline)
+    return {
+        (ctx, goal) for goal, ctxs in zip(an.goal_universe, by_goal) for ctx in ctxs
+    }
+
+
+def _cone_contexts(an: Analysis, deadline: float | None) -> list[set[frozenset]]:
+    """The contexts of the judgments of ``reachable_cone``, by goal: entry
+    ``i`` holds those whose goal is ``an.goal_universe[i]``.
+
+    Goals are read as their index in ``goal_universe``, which holds the
+    target and every subgoal, so no judgment hashes or compares an atom.
+    Within one judgment, the context an answer leads to is built once for
+    each distinct set of premises it adds.
+    """
+    goals = an.goal_universe
+    index = {g: i for i, g in enumerate(goals)}
+    # per goal, filled when the walk first pops it: each member key that asks
+    # a question there, with the (added keys, next goal) of every answer
+    # option of its questions
+    asking: list[list | None] = [None] * len(goals)
+    target = index[an.sig.target]
+    seen: list[set[frozenset]] = [set() for _ in goals]
+    seen[target].add(an.initial_keys)
+    size = 1
+    work = [(an.initial_keys, target)]
     while work:
         check_deadline(deadline, "translation")
         ctx, goal = work.pop()
-        for q in an.asked(ctx, goal):
-            for opt in q.answers:
-                nxt = (ctx | opt.tau_keys, opt.subgoal)
-                if nxt not in seen:
-                    if len(seen) >= CONE_CAP:
+        asks = asking[goal]
+        if asks is None:
+            asks = asking[goal] = [
+                (key, [(o.tau_keys, index[o.subgoal]) for q in qs for o in q.answers])
+                for key, qs in an.by_head.get(goals[goal], {}).items()
+            ]
+        made: dict[frozenset, frozenset] = {}
+        for key, options in asks:
+            if key not in ctx:
+                continue
+            for tau_keys, sub in options:
+                nxt = made.get(tau_keys)
+                if nxt is None:
+                    nxt = made[tau_keys] = ctx if tau_keys <= ctx else ctx | tau_keys
+                at = seen[sub]
+                if nxt not in at:
+                    if size >= CONE_CAP:
                         raise CapExceeded(
                             f"judgment cone exceeds {CONE_CAP}", feasible=CONE_CAP
                         )
-                    seen.add(nxt)
-                    work.append(nxt)
+                    at.add(nxt)
+                    size += 1
+                    work.append((nxt, sub))
     return seen
 
 
@@ -427,7 +471,7 @@ def certified_addr_len(an: Analysis, deadline: float | None = None) -> int:
     that cone is complete; the quoted bound n^r (with nullary signatures read
     at arity one) is taken when smaller.
     """
-    cone = len(reachable_cone(an, deadline=deadline))
+    cone = sum(map(len, _cone_contexts(an, deadline)))
     mine = max(1, math.ceil(math.log2(max(2, cone))))
     paper = an.sig.n ** max(1, an.sig.r)
     return max(1, min(mine, paper))
@@ -451,18 +495,33 @@ class AtomBuilder:
     def __init__(self, an: Analysis, names: "_Names", addr_len: int):
         self.names = names
         self.addr_len = addr_len
-        pin, bvars = names.pin, an.sig.bound_vars
+        bvars = an.sig.bound_vars
+        # the block positions of each binder name (two for a name bound twice)
+        where: dict[str, list[int]] = {}
+        for i, v in enumerate(bvars):
+            where.setdefault(v, []).append(i)
+        pinned = [names.pin] * len(bvars)
+        all_pinned = tuple(pinned)
+
+        def fill(assign) -> tuple[str, ...]:
+            """The block of the (variable, constant) pairs ``assign``."""
+            if not assign:
+                return all_pinned
+            blk = pinned.copy()
+            for v, c in assign:
+                for i in where.get(v, ()):
+                    blk[i] = c
+            return tuple(blk)
 
         def block(assign: dict[str, str]) -> tuple[str, ...]:
-            return tuple([assign.get(v, pin) for v in bvars])
+            return fill(assign.items())
 
         self.block = block
         self.inst_args = [
-            (names.occ_name(p.occ),) + block(dict(p.assign)) for p in an.instances
+            (names.occ_name(p.occ),) + fill(p.assign) for p in an.instances
         ]
-        self.q_args = [
-            self.inst_args[q.inst] + block(dict(q.t_assign)) for q in an.questions
-        ]
+        inst_args = self.inst_args
+        self.q_args = [inst_args[q.inst] + fill(q.t_assign) for q in an.questions]
         self.addr = {
             bits: tuple([names.bits[int(c)] for c in bits])
             for bits in self.all_addresses()
@@ -932,7 +991,8 @@ def _answers_first(a: Atom) -> int:
     return 2
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class TranslationVerdict:
     refutable: bool
     translation: FormulaTranslation  # the program that was solved

@@ -134,6 +134,7 @@ from .syntax import (
     free_vars,
     impl_spine,
     pi1_spine,
+    slot_init,
     substitute,
     survey,
     var,
@@ -151,11 +152,13 @@ class ProofTerm:
     __slots__ = ()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PVar(ProofTerm):
     name: str
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PAbs(ProofTerm):
     var: str
@@ -163,18 +166,21 @@ class PAbs(ProofTerm):
     body: ProofTerm
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class OAbs(ProofTerm):
     var: str
     body: ProofTerm
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PApp(ProofTerm):
     fn: ProofTerm
     arg: ProofTerm
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class OApp(ProofTerm):
     fn: ProofTerm

@@ -53,6 +53,7 @@ from .syntax import (
     fmt_atomf,
     fmt_formula,
     fmt_key,
+    slot_init,
 )
 
 log = logging.getLogger(__name__)
@@ -62,14 +63,16 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Disjudgment:
     context: frozenset[AlphaKey]  # alpha keys of closed Pi1 instances
     goal: AtomF  # ground atom
     addresses: tuple[str, ...]  # bit strings, all of the soup's length
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class AnswerEntry:
     occ: int
     s_assign: tuple[tuple[str, str], ...]
@@ -79,7 +82,8 @@ class AnswerEntry:
     to_addr: str
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Soup:
     """Addressed disjudgments and an answer map, over addresses of
     ``addr_len`` bits.
@@ -106,7 +110,8 @@ class Soup:
         return self.by_address().get("0" * self.addr_len)
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class SoupReport:
     ok: bool
     diagnostics: tuple[str, ...]

@@ -3,13 +3,26 @@
 Programs are finite clause sets over a finite constant domain.  Formulas use
 only implication and universal quantification.  Everything here is immutable;
 all operations are pure functions.
+
+The library's frozen records are slots dataclasses whose ``__init__`` is
+replaced by ``slot_init``.  The ``__init__`` a frozen dataclass generates
+stores each field with ``object.__setattr__(self, name, value)``, which looks
+the name up along the class's MRO on every call to find the slot descriptor;
+the one ``slot_init`` builds holds each field's descriptor ``__set__`` and
+calls it directly, then runs ``__post_init__`` where the class has one.  It
+is built once, at import, with the signature, defaults and default factories
+of the one it replaces, so a record is constructed, compared, hashed,
+ordered, printed, pickled and ``dataclasses.replace``-d exactly as before,
+and assigning to a field still raises ``FrozenInstanceError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import ArityError, FormulaError
 
@@ -23,10 +36,86 @@ def is_program_variable_name(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Frozen records
+# ---------------------------------------------------------------------------
+
+
+class _Factory:
+    """The default of a parameter whose field has a default factory."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_HAS_FACTORY = _Factory()
+
+# the file name of every ``__init__`` that ``slot_init`` builds
+SLOT_INIT_FILE = "<slot_init>"
+
+_C = TypeVar("_C", bound=type)
+
+
+def slot_init(cls: _C) -> _C:
+    """Replace the ``__init__`` of the frozen slots dataclass ``cls`` with one
+    that stores each field through its slot descriptor.
+
+    The new ``__init__`` takes the parameters of the generated one, in the
+    same order and with the same defaults; a field with a default factory
+    calls it when its argument is left out, and ``__post_init__`` runs last,
+    as in the generated one.  Apply it above
+    ``@dataclass(frozen=True, slots=True)``; every field must be a plain
+    positional ``__init__`` parameter (no ``InitVar``, ``init=False`` or
+    ``kw_only``), as every record of this library is.
+    """
+    params = cls.__dict__.get("__dataclass_params__")
+    if params is None or not params.frozen or "__slots__" not in cls.__dict__:
+        raise TypeError(f"slot_init needs a frozen slots dataclass: {cls.__name__}")
+    fields = dataclasses.fields(cls)
+    if len(fields) != len(cls.__dataclass_fields__) or not all(
+        f.init and not f.kw_only for f in fields
+    ):
+        raise TypeError(f"slot_init takes only positional init fields: {cls.__name__}")
+    missing = dataclasses.MISSING
+    env: dict[str, object] = {"_HAS_FACTORY": _HAS_FACTORY}
+    args = ["self"]
+    body: list[str] = []
+    for f in fields:
+        name = f.name
+        env[f"_set_{name}"] = cls.__dict__[name].__set__
+        if f.default_factory is not missing:
+            env[f"_fac_{name}"] = f.default_factory
+            args.append(f"{name}=_HAS_FACTORY")
+            body.append(f"if {name} is _HAS_FACTORY: {name} = _fac_{name}()")
+        elif f.default is not missing:
+            env[f"_dflt_{name}"] = f.default
+            args.append(f"{name}=_dflt_{name}")
+        else:
+            args.append(name)
+        body.append(f"_set_{name}(self, {name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    text = (
+        f"def __create_fn__({', '.join(env)}):\n"
+        f" def __init__({', '.join(args)}):\n"
+        + "".join(f"  {line}\n" for line in body or ["pass"])
+        + " return __init__\n"
+    )
+    ns: dict[str, Callable] = {}
+    code = compile(text, SLOT_INIT_FILE, "exec", dont_inherit=True)
+    exec(code, sys.modules[cls.__module__].__dict__, ns)
+    init = ns["__create_fn__"](**env)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields} | {"return": None}
+    cls.__init__ = init
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms and program syntax
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True, order=True)
 class Term:
     name: str
@@ -48,6 +137,7 @@ def var(name: str) -> Term:
     return Term(name, True)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True, order=True)
 class Atom:
     """A predicate applied to terms; ``negated`` marks body occurrences ``not a``."""
@@ -82,6 +172,7 @@ class Atom:
         return ("not " + body) if self.negated else body
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Clause:
     head: Atom
@@ -116,6 +207,7 @@ class Clause:
         return f"{self.head} :- " + ", ".join(str(a) for a in self.body) + "."
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Program:
     """Clauses plus the finite constant domain (a superset of the constants used)."""
@@ -206,6 +298,7 @@ class Formula:
     __slots__ = ()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class AtomF(Formula):
     pred: str
@@ -216,12 +309,14 @@ class AtomF(Formula):
         return len(self.args)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Impl(Formula):
     lhs: Formula
     rhs: Formula
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Forall(Formula):
     var: str
@@ -663,6 +758,7 @@ def impl_spine(f: Formula) -> tuple[tuple[Formula, ...], Formula]:
     return tuple(premises), f
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Pi1Step:
     """One premise of a Pi1 formula with the quantifier prefix visible at it."""
@@ -671,6 +767,7 @@ class Pi1Step:
     vars_visible: int  # how many top variables are in scope for this premise
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Pi1Scheme:
     """Alternating quantifier blocks and premises, ending in the target atom."""
@@ -702,6 +799,7 @@ def pi1_spine(f: Formula) -> Pi1Scheme:
 # ---------------------------------------------------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Occurrence:
     """A subformula occurrence, identified by its preorder index."""

@@ -284,6 +284,26 @@ def scan_questions(an, keys, goal):
     )
 
 
+def reference_cone(an, cap):
+    """The judgments reachable from the initial one via minimal answers, as
+    (context keys, goal) pairs, by a walk that keys them by the goal atom and
+    asks ``scan_questions``; None when there are more than ``cap``."""
+    initial = (an.initial_keys, an.sig.target)
+    seen = {initial}
+    work = [initial]
+    while work:
+        ctx, goal = work.pop()
+        for q in scan_questions(an, ctx, goal):
+            for opt in q.answers:
+                nxt = (ctx | opt.tau_keys, opt.subgoal)
+                if nxt not in seen:
+                    if len(seen) >= cap:
+                        return None
+                    seen.add(nxt)
+                    work.append(nxt)
+    return seen
+
+
 def _meets(need, target, target_keys) -> bool:
     subgoal, keys = need
     return target.goal == subgoal and keys <= target_keys

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspsigma import logic_to_asp, syntax
-from aspsigma.corpus import CorpusSpec, gen_formulas
+from aspsigma import asp_to_logic, logic_to_asp, syntax
+from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
 from aspsigma.engine import GroundProgram, atom_key, has_stable_model, is_stable
 from aspsigma.errors import ArityError, CapExceeded, FormulaError
 from aspsigma.logic_to_asp import (
@@ -36,6 +36,7 @@ from aspsigma.syntax import (
 from lemmas import from_clauses
 from oracle import (
     reference_clauses,
+    reference_cone,
     reference_signature_facts,
     reference_translate,
     reference_validate_schema,
@@ -252,6 +253,27 @@ def test_certified_length_covers_cone():
     assert 2**l >= len(cone)
     # this formula needs three distinct judgments, so one bit cannot be enough
     assert l >= 2
+
+
+def test_reachable_cone_matches_the_reference_walk(monkeypatch):
+    # the 600 seed-0 formulas (cones of at most 4 judgments) and the
+    # translations of the first 40 seed-0 programs (64 to 284 judgments, or
+    # past the lowered cap)
+    monkeypatch.setattr(logic_to_asp, "CONE_CAP", 300)
+    programs = gen_programs(CorpusSpec(count=500, seed=0))[:40]
+    formulas = gen_formulas(CorpusSpec(count=600, formula_max_size=20)) + [
+        asp_to_logic.translate(p, fresh_goal_atom(p)).formula for p in programs
+    ]
+    for phi in formulas:
+        an = analysis(phi)
+        want = reference_cone(an, 300)
+        if want is None:
+            with pytest.raises(CapExceeded):
+                reachable_cone(an)
+            continue
+        assert reachable_cone(an) == want, fmt_formula(phi)
+        bits = max(1, (max(2, len(want)) - 1).bit_length())
+        assert certified_addr_len(an) == max(1, min(bits, an.sig.n ** max(1, an.sig.r)))
 
 
 # ---------------------------------------------------------------------------

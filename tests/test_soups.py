@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aspsigma
-from aspsigma import asp_to_logic, soups
+from aspsigma import asp_to_logic, logic_to_asp, soups
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
 from aspsigma.engine import atom_key, has_stable_model, is_stable
 from aspsigma.errors import BudgetExceeded, CrossCheckError, FormulaError
@@ -263,11 +263,14 @@ def _arity2_formula(i):
     return asp_to_logic.translate(p, fresh_goal_atom(p)).formula
 
 
-def test_find_soup_raises_soon_after_its_deadline():
+def test_find_soup_raises_soon_after_its_deadline(monkeypatch):
     # the prover refutes the translation of arity-2 instance 65 at once, but
-    # the reachable cone that bounds its soup's addresses does not finish in
-    # 3 s; the cone checks the deadline as it grows, so the search raises
-    # within a slack that a 2-vCPU machine keeps under load
+    # the reachable cone that bounds its soup's addresses outgrows the default
+    # CONE_CAP of 200 000 judgments in about a second, and keeps growing past
+    # the deadline under this one; the cone checks the deadline as it grows,
+    # so the search raises within a slack that a 2-vCPU machine keeps under
+    # load
+    monkeypatch.setattr(logic_to_asp, "CONE_CAP", 1_000_000)
     phi = _arity2_formula(65)
     start = time.monotonic()
     with pytest.raises(BudgetExceeded):
