@@ -26,8 +26,9 @@ failed judgment with a smaller proof, a contradiction.  The rule stops no later
 than repeating until the solved table stops growing (no cut judgment can be
 solved then), and it runs the same passes up to its stop, so verdicts and
 certificates are those of that loop.  The failed judgments of the last pass
-are thus a refutation (``failed_judgments``), and ``soups.find_soup`` builds
-its soup from them.
+are thus a refutation.  ``decide_sigma1`` runs the search once and returns
+either the certificate or that table, which ``soups.proof_or_soup`` builds its
+soup from; ``prove`` and ``prove_sigma1`` never build the table.
 
 A solved judgment is filed under the members its proof uses, not under its
 whole context.  That used set is the record's own member, unless it is a base
@@ -1223,13 +1224,15 @@ def prove(
     closed, so that the result checks against the goal as given.  Free proof
     variables of the result are named as in ``context_environment``.
     """
-    return _prove(list(ctx), goal, _goal_spine(goal), deadline)
+    ctx, spine = list(ctx), _goal_spine(goal)
+    prover, proved = _run(ctx, goal, spine, deadline)
+    return _certificate(prover, len(ctx), spine) if proved else None
 
 
 def _run(
     ctx: list[Formula], goal: Formula, spine: _GoalSpine, deadline: float | None
 ) -> tuple[_Prover, bool]:
-    """``_prove``'s search after its run, and whether it proved the goal."""
+    """The search for ``goal`` from ``ctx``, run, and whether it proved the goal."""
     if spine.free:
         raise FormulaError(
             f"goal has free variables {', '.join(sorted(spine.free))}: "
@@ -1254,19 +1257,14 @@ def _run(
     return prover, prover.run(spine.target)
 
 
-def _prove(
-    ctx: list[Formula], goal: Formula, spine: _GoalSpine, deadline: float | None
-) -> ProofTerm | None:
-    """``prove``, with ``spine`` the goal's ``_goal_spine``."""
-    prover, proved = _run(ctx, goal, spine, deadline)
-    if not proved:
-        return None
+def _certificate(prover: _Prover, k: int, spine: _GoalSpine) -> ProofTerm:
+    """The certificate a proving run found, from a context of ``k`` members."""
     counter = itertools.count(1)
     peeled_names = [(f"X{next(counter)}", p) for p in spine.premises]
     # the prover numbers distinct context members in order, from 0, just as
     # context_environment names them H1, H2, ...
-    names = {mid: f"H{mid + 1}" for mid in prover.base_ids[: len(ctx)]}
-    for (name, _), mid in zip(peeled_names, prover.base_ids[len(ctx) :]):
+    names = {mid: f"H{mid + 1}" for mid in prover.base_ids[:k]}
+    for (name, _), mid in zip(peeled_names, prover.base_ids[k:]):
         names[mid] = name
     term = prover.extract(frozenset(), prover.goal_id(spine.target), names, counter)
     for name, annot in reversed(peeled_names):
@@ -1274,15 +1272,17 @@ def _prove(
     return term
 
 
-def failed_judgments(
+def decide_sigma1(
     phi: Formula, deadline: float | None = None
-) -> dict[AtomF, list[frozenset[AlphaKey]]] | None:
-    """Per goal atom, the contexts at which the last pass of the search for
-    the closed Sigma1 formula ``phi`` failed it, each as the alpha keys added
-    to ``phi``'s premises; None when ``phi`` is provable."""
-    prover, proved = _run([], phi, _goal_spine(phi), deadline)
+) -> ProofTerm | dict[AtomF, list[frozenset[AlphaKey]]]:
+    """One search for the closed Sigma1 formula ``phi``: the certificate
+    ``prove_sigma1`` gives when ``phi`` is provable, and otherwise, per goal
+    atom, the contexts at which the last pass failed it, each as the alpha
+    keys added to ``phi``'s premises."""
+    spine = _goal_spine(phi)
+    prover, proved = _run([], phi, spine, deadline)
     if proved:
-        return None
+        return _certificate(prover, 0, spine)
     keys = list(prover.ids)  # ids are dense and follow interning order
     return {
         prover.goals[gid]: [frozenset(keys[mid] for mid in added) for added in fails]
@@ -1301,4 +1301,5 @@ def prove_sigma1(
         raise FormulaError(
             f"prove_sigma1 takes Sigma1 formulas, got {classify(phi).value}"
         )
-    return _prove([], phi, spine, deadline)
+    prover, proved = _run([], phi, spine, deadline)
+    return _certificate(prover, 0, spine) if proved else None

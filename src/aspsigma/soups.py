@@ -1,7 +1,8 @@
 """Refutation soups as first-class objects: checking, searching, and the two
 conversions between soups and stable models of the translated program.  The
-search is the Sigma1 prover's: a soup is read off the judgments its last,
-failing pass recorded as failed (``proofs.failed_judgments``).
+search is the Sigma1 prover's, run once per formula (``proofs.decide_sigma1``):
+``proof_or_soup`` returns its certificate, or a soup read off the judgments
+its last, failing pass recorded as failed; ``find_soup`` keeps the soup alone.
 
 A soup stores addressed disjudgments plus an explicit answer map.  The map is
 a checkable witness; validity itself only requires that every asked question
@@ -21,9 +22,9 @@ answer option, the judgments that answer it; the map, the existence reading
 and ``model_from_soup`` read those lists.
 
 A soup made here carries the table its answer entries index into:
-``find_soup`` attaches the one it searched, ``soup_from_model`` the one of its
-translation, and ``parse_soup`` none.  ``check_soup(z, phi)`` reads the carried
-table only when it was built from the very object ``phi``
+``proof_or_soup`` attaches the one it searched, ``soup_from_model`` the one of
+its translation, and ``parse_soup`` none.  ``check_soup(z, phi)`` reads the
+carried table only when it was built from the very object ``phi``
 (``Analysis.source is phi``) and builds ``analysis(phi)`` otherwise.  The
 table lives as long as the soup does; there is no cache besides.
 """
@@ -44,7 +45,7 @@ from .logic_to_asp import (
     translate,
 )
 from .parsing import parse_formula
-from .proofs import failed_judgments
+from .proofs import ProofTerm, decide_sigma1
 from .syntax import (
     AlphaKey,
     AtomF,
@@ -279,26 +280,30 @@ def _question_options(an: Analysis):
     return out
 
 
-def find_soup(
+def proof_or_soup(
     phi: Formula,
     addr_len: int | None = None,
     deadline: float | None = None,
     an: Analysis | None = None,
-) -> Soup | None:
-    """A refutation soup for ``phi``, or None when the formula is provable.
+) -> ProofTerm | Soup:
+    """From one search: the certificate ``prove_sigma1`` gives for ``phi``
+    when the formula is provable, and a refutation soup for it otherwise.
 
     The judgments the prover failed, and those at which the context asks
     no question (the atoms its join prunes), answer the questions; the part
     reachable from the initial judgment is realized with minimal answers.
-    ``an``, when given, must be ``analysis(phi)``; the soup carries it.
+    ``an``, when given, must be ``analysis(phi)``; the soup carries it.  A
+    formula with free variables is searched with them read as constants.
     """
+    if addr_len is not None and addr_len < 1:
+        raise FormulaError("address length must be at least 1")
     if an is None:
         an = analysis(phi)
     sig = an.sig
-    # decide first: a provable formula needs no address space and no options
-    failed = failed_judgments(sig.phi, deadline)
-    if failed is None:
-        return None
+    # decide first: a provable formula's certificate needs no address space
+    failed = decide_sigma1(sig.phi, deadline)
+    if isinstance(failed, ProofTerm):
+        return failed
     if addr_len is None:
         addr_len = certified_addr_len(an, deadline=deadline)
     options = _question_options(an)
@@ -363,6 +368,17 @@ def find_soup(
         for nid, q, index, to_id in edges
     )
     return Soup(addr_len, judgments, answers, an, an.key_formula)
+
+
+def find_soup(
+    phi: Formula,
+    addr_len: int | None = None,
+    deadline: float | None = None,
+    an: Analysis | None = None,
+) -> Soup | None:
+    """``proof_or_soup``'s soup, or None when the formula is provable."""
+    found = proof_or_soup(phi, addr_len, deadline, an)
+    return found if isinstance(found, Soup) else None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from aspsigma import cli, logic_to_asp, soups
+from aspsigma import cli, logic_to_asp, proofs, soups
 from aspsigma.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -253,6 +253,20 @@ def test_soup_to_model_at_another_address_length_is_input_error(files, capsys, t
     assert "soup uses addresses of length 1 but the translation has 2" in err
 
 
+@pytest.mark.parametrize("formula", ["a", "(b -> a) -> a"])
+@pytest.mark.parametrize("addr_len", ["0", "-1"])
+@pytest.mark.parametrize("command", ["soup-find", "soup-to-model"])
+def test_address_lengths_below_one_are_input_errors(
+    files, capsys, tmp_path, formula, addr_len, command
+):
+    f = files("f.sig1", formula + "\n")
+    soup = str(tmp_path / "z.soup")
+    assert run(["soup-find", f, "-o", soup]) == EXIT_OK
+    inputs = [f] if command == "soup-find" else [f, soup]
+    assert run([f"--addr-len={addr_len}", command, *inputs]) == EXIT_INPUT
+    assert "address length must be at least 1" in capsys.readouterr().err
+
+
 def test_soup_check_non_sigma1_is_input_error(files):
     f = files("f.sig1", "P(c) -> ((forall y. P(y)) -> g) -> g\n")
     soup = files("z.soup", "addr-len: 1\njudgment:\n  addresses: 0\n  goal: g\n")
@@ -466,6 +480,22 @@ def test_logic_checks_analyse_each_formula_once(monkeypatch):
         cooked += "model_soup_valid" in report.soup_checks
         provable += report.verdicts["provable"]
     assert cooked and provable
+
+
+@pytest.mark.parametrize("idx, provable", [(11, True), (0, False)])
+def test_logic_instance_searches_each_formula_once(monkeypatch, idx, provable):
+    """The certificate and the found soup come from one prover search."""
+    runs = []
+    search = proofs._run
+
+    def counted(*args):
+        runs.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(proofs, "_run", counted)
+    report = cli._logic_instance((CorpusSpec(count=40, seed=0), idx, None))
+    assert report.verdicts["provable"] is provable and report.agreed
+    assert len(runs) == 1
 
 
 def test_logic_checks_check_each_soup_once(monkeypatch):

@@ -23,7 +23,7 @@ from aspsigma.logic_to_asp import (
     translate,
 )
 from aspsigma.parsing import parse_formula
-from aspsigma.proofs import prove_sigma1
+from aspsigma.proofs import fmt_term, prove_sigma1
 from aspsigma.soups import (
     Disjudgment,
     Soup,
@@ -32,6 +32,7 @@ from aspsigma.soups import (
     find_soup,
     model_from_soup,
     parse_soup,
+    proof_or_soup,
     questions_at,
     soup_from_model,
     write_soup,
@@ -762,11 +763,22 @@ def _same_soup(z, ref):
     )
 
 
+def _same_decision(decided, phi, z):
+    """``proof_or_soup``'s result ``decided`` is the soup ``z`` of
+    ``find_soup``, text for text, or the certificate of ``prove_sigma1``."""
+    if isinstance(decided, Soup):
+        return z is not None and write_soup(decided) == write_soup(z)
+    cert = prove_sigma1(phi)
+    return z is None and cert is not None and fmt_term(decided) == fmt_term(cert)
+
+
 def test_find_soup_matches_the_reference_on_the_corpus(corpus_soups):
     """The soup read off the prover's last pass is the one the deletion
-    search finds, text for text, and both find none for the same formulas."""
+    search finds, text for text, and both find none for the same formulas;
+    ``proof_or_soup`` gives that soup or the prover's certificate."""
     for phi, found, t, cooked in corpus_soups:
         assert _same_soup(found, reference_find_soup(phi)), fmt_formula(phi)
+        assert _same_decision(proof_or_soup(phi), phi, found), fmt_formula(phi)
 
 
 # the seed-0 translations among the first 60 on which the deletion search
@@ -785,6 +797,7 @@ def test_find_soup_matches_the_reference_on_asp_translations():
         an = analysis(phi)
         z = find_soup(phi, an=an)
         assert _same_soup(z, reference_find_soup(phi, an=an)), i
+        assert _same_decision(proof_or_soup(phi, an=an), phi, z), i
         refuted += z is not None
     assert refuted == 26
 
