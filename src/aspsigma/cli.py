@@ -444,7 +444,7 @@ def _spec_from_args(args, count_default: int) -> CorpusSpec:
     return CorpusSpec(
         count=args.count if args.count is not None else count_default,
         seed=args.seed,
-        formula_max_size=getattr(args, "max_size", 8) or 8,
+        formula_max_size=getattr(args, "max_size", 8),
     )
 
 

@@ -6,6 +6,7 @@ import functools
 import random
 from dataclasses import dataclass
 
+from .errors import FormulaError
 from .parsing import parse_formula
 from .syntax import (
     Atom,
@@ -113,7 +114,10 @@ def _formulas_cached(spec: CorpusSpec) -> tuple[Formula, ...]:
 
 
 def gen_formulas(spec: CorpusSpec) -> list[Formula]:
-    """Sigma1 formulas with nullary and unary predicates up to the size cap."""
+    """Sigma1 formulas with nullary and unary predicates up to the size cap,
+    which must be at least 3, the length of the smallest formula drawn."""
+    if spec.formula_max_size < 3:
+        raise FormulaError("formula size cap must be at least 3")
     return list(_formulas_cached(spec))
 
 

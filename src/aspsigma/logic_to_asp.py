@@ -11,7 +11,8 @@ false atom forces every question to receive an answer.
 
 ``analysis`` reads the formula's length, predicate arities, binder names and
 the free variables of every subformula occurrence off one pass over its
-occurrences, and builds the instance and question tables from them.
+occurrences, and builds the instance and question tables from them; it
+prints no key, and the soup search orders only the keys it reaches.
 
 ``translate`` names each atom by a plain key ``(pred, arg name, ...)`` and
 emits each clause as an integer row ``(head, pos, neg)`` into an
@@ -20,9 +21,10 @@ it, head first, then the positive body, then the negated body.  The emitter
 looks ids up in tables by (symbol, instance or question, address) that it
 fills on first sight, so a key is built once per atom, not once per
 occurrence; it appends rows without building a clause and checks the
-deadline once per block of at most 4096 rows.  ``_family_rows`` counts the
-rows of each clause family from the analysis tables before any is written:
-one law gives both ``counts`` and the ``EMISSION_CAP`` test.  The engine
+deadline once per block of at most 4096 rows.  Before any table is built,
+the per-address id tables and then the rows are sized against
+``EMISSION_CAP``: ``_family_rows`` counts the rows of each clause family
+from the analysis tables, one law for ``counts`` and the cap.  The engine
 solves the rows as they are, and the soup conversions look atoms up by key
 (``AtomBuilder``).
 ``FormulaTranslation.program`` builds ``Atom`` and ``Clause`` objects only
@@ -53,7 +55,6 @@ from .syntax import (
     const,
     fmt_atomf,
     fmt_formula,
-    fmt_key,
     occurrences,
     slot_init,
     substitute,
@@ -290,7 +291,8 @@ class QuestionPattern:
 @dataclass(frozen=True, slots=True)
 class Analysis:
     """The instance and question tables of a formula, with the indexes their
-    readers share; all of it is built once by ``analysis`` and never mutated."""
+    readers share; all of it is built once by ``analysis`` and never mutated.
+    No key is printed here: the soup search orders the keys it reaches."""
 
     sig: SoupSignature
     instances: tuple[InstancePattern, ...]
@@ -299,8 +301,6 @@ class Analysis:
     initial_keys: frozenset[AlphaKey]  # keys of the premises, the initial context
     instance_index: dict[tuple[int, tuple], int]  # (occ, assign) -> instance
     key_formula: dict[AlphaKey, Formula]  # key -> its first instance formula
-    # key -> its formula's alpha-canonical text, the order keys are listed in
-    key_text: dict[AlphaKey, str]
     # head -> member key -> the key's questions with that head, in table
     # order: a context's questions at a goal are those of its keys here
     by_head: dict[AtomF, dict[AlphaKey, list[QuestionPattern]]]
@@ -326,7 +326,6 @@ def analysis(phi: Formula) -> Analysis:
     instances: list[InstancePattern] = []
     lookup: dict[tuple[int, tuple], int] = {}
     key_formula: dict[AlphaKey, Formula] = {}
-    key_text: dict[AlphaKey, str] = {}
     for occ in sig.env_occs:
         fv = sig.schemas[occ].free
         if len(pool) ** len(fv) + len(instances) > INSTANCE_CAP:
@@ -343,9 +342,7 @@ def analysis(phi: Formula) -> Analysis:
             )
             instances.append(p)
             lookup[(occ, assign)] = p.index
-            if p.key not in key_formula:
-                key_formula[p.key] = inst_formula
-                key_text[p.key] = fmt_key(p.key)
+            key_formula.setdefault(p.key, inst_formula)
 
     questions: list[QuestionPattern] = []
     by_head: dict[AtomF, dict[AlphaKey, list[QuestionPattern]]] = {}
@@ -392,32 +389,19 @@ def analysis(phi: Formula) -> Analysis:
         initial_keys,
         lookup,
         key_formula,
-        key_text,
         by_head,
         tuple(q for q in questions if q.head in goals),
         phi,
     )
 
 
-def reachable_cone(
-    an: Analysis, deadline: float | None = None
-) -> set[tuple[frozenset, AtomF]]:
-    """All judgments reachable from the initial one via minimal answers.
-
-    A judgment is a (context keys, goal) pair; a minimal answer to a question
-    extends the context by exactly the instantiated premises of the challenged
-    premise and moves to its target.  Every soup can be reshaped to live
-    inside this cone, so its size certifies a sufficient address space.
-    """
-    by_goal = _cone_contexts(an, deadline)
-    return {
-        (ctx, goal) for goal, ctxs in zip(an.goal_universe, by_goal) for ctx in ctxs
-    }
-
-
 def _cone_contexts(an: Analysis, deadline: float | None) -> list[set[frozenset]]:
-    """The contexts of the judgments of ``reachable_cone``, by goal: entry
-    ``i`` holds those whose goal is ``an.goal_universe[i]``.
+    """The contexts of the judgments reachable from the initial one via
+    minimal answers, by goal: entry ``i`` holds those whose goal is
+    ``an.goal_universe[i]``.  A minimal answer to a question extends the
+    context by exactly the instantiated premises of the challenged premise
+    and moves to its target; every soup can be reshaped to live inside this
+    cone, so its size certifies a sufficient address space.
 
     Goals are read as their index in ``goal_universe``, which holds the
     target and every subgoal, so no judgment hashes or compares an atom.
@@ -723,6 +707,26 @@ def _family_rows(an: Analysis, addr_len: int, full_facts: bool) -> dict[str, int
     return {family: n for family, n in rows.items() if n}
 
 
+def _set_up_fits(an: Analysis, addr_len: int) -> bool:
+    """Whether the tables ``translate`` builds per address before emitting are
+    within ``EMISSION_CAP``: the address table and one id table per address
+    for env, nenv, goal, q, y and each answer option's ans and nans."""
+    if addr_len > EMISSION_CAP.bit_length():
+        return False  # 2^addr_len alone is past the cap; do not compute it
+    n_options = sum(len(q.answers) for q in an.active)
+    return (6 + 2 * n_options) << addr_len <= EMISSION_CAP
+
+
+def _feasible(an: Analysis, addr_len: int, full_facts: bool) -> int | None:
+    """The longest address length below ``addr_len`` whose set-up and rows
+    are within ``EMISSION_CAP``, or None."""
+    for l in range(min(addr_len - 1, EMISSION_CAP.bit_length()), 0, -1):
+        if _set_up_fits(an, l):
+            if sum(_family_rows(an, l, full_facts).values()) <= EMISSION_CAP:
+                return l
+    return None
+
+
 def translate(
     phi: Formula,
     addr_len: int | None = None,
@@ -734,10 +738,10 @@ def translate(
 
     Any address length is sound (a stable model yields a soup); completeness
     holds from ``certified_addr_len`` up.  The default is the capped length
-    ``min(certified, 4)``.  The rows of each clause family (``counts``) are
-    counted by ``_family_rows`` before emission; more than ``EMISSION_CAP``
-    of them in all raises ``CapExceeded`` with the longest address length
-    whose count is within the cap.
+    ``min(certified, 4)``.  The per-address tables are sized first, then the
+    rows of each clause family (``counts``) are counted by ``_family_rows``;
+    more than ``EMISSION_CAP`` of either raises ``CapExceeded`` with the
+    longest address length at which both are within the cap.
 
     The program is emitted as integer rows ``(head, pos, neg)``: each clause
     gives its head, then its positive body, then its negated body an id on
@@ -751,18 +755,19 @@ def translate(
         addr_len = min(certified_addr_len(an), DEFAULT_ADDR_LEN_CAP)
     if addr_len < 1:
         raise FormulaError("address length must be at least 1")
+    if not _set_up_fits(an, addr_len):
+        raise CapExceeded(
+            f"the id tables of 2^{addr_len} addresses exceed the cap "
+            f"{EMISSION_CAP}",
+            feasible=_feasible(an, addr_len, full_facts),
+        )
     counts = _family_rows(an, addr_len, full_facts)
     total = sum(counts.values())
     if total > EMISSION_CAP:
-        feasible = None
-        for l in range(addr_len - 1, 0, -1):
-            if sum(_family_rows(an, l, full_facts).values()) <= EMISSION_CAP:
-                feasible = l
-                break
         raise CapExceeded(
             f"emission of {total} clauses exceeds the cap {EMISSION_CAP} "
             f"at address length {addr_len}",
-            feasible=feasible,
+            feasible=_feasible(an, addr_len, full_facts),
         )
     names = _Names(an)
     sig = an.sig

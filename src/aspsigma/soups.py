@@ -16,7 +16,8 @@ instance psi[S] with a head instance under T) and its answer options (the
 challenged subgoal and the instances an answer adds) are tabulated there once
 per formula, with its index by head and then member key.  Checking,
 searching, both conversions and ``questions_at`` read that table and index;
-none of them substitutes into the formula or re-indexes the table.  The
+none of them substitutes into the formula or re-indexes the table, and only
+the search orders keys: by ``fmt_key`` text, at each goal it reaches.  The
 checker indexes a soup's judgments by goal and lists, per asked question and
 answer option, the judgments that answer it; the map, the existence reading
 and ``model_from_soup`` read those lists.
@@ -260,23 +261,20 @@ def _rejected(diags: list[str]) -> tuple[SoupReport, list]:
 # ---------------------------------------------------------------------------
 
 
-def _question_options(an: Analysis):
-    """Per head, then member key in ``key_text`` order: the questions, one per
-    semantic key, with their answer data."""
-    out: dict[AtomF, dict[AlphaKey, list[tuple[QuestionPattern, tuple]]]] = {}
-    for head, by_key in an.by_head.items():
-        at_head = out[head] = {}
-        for key in sorted(by_key, key=an.key_text.__getitem__):
-            sems: dict[tuple, QuestionPattern] = {}
-            for q in by_key[key]:
-                sems.setdefault(q.semantic_key(an), q)
-            entries = at_head[key] = []
-            for q in sems.values():
-                opts = tuple(
-                    (opt.index, opt.subgoal, opt.tau_keys - an.initial_keys)
-                    for opt in q.answers
-                )
-                entries.append((q, opts))
+def _asking(an: Analysis, goal: AtomF) -> list:
+    """The member keys that ask at ``goal``, in ``fmt_key`` order, each with
+    its questions there, one per semantic key, and their answer data."""
+    out = []
+    by_key, initial = an.by_head.get(goal, {}), an.initial_keys
+    for key in sorted(by_key, key=fmt_key):
+        sems: dict[tuple, QuestionPattern] = {}
+        for q in by_key[key]:
+            sems.setdefault(q.semantic_key(an), q)
+        entries = []
+        for q in sems.values():
+            opts = [(o.index, o.subgoal, o.tau_keys - initial) for o in q.answers]
+            entries.append((q, opts))
+        out.append((key, entries))
     return out
 
 
@@ -306,7 +304,7 @@ def proof_or_soup(
         return failed
     if addr_len is None:
         addr_len = certified_addr_len(an, deadline=deadline)
-    options = _question_options(an)
+    asking: dict[AtomF, list] = {}  # per goal reached, what ``_asking`` gives
 
     def refuted(need: frozenset, goal: AtomF) -> bool:
         if any(need <= m for m in failed.get(goal, ())):
@@ -334,8 +332,11 @@ def proof_or_soup(
     # breadth first: a judgment is numbered when first reached, and ``order``
     # grows while it is read
     for nid, (x, goal) in enumerate(order):
-        # the context's keys that ask at the goal, in ``key_text`` order
-        for key, entries in options.get(goal, {}).items():
+        at_goal = asking.get(goal)
+        if at_goal is None:
+            at_goal = asking[goal] = _asking(an, goal)
+        # the context's keys that ask at the goal, in ``fmt_key`` order
+        for key, entries in at_goal:
             if key not in x and key not in an.initial_keys:
                 continue
             for q, opts in entries:

@@ -467,8 +467,11 @@ def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
     A quantifier ``v`` under which some image is a variable named ``v`` is
     renamed to the first ``x<i>`` that is neither free in its body nor an
     image's name, and ``_rebuild`` renames its occurrences in the same pass.
-    A subtree with nothing to replace comes back as it is.
+    A subtree with nothing to replace comes back as it is, and an empty
+    mapping returns ``f`` without a walk.
     """
+    if not mapping:
+        return f
 
     def capture(g: Forall, m: Mapping[str, Term]) -> str:
         name = g.var

@@ -1,8 +1,14 @@
 import contextlib
+import functools
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+import aspsigma
 
 settings.register_profile(
     "ci",
@@ -36,3 +42,38 @@ def default_recursion_limit():
     Hypothesis test take it.
     """
     return _default_recursion_limit
+
+
+def _run_cli(args, timeout: float = 10.0, memory: int = 1 << 30):
+    """Run ``python -m aspsigma.cli *args`` in a child process whose address
+    space is limited to ``memory`` bytes, for at most ``timeout`` seconds.
+
+    Returns the exit code, the standard output and the standard error, or
+    ``(None, "", "")`` when the run was killed at the timeout.  A regression
+    that hangs or allocates without bound then fails in seconds, not at the
+    job's timeout.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aspsigma.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "aspsigma.cli", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+            preexec_fn=functools.partial(
+                resource.setrlimit, resource.RLIMIT_AS, (memory, memory)
+            ),
+        )
+    except subprocess.TimeoutExpired:
+        return None, "", ""
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture(scope="session")
+def bounded_cli():
+    """``_run_cli``: the CLI in a child process with a wall-clock timeout and
+    an address-space limit set in the child only."""
+    return _run_cli

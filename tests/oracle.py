@@ -70,7 +70,7 @@ decode must give the same clauses, in the same order.
 are the walks the library used before it read each fact off ``survey``: the
 two grammar recursions behind ``classify``, the walk that collected the
 constants ``rectify`` avoids and the soup signature pools, and the binder
-renaming whose printed text ``Analysis.key_text`` and the soup checker used.
+renaming whose printed text the soup search and checker ordered keys by.
 ``survey`` must agree with the first two, two alpha keys must be equal exactly
 when ``reference_alpha_canon`` makes their formulas equal, and
 ``syntax.fmt_key`` must print the text of that canonical formula.
@@ -126,7 +126,7 @@ from aspsigma.errors import (
 )
 from aspsigma.logic_to_asp import analysis, certified_addr_len
 from aspsigma.proofs import OAbs, OApp, PAbs, PApp, ProofTerm, PVar
-from aspsigma.soups import AnswerEntry, Disjudgment, Soup, _question_options
+from aspsigma.soups import AnswerEntry, Disjudgment, Soup, _asking
 from aspsigma.syntax import (
     Atom,
     AtomF,
@@ -141,6 +141,7 @@ from aspsigma.syntax import (
     alpha_key,
     const,
     fmt_formula,
+    fmt_key,
     forall_chain,
     formula_length,
     free_vars,
@@ -340,7 +341,7 @@ def reference_antichains(an, options, deadline=None, schedule="forward"):
     """Maximal surviving context extensions per goal.
 
     Candidates are (initial context + X, goal); a candidate survives while all
-    its questions (``options``, from ``soups._question_options``) have
+    its questions (``options``: per head, ``soups._asking`` as a dict) have
     surviving answers.  Survivors are downward closed in X, so each goal keeps
     an antichain of maximal extension sets.  The deletion order must not
     matter; ``schedule`` ("forward" or "reverse") picks a scan order.
@@ -382,7 +383,7 @@ def reference_antichains(an, options, deadline=None, schedule="forward"):
                     continue
                 chains[g].remove(x)
                 changed = True
-                for e in sorted(x, key=an.key_text.__getitem__):
+                for e in sorted(x, key=fmt_key):
                     sub = x - {e}
                     if not any(sub <= m for m in chains[g]):
                         chains[g].append(sub)
@@ -405,7 +406,7 @@ def reference_find_soup(phi, addr_len=None, deadline=None, an=None):
     sig = an.sig
     if addr_len is None:
         addr_len = certified_addr_len(an, deadline=deadline)
-    options = _question_options(an)
+    options = {head: dict(_asking(an, head)) for head in an.by_head}
     chains = reference_antichains(an, options, deadline)
     if not any(frozenset() <= m for m in chains.get(sig.target, ())):
         return None

@@ -17,7 +17,7 @@ from aspsigma.cli import (
     run,
 )
 from aspsigma.corpus import CorpusSpec, gen_formulas
-from aspsigma.errors import CrossCheckError
+from aspsigma.errors import CapExceeded, CrossCheckError
 from aspsigma.parsing import parse_formula
 from aspsigma.syntax import fmt_formula
 
@@ -265,6 +265,53 @@ def test_address_lengths_below_one_are_input_errors(
     inputs = [f] if command == "soup-find" else [f, soup]
     assert run([f"--addr-len={addr_len}", command, *inputs]) == EXIT_INPUT
     assert "address length must be at least 1" in capsys.readouterr().err
+
+
+# the address space and its id tables are sized against the emission cap
+# before any is built: these ran out of memory, printed a count too long to
+# convert to text, or searched for a feasible length without end
+@pytest.mark.parametrize(
+    "formula, addr_len, command",
+    [
+        ("a", "26", "translate-formula"),
+        ("a", "30", "model-to-soup"),
+        ("(b -> a) -> a", "20000", "translate-formula"),
+        ("(b -> a) -> a", "200000", "translate-formula"),
+    ],
+)
+def test_address_spaces_past_the_cap_exit_3(
+    files, bounded_cli, formula, addr_len, command
+):
+    inputs = [files("f.sig1", formula + "\n")]
+    if command == "model-to-soup":
+        inputs.append(files("m.txt", ""))
+    code, _, err = bounded_cli(
+        ["--timeout", "3", "--addr-len", addr_len, command, *inputs], timeout=5
+    )
+    assert code == EXIT_BUDGET and "Traceback" not in err
+    assert "exceed the cap" in err
+
+
+def test_a_formula_without_members_is_capped_by_its_address_table(files, bounded_cli):
+    # one row at any address length, but 2^21 addresses and their id tables
+    # are past the cap, and 2^20 are not
+    f = files("f.sig1", "a\n")
+    code, _, err = bounded_cli(["--addr-len", "21", "translate-formula", f], timeout=5)
+    assert code == EXIT_BUDGET and "id tables of 2^21 addresses" in err
+    with pytest.raises(CapExceeded) as e:
+        logic_to_asp.translate(parse_formula("a"), addr_len=21)
+    assert e.value.feasible == 20
+
+
+# the corpus draws formulas of 3 symbols or more, so a smaller cap drew
+# forever; 0 was read as the default 8
+@pytest.mark.parametrize("max_size", ["1", "2", "-5", "0"])
+def test_formula_size_caps_below_3_are_input_errors(bounded_cli, max_size):
+    code, _, err = bounded_cli(
+        ["roundtrip-logic", "--count", "2", "--max-size", max_size], timeout=5
+    )
+    assert code == EXIT_INPUT and "Traceback" not in err
+    assert "formula size cap must be at least 3" in err
 
 
 def test_soup_check_non_sigma1_is_input_error(files):

@@ -133,10 +133,9 @@ def _call(name):
         return lambda deadline: logic_to_asp.translate(
             phi, addr_len=5, deadline=deadline, an=an
         )
-    if name in ("reachable_cone", "certified_addr_len"):
+    if name == "certified_addr_len":
         an = logic_to_asp.analysis(_seed0_translation(0))
-        fn = getattr(logic_to_asp, name)
-        return lambda deadline: fn(an, deadline=deadline)
+        return lambda deadline: logic_to_asp.certified_addr_len(an, deadline=deadline)
     assert name == "decide_by_translation"
     phi = parse_formula(_NO_MODEL)
     return lambda deadline: logic_to_asp.decide_by_translation(phi, deadline=deadline)
@@ -154,16 +153,15 @@ CALLS = [
     "prove_sigma1",
     "case_b",
     "translate",
-    "reachable_cone",
     "certified_addr_len",
     "find_soup",
     "decide_by_translation",
 ]
 
 
-# the cone of the inputs of ``reachable_cone``, ``certified_addr_len`` and
-# ``find_soup`` outgrows the default ``CONE_CAP`` of 200 000 judgments in
-# about a second; this cap keeps it growing past every deadline here
+# the cone of the inputs of ``certified_addr_len`` and ``find_soup``
+# outgrows the default ``CONE_CAP`` of 200 000 judgments in about a second;
+# this cap keeps it growing past every deadline here
 _CONE_CAP = 1_000_000
 
 

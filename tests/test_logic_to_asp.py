@@ -12,10 +12,10 @@ from aspsigma.engine import GroundProgram, atom_key, has_stable_model, is_stable
 from aspsigma.errors import ArityError, CapExceeded, FormulaError
 from aspsigma.logic_to_asp import (
     _answers_first,
+    _cone_contexts,
     analysis,
     certified_addr_len,
     decide_by_translation,
-    reachable_cone,
     translate,
 )
 from aspsigma.parsing import parse_formula
@@ -29,6 +29,7 @@ from aspsigma.syntax import (
     alpha_key,
     const,
     fmt_formula,
+    fmt_key,
     impl_chain,
     occurrences,
     var,
@@ -245,10 +246,18 @@ def test_descendant_substitutions_mix_member_and_top_variables():
             assert tau_assign["y"] == t_map["y"]  # set by the question
 
 
+def _cone(an):
+    """The judgments ``_cone_contexts`` reaches, as (context keys, goal)."""
+    by_goal = _cone_contexts(an, None)
+    return {
+        (ctx, goal) for goal, ctxs in zip(an.goal_universe, by_goal) for ctx in ctxs
+    }
+
+
 def test_certified_length_covers_cone():
     phi = parse_formula("((a -> b) -> c) -> ((b -> a) -> c) -> c")
     an = analysis(phi)
-    cone = reachable_cone(an)
+    cone = _cone(an)
     l = certified_addr_len(an)
     assert 2**l >= len(cone)
     # this formula needs three distinct judgments, so one bit cannot be enough
@@ -269,9 +278,9 @@ def test_reachable_cone_matches_the_reference_walk(monkeypatch):
         want = reference_cone(an, 300)
         if want is None:
             with pytest.raises(CapExceeded):
-                reachable_cone(an)
+                _cone(an)
             continue
-        assert reachable_cone(an) == want, fmt_formula(phi)
+        assert _cone(an) == want, fmt_formula(phi)
         bits = max(1, (max(2, len(want)) - 1).bit_length())
         assert certified_addr_len(an) == max(1, min(bits, an.sig.n ** max(1, an.sig.r)))
 
@@ -357,12 +366,12 @@ def test_seed0_translation_text_is_pinned():
 
 def test_seed0_key_text_is_pinned():
     # SHA-256 over the 1242 alpha-canonical texts of the 600 seed-0 formulas,
-    # in key_text order, which sets the scan order of the soup search;
-    # computed when the texts were printed from renamed formula trees
+    # in table order; the soup search orders the keys it scans by these
+    # texts; computed when the texts were printed from renamed formula trees
     digest = hashlib.sha256()
     count = 0
     for phi in gen_formulas(CorpusSpec(count=600, seed=0, formula_max_size=20)):
-        for text in analysis(phi).key_text.values():
+        for text in map(fmt_key, analysis(phi).key_formula):
             digest.update(text.encode() + b"\n")
             count += 1
     assert count == 1242

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aspsigma
-from aspsigma import asp_to_logic, logic_to_asp, soups
+from aspsigma import asp_to_logic, logic_to_asp, soups, syntax
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
 from aspsigma.engine import atom_key, has_stable_model, is_stable
 from aspsigma.errors import BudgetExceeded, CrossCheckError, FormulaError
@@ -27,7 +28,7 @@ from aspsigma.proofs import fmt_term, prove_sigma1
 from aspsigma.soups import (
     Disjudgment,
     Soup,
-    _question_options,
+    _asking,
     check_soup,
     find_soup,
     model_from_soup,
@@ -45,6 +46,7 @@ from aspsigma.syntax import (
     classify,
     const,
     fmt_formula,
+    fmt_key,
     impl_chain,
     var,
 )
@@ -282,7 +284,7 @@ def test_find_soup_raises_soon_after_its_deadline(monkeypatch):
 def test_deletion_is_confluent():
     for text in ["a -> a", "((a -> b) -> a) -> a", "(a -> b) -> a -> b"]:
         an = analysis(parse_formula(text))
-        options = _question_options(an)
+        options = {head: dict(_asking(an, head)) for head in an.by_head}
         fwd = reference_antichains(an, options, None, "forward")
         rev = reference_antichains(an, options, None, "reverse")
         for g in set(fwd) | set(rev):
@@ -640,7 +642,7 @@ def test_soup_search_scales_on_a_2000_step_chain(default_recursion_limit):
 
 def test_a_provable_formula_never_sizes_the_address_space(monkeypatch):
     # find_soup decides first, so a provable formula returns None before
-    # certified_addr_len and _question_options run
+    # certified_addr_len runs and before any goal's asking keys are sorted
     calls = []
 
     def spy(name, real):
@@ -650,13 +652,46 @@ def test_a_provable_formula_never_sizes_the_address_space(monkeypatch):
 
         return wrapped
 
-    for name in ("certified_addr_len", "_question_options"):
+    for name in ("certified_addr_len", "_asking"):
         monkeypatch.setattr(soups, name, spy(name, getattr(soups, name)))
     assert find_soup(parse_formula("q -> (q -> a) -> (a -> b) -> b")) is None
     assert calls == []
-    # a refutable formula still sizes it, once
+    # a refutable formula still sizes it, once, before its walk reads the
+    # asking keys of the one goal it reaches
     assert find_soup(parse_formula("b -> a")) is not None
-    assert calls == ["certified_addr_len", "_question_options"]
+    assert calls == ["certified_addr_len", "_asking"]
+
+
+def test_only_the_keys_the_soup_walk_reaches_are_formatted(monkeypatch):
+    # ((...((a0 -> a1) -> a2) ...) -> a300) -> b nests its members 300 deep:
+    # analysis printed every member key's text, and the search sorted every
+    # head's keys by them, although its walk reaches only the goal b, where
+    # no key asks; the refutable chain (a1 -> a0) -> ... -> a0 reaches all
+    # of its goals
+    calls = []
+    real = syntax.fmt_key
+
+    def counted(key):
+        calls.append(key)
+        return real(key)
+
+    for module in (syntax, logic_to_asp, soups):
+        monkeypatch.setattr(module, "fmt_key", counted, raising=False)
+    f = AtomF("a0")
+    for i in range(1, 301):
+        f = Impl(f, AtomF(f"a{i}"))
+    deep = Impl(f, AtomF("b"))
+    an = analysis(deep)
+    assert an.sig.n == 603 and not calls, f"{len(calls)} fmt_key calls"
+    a = [AtomF(f"a{i}") for i in range(301)]
+    chain = impl_chain([Impl(a[i + 1], a[i]) for i in range(300)], a[0])
+    for phi, formatted in ((deep, 0), (chain, 300)):
+        calls.clear()
+        z = find_soup(phi)
+        goals = {d.goal for d in z.judgments}
+        asking = [k for g in goals for k in z.analysis.by_head.get(g, {})]
+        assert collections.Counter(calls) == collections.Counter(asking)
+        assert len(calls) == formatted
 
 
 def test_soup_check_scales_on_a_refutable_1000_step_chain():
@@ -718,7 +753,7 @@ def test_asked_matches_a_scan_of_the_table(data):
     """``Analysis.asked`` returns the questions one pass over the whole table
     finds, in table order, also at contexts no corpus soup reaches."""
     an = _corpus_analysis(data.draw(st.integers(0, CORPUS.count - 1)))
-    keys = sorted(an.key_formula, key=an.key_text.__getitem__)
+    keys = sorted(an.key_formula, key=fmt_key)
     ctx = frozenset(data.draw(st.sets(st.sampled_from(keys)))) if keys else frozenset()
     for goal in an.goal_universe:
         assert an.asked(ctx, goal) == scan_questions(an, ctx, goal)

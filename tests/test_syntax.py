@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aspsigma import asp_to_logic, logic_to_asp, proofs
+from aspsigma import asp_to_logic, logic_to_asp, proofs, syntax
 from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_programs
 from aspsigma.errors import FormulaError
 from aspsigma.parsing import parse_formula
@@ -195,6 +195,23 @@ def test_substitute_under_binder():
 def test_substitute_bound_occurrence_untouched():
     f = Forall("x", P(var("x")))
     assert substitute(f, {"x": const("c")}) == f
+
+
+def test_substitute_with_an_empty_mapping_makes_no_walk(monkeypatch):
+    # a closed member's assignment is empty: analysis substitutes it all the
+    # same, and each nested member of a deep formula was rebuilt node by node
+    calls = []
+    real = syntax._rebuild
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(syntax, "_rebuild", counted)
+    f = Forall("x", Impl(P(var("x")), AtomF("Q", (var("y"),))))
+    assert substitute(f, {}) is f
+    assert not calls
+    assert substitute(f, {"y": const("c")}) != f and len(calls) == 1
 
 
 def test_substitute_capture_avoidance():
