@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -416,7 +417,9 @@ def _cmd_soup_to_model(args) -> int:
     phi = parse_formula(_read(args.formula))
     z = soups.parse_soup(_read(args.soup))
     addr_len = z.addr_len if args.addr_len is None else args.addr_len
-    t = logic_to_asp.translate(phi, addr_len=addr_len)
+    t = logic_to_asp.translate(
+        phi, addr_len=addr_len, deadline=_deadline(args.timeout)
+    )
     model = soups.model_from_soup(z, phi, translation=t)
     atoms = sorted(str(a) for a in model)
     if args.json:
@@ -429,7 +432,9 @@ def _cmd_soup_to_model(args) -> int:
 
 def _cmd_model_to_soup(args) -> int:
     phi = parse_formula(_read(args.formula))
-    t = logic_to_asp.translate(phi, addr_len=args.addr_len)
+    t = logic_to_asp.translate(
+        phi, addr_len=args.addr_len, deadline=_deadline(args.timeout)
+    )
     atoms = set()
     for line in _read(args.model).splitlines():
         line = line.split("%", 1)[0].strip()
@@ -485,6 +490,37 @@ def _cmd_roundtrip(args, direction: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {low}, not {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _seconds(text: str) -> float:
+    """An argparse type: a positive number of seconds, ``inf`` for no budget;
+    NaN is refused, since no clock reading is ever past it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds or inf, not {text!r}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aspsigma",
@@ -496,13 +532,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=0, help="corpus seed")
     parser.add_argument(
-        "--timeout", type=float, default=None, help="per-instance budget in seconds"
+        "--timeout",
+        type=_seconds,
+        default=None,
+        help="per-instance budget in seconds, positive (inf: no budget)",
     )
     parser.add_argument(
         "--cap-base",
-        type=int,
+        type=_int_at_least(0),
         default=engine.ENUM_CAP,
-        help="stable-model enumeration cap (atoms that occur negated)",
+        help="stable-model enumeration cap (atoms that occur negated), at least 0",
     )
     parser.add_argument(
         "--addr-len", type=int, default=None, help="address length for soups"
@@ -565,13 +604,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = cmd("roundtrip-asp", lambda a: _cmd_roundtrip(a, "asp"),
             help="programs: entailment vs provability")
-    c.add_argument("--count", type=int, default=None)
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--count", type=_int_at_least(0), default=None)
+    c.add_argument("--workers", type=_int_at_least(1), default=1)
 
     c = cmd("roundtrip-logic", lambda a: _cmd_roundtrip(a, "logic"),
             help="formulas: provability vs soups vs stable models")
-    c.add_argument("--count", type=int, default=None)
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--count", type=_int_at_least(0), default=None)
+    c.add_argument("--workers", type=_int_at_least(1), default=1)
     c.add_argument("--max-size", type=int, default=8)
 
     return parser

@@ -14,19 +14,22 @@ the free variables of every subformula occurrence off one pass over its
 occurrences, and builds the instance and question tables from them; it
 prints no key, and the soup search orders only the keys it reaches.
 
-``translate`` names each atom by a plain key ``(pred, arg name, ...)`` and
-emits each clause as an integer row ``(head, pos, neg)`` into an
-``engine.GroundProgram``; an atom gets its id the first time a clause meets
-it, head first, then the positive body, then the negated body.  The emitter
-looks ids up in tables by (symbol, instance or question, address) that it
-fills on first sight, so a key is built once per atom, not once per
-occurrence; it appends rows without building a clause and checks the
-deadline once per block of at most 4096 rows.  Before any table is built,
-the per-address id tables and then the rows are sized against
-``EMISSION_CAP``: ``_family_rows`` counts the rows of each clause family
-from the analysis tables, one law for ``counts`` and the cap.  The engine
-solves the rows as they are, and the soup conversions look atoms up by key
-(``AtomBuilder``).
+One class, ``AtomBuilder``, names and numbers the translated program's
+atoms and lists its addresses: ``translate`` and the soup conversions read
+the same names, ids and address list.  ``translate`` names each atom by a
+plain key ``(pred, arg name, ...)`` and emits each clause as an integer row
+``(head, pos, neg)`` into an ``engine.GroundProgram``; an atom gets its id
+the first time a clause meets it, head first, then the positive body, then
+the negated body.  The emitter looks ids up in tables by (symbol, instance
+or question, address) that it fills on first sight, so a key is built once
+per atom, not once per occurrence; it appends rows without building a
+clause and checks the deadline once per block of at most 4096 rows, and
+once per run of at most 1024 addresses while it builds the per-address
+tables.  Before any table is built, the per-address id tables and then the
+rows are sized against ``EMISSION_CAP``: ``_family_rows`` counts the rows
+of each clause family from the analysis tables, one law for ``counts`` and
+the cap.  The engine solves the rows as they are, and the soup conversions
+look atoms up by key.
 ``FormulaTranslation.program`` builds ``Atom`` and ``Clause`` objects only
 when it is read, and checks their domain once per atom of the table.
 """
@@ -467,24 +470,47 @@ def certified_addr_len(an: Analysis, deadline: float | None = None) -> int:
 
 
 class AtomBuilder:
-    """Names the translated program's ground atoms and numbers them.
+    """Names and numbers the translated program's ground atoms, and lists
+    its addresses: the one vocabulary of ``translate`` and the soup
+    conversions.
 
-    An atom is named by its key ``(pred, arg name, ...)``; ``ids`` gives a
-    key the next int the first time ``translate`` meets it, and is the atom
-    table of the translation's ``GroundProgram``.  Addresses are given as bit
-    strings; substitution blocks are flattened over the formula's binder list
-    with irrelevant positions pinned to the first pool constant.
+    Names are deterministic and collision-free: occurrence ``k`` is the
+    constant ``f<k>`` (more ``f``s when the pool holds such a name), the
+    bits are ``0``/``1`` (fresh ``b0``/``b1`` when the pool holds either),
+    and each goal or head has one key for its goal, head and subgoal
+    predicates.  Substitution blocks (``fill``) are flattened over the
+    formula's binder list with irrelevant positions pinned to the first pool
+    constant.  ``addresses`` lists the bit strings in counting order and
+    ``addr`` gives each its bit constants; building them checks ``deadline``
+    once per ``_RUN`` addresses.  An atom is named by its key
+    ``(pred, arg name, ...)``; ``ids`` gives a key the next int the first
+    time ``translate`` meets it, and is the atom table of the translation's
+    ``GroundProgram``.
     """
 
-    def __init__(self, an: Analysis, names: "_Names", addr_len: int):
-        self.names = names
-        self.addr_len = addr_len
-        bvars = an.sig.bound_vars
+    def __init__(self, an: Analysis, addr_len: int, deadline: float | None = None):
+        sig = an.sig
+        pool = set(sig.pool)
+        self.occ_prefix = "f"
+        while any(_looks_like(c, self.occ_prefix) for c in pool):
+            self.occ_prefix += "f"
+        self.bits = ("0", "1") if not ({"0", "1"} & pool) else _fresh_bits(pool)
+        self.atom_keys: dict[AtomF, str] = {}
+        taken: set[str] = set()
+        heads = {q.head for q in an.questions}
+        for g in sorted(set(an.goal_universe) | heads, key=fmt_atomf):
+            key = g.pred.lower() + "".join("_" + t.name for t in g.args)
+            while key in taken:
+                key += "_"
+            taken.add(key)
+            self.atom_keys[g] = key
+
+        bvars = sig.bound_vars
         # the block positions of each binder name (two for a name bound twice)
         where: dict[str, list[int]] = {}
         for i, v in enumerate(bvars):
             where.setdefault(v, []).append(i)
-        pinned = [names.pin] * len(bvars)
+        pinned = [sig.pool[0]] * len(bvars)
         all_pinned = tuple(pinned)
 
         def fill(assign) -> tuple[str, ...]:
@@ -497,26 +523,34 @@ class AtomBuilder:
                     blk[i] = c
             return tuple(blk)
 
-        def block(assign: dict[str, str]) -> tuple[str, ...]:
-            return fill(assign.items())
-
-        self.block = block
+        self.fill = fill
         self.inst_args = [
-            (names.occ_name(p.occ),) + fill(p.assign) for p in an.instances
+            (self.occ_name(p.occ),) + fill(p.assign) for p in an.instances
         ]
         inst_args = self.inst_args
         self.q_args = [inst_args[q.inst] + fill(q.t_assign) for q in an.questions]
-        self.addr = {
-            bits: tuple([names.bits[int(c)] for c in bits])
-            for bits in self.all_addresses()
-        }
+        self.addr: dict[str, tuple[str, ...]] = {}
+        pairs = zip(
+            map("".join, itertools.product("01", repeat=addr_len)),
+            itertools.product(self.bits, repeat=addr_len),
+        )
+        for _ in range(0, 2**addr_len, _RUN):
+            check_deadline(deadline, "translation")
+            self.addr.update(itertools.islice(pairs, _RUN))
+        self.addresses = list(self.addr)
         self.ids: dict[AtomKey, int] = {}
 
-    def all_addresses(self) -> list[str]:
-        return [
-            "".join(bits)
-            for bits in itertools.product("01", repeat=self.addr_len)
-        ]
+    def occ_name(self, occ: int) -> str:
+        return f"{self.occ_prefix}{occ}"
+
+    def goal_pred(self, g: AtomF) -> str:
+        return "goal_" + self.atom_keys[g]
+
+    def head_pred(self, g: AtomF) -> str:
+        return "hd_" + self.atom_keys[g]
+
+    def subgoal_pred(self, i: int, g: AtomF) -> str:
+        return f"sg{i}_" + self.atom_keys[g]
 
     def env(self, inst: int, bits: str) -> AtomKey:
         return ("env",) + self.inst_args[inst] + self.addr[bits]
@@ -537,7 +571,7 @@ class AtomBuilder:
         return (f"nans{i}",) + self.q_args[qi] + self.addr[bits_from] + self.addr[bits_to]
 
     def goal(self, g: AtomF, bits: str) -> AtomKey:
-        return (self.names.goal_pred(g),) + self.addr[bits]
+        return (self.goal_pred(g),) + self.addr[bits]
 
 
 class _Ids(dict):
@@ -556,8 +590,9 @@ class _Ids(dict):
         return n
 
 
-# the most items one emission block walks; a block writes at most three rows
-# an item, so no more than 4096 rows pass between two deadline checks
+# the most items one emission block or set-up run walks; a block writes at
+# most three rows an item, so no more than 4096 rows pass between two
+# deadline checks
 _RUN = 1024
 
 
@@ -588,9 +623,9 @@ class FormulaTranslation:
         Every argument of a clause is an argument of an atom of the table, so
         the domain is checked once per atom there, not per clause as
         ``Program`` would check it."""
-        names = self.builder.names
-        domain = {*names.bits, *self.sig.pool}
-        domain.update(names.occ_name(occ) for occ in range(len(self.sig.occs)))
+        b = self.builder
+        domain = {*b.bits, *self.sig.pool}
+        domain.update(b.occ_name(occ) for occ in range(len(self.sig.occs)))
         args = map(operator.itemgetter(slice(1, None)), self.ground_program.ids)
         missing = set(itertools.chain.from_iterable(args)) - domain
         if missing:
@@ -608,40 +643,6 @@ class FormulaTranslation:
         for family in sorted(self.counts):
             lines.append(f"% clauses {family}: {self.counts[family]}")
         return "\n".join(lines)
-
-
-class _Names:
-    """Deterministic, collision-free naming for the emitted vocabulary."""
-
-    def __init__(self, an: Analysis):
-        sig = an.sig
-        pool = set(sig.pool)
-        self.occ_prefix = "f"
-        while any(_looks_like(c, self.occ_prefix) for c in pool):
-            self.occ_prefix += "f"
-        self.bits = ("0", "1") if not ({"0", "1"} & pool) else _fresh_bits(pool)
-        self.pin = sig.pool[0]
-        self.atom_keys: dict[AtomF, str] = {}
-        taken: set[str] = set()
-        heads = {q.head for q in an.questions}
-        for g in sorted(set(an.goal_universe) | heads, key=fmt_atomf):
-            key = g.pred.lower() + "".join("_" + t.name for t in g.args)
-            while key in taken:
-                key += "_"
-            taken.add(key)
-            self.atom_keys[g] = key
-
-    def occ_name(self, occ: int) -> str:
-        return f"{self.occ_prefix}{occ}"
-
-    def goal_pred(self, g: AtomF) -> str:
-        return "goal_" + self.atom_keys[g]
-
-    def head_pred(self, g: AtomF) -> str:
-        return "hd_" + self.atom_keys[g]
-
-    def subgoal_pred(self, i: int, g: AtomF) -> str:
-        return f"sg{i}_" + self.atom_keys[g]
 
 
 def _looks_like(name: str, prefix: str) -> bool:
@@ -769,24 +770,32 @@ def translate(
             f"at address length {addr_len}",
             feasible=_feasible(an, addr_len, full_facts),
         )
-    names = _Names(an)
     sig = an.sig
-    b = AtomBuilder(an, names, addr_len)
+    b = AtomBuilder(an, addr_len, deadline)
     q_args, inst_args = b.q_args, b.inst_args
     n_addr = 2**addr_len
     n_inst = len(an.instances)
-    tails = list(b.addr.values())
+    tail_runs = _runs(list(b.addr.values()))
     ids = b.ids
     tick = functools.partial(check_deadline, deadline, "translation")
+
+    def listed(make) -> list:
+        """``make(a)`` of each address's tail ``a``, in address order; the
+        deadline is checked once per run of addresses."""
+        out = []
+        for run in tail_runs:
+            out += map(make, run)
+            tick()
+        return out
 
     # the id tables: an atom's key is built the first time a clause meets it
     def per_address(prefixes: list[tuple]) -> list[_Ids]:
         """Per address ``a``, the ids of the atoms ``prefixes[i] + a`` by ``i``."""
-        return [_Ids(ids, prefixes, tail) for tail in tails]
+        return listed(functools.partial(_Ids, ids, prefixes))
 
     env_at = per_address([("env",) + args for args in inst_args])
     nenv_at = per_address([("nenv",) + args for args in inst_args])
-    goal_at = per_address([(names.goal_pred(g),) for g in an.goal_universe])
+    goal_at = per_address([(b.goal_pred(g),) for g in an.goal_universe])
     goal_no = {g: i for i, g in enumerate(an.goal_universe)}
     false = _Ids(ids, [("f",)], ())
     # per active question: the question and, per answer option, the option and
@@ -795,14 +804,11 @@ def translate(
     asked = []
     for q in an.active:
         args = q_args[q.index]
-        options = [
-            (
-                opt,
-                per_address([(f"ans{opt.index}",) + args + t for t in tails]),
-                per_address([(f"nans{opt.index}",) + args + t for t in tails]),
-            )
-            for opt in q.answers
-        ]
+        options = []
+        for opt in q.answers:
+            ans, nans = (f"ans{opt.index}",) + args, (f"nans{opt.index}",) + args
+            ans_at = per_address(listed(ans.__add__))
+            options.append((opt, ans_at, per_address(listed(nans.__add__))))
         asked.append((q, options))
     q_at = per_address([("q",) + q_args[q.index] for q in an.active])
     y_at = per_address([("y",) + q_args[q.index] for q in an.active])
@@ -829,7 +835,7 @@ def translate(
                 s.update(zip(s_free, s_fill))
                 t = dict(q.t_assign)
                 t.update(zip(t_free, t_fill))
-                out.append(b.block(s) + b.block(t))
+                out.append(b.fill(s.items()) + b.fill(t.items()))
         return out
 
     for q in an.questions:
@@ -840,8 +846,8 @@ def translate(
                 di = f"di{opt.index}"
                 for tau in opt.taus:
                     keys.append((di, inst_args[tau][0], occ) + st_blk + inst_args[tau][1:])
-                keys.append((names.subgoal_pred(opt.index, opt.subgoal), occ) + st_blk)
-            keys.append((names.head_pred(q.head), occ) + st_blk)
+                keys.append((b.subgoal_pred(opt.index, opt.subgoal), occ) + st_blk)
+            keys.append((b.head_pred(q.head), occ) + st_blk)
             for run in _runs(keys):
                 for key in run:
                     put_h(ids.setdefault(key, len(ids)))
@@ -871,7 +877,7 @@ def translate(
         occ, st_blk = q_args[q.index][0], q_args[q.index][1:]
         for opt, ans_at, _ in options:
             # the subgoal and descendant atoms are heads of families 2 and 1
-            sg = ids[(names.subgoal_pred(opt.index, opt.subgoal),) + q_args[q.index]]
+            sg = ids[(b.subgoal_pred(opt.index, opt.subgoal),) + q_args[q.index]]
             di = f"di{opt.index}"
             descendants = _runs(
                 [
@@ -941,7 +947,7 @@ def translate(
     # families 13-15: question recognition and the everything-answered rule
     for qn, (q, options) in enumerate(asked):
         # a head atom of family 3
-        hd = ids[(names.head_pred(q.head),) + q_args[q.index]]
+        hd = ids[(b.head_pred(q.head),) + q_args[q.index]]
         head = goal_no[q.head]
         for run in addr_runs:
             for a in run:

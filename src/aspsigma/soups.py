@@ -401,7 +401,7 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
 
     # judgments by (context, goal), with their addresses in ascending order
     grouped: dict[tuple[frozenset, AtomF], list[str]] = {}
-    for bits in b.all_addresses():
+    for bits in b.addresses:
         goals = [g for g in an.goal_universe if holds(b.goal(g, bits))]
         if len(goals) > 1:
             raise CrossCheckError(f"two goals at address {bits}")
@@ -427,8 +427,8 @@ def soup_from_model(m: Model, t: FormulaTranslation) -> Soup:
     for q in an.active:
         inst = an.instances[q.inst]
         for opt in q.answers:
-            for a_from in b.all_addresses():
-                for a_to in b.all_addresses():
+            for a_from in b.addresses:
+                for a_to in b.addresses:
                     if holds(b.ans(opt.index, q.index, a_from, a_to)):
                         entries.append(
                             AnswerEntry(
@@ -492,7 +492,7 @@ def model_from_soup(
     by_addr = {a: j for j in kept for a in z.judgments[j].addresses}
     # fill spare addresses by repeating the last judgment that answers some
     # question; a judgment without that property cannot support a goal atom
-    all_addrs = t.builder.all_addresses()
+    all_addrs = t.builder.addresses
     if answering:
         filler = max(answering, key=lambda j: z.judgments[j].addresses[0])
         for bits in all_addrs:

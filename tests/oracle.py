@@ -1720,13 +1720,14 @@ def reference_translate(phi, addr_len, full_facts=False, deadline=None, an=None)
     that counts its family and checks the deadline."""
     if an is None:
         an = analysis(phi)
-    names = logic_to_asp._Names(an)
     sig = an.sig
     pool = sig.pool
     bvars = sig.bound_vars
-    b = logic_to_asp.AtomBuilder(an, names, addr_len)
+    b = logic_to_asp.AtomBuilder(an, addr_len, deadline)
 
-    addresses = b.all_addresses()
+    # the addresses in counting order, listed here rather than read off the
+    # builder, so the emitter's numbering is checked independently
+    addresses = ["".join(bits) for bits in itertools.product("01", repeat=addr_len)]
     zero_bits = addresses[0]
 
     env, nenv = b.env, b.nenv
@@ -1734,7 +1735,6 @@ def reference_translate(phi, addr_len, full_facts=False, deadline=None, an=None)
     ans, nans = b.ans, b.nans
     goal_atom = b.goal
     q_args = b.q_args
-    block = b.block
 
     f_atom = ("f",)
 
@@ -1777,24 +1777,24 @@ def reference_translate(phi, addr_len, full_facts=False, deadline=None, an=None)
     for q in an.questions:
         p = an.instances[q.inst]
         for s_map, t_map in filled_blocks(p, q.t_assign):
-            s_blk, t_blk = block(s_map), block(t_map)
-            base_args = (names.occ_name(p.occ),) + s_blk + t_blk
+            s_blk, t_blk = b.fill(s_map.items()), b.fill(t_map.items())
+            base_args = (b.occ_name(p.occ),) + s_blk + t_blk
             for opt in q.answers:
                 for tau_idx in opt.taus:
                     tau = an.instances[tau_idx]
-                    u_blk = block(dict(tau.assign))
+                    u_blk = b.fill(tau.assign)
                     emit(
                         "01_descendant",
-                        (f"di{opt.index}", names.occ_name(tau.occ), names.occ_name(p.occ))
+                        (f"di{opt.index}", b.occ_name(tau.occ), b.occ_name(p.occ))
                         + s_blk
                         + t_blk
                         + u_blk,
                     )
                 emit(
                     "02_subgoal",
-                    (names.subgoal_pred(opt.index, opt.subgoal),) + base_args,
+                    (b.subgoal_pred(opt.index, opt.subgoal),) + base_args,
                 )
-            emit("03_head", (names.head_pred(q.head),) + base_args)
+            emit("03_head", (b.head_pred(q.head),) + base_args)
     syntax_facts = frozenset(heads)
 
     # families 4-6: the initial judgment at address 0...0
@@ -1812,7 +1812,7 @@ def reference_translate(phi, addr_len, full_facts=False, deadline=None, an=None)
     for q in an.active:
         qi = q.index
         for opt in q.answers:
-            sg_atom = (names.subgoal_pred(opt.index, opt.subgoal),) + q_args[qi]
+            sg_atom = (b.subgoal_pred(opt.index, opt.subgoal),) + q_args[qi]
             for a_from in addresses:
                 for a_to in addresses:
                     a_atom = ans(opt.index, qi, a_from, a_to)
@@ -1826,9 +1826,9 @@ def reference_translate(phi, addr_len, full_facts=False, deadline=None, an=None)
                         tau = an.instances[tau_idx]
                         d_atom = (
                             f"di{opt.index}",
-                            names.occ_name(tau.occ),
-                            names.occ_name(an.instances[q.inst].occ),
-                        ) + q_args[qi][1:] + block(dict(tau.assign))
+                            b.occ_name(tau.occ),
+                            b.occ_name(an.instances[q.inst].occ),
+                        ) + q_args[qi][1:] + b.fill(tau.assign)
                         emit(
                             "08_env_descendants",
                             env(tau_idx, a_to),
@@ -1861,7 +1861,7 @@ def reference_translate(phi, addr_len, full_facts=False, deadline=None, an=None)
 
     # families 13-15: question recognition and the everything-answered rule
     for q in an.active:
-        hd_atom = (names.head_pred(q.head),) + q_args[q.index]
+        hd_atom = (b.head_pred(q.head),) + q_args[q.index]
         for addr in addresses:
             emit(
                 "13_question",

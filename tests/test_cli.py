@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pathlib
 import pickle
+import time
 
 import pytest
 
@@ -221,6 +222,7 @@ m(c) :- n(d).
 """
 
 
+@pytest.mark.hash_seed
 @pytest.mark.parametrize(
     "flags, golden", [([], "ground.txt"), (["--json"], "ground.json")]
 )
@@ -301,6 +303,55 @@ def test_a_formula_without_members_is_capped_by_its_address_table(files, bounded
     with pytest.raises(CapExceeded) as e:
         logic_to_asp.translate(parse_formula("a"), addr_len=21)
     assert e.value.feasible == 20
+
+
+# the address list and the per-address id tables of 2^20 addresses are
+# within the cap but take seconds to build: the set-up checks the deadline
+@pytest.mark.parametrize(
+    "command", ["translate-formula", "soup-to-model", "model-to-soup"]
+)
+def test_the_translation_set_up_honours_the_timeout(files, bounded_cli, command):
+    inputs = [files("f.sig1", "a\n")]
+    if command == "soup-to-model":
+        soup = f"addr-len: 20\njudgment:\n  addresses: {'0' * 20}\n  goal: a\n"
+        inputs.append(files("z.soup", soup))
+    if command == "model-to-soup":
+        inputs.append(files("m.txt", ""))
+    start = time.monotonic()
+    code, _, err = bounded_cli(
+        ["--timeout", "1", "--addr-len", "20", command, *inputs], timeout=10
+    )
+    took = time.monotonic() - start
+    assert code == EXIT_BUDGET and "Traceback" not in err
+    assert "translation budget exhausted" in err
+    assert took < 2, f"{command} took {took:.2f} s"
+
+
+# each exited 0 or 3 as if the value were meant: a NaN timeout switched
+# every deadline off, a negative one ran out at once, a negative cap refused
+# every program, a negative count ran nothing and negative workers ran serially
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--cap-base", "-1", "solve"],
+        ["--timeout", "nan", "solve"],
+        ["--timeout", "-1", "solve"],
+        ["roundtrip-asp", "--count", "-3"],
+        ["roundtrip-logic", "--workers", "-4"],
+    ],
+    ids=["cap-base", "timeout-nan", "timeout-negative", "count", "workers"],
+)
+def test_numeric_flags_out_of_range_are_input_errors(files, bounded_cli, args):
+    if args[-1] == "solve":
+        args = args + [files("p.lp", "p :- not q.\nq :- not p.\n")]
+    code, _, err = bounded_cli(args, timeout=10)
+    assert code == EXIT_INPUT and "Traceback" not in err
+
+
+def test_an_infinite_timeout_sets_no_budget(files, capsys):
+    path = files("p.lp", "p :- not q.\nq :- not p.\n")
+    assert run(["--timeout", "inf", "solve", path]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["p", "q"]
 
 
 # the corpus draws formulas of 3 symbols or more, so a smaller cap drew

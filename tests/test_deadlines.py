@@ -133,6 +133,14 @@ def _call(name):
         return lambda deadline: logic_to_asp.translate(
             phi, addr_len=5, deadline=deadline, an=an
         )
+    if name == "translate_set_up":
+        # one row, but the address table and five id tables per address to
+        # set up first for 2^20 addresses, within the cap: about 8 s without
+        # a deadline
+        phi = parse_formula("a")
+        return lambda deadline: logic_to_asp.translate(
+            phi, addr_len=20, deadline=deadline
+        )
     if name == "certified_addr_len":
         an = logic_to_asp.analysis(_seed0_translation(0))
         return lambda deadline: logic_to_asp.certified_addr_len(an, deadline=deadline)
@@ -153,6 +161,7 @@ CALLS = [
     "prove_sigma1",
     "case_b",
     "translate",
+    "translate_set_up",
     "certified_addr_len",
     "find_soup",
     "decide_by_translation",

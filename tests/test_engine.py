@@ -182,6 +182,7 @@ def _loops_text(k):
     )
 
 
+@pytest.mark.hash_seed
 @pytest.mark.parametrize(
     "text",
     [_cycle_text(n) for n in (1, 2, 3, 100, 101)] + [_loops_text(k) for k in (2, 14)],
@@ -192,6 +193,7 @@ def test_negation_cycles_and_loops_ground_as_the_oracle_route(text):
     _assert_ground_matches_the_oracle_route(parse_program(text))
 
 
+@pytest.mark.hash_seed
 @pytest.mark.parametrize(
     "spec",
     [

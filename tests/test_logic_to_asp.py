@@ -11,6 +11,7 @@ from aspsigma.corpus import CorpusSpec, fresh_goal_atom, gen_formulas, gen_progr
 from aspsigma.engine import GroundProgram, atom_key, has_stable_model, is_stable
 from aspsigma.errors import ArityError, CapExceeded, FormulaError
 from aspsigma.logic_to_asp import (
+    AtomBuilder,
     _answers_first,
     _cone_contexts,
     analysis,
@@ -211,7 +212,7 @@ def test_soundness_at_any_addr_len():
                 # no two goals share an address, and the false atom is absent
                 assert Atom("f") not in witness
                 keys = {atom_key(a) for a in witness}
-                for bits in t.builder.all_addresses():
+                for bits in t.builder.addresses:
                     goals = [
                         g
                         for g in t.analysis.goal_universe
@@ -340,6 +341,7 @@ def _chain_text(n):
     return " -> ".join(["P(c)"] + [f"a{i}" for i in range((n - 4) // 2)] + ["g"])
 
 
+@pytest.mark.hash_seed
 def test_decoded_clauses_match_the_reference():
     # the seed-0 formulas at their certified address length, and chains of
     # length 50 to 500 at address length 2
@@ -352,6 +354,7 @@ def test_decoded_clauses_match_the_reference():
         assert g.clauses == reference_clauses(g)
 
 
+@pytest.mark.hash_seed
 def test_seed0_translation_text_is_pinned():
     # SHA-256 over the header and program text of the 600 seed-0 formulas
     # at their certified address length, computed on the clause-object
@@ -364,6 +367,7 @@ def test_seed0_translation_text_is_pinned():
     assert digest.hexdigest()[:16] == "127fbabb6f0d2f0a"
 
 
+@pytest.mark.hash_seed
 def test_seed0_key_text_is_pinned():
     # SHA-256 over the 1242 alpha-canonical texts of the 600 seed-0 formulas,
     # in table order; the soup search orders the keys it scans by these
@@ -535,11 +539,30 @@ def test_no_more_than_4096_rows_pass_between_deadline_checks(monkeypatch, text, 
     rows = []
 
     def spy(deadline, stage):
-        # the rows translate has written when it checks
-        rows.append(len(sys._getframe(1).f_locals["heads"]))
+        # the rows translate has written when it checks: none while it
+        # builds its address and id tables, before ``heads`` is bound
+        frame = sys._getframe(1)
+        while frame.f_code is not translate.__code__:
+            frame = frame.f_back
+        rows.append(len(frame.f_locals.get("heads", ())))
 
     monkeypatch.setattr(logic_to_asp, "check_deadline", spy)
     t = translate(parse_formula(text), addr_len=addr_len)
     marks = [0] + rows + [len(t.ground_program.heads)]
     assert max(b - a for a, b in zip(marks, marks[1:])) <= 4096
     assert len(t.ground_program.heads) > 4096
+
+
+# "P(0, 1)" puts both bit names in the pool, so the bits are the fresh b0/b1
+@pytest.mark.parametrize(
+    "text, bits", [("(b -> a) -> a", ("0", "1")), ("P(0, 1)", ("b0", "b1"))]
+)
+def test_the_builder_lists_the_addresses_in_counting_order(text, bits):
+    an = analysis(parse_formula(text))
+    for addr_len in range(1, 9):
+        b = AtomBuilder(an, addr_len)
+        assert b.bits == bits
+        assert b.addresses == [format(i, f"0{addr_len}b") for i in range(2**addr_len)]
+        assert list(b.addr) == b.addresses
+        for a in b.addresses:
+            assert b.addr[a] == tuple(b.bits[int(c)] for c in a)

@@ -494,6 +494,7 @@ def test_prove_rejects_non_pi1_member():
         prove([member], parse_formula("g"))
 
 
+@pytest.mark.hash_seed
 def test_judgment_cap_fires_at_the_pinned_judgment(monkeypatch):
     # seed-0 corpus program 256 is entailed; its proof search visits 22
     # judgments, whatever the hash seed, so a cap of 21 fires at the last one
@@ -561,6 +562,7 @@ def test_a_join_that_finds_nothing_stops_at_the_deadline():
     assert time.monotonic() - t0 < 2
 
 
+@pytest.mark.hash_seed
 def test_a_refutable_2000_step_chain_is_refuted(default_recursion_limit):
     # (a1 -> a0) -> ... -> (a2000 -> a1999) -> a0 fails along one path of
     # 2001 nested judgments; the search keeps them on its own frame stack,
@@ -658,6 +660,7 @@ def _decide_arity2(i: int):
     return cert
 
 
+@pytest.mark.hash_seed
 def test_every_arity2_program_is_decided_within_the_cli_budget():
     # each search takes under 0.1 s; the certificates are pinned, and must
     # not follow the hash seed
@@ -671,6 +674,7 @@ def test_every_arity2_program_is_decided_within_the_cli_budget():
     assert h.hexdigest()[:16] == "328abcbe6aace4a6"
 
 
+@pytest.mark.hash_seed
 @pytest.mark.parametrize("i, entailed", [(53, False), (65, False), (144, True)])
 def test_arity2_programs_53_65_and_144_are_decided(i, entailed):
     # the three whose searches the case-split axioms made longest; 144 has
@@ -688,6 +692,7 @@ def _text(cert) -> str:
     return "None" if cert is None else fmt_term(cert)
 
 
+@pytest.mark.hash_seed
 def test_case_certificates_are_pinned():
     # the two instability cases of every model of the small seed-0 programs,
     # proved in acceptance 8's order, so one base serves all of a program's
@@ -710,6 +715,7 @@ def test_case_certificates_are_pinned():
     assert h.hexdigest()[:16] == "7ae067c0e0d63f72"
 
 
+@pytest.mark.hash_seed
 def test_sigma1_certificates_are_pinned():
     # the proof terms of the 500 seed-0 translations, not only their verdicts;
     # 127 of them are provable
@@ -735,6 +741,7 @@ def test_logic_corpus_verdicts_are_pinned():
     assert hashlib.sha256(bits.encode()).hexdigest()[:16] == "adbeaf29fc231b46"
 
 
+@pytest.mark.hash_seed
 def test_case_certificates_do_not_depend_on_the_call_order():
     # every fourth small program's case pairs, proved once in acceptance 8's
     # order and once shuffled, so that most calls build a fresh base
@@ -907,6 +914,7 @@ def _attempt_spy():
         yield seen
 
 
+@pytest.mark.hash_seed
 def test_flat_attempts_match_the_generators_on_the_corpus():
     # the checks leave the search as it was: the certificates stay pinned
     h = hashlib.sha256()
@@ -967,6 +975,7 @@ def test_flat_attempts_match_the_generators(clauses, bits, case_b, ctx, goal):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.hash_seed
 @given(
     st.lists(_CLAUSE, min_size=1, max_size=3),
     st.integers(0, 63),
@@ -1023,6 +1032,7 @@ def _pass_counter():
         yield seen
 
 
+@pytest.mark.hash_seed
 def test_a_refutation_runs_the_pass_after_a_cut_judgment_was_solved():
     # seed-0 program 0 is not entailed; its first pass cuts a judgment that
     # the same pass then solves, so that pass's failures may be unfounded and
@@ -1032,6 +1042,7 @@ def test_a_refutation_runs_the_pass_after_a_cut_judgment_was_solved():
     assert seen["passes"] == 2
 
 
+@pytest.mark.hash_seed
 def test_a_case_query_proved_only_in_its_second_pass():
     # seed-0 program 114 in its model {p(c)}: case b fails in the first pass
     # and is proved in the second, from a judgment the first pass cut and
@@ -1215,6 +1226,7 @@ def test_a_10000_step_certificate_checks_in_linear_time():
     assert best < 1.5
 
 
+@pytest.mark.hash_seed
 def test_the_1000_step_chain_certificate_is_pinned():
     # the text the recursive extraction and printer gave on a raised stack
     text = fmt_term(prove_sigma1(_provable_chain(1000)))

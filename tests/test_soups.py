@@ -343,6 +343,7 @@ def _soup_listing(*members):
     )
 
 
+@pytest.mark.hash_seed
 def test_alpha_equivalent_members_are_read_as_one():
     """A context that lists two alpha-equivalent members holds their one key;
     the soup checks as the one that lists the member once, and is written
@@ -487,12 +488,12 @@ def test_round_trip_properties():
         # every question in the model has an answer atom
         keys = {atom_key(a) for a in m2}
         for q in t.analysis.questions:
-            for bits in t.builder.all_addresses():
+            for bits in t.builder.addresses:
                 if t.builder.q(q.index, bits) in keys:
                     assert any(
                         t.builder.ans(opt.index, q.index, bits, b2) in keys
                         for opt in q.answers
-                        for b2 in t.builder.all_addresses()
+                        for b2 in t.builder.addresses
                     ) or not q.answers
 
 
@@ -582,6 +583,7 @@ def test_question_table_matches_substitution_oracle(corpus_soups):
     assert compared == 1036
 
 
+@pytest.mark.hash_seed
 def test_answer_relation_matches_the_scan(corpus_soups):
     """The answer relation the checker reads off judgments indexed by goal is
     the one a scan of every judgment for every answer option gives."""
@@ -597,6 +599,7 @@ def test_answer_relation_matches_the_scan(corpus_soups):
     assert compared == 956
 
 
+@pytest.mark.hash_seed
 def test_soups_check_alike_without_their_answer_map(corpus_soups):
     """Stripped of its answer map, a soup is checked by the existence reading
     alone: each asked question needs some answering judgment.  The corpus
@@ -759,6 +762,7 @@ def test_asked_matches_a_scan_of_the_table(data):
         assert an.asked(ctx, goal) == scan_questions(an, ctx, goal)
 
 
+@pytest.mark.hash_seed
 def test_soup_layer_digest(corpus_soups):
     """Pins the soups, diagnostics and realized models over the corpus."""
     h = hashlib.sha256()
@@ -807,6 +811,7 @@ def _same_decision(decided, phi, z):
     return z is None and cert is not None and fmt_term(decided) == fmt_term(cert)
 
 
+@pytest.mark.hash_seed
 def test_find_soup_matches_the_reference_on_the_corpus(corpus_soups):
     """The soup read off the prover's last pass is the one the deletion
     search finds, text for text, and both find none for the same formulas;
@@ -824,6 +829,7 @@ _REFERENCE_TRANSLATIONS = (
 )
 
 
+@pytest.mark.hash_seed
 def test_find_soup_matches_the_reference_on_asp_translations():
     programs = gen_programs(CorpusSpec(count=500, seed=0))
     refuted = 0
@@ -888,6 +894,7 @@ def _report(z, phi):
     return report.ok, report.diagnostics
 
 
+@pytest.mark.hash_seed
 def test_a_carried_table_checks_as_a_parsed_soup(corpus_soups, monkeypatch):
     """A soup's own question table gives the report a table built anew gives,
     and is read only for the formula object it was built from."""
