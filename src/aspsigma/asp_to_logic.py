@@ -48,7 +48,6 @@ class PredSymbols:
 @dataclass(frozen=True, slots=True)
 class Vocabulary:
     preds: dict[str, PredSymbols]
-    arities: dict[str, int]
     pairs: dict[tuple[str, str], str]
     clause_syms: dict[tuple[int, int], tuple[str, str]]  # (clause j, i) -> (k, kbar)
     lupa: str
@@ -115,17 +114,6 @@ class ModelContext:
 # ---------------------------------------------------------------------------
 
 
-def _source_predicates(p: Program) -> list[tuple[str, int]]:
-    """Predicates in first-occurrence order, with arity."""
-    table = p.predicates()
-    seen: list[tuple[str, int]] = []
-    for c in p.clauses:
-        for a in c.atoms():
-            if all(a.pred != n for n, _ in seen):
-                seen.append((a.pred, table[a.pred]))
-    return seen
-
-
 def _normalize_clauses(p: Program) -> list[NormalClause]:
     out = []
     for j, c in enumerate(p.clauses, start=1):
@@ -142,8 +130,10 @@ def _normalize_clauses(p: Program) -> list[NormalClause]:
     return out
 
 
-def _build_vocabulary(p: Program, omega: Atom) -> Vocabulary:
-    taken = set(p.predicates()) | {omega.pred}
+def _build_vocabulary(
+    preds_in_order: list[tuple[str, int]], clauses: list[NormalClause], omega: Atom
+) -> Vocabulary:
+    taken = {name for name, _ in preds_in_order} | {omega.pred}
     generated: set[str] = set()
 
     def fresh(name: str) -> str:
@@ -152,32 +142,29 @@ def _build_vocabulary(p: Program, omega: Atom) -> Vocabulary:
         generated.add(name)
         return name
 
-    preds_in_order = _source_predicates(p)
     lupa = fresh("lupa")
     case_a = fresh("caseA")
     case_b = fresh("caseB")
     circ = fresh("circ")
     bullet = fresh("bullet")
     preds: dict[str, PredSymbols] = {}
-    arities: dict[str, int] = {}
-    for name, arity in preds_in_order:
+    for name, _ in preds_in_order:
         preds[name] = PredSymbols(
             name, fresh(f"bar_{name}"), fresh(f"bang_{name}"), fresh(f"query_{name}")
         )
-        arities[name] = arity
     pairs: dict[tuple[str, str], str] = {}
     for r, _ in preds_in_order:
         for q, _ in preds_in_order:
             pairs[(r, q)] = fresh(f"pair_{r}_{q}")
     clause_syms: dict[tuple[int, int], tuple[str, str]] = {}
-    for nc in _normalize_clauses(p):
+    for nc in clauses:
         for i in range(len(nc.body_only_vars) + 1):
             clause_syms[(nc.index, i)] = (
                 fresh(f"k{nc.index}_{i}"),
                 fresh(f"kbar{nc.index}_{i}"),
             )
     return Vocabulary(
-        preds, arities, pairs, clause_syms, lupa, omega.pred, case_a, case_b, circ, bullet
+        preds, pairs, clause_syms, lupa, omega.pred, case_a, case_b, circ, bullet
     )
 
 
@@ -209,11 +196,12 @@ def translate(p: Program, omega: Atom) -> AspTranslation:
     """The easy formula whose provability is entailment of ``omega``."""
     if omega.arity != 0 or omega.negated:
         raise FormulaError(f"the goal atom must be a positive nullary atom: {omega}")
-    voc = _build_vocabulary(p, omega)
+    # predicates in first-occurrence order, with arity
+    preds_in_order = list(p.predicates().items())
+    clauses = _normalize_clauses(p)
+    voc = _build_vocabulary(preds_in_order, clauses, omega)
     consts = sorted(p.domain)
     avoid = set(consts)
-    clauses = _normalize_clauses(p)
-    preds_in_order = _source_predicates(p)
     axioms: list[Axiom] = []
     # one object per nullary atom and per variable name that _zvars makes:
     # a translation repeats a few of each thousands of times

@@ -122,10 +122,16 @@ def _asp_instance(args: tuple) -> RoundTripReport:
 
 
 def _logic_instance(args: tuple) -> RoundTripReport:
+    """One logic instance; a failed cross-check is that instance's
+    disagreement, and the verdicts reached before it stay in the report."""
     spec, idx, timeout = args
     phi = gen_formulas(spec)[idx]
     report = RoundTripReport(idx, "logic->asp", fmt_formula(phi))
-    _logic_checks(report, phi, _deadline(timeout))
+    try:
+        _logic_checks(report, phi, _deadline(timeout))
+    except CrossCheckError as e:
+        report.agreement["cross_check"] = False
+        report.error = f"CrossCheckError: {e}"
     return report
 
 
@@ -182,20 +188,6 @@ def _logic_checks(report: RoundTripReport, phi, deadline: float | None) -> None:
         report.skipped = f"{type(e).__name__}: {e}"
 
 
-def _logic_job(job: tuple) -> RoundTripReport:
-    """One logic instance; a failed cross-check is that instance's
-    disagreement, and the verdicts reached before it stay in the report."""
-    spec, idx, timeout = job
-    phi = gen_formulas(spec)[idx]
-    report = RoundTripReport(idx, "logic->asp", fmt_formula(phi))
-    try:
-        _logic_checks(report, phi, _deadline(timeout))
-    except CrossCheckError as e:
-        report.agreement["cross_check"] = False
-        report.error = f"CrossCheckError: {e}"
-    return report
-
-
 def _run_instances(worker, spec: CorpusSpec, timeout: float | None, workers: int):
     jobs = [(spec, i, timeout) for i in range(spec.count)]
     if workers <= 1:
@@ -221,7 +213,7 @@ def roundtrip_logic(
     spec: CorpusSpec, timeout: float | None = LOGIC_BUDGET, workers: int = 1
 ) -> list[RoundTripReport]:
     """Provability versus soup existence versus stable models, per formula."""
-    return _run_instances(_logic_job, spec, timeout, workers)
+    return _run_instances(_logic_instance, spec, timeout, workers)
 
 
 def report_digest(reports: list[RoundTripReport]) -> str:

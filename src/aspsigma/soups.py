@@ -33,6 +33,7 @@ table lives as long as the soup does; there is no cache besides.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 
 from .engine import AtomKey, Model
@@ -545,18 +546,29 @@ def _fmt_assign(assign) -> str:
     return "[" + ", ".join(f"{v}:={c}" for v, c in assign) + "]"
 
 
-def _parse_assign(text: str) -> tuple[tuple[str, str], ...]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise FormulaError(f"bad substitution {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    out = []
-    for part in inner.split(","):
-        v, _, c = part.partition(":=")
-        out.append((v.strip(), c.strip()))
-    return tuple(out)
+# the line grammar of a soup file: a keyword line, or else a context member
+_KEYWORD_LINE = re.compile(
+    r"(addr-len|judgment|addresses|goal|context|answer)\s*:\s*(.*)"
+)
+_PAIR = r"\w+\s*:=\s*\w+"
+_ASSIGN = rf"\[\s*((?:{_PAIR}(?:\s*,\s*{_PAIR})*)?)\s*\]"  # read by _BINDING
+_BINDING = re.compile(r"(\w+)\s*:=\s*(\w+)")
+_ANSWER = re.compile(
+    rf"\(\s*psi\s*(\d+)\s*,\s*{_ASSIGN}\s*,\s*{_ASSIGN}\s*,\s*(\w+)\s*\)"
+    r"\s*->\s*\(\s*(\d+)\s*,\s*(\w+)\s*\)"
+)
+# the kinds of line each kind may follow, as ``write_soup`` orders them; None
+# is the start of the file
+_IN_BLOCK = {"judgment", "addresses", "goal", "context", "member"}
+_FOLLOWS = {
+    "addr-len": {None},
+    "judgment": {"addr-len"} | _IN_BLOCK,
+    "addresses": {"judgment", "addresses"},
+    "goal": {"judgment", "addresses"},
+    "context": {"goal"},
+    "member": {"context", "member"},
+    "answer": {"addr-len", "answer"} | _IN_BLOCK,
+}
 
 
 def write_soup(z: Soup) -> str:
@@ -582,11 +594,17 @@ def write_soup(z: Soup) -> str:
 
 
 def parse_soup(text: str) -> Soup:
-    """Read a soup file; the first formula read for a context key is the
-    one ``write_soup`` prints for it.  Each distinct context line is parsed
-    once per call."""
-    addr_len: int | None = None
-    judgments: list[Disjudgment] = []
+    """Read a soup file in the line grammar ``write_soup`` writes.
+
+    The ``addr-len:`` header comes first, once.  ``judgment:`` opens a block
+    of ``addresses:`` lines and one ``goal:`` line, then ``context:`` and a
+    member formula per line; the ``answer:`` lines follow the blocks.  Blank
+    lines and ``%`` comments are skipped.  Any other line, or a line out of
+    that order, is a ``FormulaError`` naming the line.  The first formula read
+    for a context key is the one ``write_soup`` prints for it, and each
+    distinct context line is parsed once per call."""
+    addr_len = 0
+    blocks: list[list] = []  # [addresses, goal, context keys] per judgment
     answers: list[AnswerEntry] = []
     members: dict[AlphaKey, Formula] = {}
     # each context line is parsed once, and each alpha class has one key
@@ -594,99 +612,56 @@ def parse_soup(text: str) -> Soup:
     # objects and compare them by identity
     line_keys: dict[str, AlphaKey] = {}
     classes: dict[AlphaKey, AlphaKey] = {}
-    cur_addrs: list[str] | None = None
-    cur_goal: AtomF | None = None
-    cur_ctx: list[AlphaKey] = []
-    in_context = False
-
-    def flush() -> None:
-        nonlocal cur_addrs, cur_goal, cur_ctx, in_context
-        if cur_addrs is not None:
-            if cur_goal is None:
-                raise FormulaError("judgment block without a goal")
-            judgments.append(
-                Disjudgment(frozenset(cur_ctx), cur_goal, tuple(cur_addrs))
-            )
-        cur_addrs, cur_goal, cur_ctx, in_context = None, None, [], False
-
+    prev = None
     for raw in text.splitlines():
-        stripped = raw.split("%", 1)[0].strip()
-        if not stripped:
+        line = raw.split("%", 1)[0].strip()
+        if not line:
             continue
-        try:
-            if stripped.startswith("addr-len:"):
-                addr_len = int(stripped.split(":", 1)[1])
-            elif stripped == "judgment:":
-                flush()
-                cur_addrs = []
-            elif stripped.startswith("addresses:"):
-                if cur_addrs is None:
-                    raise FormulaError(f"addresses outside a judgment: {stripped!r}")
-                cur_addrs.extend(
-                    a.strip() for a in stripped.split(":", 1)[1].split(",") if a.strip()
+        m = _KEYWORD_LINE.fullmatch(line)
+        kind, rest = m.groups() if m else ("member", line)
+        if prev not in _FOLLOWS[kind]:
+            if prev is None:
+                raise FormulaError(f"soup file lacks an addr-len header: {line!r}")
+            raise FormulaError(f"soup line out of place: {line!r}")
+        prev = kind
+        if kind == "member":
+            key = line_keys.get(line)
+            if key is None:
+                member = parse_formula(line)
+                key = alpha_key(member)
+                key = line_keys[line] = classes.setdefault(key, key)
+                members.setdefault(key, member)
+            blocks[-1][2].append(key)
+        elif kind == "judgment" and not rest:
+            blocks.append([[], None, []])
+        elif kind == "addresses":
+            blocks[-1][0].extend(a.strip() for a in rest.split(",") if a.strip())
+        elif kind == "goal":
+            goal = parse_formula(rest)
+            if not isinstance(goal, AtomF):
+                raise FormulaError(f"goal is not an atom: {line!r}")
+            blocks[-1][1] = goal
+        elif kind == "answer" and (entry := _ANSWER.fullmatch(rest)):
+            occ, s_txt, t_txt, from_addr, index, to_addr = entry.groups()
+            answers.append(
+                AnswerEntry(
+                    int(occ),
+                    tuple(_BINDING.findall(s_txt)),
+                    tuple(_BINDING.findall(t_txt)),
+                    from_addr,
+                    int(index),
+                    to_addr,
                 )
-            elif stripped.startswith("goal:"):
-                goal = parse_formula(stripped.split(":", 1)[1])
-                if not isinstance(goal, AtomF):
-                    raise FormulaError(f"goal is not an atom: {stripped}")
-                cur_goal = goal
-            elif stripped == "context:":
-                in_context = True
-            elif stripped.startswith("answer:"):
-                flush()
-                body = stripped.split(":", 1)[1]
-                left, _, right = (part.strip() for part in body.partition("->"))
-                if not (left.startswith("(") and left.endswith(")")):
-                    raise FormulaError(f"bad answer entry: {stripped}")
-                psi, s_txt, t_txt, from_addr = _split_entry(left[1:-1])
-                if not psi.startswith("psi"):
-                    raise FormulaError(f"bad member id {psi!r}")
-                if not (right.startswith("(") and right.endswith(")")):
-                    raise FormulaError(f"bad answer entry: {stripped}")
-                idx_txt, to_addr = (s.strip() for s in right[1:-1].split(","))
-                answers.append(
-                    AnswerEntry(
-                        int(psi[3:]),
-                        _parse_assign(s_txt),
-                        _parse_assign(t_txt),
-                        from_addr.strip(),
-                        int(idx_txt),
-                        to_addr.strip(),
-                    )
-                )
-            elif in_context:
-                key = line_keys.get(stripped)
-                if key is None:
-                    member = parse_formula(stripped)
-                    key = alpha_key(member)
-                    key = line_keys[stripped] = classes.setdefault(key, key)
-                    members.setdefault(key, member)
-                cur_ctx.append(key)
-            else:
-                raise FormulaError(f"unexpected soup line: {stripped!r}")
-        except ValueError as e:  # a number or a tuple that does not read
-            raise FormulaError(f"bad soup line {stripped!r}: {e}") from None
-    flush()
-    if addr_len is None:
+            )
+        elif kind == "addr-len" and rest.isdecimal():
+            addr_len = int(rest)
+        elif kind != "context" or rest:  # a keyword line whose rest does not read
+            raise FormulaError(f"bad soup line {line!r}")
+    if prev is None:
         raise FormulaError("soup file lacks an addr-len header")
-    return Soup(addr_len, tuple(judgments), tuple(answers), members=members)
-
-
-def _split_entry(inner: str) -> tuple[str, str, str, str]:
-    parts: list[str] = []
-    depth = 0
-    cur = ""
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur.strip())
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur.strip())
-    if len(parts) != 4:
-        raise FormulaError(f"bad answer tuple: ({inner})")
-    return parts[0], parts[1], parts[2], parts[3]
+    if any(goal is None for _, goal, _ in blocks):
+        raise FormulaError("judgment block without a goal")
+    judgments = tuple(
+        Disjudgment(frozenset(ctx), goal, tuple(addrs)) for addrs, goal, ctx in blocks
+    )
+    return Soup(addr_len, judgments, tuple(answers), members=members)

@@ -465,25 +465,51 @@ def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
     """Simultaneous capture-avoiding substitution of free variable occurrences.
 
     A quantifier ``v`` under which some image is a variable named ``v`` is
-    renamed to the first ``x<i>`` that is neither free in its body nor an
-    image's name, and ``_rebuild`` renames its occurrences in the same pass.
-    A subtree with nothing to replace comes back as it is, and an empty
-    mapping returns ``f`` without a walk.
+    renamed to the first ``x<i>`` that no variable or binder of ``f``, no
+    image and no earlier rename is named, and ``_rebuild`` renames its
+    occurrences in the same pass.  The names of ``f`` are read in one walk, at
+    the first rename, so a rename costs no walk of its body and sets off no
+    rename further in.  A subtree with nothing to replace comes back as it
+    is, and an empty mapping returns ``f`` without a walk.
     """
     if not mapping:
         return f
+    taken: set[str] | None = None
+    next_x = 1
 
     def capture(g: Forall, m: Mapping[str, Term]) -> str:
+        nonlocal taken, next_x
         name = g.var
         if not any(t.var and t.name == name for t in m.values()):
             return name
-        taken = free_vars(g.body) | {t.name for t in m.values()}
-        i = 1
-        while f"x{i}" in taken:
-            i += 1
-        return f"x{i}"
+        if taken is None:
+            taken = _variable_names(f) | {t.name for t in mapping.values()}
+        while f"x{next_x}" in taken:
+            next_x += 1
+        name = f"x{next_x}"
+        taken.add(name)
+        return name
 
     return _rebuild(f, mapping, capture)
+
+
+def _variable_names(f: Formula) -> set[str]:
+    """Every name ``f`` binds or uses as a variable, free or bound."""
+    out: set[str] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, AtomF):
+            out.update(t.name for t in g.args if t.var)
+        elif isinstance(g, Impl):
+            stack.append(g.lhs)
+            stack.append(g.rhs)
+        elif isinstance(g, Forall):
+            out.add(g.var)
+            stack.append(g.body)
+        else:
+            raise TypeError(g)
+    return out
 
 
 # An alpha key is a flat tuple of str, int and None; see ``alpha_key``.

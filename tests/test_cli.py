@@ -401,6 +401,50 @@ def test_malformed_soup_files_are_input_errors(files, capsys, command, case):
     assert bad_line in capsys.readouterr().err
 
 
+# the soup soup-find writes for ((a -> b) -> a) -> a
+_PEIRCE_SOUP = (
+    "addr-len: 1\n"
+    "judgment:\n  addresses: 0\n  goal: a\n  context:\n    (a -> b) -> a\n"
+    "judgment:\n  addresses: 1\n  goal: b\n  context:\n    (a -> b) -> a\n    a\n"
+    "answer: (psi1, [], [], 0) -> (1, 1)\n"
+)
+# (the Peirce soup with lines added where write_soup puts none, the line
+# reported out of place); the bad line need not come last, and each of these
+# files used to read as a valid soup
+MISPLACED_SOUP_LINES = {
+    "goal-before-the-first-judgment": (
+        _PEIRCE_SOUP.replace("judgment:", "goal: b\njudgment:", 1),
+        "goal: b",
+    ),
+    # the first goal is out of place: the second was the one kept
+    "second-goal-in-a-judgment": (
+        _PEIRCE_SOUP.replace("  goal: a", "  goal: b\n  goal: a"),
+        "goal: a",
+    ),
+    "second-addr-len-header": ("addr-len: 2\n" + _PEIRCE_SOUP, "addr-len: 1"),
+    "context-before-the-first-judgment": (
+        _PEIRCE_SOUP.replace("judgment:", "context:\n    a\njudgment:", 1),
+        "context:",
+    ),
+    "judgment-lines-after-the-answers": (
+        _PEIRCE_SOUP + "  goal: b\n  context:\n    a\n",
+        "goal: b",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["soup-check", "soup-to-model"])
+@pytest.mark.parametrize("case", sorted(MISPLACED_SOUP_LINES))
+def test_soup_lines_out_of_place_are_input_errors(files, capsys, command, case):
+    text, bad_line = MISPLACED_SOUP_LINES[case]
+    f = files("f.sig1", "((a -> b) -> a) -> a\n")
+    assert run(["soup-find", f]) == EXIT_OK
+    assert capsys.readouterr().out == _PEIRCE_SOUP
+    soup = files("z.soup", text)
+    assert run([command, f, soup]) == EXIT_INPUT
+    assert f"out of place: {bad_line!r}" in capsys.readouterr().err
+
+
 def test_soup_find_provable(files):
     f = files("f.sig1", "a -> a\n")
     assert run(["soup-find", f]) == EXIT_NEGATIVE
@@ -495,8 +539,9 @@ def realizing_131_fails(monkeypatch):
 
 def test_roundtrip_logic_records_a_cross_check_failure(realizing_131_fails):
     spec = SPEC_132
-    with pytest.raises(CrossCheckError):
-        cli._logic_instance((spec, 131, None))
+    alone = cli._logic_instance((spec, 131, None))
+    assert alone.error.startswith("CrossCheckError: ")
+    assert alone.verdicts == VERDICTS_131
     reports = roundtrip_logic(spec)
     assert len(reports) == 132
     failed = [r for r in reports if r.skipped or not r.agreed]

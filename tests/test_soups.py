@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -331,6 +332,66 @@ def test_soup_parse_rejects_garbage():
         parse_soup("nonsense line\n")
 
 
+# the Peirce soup as write_soup writes it, with spacing added after every
+# colon, around the answer's separators and inside its brackets
+_SPACED_PEIRCE = """\
+addr-len:1
+judgment:
+  addresses:0
+  goal:a
+  context:
+    (a -> b) -> a
+judgment:
+  addresses:   1
+  goal:   b
+  context:
+    (a -> b) -> a
+    a
+answer:(  psi1 ,[ ],  [  ] ,0 )->(  1,1  )
+"""
+
+
+def test_parse_soup_reads_the_spacing_it_always_read():
+    phi = parse_formula("((a -> b) -> a) -> a")
+    z = parse_soup(_SPACED_PEIRCE)
+    assert z == find_soup(phi) and check_soup(z, phi).ok
+    assign = "answer: (psi1, [ x := c , y:=d ], [z:= e], 0) -> (1, 1)"
+    (entry,) = parse_soup("addr-len: 1\n" + assign).answers
+    assert (entry.s_assign, entry.t_assign) == ((("x", "c"), ("y", "d")), (("z", "e"),))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("", "lacks an addr-len header"),
+        ("% a comment\n\n", "lacks an addr-len header"),
+        ("judgment:\n  goal: a\n", "lacks an addr-len header: 'judgment:'"),
+        ("addr-len: 1\njudgment:\n  addresses: 0\n", "judgment block without a goal"),
+        ("addr-len: 1\njudgment:\njudgment:\n  goal: a\n", "judgment block without a goal"),
+        ("addr-len: 1\njudgment: 0\n", "bad soup line 'judgment: 0'"),
+        ("addr-len: -1\n", "bad soup line 'addr-len: -1'"),
+        ("addr-len: 1\njudgment:\n  goal: a\n  context: a\n", "bad soup line"),
+        ("addr-len: 1\nanswer: (psi1, [x:=], [], 0) -> (1, 1)\n", "bad soup line"),
+        ("addr-len: 1\njudgment:\n  goal: a\n  context:\n  goal: b\n", "out of place"),
+    ],
+    ids=[
+        "empty",
+        "comments-only",
+        "no-header",
+        "goal-less-at-the-end",
+        "goal-less-before-a-judgment",
+        "judgment-with-text",
+        "negative-addr-len",
+        "context-with-text",
+        "binding-without-a-value",
+        "goal-after-context",
+    ],
+)
+def test_parse_soup_refuses_lines_write_soup_does_not_write(text, error):
+    with pytest.raises(FormulaError, match=re.escape(error)):
+        parse_soup(text)
+
+
 def _soup_listing(*members):
     """A soup for (forall x. P(x) -> g) -> g whose two judgments list
     ``members`` as their contexts, in this order."""
@@ -369,7 +430,7 @@ def test_parse_soup_reads_each_context_line_once(monkeypatch):
     phi = _refutable_chain(20)
     text = write_soup(find_soup(phi))
     lines = [ln.strip() for ln in text.splitlines()]
-    goals = {ln.split(":", 1)[1] for ln in lines if ln.startswith("goal:")}
+    goals = {ln.split(":", 1)[1].strip() for ln in lines if ln.startswith("goal:")}
     context_lines = {
         ln for ln in lines if ln and not ln.endswith(":") and ":" not in ln
     }
@@ -760,6 +821,18 @@ def test_asked_matches_a_scan_of_the_table(data):
     ctx = frozenset(data.draw(st.sets(st.sampled_from(keys)))) if keys else frozenset()
     for goal in an.goal_universe:
         assert an.asked(ctx, goal) == scan_questions(an, ctx, goal)
+
+
+def test_every_corpus_soup_reads_back_as_written(corpus_soups):
+    read = 0
+    for _, found, _, cooked in corpus_soups:
+        for z in (found, cooked):
+            if z is not None:
+                text = write_soup(z)
+                parsed = parse_soup(text)
+                assert parsed == z and write_soup(parsed) == text
+                read += 1
+    assert read == 956
 
 
 @pytest.mark.hash_seed
